@@ -215,8 +215,18 @@ def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
         raise ConfigError(f"observable: {exc}") from None
 
     shots = config["shots"]
-    if not isinstance(shots, int) or shots < 1:
+    if isinstance(shots, bool) or not isinstance(shots, int) or shots < 1:
         raise ConfigError(f"shots: must be a positive integer, got {shots!r}")
+    n_batches = config.get("n_batches", 0)
+    if (
+        isinstance(n_batches, bool)
+        or not isinstance(n_batches, (int, float))
+        or (isinstance(n_batches, float) and not n_batches.is_integer())
+        or not 0 <= n_batches <= shots
+    ):
+        raise ConfigError(
+            f"n_batches: must be an integer in 0..{shots}, got {n_batches!r}"
+        )
     if seed is None:
         seed = config.get("seed")
     if seed is None:
@@ -304,7 +314,9 @@ def cmd_sample(args) -> int:
     )
     out_path = args.output or config.get("output")
     if out_path:
-        payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(
+            report.to_dict(), sort_keys=True, indent=2, allow_nan=False
+        ) + "\n"
         with open(out_path, "w") as fh:
             fh.write(payload)
         print(f"report written to {out_path}")

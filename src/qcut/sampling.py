@@ -10,17 +10,20 @@ The mean of ``y`` is an unbiased estimate of ``<O>`` with single-shot
 variance at most ``gamma^2 - <O>^2``.
 
 Because every map is a small dense object, the full discrete distribution of
-``y`` for each term can be enumerated exactly; sampling then reduces to
-categorical draws from those distributions, which makes multi-million-shot
-runs cheap while remaining shot-for-shot faithful to the physical protocol
-(:func:`execute_term` implements the sequential single-shot version used to
-cross-check the enumeration).
+``y`` for each term can be enumerated exactly, and the number of shots that
+land on each support value is a sufficient statistic.  :func:`run` therefore
+never materializes individual shots: it draws multinomial counts of shots per
+term and then per support value, batch by batch, so its time and memory
+depend on the support size and the number of batches but not on the shot
+count.  Shots are i.i.d., so this is exactly the distribution of the
+shot-by-shot protocol (:func:`execute_term` implements the sequential
+single-shot version used to cross-check the enumeration).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .linalg import (
     Operator,
     QcutError,
     vectorize,
-    ptm_of_unitary,
 )
 from .cuts import Decomposition, DecompositionTerm
 
@@ -121,6 +123,10 @@ class SamplingReport:
     seed: int
     single_shot_variance: float
     batch_means: tuple = ()
+    #: mean of ``sign * lambda`` over each term's shots (None for 0 shots)
+    per_term_means: tuple = ()
+    #: (estimate - exact_value) / standard_error (None when the error is 0)
+    z_score: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
@@ -133,6 +139,8 @@ class SamplingReport:
             "seed": self.seed,
             "single_shot_variance": self.single_shot_variance,
             "batch_means": list(self.batch_means),
+            "per_term_means": list(self.per_term_means),
+            "z_score": self.z_score,
         }
 
 
@@ -236,6 +244,27 @@ def term_value_distributions(
     ]
 
 
+def term_support(
+    spec: ExperimentSpec, term: DecompositionTerm, track_signs: bool = True
+) -> tuple:
+    """Joint distribution of ``sign * lambda`` over all blocks of one term.
+
+    Blocks are independent, so this is the outer product of the block
+    distributions with equal values merged.  Returns ``(values, probs)`` with
+    distinct, sorted values.
+    """
+    values = np.ones(1)
+    probs = np.ones(1)
+    for block_values, block_probs in term_value_distributions(spec, term, track_signs):
+        values, inverse = np.unique(
+            np.multiply.outer(values, block_values).ravel(), return_inverse=True
+        )
+        probs = np.bincount(
+            inverse, weights=np.multiply.outer(probs, block_probs).ravel()
+        )
+    return values, probs
+
+
 # ---------------------------------------------------------------------------
 # Single-shot physical executor (sequential oracle)
 # ---------------------------------------------------------------------------
@@ -285,13 +314,6 @@ def exact_expectation(spec: ExperimentSpec) -> float:
     return float(np.real(np.vdot(vectorize(Operator(obs)), out)))
 
 
-def _sample_categorical(values, probs, count, rng) -> np.ndarray:
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-    idx = np.searchsorted(edges, rng.random(count), side="right")
-    return values[np.minimum(idx, len(values) - 1)]
-
-
 def run(
     spec: ExperimentSpec,
     track_signs: bool = True,
@@ -302,43 +324,60 @@ def run(
     With ``track_signs=False`` the classical branch signs are discarded,
     which biases the estimator for any decomposition containing a non-CPTP
     term (used to demonstrate why the sign bookkeeping is required).
-    ``n_batches > 0`` additionally records contiguous shot-batch means.
+    ``n_batches > 0`` additionally records contiguous shot-batch means, with
+    batch sizes as in ``np.array_split``; it must not exceed ``shots``.
     """
+    shots = spec.shots
+    if not 0 <= n_batches <= shots:
+        raise DimensionError(f"n_batches must be in 0..{shots}, got {n_batches}")
     deco = spec.decomposition
     gamma = deco.one_norm()
-    p_terms = spec.decomposition.sampling_probabilities()
+    p_terms = deco.sampling_probabilities()
     rng = np.random.Generator(np.random.Philox(int(spec.seed)))
-    counts = rng.multinomial(spec.shots, p_terms)
 
-    samples = np.empty(spec.shots, dtype=float)
-    pos = 0
-    for term, count in zip(deco.terms, counts):
-        if count == 0:
-            continue
-        y = np.full(count, gamma * np.sign(term.q))
-        for values, probs in term_value_distributions(spec, term, track_signs):
-            y *= _sample_categorical(values, probs, count, rng)
-        samples[pos : pos + count] = y
-        pos += count
-    # restore i.i.d. shot order (term draws and branch draws commute)
-    samples = samples[rng.permutation(spec.shots)]
+    # term index -> (support values of sign * lambda, probabilities), filled
+    # the first time a term is drawn; term index -> shots per support value
+    supports = {}
+    counts = {}
+    per_term_shots = np.zeros(len(deco.terms), dtype=np.int64)
+    batch_means = []
+    k = max(n_batches, 1)
+    base, extra = divmod(shots, k)
+    for b in range(k):
+        size = base + (b < extra)
+        term_counts = rng.multinomial(size, p_terms)
+        per_term_shots += term_counts
+        batch_sum = 0.0
+        for nu in map(int, np.flatnonzero(term_counts)):
+            if nu not in supports:
+                supports[nu] = term_support(spec, deco.terms[nu], track_signs)
+            values, probs = supports[nu]
+            drawn = rng.multinomial(term_counts[nu], probs)
+            counts[nu] = counts.get(nu, 0) + drawn
+            batch_sum += float(np.sign(deco.terms[nu].q) * (drawn @ values))
+        batch_means.append(gamma * batch_sum / size)
 
-    estimate = float(np.mean(samples))
-    variance = float(np.var(samples, ddof=1)) if spec.shots > 1 else 0.0
-    stderr = float(np.sqrt(variance / spec.shots))
-    batch_means = ()
-    if n_batches > 0:
-        batch_means = tuple(
-            float(np.mean(chunk)) for chunk in np.array_split(samples, n_batches)
-        )
+    per_term_means = [None] * len(deco.terms)
+    for nu, c in counts.items():
+        per_term_means[nu] = float(c @ supports[nu][0]) / int(per_term_shots[nu])
+    ys = {nu: gamma * np.sign(deco.terms[nu].q) * supports[nu][0] for nu in counts}
+    estimate = sum(float(counts[nu] @ y) for nu, y in ys.items()) / shots
+    variance = 0.0
+    if shots > 1:
+        squares = sum(float(counts[nu] @ (y - estimate) ** 2) for nu, y in ys.items())
+        variance = squares / (shots - 1)
+    stderr = float(np.sqrt(variance / shots))
+    exact = exact_expectation(spec)
     return SamplingReport(
         estimate=estimate,
         standard_error=stderr,
-        shots=spec.shots,
+        shots=shots,
         gamma=gamma,
-        exact_value=exact_expectation(spec),
-        per_term_shots=tuple(int(c) for c in counts),
+        exact_value=exact,
+        per_term_shots=tuple(int(c) for c in per_term_shots),
         seed=int(spec.seed),
         single_shot_variance=variance,
-        batch_means=batch_means,
+        batch_means=tuple(batch_means) if n_batches > 0 else (),
+        per_term_means=tuple(per_term_means),
+        z_score=(estimate - exact) / stderr if stderr > 0 else None,
     )

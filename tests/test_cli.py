@@ -108,6 +108,31 @@ def test_sample_batch_csv(tmp_path, capsys):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("n_batches", [20, -3, "x", True, 2.5, float("nan")])
+def test_sample_rejects_bad_n_batches(tmp_path, capsys, n_batches):
+    config = write_config(tmp_path, shots=10, n_batches=n_batches)
+    out = tmp_path / "report.json"
+    assert main(["sample", "--config", str(config), "--output", str(out)]) == 2
+    assert "n_batches" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_rejects_boolean_shots(tmp_path, capsys):
+    config = write_config(tmp_path, shots=True)
+    assert main(["sample", "--config", str(config)]) == 2
+    assert "shots" in capsys.readouterr().err
+
+
+def test_sample_accepts_n_batches_equal_to_shots(tmp_path):
+    config = write_config(tmp_path, shots=10, n_batches=10.0)
+    out = tmp_path / "report.json"
+    assert main(["sample", "--config", str(config), "--output", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert len(report["batch_means"]) == 10
+    assert len(report["per_term_means"]) == len(report["per_term_shots"])
+    assert "z_score" in report
+
+
 def test_sample_bitstring_and_density_matrix_states(tmp_path):
     config = write_config(tmp_path, initial_state="10", observable="ZZ")
     assert main(["sample", "--config", str(config)]) == 0

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,13 +13,14 @@ from qcut.cuts import (
     wire_cut_cc,
     wire_cut_ncc,
 )
-from qcut.linalg import Operator, PauliString, QcutError
+from qcut.linalg import DimensionError, Operator, PauliString, QcutError
 from qcut.sampling import (
     ExperimentSpec,
     UnsupportedTermError,
     exact_expectation,
     execute_term,
     run,
+    term_support,
 )
 
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
@@ -141,8 +145,6 @@ def test_batch_means():
 
 
 def test_report_to_dict_is_json_plain():
-    import json
-
     spec = spec_for(wire_cut_ncc(), "0", "Z", shots=1000, seed=1)
     payload = json.dumps(run(spec, n_batches=2).to_dict(), sort_keys=True)
     assert "estimate" in payload
@@ -179,3 +181,156 @@ def test_spec_validation():
             shots=10,
             seed=0,
         )
+
+
+def random_spec(deco, seed, shots=1):
+    """Random pure register states and random non-Pauli product observables,
+    so that term supports have several distinct values."""
+    rng = np.random.default_rng(seed)
+    states, observables = [], []
+    for size in deco.partition:
+        v = rng.normal(size=2**size) + 1j * rng.normal(size=2**size)
+        v /= np.linalg.norm(v)
+        states.append(Operator(np.outer(v, v.conj())))
+        obs = np.array([[1.0 + 0j]])
+        for _ in range(size):
+            u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            lam = rng.uniform(-1, 1, size=2)
+            obs = np.kron(obs, u @ np.diag(lam) @ u.conj().T)
+        observables.append(Operator(obs))
+    return ExperimentSpec(
+        decomposition=deco,
+        initial_state=tuple(states),
+        observable=tuple(observables),
+        shots=shots,
+        seed=seed,
+    )
+
+
+def chi2_threshold(df, z=5.0):
+    """Upper chi-square quantile at a normal z-score (Wilson-Hilferty)."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * np.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize(
+    "deco",
+    [wire_cut_ncc(), mcz_decomposition(2, 1), rzz_decomposition_b(np.pi / 2)],
+    ids=lambda d: d.name,
+)
+def test_term_support_matches_execute_term_histogram(deco):
+    # the counts sampler draws from term_support; the sequential oracle must
+    # land on the same values with the same frequencies
+    spec = random_spec(deco, seed=11)
+    rng = np.random.default_rng(2024)
+    shots = 2000
+    for term in deco.terms:
+        values, probs = term_support(spec, term)
+        assert np.all(np.diff(values) > 0)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        observed = np.zeros(len(values))
+        for _ in range(shots):
+            sign, lam = execute_term(term, spec, rng)
+            hit = np.flatnonzero(np.abs(values - sign * lam) <= 1e-9)
+            assert len(hit) == 1, f"{sign * lam} not in the support of {term}"
+            observed[hit[0]] += 1
+        # pool support values with fewer than 5 expected shots into one bin
+        expected = shots * probs
+        small = expected < 5
+        if small.any():
+            expected = np.append(expected[~small], expected[small].sum())
+            observed = np.append(observed[~small], observed[small].sum())
+        if len(expected) < 2:
+            continue
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert stat < chi2_threshold(len(expected) - 1), (term, stat)
+
+
+def test_term_support_merges_equal_values():
+    # Pauli observables have eigenvalues +-1, so every term's joint support
+    # merges down to at most {-1, +1}
+    deco = mcz_decomposition(2, 1)
+    spec = spec_for(deco, "plus", "XXX", shots=1)
+    for term in deco.terms:
+        values, probs = term_support(spec, term)
+        assert set(values) <= {-1.0, 1.0}
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shots", [10**9, 10**12])
+def test_run_memory_does_not_grow_with_shots(shots):
+    spec = spec_for(mcz_decomposition(2, 1), "plus", "XXX", shots=shots, seed=4)
+    run(spec, n_batches=10)  # warm caches
+    tracemalloc.start()
+    try:
+        report = run(spec, n_batches=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(report.per_term_shots) == shots
+    assert len(report.batch_means) == 10
+    assert abs(report.estimate - report.exact_value) < 5 * report.standard_error
+    assert peak < 2**20
+
+
+def test_per_term_means_and_z_score():
+    deco = rzz_decomposition_b(1.0)
+    spec = random_spec(deco, seed=3, shots=100_000)
+    report = run(spec, n_batches=3)
+    gamma = report.gamma
+    total = sum(
+        n / spec.shots * gamma * np.sign(term.q) * mean
+        for term, n, mean in zip(deco.terms, report.per_term_shots, report.per_term_means)
+    )
+    assert total == pytest.approx(report.estimate, abs=1e-12)
+    z = (report.estimate - report.exact_value) / report.standard_error
+    assert report.z_score == pytest.approx(z, rel=1e-12)
+    data = report.to_dict()
+    assert data["per_term_means"] == list(report.per_term_means)
+    assert data["z_score"] == report.z_score
+
+
+def test_per_term_means_null_for_undrawn_terms():
+    # 2 shots over 8 terms: most terms are never drawn
+    spec = spec_for(wire_cut_ncc(), "0", "Z", shots=2, seed=0)
+    report = run(spec)
+    for n, mean in zip(report.per_term_shots, report.per_term_means):
+        assert (mean is None) == (n == 0)
+    assert json.loads(json.dumps(report.to_dict(), allow_nan=False))
+
+
+def test_z_score_null_when_standard_error_is_zero():
+    # every shot of the identity-like wire cut on |1>, Z is -1 with one shot
+    spec = spec_for(wire_cut_cc(), "1", "Z", shots=1, seed=0)
+    report = run(spec)
+    assert report.standard_error == 0.0
+    assert report.z_score is None
+
+
+def test_single_shot_batches_reproduce_mean_and_variance():
+    # with one shot per batch the batch means are the shot values themselves
+    spec = spec_for(mcz_decomposition(2, 1), "plus", "XXX", shots=500, seed=6)
+    report = run(spec, n_batches=500)
+    shots = np.array(report.batch_means)
+    assert np.all(np.isclose(np.abs(shots), report.gamma))
+    assert np.mean(shots) == pytest.approx(report.estimate, abs=1e-12)
+    assert np.var(shots, ddof=1) == pytest.approx(report.single_shot_variance, rel=1e-12)
+
+
+def test_uneven_batches_follow_array_split_sizes():
+    # 10 shots in 4 batches are sized 3, 3, 2, 2
+    spec = spec_for(mcz_decomposition(2, 1), "plus", "XXX", shots=10, seed=1)
+    report = run(spec, n_batches=4)
+    sizes = np.array([3, 3, 2, 2])
+    assert np.dot(sizes, report.batch_means) / 10 == pytest.approx(report.estimate, abs=1e-12)
+    for mean, size in zip(report.batch_means, sizes):
+        # each batch sum is a sum of `size` values of +-gamma
+        k = (mean * size / report.gamma + size) / 2
+        assert k == pytest.approx(round(k), abs=1e-9)
+
+
+@pytest.mark.parametrize("n_batches", [-1, 11])
+def test_run_rejects_n_batches_outside_shots(n_batches):
+    spec = spec_for(wire_cut_cc(), "0", "Z", shots=10, seed=0)
+    with pytest.raises(DimensionError):
+        run(spec, n_batches=n_batches)
