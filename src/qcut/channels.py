@@ -142,9 +142,7 @@ class UnitaryChannel(GeneralizedMap):
         return (1,)
 
     def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        return np.einsum(
-            "ab,nbc,dc->nad", self.u.mat, mats, self.u.mat.conj(), optimize=True
-        )
+        return self.u.mat @ mats @ self.u.mat.conj().T
 
     def to_superoperator(self) -> Superoperator:
         cached = getattr(self, "_ptm", None)
@@ -230,9 +228,7 @@ class SignedKraus(GeneralizedMap):
     def apply_batch(self, mats: np.ndarray) -> np.ndarray:
         out = np.zeros_like(mats)
         for a, k in self.terms:
-            out += a * np.einsum(
-                "ab,nbc,dc->nad", k.mat, mats, k.mat.conj(), optimize=True
-            )
+            out += a * (k.mat @ mats @ k.mat.conj().T)
         return out
 
     def __repr__(self):
@@ -306,16 +302,13 @@ class AncillaCircuit(GeneralizedMap):
         ext = np.einsum("nab,cd->nacbd", mats, self.ancilla_init.mat).reshape(
             -1, 2 * d, 2 * d
         )
-        sigma = np.einsum("ab,nbc,dc->nad", u, ext, u.conj(), optimize=True)
-        sigma = sigma.reshape(-1, d, 2, d, 2)
+        sigma = (u @ ext @ u.conj().T).reshape(-1, d, 2, d, 2)
         ket = MEASUREMENT_KETS[self.measure_basis][outcome]
-        branch = np.einsum("nakbi,k,i->nab", sigma, ket.conj(), ket, optimize=True)
+        branch = np.einsum("nakbi,k,i->nab", sigma, ket.conj(), ket)
         if self.outcome_feedback is not None:
             f = self.outcome_feedback[outcome]
             if f is not None:
-                branch = np.einsum(
-                    "ab,nbc,dc->nad", f.mat, branch, f.mat.conj(), optimize=True
-                )
+                branch = f.mat @ branch @ f.mat.conj().T
         return branch
 
     def apply_batch(self, mats: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,6 +22,10 @@ from .zx import parse_angle
 
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
+
+
+#: the sampler draws shot counts as int64
+MAX_SHOTS = np.iinfo(np.int64).max
 
 
 class ConfigError(QcutError):
@@ -49,27 +54,49 @@ def _require_fields(obj: dict, where: str, required, optional=()):
         raise ConfigError(f"{where}: missing fields {missing}")
 
 
+def _check_int(value, where: str, lo: int, hi=None) -> int:
+    """An integer config value in ``lo..hi`` (no upper bound when ``hi`` is
+    None).  Integral floats are accepted; bools, strings and any other float
+    are not."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        raise ConfigError(f"{where}: must be an integer {span}, got {value!r}")
+    return int(value)
+
+
 def _parse_theta(value, where: str) -> float:
     try:
-        if isinstance(value, str):
-            return parse_angle(value)
-        return float(value)
-    except (QcutError, TypeError, ValueError):
+        theta = parse_angle(value) if isinstance(value, str) else float(value)
+    except (QcutError, TypeError, ValueError, ArithmeticError):
         raise ConfigError(f"{where}: cannot parse angle {value!r}") from None
+    if not math.isfinite(theta):
+        raise ConfigError(f"{where}: angle must be finite, got {value!r}")
+    return theta
 
 
-def _parse_controlled_op(entry, where: str):
+def _parse_controlled_op(entry, where: str, n_targets: int):
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: each controlled op must be an object")
     _require_fields(entry, where, ["targets", "gate"], ["theta", "matrix"])
-    targets = tuple(int(t) for t in entry["targets"])
+    if not isinstance(entry["targets"], list):
+        raise ConfigError(f"{where}.targets: must be a list of target indices")
+    targets = tuple(
+        _check_int(t, f"{where}.targets", 0, n_targets - 1) for t in entry["targets"]
+    )
     gate = entry["gate"]
+    theta_where = f"{where}.theta"
     if gate in _GATE_TABLE:
         mat = _GATE_TABLE[gate]
     elif gate == "rz":
-        mat = gates.rz(_parse_theta(entry.get("theta", 0), where)).mat
+        mat = gates.rz(_parse_theta(entry.get("theta", 0), theta_where)).mat
     elif gate == "phase":
-        mat = np.diag([1.0, np.exp(1j * _parse_theta(entry.get("theta", 0), where))])
+        mat = np.diag([1.0, np.exp(1j * _parse_theta(entry.get("theta", 0), theta_where))])
     elif gate == "matrix":
         if "matrix" not in entry:
             raise ConfigError(f"{where}: gate 'matrix' needs a 'matrix' field")
@@ -113,7 +140,10 @@ def build_decomposition(selector: dict) -> cuts.Decomposition:
         for f in ("m", "m_prime"):
             if f not in selector:
                 raise ConfigError(f"decomposition: mcz requires field {f!r}")
-        return cuts.mcz_decomposition(int(selector["m"]), int(selector["m_prime"]))
+        return cuts.mcz_decomposition(
+            _check_int(selector["m"], "decomposition.m", 1),
+            _check_int(selector["m_prime"], "decomposition.m_prime", 1),
+        )
     if name in ("rzz_a", "rzz_b"):
         if "theta" not in selector:
             raise ConfigError(f"decomposition: {name} requires field 'theta'")
@@ -125,8 +155,8 @@ def build_decomposition(selector: dict) -> cuts.Decomposition:
             if f not in selector:
                 raise ConfigError(f"decomposition: multi_z requires field {f!r}")
         return cuts.multi_z_rotation_decomposition(
-            int(selector["m"]),
-            int(selector["m_prime"]),
+            _check_int(selector["m"], "decomposition.m", 1),
+            _check_int(selector["m_prime"], "decomposition.m_prime", 1),
             _parse_theta(selector["theta"], "decomposition.theta"),
         )
     if name == "controlled_sequence":
@@ -135,11 +165,14 @@ def build_decomposition(selector: dict) -> cuts.Decomposition:
                 raise ConfigError(
                     f"decomposition: controlled_sequence requires field {f!r}"
                 )
+        n_targets = _check_int(selector["n_targets"], "decomposition.n_targets", 1)
+        if not isinstance(selector["controlled_ops"], list):
+            raise ConfigError("decomposition.controlled_ops: must be a list")
         ops = [
-            _parse_controlled_op(e, f"decomposition.controlled_ops[{k}]")
+            _parse_controlled_op(e, f"decomposition.controlled_ops[{k}]", n_targets)
             for k, e in enumerate(selector["controlled_ops"])
         ]
-        return cuts.controlled_sequence_decomposition(ops, int(selector["n_targets"]))
+        return cuts.controlled_sequence_decomposition(ops, n_targets)
     raise ConfigError(f"decomposition: unknown name {name!r}")
 
 
@@ -214,30 +247,20 @@ def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
     except QcutError as exc:
         raise ConfigError(f"observable: {exc}") from None
 
-    shots = config["shots"]
-    if isinstance(shots, bool) or not isinstance(shots, int) or shots < 1:
-        raise ConfigError(f"shots: must be a positive integer, got {shots!r}")
-    n_batches = config.get("n_batches", 0)
-    if (
-        isinstance(n_batches, bool)
-        or not isinstance(n_batches, (int, float))
-        or (isinstance(n_batches, float) and not n_batches.is_integer())
-        or not 0 <= n_batches <= shots
-    ):
-        raise ConfigError(
-            f"n_batches: must be an integer in 0..{shots}, got {n_batches!r}"
-        )
+    shots = _check_int(config["shots"], "shots", 1, MAX_SHOTS)
+    _check_int(config.get("n_batches", 0), "n_batches", 0, shots)
     if seed is None:
         seed = config.get("seed")
     if seed is None:
         raise ConfigError("seed: required (pass --seed or set it in the config)")
+    seed = _check_int(seed, "seed", 0)
     try:
         return sampling.ExperimentSpec(
             decomposition=deco,
             initial_state=states,
             observable=observables,
             shots=shots,
-            seed=int(seed),
+            seed=seed,
         )
     except QcutError as exc:
         raise ConfigError(str(exc)) from None
@@ -357,8 +380,11 @@ def cmd_norms(args) -> int:
         base = deco.name.split("[")[0]
         cc = sum(t.needs_cc for t in deco.terms)
         rows.append([base, params, _fmt(deco.one_norm()), str(len(deco.terms)), str(cc)])
-    writer = csv.writer(args.csv and open(args.csv, "w", newline="") or sys.stdout)
-    writer.writerows(rows)
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    else:
+        csv.writer(sys.stdout).writerows(rows)
     return 0
 
 

@@ -24,6 +24,9 @@ Built-in decompositions:
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
+
 import numpy as np
 
 from . import channels as ch
@@ -34,7 +37,6 @@ from .linalg import (
     SizeCapError,
     Superoperator,
     embed_matrix,
-    identity_superoperator,
     max_superop_qubits,
     pauli_eigenbasis,
     projector,
@@ -89,21 +91,30 @@ class DecompositionTerm:
 
 
 class Decomposition:
-    """A named quasiprobability decomposition with its target channel."""
+    """A named quasiprobability decomposition with its target gate.
 
-    def __init__(self, name: str, partition, terms, target: Superoperator):
+    The target is kept as its unitary; its dense PTM (:attr:`target`) is
+    built on first use, so building and sampling a decomposition never pays
+    for a ``4^n x 4^n`` matrix.
+    """
+
+    def __init__(self, name: str, partition, terms, target_unitary: Operator):
         self.name = str(name)
         self.partition = tuple(int(s) for s in partition)
         self.terms = tuple(terms)
-        self.target = target
+        if not isinstance(target_unitary, Operator):
+            raise DimensionError(
+                f"target_unitary must be an Operator, got {type(target_unitary).__name__}"
+            )
+        self.target_unitary = target_unitary
         if not self.terms:
             raise DimensionError("decomposition needs at least one term")
         if any(s < 1 for s in self.partition):
             raise DimensionError(f"register sizes must be >= 1, got {self.partition}")
         n = sum(self.partition)
-        if target.n != n:
+        if target_unitary.n_qubits != n:
             raise DimensionError(
-                f"target acts on {target.n} qubits, partition covers {n}"
+                f"target acts on {target_unitary.n_qubits} qubits, partition covers {n}"
             )
         boundaries = set(np.cumsum(self.partition).tolist())
         for t in self.terms:
@@ -118,6 +129,11 @@ class Decomposition:
                     raise DimensionError(
                         f"term {t.label!r} splits a register at qubit {edge}"
                     )
+
+    @cached_property
+    def target(self) -> Superoperator:
+        """PTM of the target gate, built the first time it is read."""
+        return ptm_of_unitary(self.target_unitary)
 
     @property
     def n_qubits(self) -> int:
@@ -134,10 +150,12 @@ class Decomposition:
         return np.array([abs(t.q) / gamma for t in self.terms])
 
     def reconstruct(self) -> Superoperator:
-        total = np.zeros_like(self.target.matrix)
+        """Dense PTM of ``sum_nu q_nu F_nu``."""
+        n = self.n_qubits
+        total = np.zeros((4**n, 4**n), dtype=complex)
         for t in self.terms:
             total = total + t.q * t.to_superoperator().matrix
-        return Superoperator(self.target.n, total)
+        return Superoperator(n, total)
 
     def verify(self, atol: float = ATOL_RECONSTRUCT) -> dict:
         deviation = self.reconstruct().max_abs_diff(self.target)
@@ -203,7 +221,7 @@ def wire_cut_ncc() -> Decomposition:
                     a / 2, [ch.pauli_measure_prepare(p, mu)], f"E_{p}{mu}"
                 )
             )
-    return Decomposition("wire_ncc", (1,), terms, identity_superoperator(1))
+    return Decomposition("wire_ncc", (1,), terms, gates.identity(1))
 
 
 def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
@@ -232,7 +250,7 @@ def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
                 )
             )
     return Decomposition(
-        f"wire_cc[{cc_basis}]", (1,), terms, identity_superoperator(1)
+        f"wire_cc[{cc_basis}]", (1,), terms, gates.identity(1)
     )
 
 
@@ -273,13 +291,20 @@ def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
         )
     )
     return Decomposition(
-        f"mcz[{m},{m_prime}]", (m, m_prime), terms, ptm_of_unitary(gates.mcz(n))
+        f"mcz[{m},{m_prime}]", (m, m_prime), terms, gates.mcz(n)
     )
 
 
 # ---------------------------------------------------------------------------
 # ZZ-rotation cuts
 # ---------------------------------------------------------------------------
+
+
+def _check_angle(theta) -> float:
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise DimensionError(f"rotation angle must be finite, got {theta!r}")
+    return theta
 
 
 def _rz_channel(theta: float) -> ch.UnitaryChannel:
@@ -291,7 +316,7 @@ def rzz_decomposition_a(theta: float) -> Decomposition:
 
     Terms with an exactly zero coefficient are dropped.
     """
-    theta = float(theta)
+    theta = _check_angle(theta)
     my = ch.rzz_my_map(theta)
     ez = ch.signed_z_map()
     ident = ch.UnitaryChannel(gates.identity(1))
@@ -306,7 +331,7 @@ def rzz_decomposition_a(theta: float) -> Decomposition:
     ]
     terms = [DecompositionTerm(q, f, lab) for q, f, lab in raw if q != 0.0]
     return Decomposition(
-        f"rzz_a[{theta:.12g}]", (1, 1), terms, ptm_of_unitary(gates.rzz(theta))
+        f"rzz_a[{theta:.12g}]", (1, 1), terms, gates.rzz(theta)
     )
 
 
@@ -317,7 +342,7 @@ def rzz_decomposition_b(theta: float) -> Decomposition:
     so all remaining maps are angle-independent.  Zero-coefficient terms are
     dropped (at ``theta = 0`` only ``I x I`` survives).
     """
-    theta = float(theta)
+    theta = _check_angle(theta)
     s = np.sin(theta)
     ez = ch.signed_z_map()
     ident = ch.UnitaryChannel(gates.identity(1))
@@ -332,7 +357,7 @@ def rzz_decomposition_b(theta: float) -> Decomposition:
     ]
     terms = [DecompositionTerm(q, f, lab) for q, f, lab in raw if q != 0.0]
     return Decomposition(
-        f"rzz_b[{theta:.12g}]", (1, 1), terms, ptm_of_unitary(gates.rzz(theta))
+        f"rzz_b[{theta:.12g}]", (1, 1), terms, gates.rzz(theta)
     )
 
 
@@ -392,7 +417,7 @@ def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomp
         up = _conjugate_factor(t.factors[0], m, m - 1)
         low = _conjugate_factor(t.factors[1], m_prime, 0)
         terms.append(DecompositionTerm(t.q, [up, low], t.label, t.needs_cc))
-    target = ptm_of_unitary(gates.multi_z_rotation(n, theta))
+    target = gates.multi_z_rotation(n, theta)
     return Decomposition(
         f"multi_z[{m},{m_prime},{theta:.12g}]", (m, m_prime), terms, target
     )
@@ -424,7 +449,7 @@ def controlled_sequence_decomposition(ops, n_targets: int) -> Decomposition:
         DecompositionTerm(-0.5, [_rz_channel(np.pi), mx], "RZ(pi) x E_V-MX"),
         DecompositionTerm(1.0, [ch.signed_z_map(), mz], "EbarZ x E_V-MZ"),
     ]
-    target = ptm_of_unitary(ch.controlled_sequence_unitary(ops, n_targets))
+    target = ch.controlled_sequence_unitary(ops, n_targets)
     return Decomposition(
         f"controlled_sequence[M={len(tuple(ops))}]", (1, n_targets), terms, target
     )

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import qcut.channels
+import qcut.cuts
 from qcut.cli import build_decomposition, build_experiment, main
 
 
@@ -133,6 +135,147 @@ def test_sample_accepts_n_batches_equal_to_shots(tmp_path):
     assert "z_score" in report
 
 
+SEQUENCE = {
+    "name": "controlled_sequence",
+    "n_targets": 2,
+    "controlled_ops": [{"targets": [0], "gate": "x"}],
+}
+
+
+def sequence_with(**overrides):
+    return {**SEQUENCE, **overrides}
+
+
+def op_with(**overrides):
+    return sequence_with(controlled_ops=[{"targets": [0], "gate": "x", **overrides}])
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"shots": 10.5}, "shots"),
+        ({"shots": 2**63}, "shots"),
+        ({"decomposition": {"name": "mcz", "m": "x", "m_prime": 1}}, "decomposition.m"),
+        ({"decomposition": {"name": "mcz", "m": 2.7, "m_prime": 1}}, "decomposition.m"),
+        ({"decomposition": {"name": "mcz", "m": 2, "m_prime": 0}}, "decomposition.m_prime"),
+        (
+            {"decomposition": {"name": "multi_z", "m": 1, "m_prime": False, "theta": 1}},
+            "decomposition.m_prime",
+        ),
+        ({"decomposition": sequence_with(n_targets=0)}, "decomposition.n_targets"),
+        ({"decomposition": sequence_with(n_targets=[2])}, "decomposition.n_targets"),
+        ({"decomposition": sequence_with(controlled_ops=5)}, "decomposition.controlled_ops"),
+        ({"decomposition": op_with(targets=["a"])}, "decomposition.controlled_ops[0].targets"),
+        ({"decomposition": op_with(targets=[0.5])}, "decomposition.controlled_ops[0].targets"),
+        ({"decomposition": op_with(targets=[2])}, "decomposition.controlled_ops[0].targets"),
+        ({"decomposition": op_with(targets=0)}, "decomposition.controlled_ops[0].targets"),
+    ],
+    ids=[
+        "seed-negative", "seed-fraction", "seed-bool", "seed-string",
+        "shots-fraction", "shots-over-int64", "m-string", "m-fraction",
+        "m_prime-zero", "m_prime-bool", "n_targets-zero", "n_targets-list",
+        "controlled_ops-int", "targets-string", "targets-fraction",
+        "targets-out-of-range", "targets-not-a-list",
+    ],
+)
+def test_sample_rejects_bad_integer_fields(tmp_path, capsys, overrides, field):
+    config = write_config(tmp_path, **overrides)
+    assert main(["sample", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+def test_sample_rejects_negative_seed_flag(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["sample", "--config", str(config), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed:")
+
+
+def test_sample_accepts_integral_float_fields(tmp_path):
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    exact = {"name": "mcz", "m": 2, "m_prime": 1}
+    config = write_config(tmp_path, decomposition=exact, observable="XXX", shots=100)
+    assert main(["sample", "--config", str(config), "--output", str(out1)]) == 0
+    floats = {"name": "mcz", "m": 2.0, "m_prime": 1.0}
+    config = write_config(
+        tmp_path, decomposition=floats, observable="XXX", shots=100.0, seed=7.0
+    )
+    assert main(["sample", "--config", str(config), "--output", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "theta",
+    ["inf", "-inf", "nan", float("inf"), float("nan"), "pi/0", 10**400],
+    ids=["inf-text", "-inf-text", "nan-text", "inf", "nan", "pi/0", "10^400"],
+)
+@pytest.mark.parametrize(
+    "decomposition,field",
+    [
+        ({"name": "rzz_b"}, "decomposition.theta"),
+        ({"name": "multi_z", "m": 2, "m_prime": 1}, "decomposition.theta"),
+        (
+            sequence_with(controlled_ops=[{"targets": [0], "gate": "rz"}]),
+            "decomposition.controlled_ops[0].theta",
+        ),
+    ],
+    ids=["rzz_b", "multi_z", "controlled_rz"],
+)
+def test_sample_rejects_non_finite_theta(tmp_path, capsys, theta, decomposition, field):
+    if decomposition["name"] == "controlled_sequence":
+        decomposition["controlled_ops"][0]["theta"] = theta
+    else:
+        decomposition["theta"] = theta
+    config = write_config(tmp_path, decomposition=decomposition)
+    assert main(["sample", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+@pytest.fixture
+def no_ptm(monkeypatch):
+    """Make every PTM builder the package uses raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PTM was built")
+
+    monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", refuse)
+    monkeypatch.setattr(qcut.channels, "ptm_of_unitary", refuse)
+    monkeypatch.setattr(qcut.channels, "ptm_of_map", refuse)
+    monkeypatch.setattr(qcut.cuts.DecompositionTerm, "to_superoperator", refuse)
+
+
+@pytest.mark.parametrize(
+    "decomposition,observable",
+    [
+        ({"name": "mcz", "m": 3, "m_prime": 2}, "XXZXX"),
+        (
+            {
+                "name": "controlled_sequence",
+                "n_targets": 3,
+                "controlled_ops": [
+                    {"targets": [0], "gate": "h"},
+                    {"targets": [1], "gate": "phase", "theta": "pi/5"},
+                    {"targets": [2], "gate": "y"},
+                ],
+            },
+            "XXYZ",
+        ),
+    ],
+    ids=["mcz[3,2]", "controlled_sequence[3]"],
+)
+def test_sample_builds_no_ptm(tmp_path, no_ptm, decomposition, observable):
+    config = write_config(
+        tmp_path, decomposition=decomposition, observable=observable, shots=5000
+    )
+    out = tmp_path / "report.json"
+    assert main(["sample", "--config", str(config), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert abs(report["estimate"] - report["exact_value"]) < 5 * report["standard_error"]
+
+
 def test_sample_bitstring_and_density_matrix_states(tmp_path):
     config = write_config(tmp_path, initial_state="10", observable="ZZ")
     assert main(["sample", "--config", str(config)]) == 0
@@ -175,6 +318,21 @@ def test_norms_csv_schema(tmp_path):
     assert ("-", 4.0) in by_name["wire_ncc"]
     assert all(g == 3.0 for _, g in by_name["mcz"])
     assert ("theta=pi/6", 2.0) in by_name["rzz_b"]
+
+
+def test_norms_csv_writes_full_catalog(tmp_path, no_ptm):
+    out = tmp_path / "norms.csv"
+    assert main(["norms", "--csv", str(out)]) == 0
+    rows = list(csv.reader(out.open()))
+    names = [r[0] for r in rows[1:]]
+    # 1 + 3 wire cuts, 5 MCZ splits, 6 + 6 ZZ angles, multi_z, one sequence
+    assert len(rows) == 1 + 23
+    for name, count in (
+        ("wire_ncc", 1), ("wire_cc", 3), ("mcz", 5), ("rzz_a", 6), ("rzz_b", 6),
+        ("multi_z", 1), ("controlled_sequence", 1),
+    ):
+        assert names.count(name) == count
+    assert rows[-1] == ["controlled_sequence", "CNOT;phase(pi/5)", "3", "4", "0"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qcut.cuts
 from qcut import gates
 from qcut.channels import UnitaryChannel
 from qcut.cuts import (
@@ -14,7 +15,7 @@ from qcut.cuts import (
     wire_cut_cc,
     wire_cut_ncc,
 )
-from qcut.linalg import Operator, QcutError, ptm_of_unitary
+from qcut.linalg import DimensionError, Operator, QcutError, ptm_of_unitary
 
 THETAS = [0.0, np.pi / 6, np.pi / 4, np.pi / 2, -np.pi / 4, 1.234, np.pi]
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
@@ -202,14 +203,56 @@ def test_decomposition_partition_alignment():
             name="bad",
             partition=(1, 2),
             terms=[DecompositionTerm(1.0, [one_qubit] * 3, "split")],
-            target=ptm_of_unitary(gates.identity(3)),
+            target_unitary=gates.identity(3),
         )
     Decomposition(
         name="ok",
         partition=(1, 1),
         terms=[DecompositionTerm(1.0, [UnitaryChannel(gates.cnot())], "joint")],
-        target=ptm_of_unitary(gates.cnot()),
+        target_unitary=gates.cnot(),
     )
+    # the target is given as its gate, not as a PTM
+    with pytest.raises(QcutError):
+        Decomposition(
+            name="ptm",
+            partition=(1, 1),
+            terms=[DecompositionTerm(1.0, [UnitaryChannel(gates.cnot())], "joint")],
+            target_unitary=ptm_of_unitary(gates.cnot()),
+        )
+
+
+def test_verify_builds_target_ptm_once(monkeypatch):
+    calls = []
+
+    def counting(u, **kwargs):
+        calls.append(u.n_qubits)
+        return ptm_of_unitary(u, **kwargs)
+
+    monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", counting)
+    deco = mcz_decomposition(2, 1)
+    deco.reconstruct()
+    assert calls == []  # building and reconstructing need no target PTM
+    first = deco.verify()
+    second = deco.verify()
+    assert calls == [3]
+    assert first == second and first["passed"]
+    assert deco.target.max_abs_diff(ptm_of_unitary(gates.mcz(3))) == 0.0
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        rzz_decomposition_a,
+        rzz_decomposition_b,
+        lambda theta: multi_z_rotation_decomposition(2, 1, theta),
+    ],
+    ids=["rzz_a", "rzz_b", "multi_z"],
+)
+def test_non_finite_angle_rejected(build, theta):
+    with pytest.raises(DimensionError):
+        build(theta)
 
 
 def test_sampling_probabilities_normalized():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -9,11 +10,12 @@ from qcut.cuts import (
     controlled_sequence_decomposition,
     mcz_decomposition,
     multi_z_rotation_decomposition,
+    rzz_decomposition_a,
     rzz_decomposition_b,
     wire_cut_cc,
     wire_cut_ncc,
 )
-from qcut.linalg import DimensionError, Operator, PauliString, QcutError
+from qcut.linalg import DimensionError, Operator, PauliString, QcutError, vectorize
 from qcut.sampling import (
     ExperimentSpec,
     UnsupportedTermError,
@@ -244,6 +246,65 @@ def test_term_support_matches_execute_term_histogram(deco):
             continue
         stat = float(np.sum((observed - expected) ** 2 / expected))
         assert stat < chi2_threshold(len(expected) - 1), (term, stat)
+
+
+def haar_unitary(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return Operator(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def dense_exact(spec):
+    """Oracle: sum_nu q_nu <O, PTM_nu vec(rho)> through the dense reconstruct()."""
+    rho = np.array([[1.0 + 0j]])
+    obs = np.array([[1.0 + 0j]])
+    for r in range(len(spec.decomposition.partition)):
+        rho_r = spec.initial_state[r].mat
+        obs_r = spec.observable[r].mat
+        if spec.pre_unitaries is not None:
+            u = spec.pre_unitaries[r].mat
+            rho_r = u @ rho_r @ u.conj().T
+        if spec.post_unitaries is not None:
+            u = spec.post_unitaries[r].mat
+            obs_r = u.conj().T @ obs_r @ u
+        rho = np.kron(rho, rho_r)
+        obs = np.kron(obs, obs_r)
+    out = spec.decomposition.reconstruct().matrix @ vectorize(Operator(rho))
+    return float(np.real(np.vdot(vectorize(Operator(obs)), out)))
+
+
+def _random_sequence(seed, n_targets):
+    rng = np.random.default_rng(seed)
+    return [((t,), haar_unitary(rng, 2)) for t in range(n_targets)]
+
+
+@pytest.mark.parametrize(
+    "deco",
+    [
+        wire_cut_ncc(),
+        wire_cut_cc("X"),
+        mcz_decomposition(2, 1),
+        mcz_decomposition(1, 3),
+        rzz_decomposition_a(0.7),
+        rzz_decomposition_b(-1.1),
+        multi_z_rotation_decomposition(2, 2, 0.8),
+        controlled_sequence_decomposition(_random_sequence(5, 2), 2),
+    ],
+    ids=lambda d: d.name,
+)
+@pytest.mark.parametrize("local_unitaries", [False, True], ids=["bare", "pre_post"])
+def test_block_exact_expectation_matches_dense_reconstruction(deco, local_unitaries):
+    # multi_z (2, 2) has SignedKraus factors, which the sampler cannot draw
+    # from but whose exact value the block-wise sum still covers
+    spec = random_spec(deco, seed=17)
+    if local_unitaries:
+        rng = np.random.default_rng(18)
+        spec = dataclasses.replace(
+            spec,
+            pre_unitaries=tuple(haar_unitary(rng, 2**s) for s in deco.partition),
+            post_unitaries=tuple(haar_unitary(rng, 2**s) for s in deco.partition),
+        )
+    assert exact_expectation(spec) == pytest.approx(dense_exact(spec), abs=1e-12)
 
 
 def test_term_support_merges_equal_values():
