@@ -28,7 +28,7 @@ from .linalg import (
     ptm_of_map,
     ptm_of_unitary,
 )
-from .sampling import ExperimentSpec, SamplingReport, UnsupportedTermError, run
+from .sampling import ExperimentSpec, SamplingReport, run
 from .zx import ZXDiagram, ZXError, contract, parse_diagram, verify_rule
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "SizeCapError",
     "Superoperator",
     "UnitaryChannel",
-    "UnsupportedTermError",
     "ZXDiagram",
     "ZXError",
     "contract",

@@ -1,25 +1,36 @@
 """Physical and signed (quasiprobability) maps on small registers.
 
-A :class:`GeneralizedMap` is one of four variants:
+Every map is one :class:`GeneralizedMap`: a tuple of ``branches``, each a
+sign ``a_b = +-1`` with a stack of Kraus operators ``K_bk``, acting as
 
-* :class:`UnitaryChannel` -- ``rho -> U rho U^dag``;
-* :class:`SignedMeasurePrepare` -- ``rho -> sum_v a_v Tr(E_v rho) rho_v`` with
-  ``a_v = +-1`` and POVM elements ``E_v``;
-* :class:`SignedKraus` -- ``rho -> sum_v a_v K_v rho K_v^dag`` with
-  ``sum_v K_v^dag K_v = I``;
-* :class:`AncillaCircuit` -- attach a one-qubit ancilla, apply a joint
-  unitary, measure the ancilla in a Pauli basis, optionally apply an
-  outcome-dependent feedback unitary, and weight the two outcome branches
-  with ``+-1`` signs.
+    rho -> sum_b a_b sum_k K_bk rho K_bk^dag,   sum_b sum_k K_bk^dag K_bk = I.
 
-Maps with any ``-1`` sign are not physical channels but can still be
-simulated without extra sampling overhead by tracking the signs of measured
-outcomes; the sampler does exactly that.
+Each branch is a completely positive map and the branch probabilities
+``Tr(sum_k K_bk rho K_bk^dag)`` sum to one, so a map is an instrument whose
+outcomes carry signs.  Maps with any ``-1`` sign are not physical channels
+but can still be simulated without extra sampling overhead by tracking the
+signs of measured outcomes; the sampler does exactly that.  The action, the
+signs, the PTM and the Choi matrix are all derived from the branches.
+
+Four constructors convert the usual descriptions into branches:
+
+* :class:`UnitaryChannel` -- ``rho -> U rho U^dag``: one branch ``[U]``;
+* :class:`SignedMeasurePrepare` -- ``rho -> sum_v a_v Tr(E_v rho) rho_v``
+  with POVM elements ``E_v``: branch ``v`` holds the operators
+  ``sqrt(mu_i lambda_j) |s_j><e_i|`` from ``E_v = sum_i mu_i |e_i><e_i|``
+  and ``rho_v = sum_j lambda_j |s_j><s_j|``;
+* :class:`SignedKraus` -- ``rho -> sum_v a_v K_v rho K_v^dag``: one branch
+  ``[K_v]`` per term;
+* :class:`AncillaCircuit` -- attach a one-qubit ancilla
+  ``sum_i alpha_i |a_i><a_i|``, apply a joint unitary ``U``, measure the
+  ancilla in a Pauli basis ``{|m_s>}`` and optionally apply an
+  outcome-dependent feedback unitary ``F_s``: outcome ``s`` is the branch
+  ``F_s (I (x) <m_s|) U (I (x) |a_i>) sqrt(alpha_i)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,28 +40,28 @@ from .linalg import (
     DimensionError,
     KET_0,
     KET_1,
-    KET_MINUS,
-    KET_MINUS_I,
     KET_PLUS,
-    KET_PLUS_I,
+    PAULI_EIGENKETS,
     Operator,
     Superoperator,
+    _is_power_of_two,
+    check_unitary,
     embed_matrix,
-    pauli_eigenbasis,
     projector,
     ptm_of_map,
-    ptm_of_unitary,
-    vectorize,
 )
 
 #: Choi positivity tolerance; looser than equality checks because eigenvalue
 #: computation amplifies rounding.
 CHOI_ATOL = 1e-9
 
+#: eigen-components with at most this weight are rounding noise and get no
+#: Kraus operator
+KRAUS_FLOOR = 1e-14
+
+#: Pauli -> (+1 eigenket, -1 eigenket)
 MEASUREMENT_KETS = {
-    "X": (KET_PLUS, KET_MINUS),
-    "Y": (KET_PLUS_I, KET_MINUS_I),
-    "Z": (KET_0, KET_1),
+    p: (PAULI_EIGENKETS[(p, 0)][1], PAULI_EIGENKETS[(p, 1)][1]) for p in "XYZ"
 }
 
 
@@ -60,21 +71,59 @@ def _check_sign(a) -> int:
     return int(a)
 
 
-def _check_density(rho: Operator, what: str):
-    if abs(rho.trace() - 1) > ATOL_STRUCT:
+def _psd_eigh(mat: np.ndarray, what: str) -> tuple:
+    """Eigendecomposition ``(w, v)`` of a Hermitian positive semidefinite matrix."""
+    herm_dev = np.abs(mat - mat.conj().T).max()
+    w, v = np.linalg.eigh(mat)
+    if not (herm_dev <= ATOL_STRUCT and w.min() >= -ATOL_STRUCT):
+        raise DimensionError(f"{what} must be Hermitian positive semidefinite")
+    return w, v
+
+
+def check_density(rho: Operator, what: str) -> tuple:
+    """Eigendecomposition of a density matrix; raises unless it has unit
+    trace and is Hermitian positive semidefinite."""
+    if not abs(rho.trace() - 1) <= ATOL_STRUCT:
         raise DimensionError(f"{what} must have unit trace")
-    eigs = np.linalg.eigvalsh(rho.mat)
-    if eigs.min() < -ATOL_STRUCT:
-        raise DimensionError(f"{what} must be positive semidefinite")
+    return _psd_eigh(rho.mat, what)
 
 
 class GeneralizedMap:
-    """Base class; concrete variants implement ``apply_batch`` and ``signs``."""
+    """A signed sum of completely positive maps, stored as its branches.
 
-    n_qubits: int
+    ``branches`` is a tuple of ``(sign, kraus)`` pairs: ``sign`` is ``+1`` or
+    ``-1`` and ``kraus`` a read-only ``(k, d, d)`` stack of Kraus operators.
+    Construction enforces ``sum_b sum_k K^dag K = I``.
+    """
+
+    def __init__(self, branches: Sequence[tuple]):
+        if not branches:
+            raise DimensionError("a map needs at least one branch")
+        self.branches = tuple(
+            (_check_sign(a), np.array(kraus, dtype=complex)) for a, kraus in branches
+        )
+        d = self.branches[0][1].shape[-1]
+        for _, kraus in self.branches:
+            if kraus.ndim != 3 or kraus.shape[1:] != (d, d) or not _is_power_of_two(d):
+                raise DimensionError("Kraus operators must share one register of qubits")
+            kraus.setflags(write=False)
+        # rows of the stacked operators: stacked^dag stacked = sum_b sum_k K^dag K
+        stacked = np.concatenate([kraus for _, kraus in self.branches]).reshape(-1, d)
+        dev = np.abs(stacked.conj().T @ stacked - np.eye(d)).max()
+        if not dev <= ATOL_STRUCT:
+            raise DimensionError(
+                f"Kraus operators must satisfy sum K^dag K = I, deviation {dev:.3e}"
+            )
+        self.n_qubits = d.bit_length() - 1
 
     def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """``sum_b a_b sum_k K A K^dag`` for a batch ``A`` of shape (B, d, d)."""
+        out = np.zeros(mats.shape, dtype=complex)
+        for sign, kraus in self.branches:
+            accumulate = np.add if sign > 0 else np.subtract
+            for k in kraus:
+                accumulate(out, k @ mats @ k.conj().T, out=out)
+        return out
 
     def apply(self, a: Operator) -> Operator:
         """Exact linear action on an operator."""
@@ -86,7 +135,7 @@ class GeneralizedMap:
 
     @property
     def signs(self) -> tuple:
-        raise NotImplementedError
+        return tuple(a for a, _ in self.branches)
 
     def to_superoperator(self) -> Superoperator:
         cached = getattr(self, "_ptm", None)
@@ -97,10 +146,7 @@ class GeneralizedMap:
 
     def choi_matrix(self) -> np.ndarray:
         d = 2**self.n_qubits
-        units = np.zeros((d * d, d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                units[i * d + j, i, j] = 1.0
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |i><j| at i*d + j
         images = self.apply_batch(units).reshape(d, d, d, d)  # [i, j, a, b]
         return np.transpose(images, (2, 0, 3, 1)).reshape(d * d, d * d)
 
@@ -124,35 +170,19 @@ class GeneralizedMap:
             "consistent": self.is_cptp() == choi_cptp,
         }
 
-
-def is_cptp(m: GeneralizedMap) -> bool:
-    return m.is_cptp()
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(n={self.n_qubits}, branches={len(self.branches)}, "
+            f"signs={self.signs})"
+        )
 
 
 class UnitaryChannel(GeneralizedMap):
+    """``rho -> U rho U^dag``: one branch holding ``U``, so the completeness
+    check is the unitarity check."""
+
     def __init__(self, u: Operator):
-        dev = np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(u.dim)))
-        if dev > ATOL_STRUCT:
-            raise DimensionError(f"not unitary: max|U^dag U - I| = {dev:.3e}")
-        self.u = u
-        self.n_qubits = u.n_qubits
-
-    @property
-    def signs(self) -> tuple:
-        return (1,)
-
-    def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        return self.u.mat @ mats @ self.u.mat.conj().T
-
-    def to_superoperator(self) -> Superoperator:
-        cached = getattr(self, "_ptm", None)
-        if cached is None:
-            cached = ptm_of_unitary(self.u, check=False)
-            self._ptm = cached
-        return cached
-
-    def __repr__(self):
-        return f"UnitaryChannel(n={self.n_qubits})"
+        super().__init__([(1, u.mat[None])])
 
 
 class SignedMeasurePrepare(GeneralizedMap):
@@ -161,78 +191,26 @@ class SignedMeasurePrepare(GeneralizedMap):
     def __init__(self, terms: Sequence[tuple]):
         if not terms:
             raise DimensionError("measure-and-prepare map needs at least one term")
-        self.terms = [(_check_sign(a), e, rho) for a, e, rho in terms]
-        n = self.terms[0][1].n_qubits
-        total = np.zeros((2**n, 2**n), dtype=complex)
-        for _, e, rho in self.terms:
-            if e.n_qubits != n or rho.n_qubits != n:
+        d = terms[0][1].dim
+        branches = []
+        for a, e, rho in terms:
+            if e.dim != d or rho.dim != d:
                 raise DimensionError("POVM elements and states must share one register")
-            if np.linalg.eigvalsh(e.mat).min() < -ATOL_STRUCT:
-                raise DimensionError("POVM elements must be positive semidefinite")
-            _check_density(rho, "prepared state")
-            total += e.mat
-        if np.max(np.abs(total - np.eye(2**n))) > ATOL_STRUCT:
-            raise DimensionError("POVM elements must sum to the identity")
-        self.n_qubits = n
-
-    @property
-    def signs(self) -> tuple:
-        return tuple(a for a, _, _ in self.terms)
-
-    def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(mats)
-        for a, e, rho in self.terms:
-            weights = np.einsum("ij,nji->n", e.mat, mats)
-            out += a * weights[:, None, None] * rho.mat[None, :, :]
-        return out
-
-    def to_superoperator(self) -> Superoperator:
-        cached = getattr(self, "_ptm", None)
-        if cached is None:
-            mat = np.zeros((4**self.n_qubits,) * 2, dtype=complex)
-            for a, e, rho in self.terms:
-                mat += a * np.outer(vectorize(rho), vectorize(e).conj())
-            cached = Superoperator(self.n_qubits, mat)
-            self._ptm = cached
-        return cached
-
-    def __repr__(self):
-        return f"SignedMeasurePrepare(n={self.n_qubits}, terms={len(self.terms)})"
+            mu, effect_vecs = _psd_eigh(e.mat, "POVM elements")
+            lam, state_vecs = check_density(rho, "prepared state")
+            weights = np.outer(mu, lam)
+            # kraus[i, j] = sqrt(mu_i lambda_j) |s_j><e_i|
+            kraus = np.einsum("ij,aj,bi->ijab", np.sqrt(np.abs(weights)), state_vecs,
+                              effect_vecs.conj())
+            branches.append((a, kraus[weights > KRAUS_FLOOR]))
+        super().__init__(branches)
 
 
 class SignedKraus(GeneralizedMap):
-    """``rho -> sum_v a_v K_v rho K_v^dag`` with ``sum K^dag K = I``.
-
-    Exact-math representation only: the sampler cannot execute it without an
-    explicit ancilla realization.
-    """
+    """``rho -> sum_v a_v K_v rho K_v^dag`` with ``sum K^dag K = I``."""
 
     def __init__(self, terms: Sequence[tuple]):
-        if not terms:
-            raise DimensionError("Kraus map needs at least one term")
-        self.terms = [(_check_sign(a), k) for a, k in terms]
-        n = self.terms[0][1].n_qubits
-        total = np.zeros((2**n, 2**n), dtype=complex)
-        for _, k in self.terms:
-            if k.n_qubits != n:
-                raise DimensionError("Kraus operators must share one register")
-            total += k.mat.conj().T @ k.mat
-        if np.max(np.abs(total - np.eye(2**n))) > ATOL_STRUCT:
-            raise DimensionError("Kraus operators must satisfy sum K^dag K = I")
-        self.n_qubits = n
-
-    @property
-    def signs(self) -> tuple:
-        return tuple(a for a, _ in self.terms)
-
-    def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(mats)
-        for a, k in self.terms:
-            out += a * (k.mat @ mats @ k.mat.conj().T)
-        return out
-
-    def __repr__(self):
-        return f"SignedKraus(n={self.n_qubits}, terms={len(self.terms)})"
+        super().__init__([(a, k.mat[None]) for a, k in terms])
 
 
 class AncillaCircuit(GeneralizedMap):
@@ -256,20 +234,13 @@ class AncillaCircuit(GeneralizedMap):
             raise DimensionError("need at least one system qubit")
         if ancilla_init.n_qubits != 1:
             raise DimensionError("ancilla_init must be a single-qubit state")
-        _check_density(ancilla_init, "ancilla_init")
+        alpha, ancilla_vecs = check_density(ancilla_init, "ancilla_init")
         if joint_unitary.n_qubits != system_qubits + 1:
             raise DimensionError(
                 f"joint unitary must act on {system_qubits + 1} qubits, "
                 f"got {joint_unitary.n_qubits}"
             )
-        dev = np.max(
-            np.abs(
-                joint_unitary.mat.conj().T @ joint_unitary.mat
-                - np.eye(joint_unitary.dim)
-            )
-        )
-        if dev > ATOL_STRUCT:
-            raise DimensionError("joint_unitary is not unitary")
+        check_unitary(joint_unitary.mat, "joint_unitary")
         if measure_basis not in MEASUREMENT_KETS:
             raise DimensionError(f"measure_basis must be X, Y or Z, got {measure_basis!r}")
         if len(outcome_signs) != 2:
@@ -280,88 +251,56 @@ class AncillaCircuit(GeneralizedMap):
             for f in outcome_feedback:
                 if f is not None and f.n_qubits != system_qubits:
                     raise DimensionError("feedback unitaries must act on the system")
-        self.n_qubits = system_qubits
+        d = 2**system_qubits
+        keep = alpha > KRAUS_FLOOR
+        ancilla_kets = ancilla_vecs[:, keep] * np.sqrt(alpha[keep])  # sqrt(alpha_i) |a_i>
+        # kraus[s, i] = (I (x) <m_s|) U (I (x) sqrt(alpha_i) |a_i>)
+        kraus = np.einsum(
+            "sk,akbi->siab",
+            np.conj(MEASUREMENT_KETS[measure_basis]),
+            joint_unitary.mat.reshape(d, 2, d, 2) @ ancilla_kets,
+        )
+        branches = [
+            (sign, kraus[s] if f is None else f.mat @ kraus[s])
+            for s, (sign, f) in enumerate(zip(outcome_signs, outcome_feedback or (None, None)))
+        ]
+        super().__init__(branches)
         self.ancilla_init = ancilla_init
         self.joint_unitary = joint_unitary
         self.measure_basis = measure_basis
-        self.outcome_signs = tuple(_check_sign(a) for a in outcome_signs)
         self.outcome_feedback = outcome_feedback
 
-    @property
-    def signs(self) -> tuple:
-        return self.outcome_signs
-
-    def branch_batch(self, mats: np.ndarray, outcome: int) -> np.ndarray:
-        """Unnormalized post-measurement branch ``Tr_a(Pi_s U (rho (x) anc) U^dag)``.
-
-        The branch includes the outcome's feedback unitary but not its sign;
-        its trace is the outcome probability for a unit-trace input.
-        """
-        d = 2**self.n_qubits
-        u = self.joint_unitary.mat
-        ext = np.einsum("nab,cd->nacbd", mats, self.ancilla_init.mat).reshape(
-            -1, 2 * d, 2 * d
-        )
-        sigma = (u @ ext @ u.conj().T).reshape(-1, d, 2, d, 2)
-        ket = MEASUREMENT_KETS[self.measure_basis][outcome]
-        branch = np.einsum("nakbi,k,i->nab", sigma, ket.conj(), ket)
-        if self.outcome_feedback is not None:
-            f = self.outcome_feedback[outcome]
-            if f is not None:
-                branch = f.mat @ branch @ f.mat.conj().T
-        return branch
-
-    def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        return self.outcome_signs[0] * self.branch_batch(mats, 0) + self.outcome_signs[
-            1
-        ] * self.branch_batch(mats, 1)
-
-    def __repr__(self):
-        return (
-            f"AncillaCircuit(n={self.n_qubits}, basis={self.measure_basis}, "
-            f"signs={self.outcome_signs})"
-        )
-
 
 # ---------------------------------------------------------------------------
-# Named single-qubit wire-cut maps
+# Named maps
 # ---------------------------------------------------------------------------
 
 
-def pauli_measure_prepare(p: str, mu: int) -> SignedMeasurePrepare:
+def _rank_one_map(terms: Sequence[tuple]) -> SignedKraus:
+    """Measure ``|e><e|`` and prepare ``|s>``: term ``(a, e, s)`` of kets is
+    the branch ``a`` with the one Kraus operator ``|s><e|``."""
+    return SignedKraus([(a, Operator(np.outer(s, e.conj()))) for a, e, s in terms])
+
+
+def pauli_measure_prepare(p: str, mu: int) -> SignedKraus:
     """Measure in the eigenbasis of Pauli ``p`` and always prepare eigenstate
     ``mu``, with the eigenvalue signs attached to the measurement branches."""
-    table = pauli_eigenbasis()
-    if (p, mu) not in table:
+    if (p, mu) not in PAULI_EIGENKETS:
         raise DimensionError(f"no eigenbasis entry for ({p!r}, {mu!r})")
-    _, prep = table[(p, mu)]
-    terms = []
-    for nu in (0, 1):
-        a_nu, proj = table[(p, nu)]
-        terms.append((a_nu, proj, prep))
-    return SignedMeasurePrepare(terms)
+    _, prep = PAULI_EIGENKETS[(p, mu)]
+    return _rank_one_map([(*PAULI_EIGENKETS[(p, nu)], prep) for nu in (0, 1)])
 
 
-def grouped_pauli_map(p: str) -> SignedMeasurePrepare:
+def grouped_pauli_map(p: str) -> SignedKraus:
     """Measure Pauli ``p`` and re-prepare the observed eigenstate (CPTP)."""
-    table = pauli_eigenbasis()
-    if p not in "XYZ":
+    if p not in MEASUREMENT_KETS:
         raise DimensionError(f"grouped map needs P in X, Y, Z, got {p!r}")
-    terms = []
-    for nu in (0, 1):
-        _, proj = table[(p, nu)]
-        terms.append((1, proj, proj))
-    return SignedMeasurePrepare(terms)
+    return _rank_one_map([(1, ket, ket) for ket in MEASUREMENT_KETS[p]])
 
 
-def signed_z_map() -> SignedMeasurePrepare:
+def signed_z_map() -> SignedKraus:
     """Measure Z, re-prepare the observed state, and flip the sign on outcome 1."""
-    return SignedMeasurePrepare(
-        [
-            (1, projector(KET_0), projector(KET_0)),
-            (-1, projector(KET_1), projector(KET_1)),
-        ]
-    )
+    return _rank_one_map([(1, KET_0, KET_0), (-1, KET_1, KET_1)])
 
 
 def mcz_mx_map(m: int) -> AncillaCircuit:
@@ -411,9 +350,7 @@ def _check_ops(ops: Sequence[tuple], n_targets: int):
             raise DimensionError(
                 f"unitary on {u.n_qubits} qubits does not match targets {targets}"
             )
-        dev = np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(u.dim)))
-        if dev > ATOL_STRUCT:
-            raise DimensionError("controlled-sequence entries must be unitary")
+        check_unitary(u.mat, "controlled-sequence entry")
 
 
 def _sequence_with_control(
@@ -433,31 +370,27 @@ def controlled_sequence_unitary(ops: Sequence[tuple], n_targets: int) -> Operato
     return _sequence_with_control(ops, n_targets, 0, 1, n_targets + 1)
 
 
-def e_v_mx_map(ops: Sequence[tuple], n_targets: int) -> AncillaCircuit:
-    """Run the sequence with a ``|+>`` ancilla as control and measure it in X,
-    signs ``(+1, -1)``.  Acts on the target register."""
+def _e_v_map(ops: Sequence[tuple], n_targets: int, basis: str) -> AncillaCircuit:
     _check_ops(ops, n_targets)
     joint = _sequence_with_control(ops, n_targets, n_targets, 0, n_targets + 1)
     return AncillaCircuit(
         system_qubits=n_targets,
         ancilla_init=projector(KET_PLUS),
         joint_unitary=joint,
-        measure_basis="X",
+        measure_basis=basis,
         outcome_signs=(1, -1),
     )
+
+
+def e_v_mx_map(ops: Sequence[tuple], n_targets: int) -> AncillaCircuit:
+    """Run the sequence with a ``|+>`` ancilla as control and measure it in X,
+    signs ``(+1, -1)``.  Acts on the target register."""
+    return _e_v_map(ops, n_targets, "X")
 
 
 def e_v_mz_map(ops: Sequence[tuple], n_targets: int) -> AncillaCircuit:
     """As :func:`e_v_mx_map` but with a Z-basis ancilla measurement."""
-    _check_ops(ops, n_targets)
-    joint = _sequence_with_control(ops, n_targets, n_targets, 0, n_targets + 1)
-    return AncillaCircuit(
-        system_qubits=n_targets,
-        ancilla_init=projector(KET_PLUS),
-        joint_unitary=joint,
-        measure_basis="Z",
-        outcome_signs=(1, -1),
-    )
+    return _e_v_map(ops, n_targets, "Z")
 
 
 def e_rzv_map(ops: Sequence[tuple], n_targets: int) -> AncillaCircuit:

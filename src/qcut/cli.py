@@ -12,11 +12,12 @@ import csv
 import json
 import math
 import sys
+from functools import reduce
 
 import numpy as np
 
 from . import cuts, gates, sampling, zx
-from .linalg import Operator, PauliString, QcutError
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, Operator, PauliString, QcutError, check_unitary
 from .zx import parse_angle
 
 
@@ -37,11 +38,11 @@ class ConfigError(QcutError):
 # ---------------------------------------------------------------------------
 
 _GATE_TABLE = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.diag([1.0, -1.0]).astype(complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "s": np.diag([1.0, 1j]),
+    "x": Operator(PAULI_X),
+    "y": Operator(PAULI_Y),
+    "z": Operator(PAULI_Z),
+    "h": gates.hadamard(),
+    "s": Operator(np.diag([1.0, 1j])),
 }
 
 
@@ -92,25 +93,30 @@ def _parse_controlled_op(entry, where: str, n_targets: int):
     gate = entry["gate"]
     theta_where = f"{where}.theta"
     if gate in _GATE_TABLE:
-        mat = _GATE_TABLE[gate]
+        op = _GATE_TABLE[gate]
     elif gate == "rz":
-        mat = gates.rz(_parse_theta(entry.get("theta", 0), theta_where)).mat
+        op = gates.rz(_parse_theta(entry.get("theta", 0), theta_where))
     elif gate == "phase":
-        mat = np.diag([1.0, np.exp(1j * _parse_theta(entry.get("theta", 0), theta_where))])
+        op = gates.mcp(1, _parse_theta(entry.get("theta", 0), theta_where))
     elif gate == "matrix":
         if "matrix" not in entry:
             raise ConfigError(f"{where}: gate 'matrix' needs a 'matrix' field")
-        mat = _parse_matrix(entry["matrix"], where)
+        op = _parse_matrix(entry["matrix"], where)
+        try:
+            check_unitary(op.mat, "matrix")
+        except QcutError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     else:
         raise ConfigError(f"{where}: unknown gate {gate!r}")
-    if mat.shape != (2 ** len(targets),) * 2:
+    if op.dim != 2 ** len(targets):
         raise ConfigError(
             f"{where}: gate {gate!r} does not match {len(targets)} target qubits"
         )
-    return targets, Operator(mat)
+    return targets, op
 
 
-def _parse_matrix(data, where: str) -> np.ndarray:
+def _parse_matrix(data, where: str) -> Operator:
+    """A square matrix of finite numbers or ``[re, im]`` pairs."""
     def cell(v):
         if isinstance(v, (int, float)):
             return complex(v)
@@ -119,9 +125,11 @@ def _parse_matrix(data, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: matrix entries must be numbers or [re, im]")
 
     try:
-        return np.array([[cell(v) for v in row] for row in data], dtype=complex)
+        return Operator([[cell(v) for v in row] for row in data])
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: malformed matrix") from None
+    except QcutError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def build_decomposition(selector: dict) -> cuts.Decomposition:
@@ -135,7 +143,10 @@ def build_decomposition(selector: dict) -> cuts.Decomposition:
     if name == "wire_ncc":
         return cuts.wire_cut_ncc()
     if name == "wire_cc":
-        return cuts.wire_cut_cc(selector.get("cc_basis", "Y"))
+        cc_basis = selector.get("cc_basis", "Y")
+        if cc_basis not in ("X", "Y", "Z"):
+            raise ConfigError(f"decomposition.cc_basis: must be X, Y or Z, got {cc_basis!r}")
+        return cuts.wire_cut_cc(cc_basis)
     if name == "mcz":
         for f in ("m", "m_prime"):
             if f not in selector:
@@ -222,15 +233,12 @@ def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
                 f"initial_state: need one single-qubit density matrix per qubit ({n})"
             )
         qubit_states = [
-            Operator(_parse_matrix(m, f"initial_state[{k}]"))
-            for k, m in enumerate(state_spec)
+            _parse_matrix(m, f"initial_state[{k}]") for k, m in enumerate(state_spec)
         ]
         pos = 0
         for s in part:
-            mat = np.array([[1.0 + 0j]])
-            for q in range(pos, pos + s):
-                mat = np.kron(mat, qubit_states[q].mat)
-            states.append(Operator(mat))
+            block = [q.mat for q in qubit_states[pos : pos + s]]
+            states.append(Operator(reduce(np.kron, block)))
             pos += s
     else:
         raise ConfigError("initial_state: expected a string or a list of matrices")
@@ -286,9 +294,8 @@ def _verification_suite():
         yield cuts.rzz_decomposition_b(theta)
     for m, mp in ((2, 1), (1, 2), (2, 2)):
         yield cuts.multi_z_rotation_decomposition(m, mp, parse_angle("pi/4"))
-    x_gate = Operator(_GATE_TABLE["x"])
     for theta in (parse_angle("pi/5"), parse_angle("pi/2")):
-        ops = [((0,), x_gate), ((1,), Operator(np.diag([1, np.exp(1j * theta)])))]
+        ops = [((0,), _GATE_TABLE["x"]), ((1,), gates.mcp(1, theta))]
         yield cuts.controlled_sequence_decomposition(ops, 2)
 
 
@@ -369,8 +376,7 @@ def _norms_catalog():
     yield cuts.multi_z_rotation_decomposition(2, 1, parse_angle("pi/2")), (
         "m=2,m'=1,theta=pi/2"
     )
-    x_gate = Operator(_GATE_TABLE["x"])
-    ops = [((0,), x_gate), ((1,), Operator(np.diag([1, np.exp(1j * np.pi / 5)])))]
+    ops = [((0,), _GATE_TABLE["x"]), ((1,), gates.mcp(1, np.pi / 5))]
     yield cuts.controlled_sequence_decomposition(ops, 2), "CNOT;phase(pi/5)"
 
 

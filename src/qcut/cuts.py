@@ -39,9 +39,6 @@ from .linalg import (
     embed_matrix,
     max_superop_qubits,
     pauli_eigenbasis,
-    projector,
-    KET_0,
-    KET_1,
     ptm_of_unitary,
 )
 
@@ -231,7 +228,7 @@ def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
     the identity expansion and carries the classical communication; the other
     two Paulis keep their fixed-preparation terms with ``q = +-1/2``.
     """
-    if cc_basis not in "XYZ" or len(cc_basis) != 1:
+    if cc_basis not in ("X", "Y", "Z"):
         raise DimensionError(f"cc_basis must be X, Y or Z, got {cc_basis!r}")
     terms = [
         DecompositionTerm(
@@ -375,27 +372,17 @@ def _ladder(size: int, wire: int) -> Operator:
     return Operator(mat)
 
 
-def _conjugate_factor(factor, size: int, wire: int):
-    """Lift a single-qubit factor on ``wire`` to the register and conjugate it
-    by the parity ladder.  Size-1 registers return the factor unchanged."""
+def _conjugate_factor(factor: ch.GeneralizedMap, size: int, wire: int):
+    """Lift a single-qubit factor on ``wire`` to the register and conjugate
+    each Kraus operator by the parity ladder.  Size-1 registers return the
+    factor unchanged."""
     if size == 1:
         return factor
-    ladder = _ladder(size, wire)
-    if isinstance(factor, ch.UnitaryChannel):
-        lifted = embed_matrix(factor.u.mat, [wire], size)
-        return ch.UnitaryChannel(
-            Operator(ladder.mat.conj().T @ lifted @ ladder.mat)
-        )
-    if isinstance(factor, ch.SignedMeasurePrepare):
-        # EbarZ conjugated by the ladder: signed projective Kraus map
-        terms = []
-        for sign, ket in ((1, KET_0), (-1, KET_1)):
-            proj = embed_matrix(projector(ket).mat, [wire], size)
-            terms.append(
-                (sign, Operator(ladder.mat.conj().T @ proj @ ladder.mat))
-            )
-        return ch.SignedKraus(terms)
-    raise DimensionError(f"cannot conjugate factor {factor!r}")
+    ladder = _ladder(size, wire).mat
+    return ch.GeneralizedMap([
+        (sign, [ladder.conj().T @ embed_matrix(k, [wire], size) @ ladder for k in kraus])
+        for sign, kraus in factor.branches
+    ])
 
 
 def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomposition:

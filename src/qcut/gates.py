@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionError, Operator
+from .linalg import DimensionError, Operator, embed_matrix
 
 
 def identity(n: int = 1) -> Operator:
@@ -53,10 +53,6 @@ def cnot() -> Operator:
     )
 
 
-def cphase(theta: float) -> Operator:
-    return mcp(2, theta)
-
-
 def controlled(u: Operator) -> Operator:
     """Add one control qubit (high-order factor) to ``u``."""
     d = u.dim
@@ -69,17 +65,7 @@ def cnot_on(n: int, control: int, target: int) -> Operator:
     """CNOT embedded in an ``n``-qubit register."""
     if control == target or not (0 <= control < n and 0 <= target < n):
         raise DimensionError(f"bad CNOT wiring ({control}->{target}) on {n} qubits")
-    d = 2**n
-    mat = np.zeros((d, d), dtype=complex)
-    for x in range(d):
-        bits = [(x >> (n - 1 - q)) & 1 for q in range(n)]
-        if bits[control]:
-            bits[target] ^= 1
-        y = 0
-        for b in bits:
-            y = (y << 1) | b
-        mat[y, x] = 1.0
-    return Operator(mat)
+    return Operator(embed_matrix(cnot().mat, [control, target], n))
 
 
 def basis_state(bits: str) -> Operator:

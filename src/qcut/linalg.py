@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -66,13 +66,12 @@ def _is_power_of_two(d: int) -> bool:
 class Operator:
     """Dense complex operator on ``n`` qubits.
 
-    Immutable after construction.  With ``unitary=True`` the constructor
-    verifies ``U^dag U = I`` to ``ATOL_STRUCT``.
+    Immutable after construction; every entry must be finite.
     """
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat, *, unitary: bool = False):
+    def __init__(self, mat):
         arr = np.array(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"operator must be square, got shape {arr.shape}")
@@ -81,10 +80,8 @@ class Operator:
             raise DimensionError(f"operator dimension must be a power of two, got {d}")
         if d > 2**MAX_STATE_QUBITS:
             raise SizeCapError(f"operator dimension {d} exceeds cap 2^{MAX_STATE_QUBITS}")
-        if unitary:
-            dev = np.max(np.abs(arr.conj().T @ arr - np.eye(d)))
-            if dev > ATOL_STRUCT:
-                raise DimensionError(f"matrix is not unitary: max|U^dag U - I| = {dev:.3e}")
+        if not np.isfinite(arr).all():
+            raise DimensionError("operator entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 
@@ -106,16 +103,6 @@ class Operator:
         if self.dim != other.dim:
             raise DimensionError(f"dim mismatch: {self.dim} vs {other.dim}")
         return Operator(self.mat @ other.mat)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionError(f"dim mismatch: {self.dim} vs {other.dim}")
-        return Operator(self.mat + other.mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionError(f"dim mismatch: {self.dim} vs {other.dim}")
-        return Operator(self.mat - other.mat)
 
     def __mul__(self, scalar) -> "Operator":
         return Operator(self.mat * scalar)
@@ -160,49 +147,15 @@ class PauliString:
         return len(self.letters)
 
     def to_operator(self) -> Operator:
-        mat = np.array([[1.0 + 0j]])
-        for letter in self.letters:
-            mat = np.kron(mat, _PAULIS[letter])
-        return Operator(mat)
+        return Operator(reduce(np.kron, [_PAULIS[letter] for letter in self.letters]))
 
 
-def pauli_string_index(letters: str) -> int:
-    """Index of a Pauli string in the lexicographic (I, X, Y, Z) ordering."""
-    idx = 0
-    for letter in letters:
-        idx = 4 * idx + PAULI_LETTERS.index(letter)
-    return idx
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with ``a`` as the high-order (subsystem-A) factor."""
-    if a.dim * b.dim > 2**MAX_STATE_QUBITS:
-        raise SizeCapError(
-            f"kron result dimension {a.dim * b.dim} exceeds cap 2^{MAX_STATE_QUBITS}"
-        )
-    return Operator(np.kron(a.mat, b.mat))
-
-
-def hs_inner(a: Operator, b: Operator) -> complex:
-    """Hilbert-Schmidt inner product ``Tr(a^dag b)``."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.mat, b.mat))
-
-
-def partial_trace(a: Operator, keep: Iterable[int]) -> Operator:
-    """Trace out all qubits not in ``keep`` (qubit 0 is the leftmost factor)."""
-    n = a.n_qubits
-    keep = sorted(set(keep))
-    for q in keep:
-        if not 0 <= q < n:
-            raise DimensionError(f"keep index {q} out of range for {n} qubits")
-    drop = [q for q in range(n) if q not in keep]
-    t = a.mat.reshape((2,) * n + (2,) * n)
-    for q in reversed(drop):
-        t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
-    d = 2 ** len(keep)
-    return Operator(t.reshape(d, d))
+def check_unitary(mat: np.ndarray, what: str):
+    """Raise :class:`DimensionError` unless ``U^dag U = I`` to ``ATOL_STRUCT``
+    (a matrix with a NaN entry fails)."""
+    dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+    if not dev <= ATOL_STRUCT:
+        raise DimensionError(f"{what} is not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
 def _pauli_coeffs_batch(mats: np.ndarray) -> np.ndarray:
@@ -282,30 +235,13 @@ class Superoperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        if self.n != other.n:
-            raise DimensionError(f"qubit count mismatch: {self.n} vs {other.n}")
-        return Superoperator(self.n, self.matrix @ other.matrix)
-
     def kron_with(self, other: "Superoperator") -> "Superoperator":
         return Superoperator(self.n + other.n, np.kron(self.matrix, other.matrix))
-
-    def apply_to(self, a: Operator) -> Operator:
-        return devectorize(self.matrix @ vectorize(a))
 
     def max_abs_diff(self, other: "Superoperator") -> float:
         if self.n != other.n:
             raise DimensionError(f"qubit count mismatch: {self.n} vs {other.n}")
         return float(np.max(np.abs(self.matrix - other.matrix)))
-
-    def is_real(self, atol: float = ATOL_STRUCT) -> bool:
-        return float(np.max(np.abs(self.matrix.imag))) <= atol
-
-    def has_unit_corner(self, atol: float = ATOL_STRUCT) -> bool:
-        """True when the first row is (1, 0, ..., 0): a trace-preserving map."""
-        first = self.matrix[0].copy()
-        first[0] -= 1.0
-        return float(np.max(np.abs(first))) <= atol
 
 
 def identity_superoperator(n: int) -> Superoperator:
@@ -319,14 +255,11 @@ def _check_superop_size(n: int):
         raise SizeCapError(f"superoperator on {n} qubits exceeds the cap of {cap}")
 
 
-def ptm_of_unitary(u: Operator, *, check: bool = True) -> Superoperator:
+def ptm_of_unitary(u: Operator) -> Superoperator:
     """PTM of the channel ``rho -> U rho U^dag``."""
     n = u.n_qubits
     _check_superop_size(n)
-    if check:
-        dev = np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(u.dim)))
-        if dev > ATOL_STRUCT:
-            raise DimensionError(f"input is not unitary: max|U^dag U - I| = {dev:.3e}")
+    check_unitary(u.mat, "input")
     basis = pauli_basis_matrices(n)
     rotated = np.einsum("ab,nbc,dc->nad", u.mat, basis, u.mat.conj(), optimize=True)
     coeffs = _pauli_coeffs_batch(rotated)  # row j = vectorize(U Pbar_j U^dag)
@@ -336,11 +269,11 @@ def ptm_of_unitary(u: Operator, *, check: bool = True) -> Superoperator:
 def ptm_of_map(apply_batch, n: int) -> Superoperator:
     """PTM of an arbitrary linear map given its batched action on matrices.
 
-    ``apply_batch`` maps an array of shape (B, 2^n, 2^n) to the array of
-    images, same shape.
+    ``apply_batch`` maps a read-only array of shape (B, 2^n, 2^n) to the
+    array of images, same shape.
     """
     _check_superop_size(n)
-    images = apply_batch(pauli_basis_matrices(n).copy())
+    images = apply_batch(pauli_basis_matrices(n))
     coeffs = _pauli_coeffs_batch(images)
     return Superoperator(n, coeffs.T.copy())
 
@@ -361,24 +294,25 @@ def projector(ket: np.ndarray) -> Operator:
     return Operator(np.outer(ket, ket.conj()))
 
 
+#: (P, mu) -> (sign, eigenket).  For X, Y, Z these are the +1/-1 eigenstate
+#: pairs; the identity row reuses the Y eigenstates with both signs +1 (the
+#: conventional choice for the freedom in expanding the identity).
+PAULI_EIGENKETS = {
+    ("I", 0): (1, KET_PLUS_I),
+    ("I", 1): (1, KET_MINUS_I),
+    ("X", 0): (1, KET_PLUS),
+    ("X", 1): (-1, KET_MINUS),
+    ("Y", 0): (1, KET_PLUS_I),
+    ("Y", 1): (-1, KET_MINUS_I),
+    ("Z", 0): (1, KET_0),
+    ("Z", 1): (-1, KET_1),
+}
+
+
 @lru_cache(maxsize=1)
 def pauli_eigenbasis() -> dict:
-    """Table mapping (P, mu) to (sign, rank-1 projector).
-
-    For X, Y, Z these are the +1/-1 eigenstate pairs; the identity row reuses
-    the Y eigenstates with both signs +1 (the conventional choice for the
-    freedom in expanding the identity).
-    """
-    return {
-        ("I", 0): (1, projector(KET_PLUS_I)),
-        ("I", 1): (1, projector(KET_MINUS_I)),
-        ("X", 0): (1, projector(KET_PLUS)),
-        ("X", 1): (-1, projector(KET_MINUS)),
-        ("Y", 0): (1, projector(KET_PLUS_I)),
-        ("Y", 1): (-1, projector(KET_MINUS_I)),
-        ("Z", 0): (1, projector(KET_0)),
-        ("Z", 1): (-1, projector(KET_1)),
-    }
+    """Table mapping (P, mu) to (sign, rank-1 projector) of :data:`PAULI_EIGENKETS`."""
+    return {key: (a, projector(ket)) for key, (a, ket) in PAULI_EIGENKETS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Monte-Carlo quasiprobability sampling of cut circuits.
 
 The estimator follows the standard sign-tracking protocol: a term ``nu`` is
-drawn with probability ``p_nu = |q_nu| / gamma``, its maps are executed
-physically (measure-and-prepare outcomes and ancilla measurements sampled
-from Born probabilities, with the ``+-1`` branch signs recorded classically),
-the observable eigenvalue ``lambda`` is sampled projectively, and the shot
-contributes ``y = gamma * sign(q_nu) * (product of branch signs) * lambda``.
+drawn with probability ``p_nu = |q_nu| / gamma``, each of its maps is
+executed as an instrument (branch ``b`` with Kraus operators ``K`` occurs
+with probability ``Tr(sum_k K rho K^dag)``, and its ``+-1`` sign is recorded
+classically), the observable eigenvalue ``lambda`` is sampled projectively,
+and the shot contributes
+``y = gamma * sign(q_nu) * (product of branch signs) * lambda``.
 The mean of ``y`` is an unbiased estimate of ``<O>`` with single-shot
 variance at most ``gamma^2 - <O>^2``.
 
@@ -27,14 +28,16 @@ builds a Pauli transfer matrix.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from . import channels as ch
-from .linalg import ATOL_STRUCT, DimensionError, QcutError
+from .channels import GeneralizedMap, check_density
+from .linalg import ATOL_STRUCT, DimensionError
 from .cuts import Decomposition, DecompositionTerm
 
 #: slack on the |eigenvalue| <= 1 observable bound
@@ -42,11 +45,6 @@ EIGENVALUE_SLACK = 1e-12
 
 #: probabilities this close to 0 are treated as exactly 0 (rounding guard)
 PROB_FLOOR = 1e-14
-
-
-class UnsupportedTermError(QcutError):
-    """A decomposition term contains a map with no physical realization
-    (a signed Kraus map given without an ancilla circuit)."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,16 @@ class ExperimentSpec:
                 object.__setattr__(self, name, tuple(val))
         if self.shots < 1:
             raise DimensionError(f"shots must be >= 1, got {self.shots}")
-        int(self.seed)
+        seed = self.seed
+        if not (
+            isinstance(seed, numbers.Real)
+            and not isinstance(seed, bool)
+            and math.isfinite(seed)
+            and seed == int(seed)
+            and seed >= 0
+        ):
+            raise DimensionError(f"seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
         for label, ops in (
             ("initial_state", self.initial_state),
             ("observable", self.observable),
@@ -97,10 +104,7 @@ class ExperimentSpec:
                         f"register has {size}"
                     )
         for reg, rho in enumerate(self.initial_state):
-            if abs(rho.trace() - 1) > ATOL_STRUCT:
-                raise DimensionError(f"initial_state[{reg}] must have unit trace")
-            if np.linalg.eigvalsh(rho.mat).min() < -ATOL_STRUCT:
-                raise DimensionError(f"initial_state[{reg}] must be PSD")
+            check_density(rho, f"initial_state[{reg}]")
         for reg, obs in enumerate(self.observable):
             if np.max(np.abs(obs.mat - obs.mat.conj().T)) > ATOL_STRUCT:
                 raise DimensionError(f"observable[{reg}] must be Hermitian")
@@ -180,33 +184,19 @@ def _blocks_of_term(spec: ExperimentSpec, term: DecompositionTerm) -> list:
     return blocks
 
 
-def _factor_branches(factor, rho: np.ndarray) -> list:
+def _factor_branches(factor: GeneralizedMap, rho: np.ndarray) -> list:
     """All outcome branches of one factor on a block state.
 
     Returns (probability, sign, post-state) triples; probabilities sum to 1
     for a unit-trace input.
     """
-    if isinstance(factor, ch.UnitaryChannel):
-        u = factor.u.mat
-        return [(1.0, 1, u @ rho @ u.conj().T)]
-    if isinstance(factor, ch.SignedMeasurePrepare):
-        out = []
-        for a, e, prep in factor.terms:
-            p = float(np.real(np.einsum("ij,ji->", e.mat, rho)))
-            if p > PROB_FLOOR:
-                out.append((p, a, prep.mat))
-        return out
-    if isinstance(factor, ch.AncillaCircuit):
-        out = []
-        for outcome in (0, 1):
-            branch = factor.branch_batch(rho[None, :, :], outcome)[0]
-            p = float(np.real(np.trace(branch)))
-            if p > PROB_FLOOR:
-                out.append((p, factor.outcome_signs[outcome], branch / p))
-        return out
-    raise UnsupportedTermError(
-        f"factor {factor!r} has no physical realization for sampling"
-    )
+    out = []
+    for sign, kraus in factor.branches:
+        post = (kraus @ rho @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+        p = float(np.real(np.trace(post)))
+        if p > PROB_FLOOR:
+            out.append((p, sign, post / p))
+    return out
 
 
 def _eigen_distribution(obs: np.ndarray, rho: np.ndarray) -> tuple:
@@ -332,7 +322,7 @@ def run(
     deco = spec.decomposition
     gamma = deco.one_norm()
     p_terms = deco.sampling_probabilities()
-    rng = np.random.Generator(np.random.Philox(int(spec.seed)))
+    rng = np.random.Generator(np.random.Philox(spec.seed))
 
     # term index -> (support values of sign * lambda, probabilities), filled
     # the first time a term is drawn; term index -> shots per support value
@@ -374,7 +364,7 @@ def run(
         gamma=gamma,
         exact_value=exact,
         per_term_shots=tuple(int(c) for c in per_term_shots),
-        seed=int(spec.seed),
+        seed=spec.seed,
         single_shot_variance=variance,
         batch_means=tuple(batch_means) if n_batches > 0 else (),
         per_term_means=tuple(per_term_means),

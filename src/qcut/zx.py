@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import DimensionError, Operator, QcutError, SizeCapError
+from .linalg import DimensionError, QcutError, SizeCapError
 
 #: matrix equality tolerance for rule certification
 RULE_ATOL = 1e-10
@@ -258,14 +258,6 @@ def contract(d: ZXDiagram) -> np.ndarray:
     ]
     t = np.transpose(t, [legs.index(e) for e in order]) if legs else t
     return scalar * t.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
-
-
-def contract_operator(d: ZXDiagram) -> Operator:
-    """Contract a diagram with equally many inputs and outputs to an Operator."""
-    mat = contract(d)
-    if mat.shape[0] != mat.shape[1]:
-        raise ZXError(f"diagram is rectangular ({mat.shape}); not an operator")
-    return Operator(mat)
 
 
 def compose(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:

@@ -3,7 +3,9 @@ import pytest
 
 from qcut import gates
 from qcut.channels import (
+    MEASUREMENT_KETS,
     AncillaCircuit,
+    GeneralizedMap,
     SignedKraus,
     SignedMeasurePrepare,
     UnitaryChannel,
@@ -12,13 +14,20 @@ from qcut.channels import (
     e_v_mx_map,
     e_v_mz_map,
     grouped_pauli_map,
-    is_cptp,
     mcz_mx_map,
     pauli_measure_prepare,
     rzz_my_map,
     signed_z_map,
 )
-from qcut.linalg import Operator, QcutError, ptm_of_unitary
+from qcut.linalg import (
+    KET_PLUS,
+    DimensionError,
+    Operator,
+    QcutError,
+    pauli_eigenbasis,
+    projector,
+    ptm_of_unitary,
+)
 
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
@@ -61,6 +70,11 @@ def test_measure_prepare_validation():
         SignedMeasurePrepare([(1.0, p0, p0)])  # effects don't sum to identity
     with pytest.raises(QcutError):
         SignedMeasurePrepare([(1.0, p0, 2.0 * p0), (1.0, p1, p1)])  # not a state
+    # non-Hermitian effects that sum to I and whose lower triangles look PSD
+    e0 = Operator(np.array([[1.0, 0.5], [0.0, 0.0]]))
+    e1 = Operator(np.array([[0.0, -0.5], [0.0, 1.0]]))
+    with pytest.raises(QcutError, match="Hermitian"):
+        SignedMeasurePrepare([(1.0, e0, p0), (1.0, e1, p1)])
 
 
 def test_pauli_measure_prepare_ptm():
@@ -87,9 +101,37 @@ def test_signed_z_map_ptm():
     ch = signed_z_map()
     m = ch.to_superoperator().matrix
     assert np.allclose(m, ANTIDIAG_IZ, atol=1e-12)
-    assert not ch.to_superoperator().has_unit_corner()
+    assert not np.allclose(m[0], [1, 0, 0, 0])  # not trace preserving
     assert not ch.is_cptp()
     assert ch.signs == (1, -1)
+
+
+def _rank_one_cases():
+    table, z0, z1 = pauli_eigenbasis(), gates.basis_state("0"), gates.basis_state("1")
+    for p in "IXYZ":
+        for mu in (0, 1):
+            terms = [(table[(p, nu)][0], table[(p, nu)][1], table[(p, mu)][1]) for nu in (0, 1)]
+            yield pytest.param(lambda p=p, mu=mu: pauli_measure_prepare(p, mu), terms,
+                               id=f"E_{p}{mu}")
+    for p in "XYZ":
+        terms = [(1, table[(p, nu)][1], table[(p, nu)][1]) for nu in (0, 1)]
+        yield pytest.param(lambda p=p: grouped_pauli_map(p), terms, id=f"grouped_{p}")
+    yield pytest.param(signed_z_map, [(1, z0, z0), (-1, z1, z1)], id="signed_z")
+
+
+@pytest.mark.parametrize("build, terms", list(_rank_one_cases()))
+def test_rank_one_maps_match_measure_prepare(build, terms):
+    # the named maps take |s><e| from the eigenkets directly; branch by branch
+    # they must act as the measure-and-prepare map of the projectors
+    ch, ref = build(), SignedMeasurePrepare(terms)
+    assert ch.signs == ref.signs
+    rng = np.random.default_rng(3)
+    mats = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    for (_, kraus), (_, ref_kraus) in zip(ch.branches, ref.branches):
+        assert len(kraus) == 1
+        images = sum(k @ mats @ k.conj().T for k in kraus)
+        expected = sum(k @ mats @ k.conj().T for k in ref_kraus)
+        assert np.max(np.abs(images - expected)) <= 1e-12
 
 
 def test_cptp_diagnostics_cross_check():
@@ -120,6 +162,57 @@ def test_signed_kraus_completeness_enforced():
 # ---------------------------------------------------------------------------
 
 
+def dilation_branch(ch, mats, outcome):
+    """Reference: unnormalized branch ``F_s Tr_a(Pi_s U (rho (x) anc) U^dag) F_s^dag``
+    computed on the dilated register (ancilla last), without Kraus operators."""
+    d = 2**ch.n_qubits
+    u = ch.joint_unitary.mat
+    ext = np.einsum("nab,cd->nacbd", mats, ch.ancilla_init.mat).reshape(-1, 2 * d, 2 * d)
+    sigma = (u @ ext @ u.conj().T).reshape(-1, d, 2, d, 2)
+    ket = MEASUREMENT_KETS[ch.measure_basis][outcome]
+    branch = np.einsum("nakbi,k,i->nab", sigma, ket.conj(), ket)
+    if ch.outcome_feedback is not None:
+        f = ch.outcome_feedback[outcome].mat
+        branch = f @ branch @ f.conj().T
+    return branch
+
+
+def random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return Operator(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+SEQUENCE = [((0,), X), ((1,), random_unitary(2, 5)), ((0, 1), random_unitary(4, 6))]
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [
+        mcz_mx_map(1),
+        mcz_mx_map(3),
+        rzz_my_map(0.7),
+        e_v_mx_map(SEQUENCE, 2),
+        e_v_mz_map(SEQUENCE, 2),
+        e_rzv_map(SEQUENCE, 2),
+        # a mixed ancilla gives two Kraus operators per branch
+        AncillaCircuit(2, Operator(np.diag([0.7, 0.3])), random_unitary(8, 7), "X", (1, -1)),
+    ],
+    ids=["mcz_mx_1", "mcz_mx_3", "rzz_my", "e_v_mx", "e_v_mz", "e_rzv", "mixed_ancilla"],
+)
+def test_kraus_branches_match_ancilla_dilation(ch):
+    # each branch sum_k K rho K^dag equals the dilated circuit's outcome
+    # branch on random inputs and on the whole Pauli basis
+    d = 2**ch.n_qubits
+    rng = np.random.default_rng(9)
+    mats = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    for outcome, (sign, kraus) in enumerate(ch.branches):
+        images = sum(k @ mats @ k.conj().T for k in kraus)
+        assert np.max(np.abs(images - dilation_branch(ch, mats, outcome))) <= 1e-12
+    signed = sum(s * dilation_branch(ch, mats, k) for k, s in enumerate(ch.signs))
+    assert np.max(np.abs(ch.apply_batch(mats) - signed)) <= 1e-12
+
+
 def test_mcz_mx_map_ptm():
     # [DERIVED] on one system qubit the X-measured controlled-Z circuit acts
     # as (rho -> Z-diagonal part with sign): signed sum equals the signed-Z map
@@ -134,7 +227,7 @@ def test_mcz_mx_map_branches_are_probabilities():
     ch = mcz_mx_map(2)
     rho = random_density(2, 2)
     mats = rho.mat[None]
-    probs = [float(np.real(np.trace(ch.branch_batch(mats, k)[0]))) for k in (0, 1)]
+    probs = [float(np.real(np.trace(dilation_branch(ch, mats, k)[0]))) for k in (0, 1)]
     assert all(p >= -1e-12 for p in probs)
     assert sum(probs) == pytest.approx(1.0)
 
@@ -159,9 +252,9 @@ def test_controlled_sequence_unitary():
 
 def test_e_rzv_is_cptp_and_others_are_not():
     ops = [((0,), X)]
-    assert is_cptp(e_rzv_map(ops, 1))
-    assert not is_cptp(e_v_mx_map(ops, 1))
-    assert not is_cptp(e_v_mz_map(ops, 1))
+    assert e_rzv_map(ops, 1).is_cptp()
+    assert not e_v_mx_map(ops, 1).is_cptp()
+    assert not e_v_mz_map(ops, 1).is_cptp()
     assert e_v_mx_map(ops, 1).signs == (1, -1)
 
 
@@ -178,3 +271,58 @@ def test_ancilla_circuit_identity_recovery():
     sup = ch.to_superoperator()
     assert sup.max_abs_diff(ptm_of_unitary(gates.identity(1))) < 1e-12
     assert ch.is_cptp()
+
+
+# ---------------------------------------------------------------------------
+# One branch representation
+# ---------------------------------------------------------------------------
+
+
+def test_branches_define_action_signs_and_ptm():
+    # a hand-built two-branch instrument: amplitude damping with the decay
+    # branch carrying a -1 sign
+    g = 0.3
+    k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]])
+    k1 = np.array([[0, np.sqrt(g)], [0, 0]])
+    ch = GeneralizedMap([(1, [k0]), (-1, [k1])])
+    assert ch.n_qubits == 1 and ch.signs == (1, -1) and not ch.is_cptp()
+    rho = random_density(1, 4)
+    expected = k0 @ rho.mat @ k0.conj().T - k1 @ rho.mat @ k1.conj().T
+    assert np.allclose(ch.apply(rho).mat, expected, atol=1e-12)
+    assert ch.to_superoperator() is ch.to_superoperator()
+    assert ch.cptp_diagnostics()["consistent"]
+    assert all(not kraus.flags.writeable for _, kraus in ch.branches)
+
+
+def test_measure_prepare_branches_are_rank_one_kraus():
+    # E = |0><0| and rho = |+><+| are rank one, so the zero-weight
+    # eigen-components get no operator and each branch has one
+    plus = projector(KET_PLUS)
+    ch = SignedMeasurePrepare(
+        [(1, gates.basis_state("0"), plus), (-1, gates.basis_state("1"), plus)]
+    )
+    assert [len(kraus) for _, kraus in ch.branches] == [1, 1]
+    assert ch.signs == (1, -1)
+
+
+@pytest.mark.parametrize(
+    "branches",
+    [
+        [],
+        [(1, [np.eye(2) / 2])],  # incomplete
+        [(1, [np.eye(2)]), (1, [np.eye(4)])],  # two registers
+        [(0, [np.eye(2)])],  # sign not +-1
+        [(1, [np.eye(3)])],  # not a qubit register
+        [(1, [np.array([[np.nan, 0], [0, 1]])])],  # NaN passes no comparison
+    ],
+    ids=["empty", "incomplete", "mixed", "sign", "qutrit", "nan"],
+)
+def test_generalized_map_validation(branches):
+    with pytest.raises(DimensionError):
+        GeneralizedMap(branches)
+
+
+def test_ancilla_circuit_rejects_non_unitary_joint():
+    with pytest.raises(DimensionError, match="joint_unitary"):
+        AncillaCircuit(1, gates.basis_state("0"), Operator(np.diag([1, 1, 1, 0.5])),
+                       "Z", (1, -1))

@@ -242,7 +242,6 @@ def no_ptm(monkeypatch):
         raise AssertionError("a PTM was built")
 
     monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", refuse)
-    monkeypatch.setattr(qcut.channels, "ptm_of_unitary", refuse)
     monkeypatch.setattr(qcut.channels, "ptm_of_map", refuse)
     monkeypatch.setattr(qcut.cuts.DecompositionTerm, "to_superoperator", refuse)
 
@@ -274,6 +273,67 @@ def test_sample_builds_no_ptm(tmp_path, no_ptm, decomposition, observable):
     assert main(["sample", "--config", str(config), "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert abs(report["estimate"] - report["exact_value"]) < 5 * report["standard_error"]
+
+
+def test_sample_multi_z_with_multi_qubit_registers(tmp_path, no_ptm):
+    # both registers hold two qubits, so every signed-Z factor is a
+    # ladder-conjugated signed Kraus map
+    config = write_config(
+        tmp_path,
+        decomposition={"name": "multi_z", "m": 2, "m_prime": 2, "theta": "pi/3"},
+        observable="XXXI",
+        shots=1_000_000,
+    )
+    out = tmp_path / "report.json"
+    assert main(["sample", "--config", str(config), "--output", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=reject_constant)
+    assert report["exact_value"] == pytest.approx(0.5, abs=1e-12)  # cos(pi/3)
+    assert abs(report["estimate"] - report["exact_value"]) <= 5 * report["standard_error"]
+
+
+def reject_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+NAN_CELL = float("nan")
+NAN_MATRIX = [[NAN_CELL, 0], [0, 1]]
+PLUS = [[0.5, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"decomposition": op_with(gate="matrix", matrix=NAN_MATRIX)},
+         "decomposition.controlled_ops[0]"),
+        ({"decomposition": op_with(gate="matrix", matrix=[[float("inf"), 0], [0, 1]])},
+         "decomposition.controlled_ops[0]"),
+        ({"decomposition": op_with(gate="matrix", matrix=[[[1, "nan"], 0], [0, 1]])},
+         "decomposition.controlled_ops[0]"),
+        ({"decomposition": op_with(gate="matrix", matrix=[[1, 0], [0, 2]])},
+         "decomposition.controlled_ops[0]"),
+        ({"initial_state": [PLUS, NAN_MATRIX]}, "initial_state[1]"),
+        ({"initial_state": [[[0.5, 0.5, 0]], PLUS]}, "initial_state[0]"),
+        ({"decomposition": {"name": "wire_cc", "cc_basis": 5}, "observable": "Z",
+          "initial_state": "plus"}, "decomposition.cc_basis"),
+        ({"decomposition": {"name": "wire_cc", "cc_basis": "W"}, "observable": "Z",
+          "initial_state": "plus"}, "decomposition.cc_basis"),
+        ({"decomposition": {"name": "wire_cc", "cc_basis": "XY"}, "observable": "Z",
+          "initial_state": "plus"}, "decomposition.cc_basis"),
+        ({"decomposition": {"name": "wire_cc", "cc_basis": ""}, "observable": "Z",
+          "initial_state": "plus"}, "decomposition.cc_basis"),
+    ],
+    ids=[
+        "op-nan", "op-inf", "op-nan-imaginary", "op-not-unitary",
+        "state-nan", "state-not-square", "cc_basis-int", "cc_basis-W",
+        "cc_basis-XY", "cc_basis-empty",
+    ],
+)
+def test_sample_rejects_bad_matrices_and_cc_basis(tmp_path, capsys, overrides, field):
+    config = write_config(tmp_path, **overrides)
+    assert main(["sample", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:")
+    assert "Traceback" not in err
 
 
 def test_sample_bitstring_and_density_matrix_states(tmp_path):

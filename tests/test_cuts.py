@@ -54,6 +54,24 @@ def test_wire_cut_cc(basis):
     assert cc_terms[0].is_cptp()
 
 
+@pytest.mark.parametrize("basis", [5, "W", "XY", "", None])
+def test_wire_cut_cc_rejects_bad_basis(basis):
+    with pytest.raises(DimensionError, match="cc_basis"):
+        wire_cut_cc(basis)
+
+
+def test_multi_z_factors_are_ladder_conjugated_kraus_maps():
+    # each register-local factor keeps the sign pattern of its two-qubit
+    # counterpart; a signed-Z factor becomes two one-operator branches
+    base = rzz_decomposition_b(0.8)
+    deco = multi_z_rotation_decomposition(3, 2, 0.8)
+    for t_base, t in zip(base.terms, deco.terms):
+        for f_base, f, size in zip(t_base.factors, t.factors, (3, 2)):
+            assert f.n_qubits == size
+            assert f.signs == f_base.signs
+            assert [len(k) for _, k in f.branches] == [len(k) for _, k in f_base.branches]
+
+
 def test_wire_cut_reconstructs_identity_channel():
     ident = ptm_of_unitary(gates.identity(1))
     for deco in (wire_cut_ncc(), wire_cut_cc()):

@@ -15,10 +15,16 @@ from qcut.cuts import (
     wire_cut_cc,
     wire_cut_ncc,
 )
-from qcut.linalg import DimensionError, Operator, PauliString, QcutError, vectorize
+from qcut.linalg import (
+    DimensionError,
+    Operator,
+    PauliString,
+    QcutError,
+    devectorize,
+    vectorize,
+)
 from qcut.sampling import (
     ExperimentSpec,
-    UnsupportedTermError,
     exact_expectation,
     execute_term,
     run,
@@ -58,7 +64,7 @@ def exact_direct(deco, spec):
     for s, o in zip(spec.initial_state, spec.observable):
         rho = Operator(np.kron(rho.mat, s.mat))
         obs = Operator(np.kron(obs.mat, o.mat))
-    out = deco.target.apply_to(rho)
+    out = devectorize(deco.target.matrix @ vectorize(rho))
     return float(np.real(np.trace(obs.mat @ out.mat)))
 
 
@@ -152,15 +158,17 @@ def test_report_to_dict_is_json_plain():
     assert "estimate" in payload
 
 
-def test_multi_z_large_register_unsupported_terms():
-    # conjugated signed-Z factors are exact-math objects without a sampling
-    # realization; the sampler refuses rather than silently mis-sampling
+def test_multi_z_large_register_samples_within_5_sigma():
+    # the ladder-conjugated signed-Z factors are signed Kraus maps; each
+    # branch is sampled with p = tr(K rho K^dag) like any other instrument
     deco = multi_z_rotation_decomposition(2, 2, 0.8)
-    spec = spec_for(deco, "0000", "ZZZZ", shots=10, seed=0)
-    with pytest.raises(UnsupportedTermError):
-        run(spec)
-    # exact verification still works
     assert deco.verify()["passed"]
+    spec = spec_for(deco, "plus", "XXXI", shots=1_000_000, seed=3)
+    report = run(spec)
+    exact = exact_expectation(spec)
+    assert exact == pytest.approx(exact_direct(deco, spec), abs=1e-10)
+    assert abs(exact) > 0.1  # the state and observable see the rotation
+    assert abs(report.estimate - exact) <= 5 * report.standard_error
 
 
 def test_spec_validation():
@@ -183,6 +191,19 @@ def test_spec_validation():
             shots=10,
             seed=0,
         )
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, float("nan"), float("inf"), "7"])
+def test_spec_rejects_bad_seed(seed):
+    with pytest.raises(DimensionError, match="seed"):
+        spec_for(wire_cut_cc(), "0", "Z", shots=10, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [7, np.int64(7), np.uint32(7), 7.0])
+def test_spec_accepts_integral_seed(seed):
+    report = run(spec_for(wire_cut_cc(), "0", "Z", shots=100, seed=seed))
+    assert type(report.seed) is int
+    assert report == run(spec_for(wire_cut_cc(), "0", "Z", shots=100, seed=7))
 
 
 def random_spec(deco, seed, shots=1):
@@ -217,7 +238,12 @@ def chi2_threshold(df, z=5.0):
 
 @pytest.mark.parametrize(
     "deco",
-    [wire_cut_ncc(), mcz_decomposition(2, 1), rzz_decomposition_b(np.pi / 2)],
+    [
+        wire_cut_ncc(),
+        mcz_decomposition(2, 1),
+        rzz_decomposition_b(np.pi / 2),
+        multi_z_rotation_decomposition(2, 2, 0.8),
+    ],
     ids=lambda d: d.name,
 )
 def test_term_support_matches_execute_term_histogram(deco):

@@ -11,7 +11,6 @@ from qcut.zx import (
     cnot_diagram,
     compose,
     contract,
-    contract_operator,
     cup_diagram,
     effect_diagram,
     hbox_tensor,
@@ -115,11 +114,6 @@ def test_mcz_and_mcp_diagrams():
 def test_rzz_diagram_exact_including_global_phase():
     for theta in (0.0, np.pi / 6, np.pi / 2, 1.234, np.pi):
         assert np.allclose(contract(rzz_diagram(theta)), gates.rzz(theta).mat, atol=1e-10)
-
-
-def test_contract_operator_requires_square():
-    with pytest.raises(ZXError):
-        contract_operator(state_diagram("z", 0.0))
 
 
 def test_scalar_subdiagram_absorbed():
