@@ -17,7 +17,8 @@ from functools import reduce
 import numpy as np
 
 from . import cuts, gates, sampling, zx
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, Operator, PauliString, QcutError, check_unitary
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, Operator, PauliString, QcutError
+from .linalg import SizeCapError, check_unitary
 from .zx import parse_angle
 
 
@@ -187,19 +188,27 @@ def build_decomposition(selector: dict) -> cuts.Decomposition:
     raise ConfigError(f"decomposition: unknown name {name!r}")
 
 
-def _state_for_register(spec, size: int, where: str) -> Operator:
-    if isinstance(spec, str):
-        if spec == "zeros":
-            return gates.basis_state("0" * size)
-        if spec == "plus":
-            mat = np.full((2**size, 2**size), 1.0 / 2**size, dtype=complex)
-            return Operator(mat)
-        if set(spec) <= {"0", "1"}:
-            if len(spec) != size:
-                raise ConfigError(f"{where}: bitstring length != register size {size}")
-            return gates.basis_state(spec)
-        raise ConfigError(f"{where}: unknown state {spec!r}")
-    raise ConfigError(f"{where}: expected a state string")
+def _blocks(seq, part):
+    """Consecutive slices of ``seq`` holding ``part[0]``, ``part[1]``, ... items."""
+    pos = 0
+    for size in part:
+        yield seq[pos : pos + size]
+        pos += size
+
+
+def _string_states(spec: str, part) -> list:
+    """Register states for ``"zeros"``, ``"plus"`` or one bit per qubit."""
+    if spec == "plus":
+        return [Operator(np.full((2**s, 2**s), 1.0 / 2**s, dtype=complex)) for s in part]
+    n = sum(part)
+    bits = "0" * n if spec == "zeros" else spec
+    if not bits or set(bits) - {"0", "1"}:
+        raise ConfigError(
+            f"initial_state: expected 'zeros', 'plus' or a bitstring, got {spec!r}"
+        )
+    if len(bits) != n:
+        raise ConfigError(f"initial_state: bitstring length {len(bits)} != {n} qubits")
+    return [gates.basis_state(block) for block in _blocks(bits, part)]
 
 
 def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
@@ -214,32 +223,17 @@ def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
     n = sum(part)
 
     state_spec = config["initial_state"]
-    states = []
     if isinstance(state_spec, str):
-        if state_spec in ("zeros", "plus"):
-            states = [_state_for_register(state_spec, s, "initial_state") for s in part]
-        else:
-            if len(state_spec) != n:
-                raise ConfigError(
-                    f"initial_state: bitstring length {len(state_spec)} != {n} qubits"
-                )
-            pos = 0
-            for s in part:
-                states.append(gates.basis_state(state_spec[pos : pos + s]))
-                pos += s
+        states = _string_states(state_spec, part)
     elif isinstance(state_spec, list):
         if len(state_spec) != n:
             raise ConfigError(
                 f"initial_state: need one single-qubit density matrix per qubit ({n})"
             )
         qubit_states = [
-            _parse_matrix(m, f"initial_state[{k}]") for k, m in enumerate(state_spec)
+            _parse_matrix(m, f"initial_state[{k}]").mat for k, m in enumerate(state_spec)
         ]
-        pos = 0
-        for s in part:
-            block = [q.mat for q in qubit_states[pos : pos + s]]
-            states.append(Operator(reduce(np.kron, block)))
-            pos += s
+        states = [Operator(reduce(np.kron, block)) for block in _blocks(qubit_states, part)]
     else:
         raise ConfigError("initial_state: expected a string or a list of matrices")
 
@@ -247,11 +241,7 @@ def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
     if not isinstance(obs_spec, str) or len(obs_spec) != n:
         raise ConfigError(f"observable: expected a Pauli string of length {n}")
     try:
-        observables = []
-        pos = 0
-        for s in part:
-            observables.append(PauliString(obs_spec[pos : pos + s]).to_operator())
-            pos += s
+        observables = [PauliString(block).to_operator() for block in _blocks(obs_spec, part)]
     except QcutError as exc:
         raise ConfigError(f"observable: {exc}") from None
 
@@ -403,7 +393,7 @@ def _zx_builtin(args) -> int:
         print(f"{label}: {'PASS' if ok else 'FAIL'}{detail}")
         failures += not ok
 
-    theta = parse_angle(args.theta) if args.theta else np.pi / 2
+    theta = _parse_theta(args.theta, "--theta") if args.theta else np.pi / 2
     if name in ("cnot-variants", "all"):
         for variant in zx.CNOT_VARIANTS:
             dev = np.max(np.abs(zx.contract(zx.cnot_diagram(variant)) - gates.cnot().mat))
@@ -533,7 +523,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, zx.ZXError, FileNotFoundError) as exc:
+    except (ConfigError, zx.ZXError, SizeCapError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QcutError as exc:

@@ -34,19 +34,15 @@ from . import gates
 from .linalg import (
     DimensionError,
     Operator,
-    SizeCapError,
     Superoperator,
+    check_dense,
     embed_matrix,
-    max_superop_qubits,
     pauli_eigenbasis,
     ptm_of_unitary,
 )
 
 #: reconstruction tolerance: sum of term PTMs vs. the target channel
 ATOL_RECONSTRUCT = 1e-9
-
-#: dense verification cap for the multi-register builders
-MAX_CUT_QUBITS = 6
 
 
 class DecompositionTerm:
@@ -148,11 +144,8 @@ class Decomposition:
 
     def reconstruct(self) -> Superoperator:
         """Dense PTM of ``sum_nu q_nu F_nu``."""
-        n = self.n_qubits
-        total = np.zeros((4**n, 4**n), dtype=complex)
-        for t in self.terms:
-            total = total + t.q * t.to_superoperator().matrix
-        return Superoperator(n, total)
+        total = sum(t.q * t.to_superoperator().matrix for t in self.terms)
+        return Superoperator(self.n_qubits, total)
 
     def verify(self, atol: float = ATOL_RECONSTRUCT) -> dict:
         deviation = self.reconstruct().max_abs_diff(self.target)
@@ -184,19 +177,6 @@ class Decomposition:
         return (
             f"Decomposition({self.name!r}, partition={self.partition}, "
             f"terms={len(self.terms)}, gamma={self.one_norm():.6g})"
-        )
-
-
-def _check_cut_size(n: int):
-    if n > MAX_CUT_QUBITS:
-        raise SizeCapError(
-            f"decomposition on {n} qubits exceeds the verification cap of "
-            f"{MAX_CUT_QUBITS}"
-        )
-    if n > max_superop_qubits():
-        raise SizeCapError(
-            f"decomposition on {n} qubits exceeds the dense cap of "
-            f"{max_superop_qubits()}"
         )
 
 
@@ -261,7 +241,7 @@ def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
     if m < 1 or m_prime < 1:
         raise DimensionError(f"need m, m' >= 1, got ({m}, {m_prime})")
     n = m + m_prime
-    _check_cut_size(n)
+    check_dense(16**n, f"PTM of a cut on {n} qubits")
     terms = []
     for sign in (+1, -1):
         u = ch.UnitaryChannel(gates.mcp(m, sign * np.pi / 2))
@@ -397,7 +377,7 @@ def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomp
     if m < 1 or m_prime < 1:
         raise DimensionError(f"need m, m' >= 1, got ({m}, {m_prime})")
     n = m + m_prime
-    _check_cut_size(n)
+    check_dense(16**n, f"PTM of a cut on {n} qubits")
     base = rzz_decomposition_b(theta)
     terms = []
     for t in base.terms:
@@ -426,7 +406,7 @@ def controlled_sequence_decomposition(ops, n_targets: int) -> Decomposition:
     across the cut.
     """
     n = 1 + n_targets
-    _check_cut_size(n)
+    check_dense(16**n, f"PTM of a cut on {n} qubits")
     mx = ch.e_v_mx_map(ops, n_targets)
     mz = ch.e_v_mz_map(ops, n_targets)
     ident = ch.UnitaryChannel(gates.identity(1))

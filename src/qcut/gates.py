@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionError, Operator, embed_matrix
+from .linalg import DimensionError, Operator, check_dense, embed_matrix
 
 
 def identity(n: int = 1) -> Operator:
+    check_dense(4**n, f"operator on {n} qubits")
     return Operator(np.eye(2**n, dtype=complex))
 
 
@@ -22,6 +23,7 @@ def rzz(theta: float) -> Operator:
 
 def multi_z_rotation(n: int, theta: float) -> Operator:
     """``exp(-i theta/2 Z^(x)n)``: diagonal with phase set by bit parity."""
+    check_dense(4**n, f"operator on {n} qubits")
     parity = np.array([bin(k).count("1") % 2 for k in range(2**n)])
     phases = np.exp(-1j * (theta / 2) * (-1.0) ** parity)
     return Operator(np.diag(phases))
@@ -36,6 +38,7 @@ def mcp(n: int, theta: float) -> Operator:
     """Multi-controlled phase: ``diag(1, ..., 1, e^{i theta})``."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
+    check_dense(4**n, f"operator on {n} qubits")
     diag = np.ones(2**n, dtype=complex)
     diag[-1] = np.exp(1j * theta)
     return Operator(np.diag(diag))
@@ -72,6 +75,7 @@ def basis_state(bits: str) -> Operator:
     """Computational-basis density matrix for a bitstring like ``"110"``."""
     if not bits or set(bits) - {"0", "1"}:
         raise DimensionError(f"invalid bitstring {bits!r}")
+    check_dense(4 ** len(bits), f"operator on {len(bits)} qubits")
     idx = int(bits, 2)
     d = 2 ** len(bits)
     mat = np.zeros((d, d), dtype=complex)

@@ -7,13 +7,12 @@ Z)`` per qubit with qubit 0 as the most significant index, matching the
 standard Kronecker-product convention, so PTMs of tensor-product maps are
 Kronecker products of the factor PTMs with no permutation bookkeeping.
 
-Everything here is desk-scale by design: state vectors are capped at 14
-qubits and superoperators at 7 qubits (4^7 = 16384).
+Everything here is desk-scale by design: :func:`check_dense` caps every dense
+array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -25,8 +24,9 @@ ATOL_STRUCT = 1e-10
 #: tolerance for round-trip identities (vectorize/devectorize)
 ATOL_ROUNDTRIP = 1e-12
 
-MAX_STATE_QUBITS = 14
-_SUPEROP_QUBIT_LIMIT = 7
+#: complex entries in one dense array: 2^26 x 16 B = 1 GiB, i.e. a 13-qubit
+#: operator, a 6-qubit PTM or a 26-leg ZX tensor
+MAX_DENSE_ENTRIES = 2**26
 
 
 class QcutError(Exception):
@@ -38,25 +38,15 @@ class DimensionError(QcutError):
 
 
 class SizeCapError(QcutError):
-    """An operation would exceed the configured dense-size cap."""
+    """An operation would exceed the dense-size cap."""
 
 
-def max_superop_qubits() -> int:
-    """Dense superoperator qubit cap, overridable via ``QCUT_MAX_QUBITS``.
-
-    The override is clamped to the hard limit of 7 qubits (a 16384 x 16384
-    PTM); invalid values raise :class:`SizeCapError`.
-    """
-    raw = os.environ.get("QCUT_MAX_QUBITS")
-    if raw is None:
-        return _SUPEROP_QUBIT_LIMIT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SizeCapError(f"QCUT_MAX_QUBITS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise SizeCapError(f"QCUT_MAX_QUBITS must be >= 1, got {value}")
-    return min(value, _SUPEROP_QUBIT_LIMIT)
+def check_dense(entries: int, what: str):
+    """Raise :class:`SizeCapError` if ``what`` needs over MAX_DENSE_ENTRIES entries."""
+    if entries > MAX_DENSE_ENTRIES:
+        need = f"2^{entries.bit_length() - 1}" if _is_power_of_two(entries) else entries
+        cap = f"2^{MAX_DENSE_ENTRIES.bit_length() - 1}"
+        raise SizeCapError(f"{what} needs {need} dense entries, over the cap of {cap}")
 
 
 def _is_power_of_two(d: int) -> bool:
@@ -72,14 +62,14 @@ class Operator:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        arr = np.array(mat, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"operator must be square, got shape {arr.shape}")
-        d = arr.shape[0]
+        shape = np.shape(mat)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DimensionError(f"operator must be square, got shape {shape}")
+        d = shape[0]
         if not _is_power_of_two(d):
             raise DimensionError(f"operator dimension must be a power of two, got {d}")
-        if d > 2**MAX_STATE_QUBITS:
-            raise SizeCapError(f"operator dimension {d} exceeds cap 2^{MAX_STATE_QUBITS}")
+        check_dense(d * d, f"operator of dimension {d}")
+        arr = np.array(mat, dtype=complex)
         if not np.isfinite(arr).all():
             raise DimensionError("operator entries must be finite")
         arr.setflags(write=False)
@@ -213,8 +203,7 @@ def pauli_basis_matrices(n: int) -> np.ndarray:
     """All ``4^n`` normalized Pauli-string matrices, shape (4^n, 2^n, 2^n)."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
-    if n > _SUPEROP_QUBIT_LIMIT:
-        raise SizeCapError(f"Pauli basis for n={n} exceeds the superoperator cap")
+    check_dense(16**n, f"Pauli basis on {n} qubits")
     return _basis_cached(n)
 
 
@@ -236,6 +225,7 @@ class Superoperator:
         object.__setattr__(self, "matrix", mat)
 
     def kron_with(self, other: "Superoperator") -> "Superoperator":
+        check_dense(16 ** (self.n + other.n), f"superoperator on {self.n + other.n} qubits")
         return Superoperator(self.n + other.n, np.kron(self.matrix, other.matrix))
 
     def max_abs_diff(self, other: "Superoperator") -> float:
@@ -245,25 +235,16 @@ class Superoperator:
 
 
 def identity_superoperator(n: int) -> Superoperator:
-    _check_superop_size(n)
+    check_dense(16**n, f"superoperator on {n} qubits")
     return Superoperator(n, np.eye(4**n, dtype=complex))
-
-
-def _check_superop_size(n: int):
-    cap = max_superop_qubits()
-    if n > cap:
-        raise SizeCapError(f"superoperator on {n} qubits exceeds the cap of {cap}")
 
 
 def ptm_of_unitary(u: Operator) -> Superoperator:
     """PTM of the channel ``rho -> U rho U^dag``."""
     n = u.n_qubits
-    _check_superop_size(n)
+    check_dense(16**n, f"superoperator on {n} qubits")  # before the d x d unitarity products
     check_unitary(u.mat, "input")
-    basis = pauli_basis_matrices(n)
-    rotated = np.einsum("ab,nbc,dc->nad", u.mat, basis, u.mat.conj(), optimize=True)
-    coeffs = _pauli_coeffs_batch(rotated)  # row j = vectorize(U Pbar_j U^dag)
-    return Superoperator(n, coeffs.T.copy())
+    return ptm_of_map(lambda mats: u.mat @ mats @ u.mat.conj().T, n)
 
 
 def ptm_of_map(apply_batch, n: int) -> Superoperator:
@@ -272,7 +253,7 @@ def ptm_of_map(apply_batch, n: int) -> Superoperator:
     ``apply_batch`` maps a read-only array of shape (B, 2^n, 2^n) to the
     array of images, same shape.
     """
-    _check_superop_size(n)
+    check_dense(16**n, f"superoperator on {n} qubits")
     images = apply_batch(pauli_basis_matrices(n))
     coeffs = _pauli_coeffs_batch(images)
     return Superoperator(n, coeffs.T.copy())

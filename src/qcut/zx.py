@@ -22,19 +22,17 @@ contraction is invariant under node relabeling and edge reordering.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .linalg import DimensionError, QcutError, SizeCapError
+from .linalg import QcutError, check_dense
 
 #: matrix equality tolerance for rule certification
 RULE_ATOL = 1e-10
-
-#: open legs are capped so dense contraction stays desk-scale
-MAX_OPEN_LEGS = 28
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -165,8 +163,7 @@ def contract(d: ZXDiagram) -> np.ndarray:
     significant), then input boundaries likewise.
     """
     n_open = len(d.inputs) + len(d.outputs)
-    if n_open > MAX_OPEN_LEGS:
-        raise SizeCapError(f"{n_open} open legs exceed the cap of {MAX_OPEN_LEGS}")
+    check_dense(2**n_open, f"contraction with {n_open} open legs")
     d = _prepared(d)
 
     incident: dict = {nid: [] for nid in d.nodes}
@@ -185,6 +182,7 @@ def contract(d: ZXDiagram) -> np.ndarray:
                 raise ZXError(f"boundary node {nid} has degree {len(legs)}, expected 1")
             boundary_edge[nid] = legs[0]
             continue
+        check_dense(2 ** len(legs), f"node {nid} with {len(legs)} legs")
         if kind == "h":
             t = hbox_tensor(param, len(legs))
         else:
@@ -217,9 +215,11 @@ def contract(d: ZXDiagram) -> np.ndarray:
             # disconnected components: outer product
             legs_a, ta = pieces.pop()
             legs_b, tb = pieces.pop()
+            check_dense(2 ** (ta.ndim + tb.ndim), "outer product of disconnected pieces")
             pieces.append((legs_a + legs_b, np.tensordot(ta, tb, axes=0)))
             continue
-        _, i, j, shared = best
+        size, i, j, shared = best
+        check_dense(2**size, f"contraction step with {size} legs")
         legs_a, ta = pieces[i]
         legs_b, tb = pieces[j]
         ax_a = [legs_a.index(e) for e in shared]
@@ -596,7 +596,6 @@ def insert_cut_fragment(d: ZXDiagram, edge: tuple, fragment: CutFragment) -> ZXD
     )
     if idx is None:
         raise ZXError(f"edge {edge} not found in diagram")
-    flipped = d.edges[idx] == (v, u)
     out = d.copy()
     out.cut_edge = None
     del out.edges[idx]
@@ -613,7 +612,6 @@ def insert_cut_fragment(d: ZXDiagram, edge: tuple, fragment: CutFragment) -> ZXD
     out.add_edge(u, meas)
     out.add_edge(prep, v)
     out.multiply_scalar(fragment.scalar)
-    del flipped  # orientation is caller-specified; the stored order is irrelevant
     return out
 
 
@@ -741,36 +739,42 @@ BUILTIN_RULES = {
 # ---------------------------------------------------------------------------
 
 
-def parse_angle(text: str) -> float:
-    """Parse an angle like ``pi/2``, ``-3pi/4``, ``2*pi/3`` or ``1.25``."""
-    s = text.strip().lower().replace(" ", "").replace("*", "")
-    if "pi" not in s:
-        return float(s)
-    head, _, tail = s.partition("pi")
-    if head in ("", "+"):
-        coeff = 1.0
-    elif head == "-":
-        coeff = -1.0
-    else:
-        coeff = float(head)
-    if tail == "":
-        div = 1.0
-    elif tail.startswith("/"):
-        div = float(tail[1:])
-    else:
-        raise ZXError(f"cannot parse angle {text!r}")
-    return coeff * math.pi / div
+def _parse_number(text: str, what: str, convert):
+    """``convert`` applied to ``text`` without spaces; text that does not
+    parse, a zero divisor and a non-finite result all raise :class:`ZXError`."""
+    try:
+        value = convert(text.strip().replace(" ", ""))
+    except (ValueError, ArithmeticError):
+        value = None
+    if value is None or not cmath.isfinite(value):
+        raise ZXError(f"cannot parse {what} {text!r}: expected a finite number")
+    return value
 
 
-def _parse_scalar(text: str) -> complex:
-    s = text.strip().replace(" ", "")
+def _angle(s: str) -> float:
+    head, pi, tail = s.lower().replace("*", "").partition("pi")
+    if not pi:
+        return float(head)
+    if tail and not tail.startswith("/"):
+        raise ValueError(tail)
+    coeff = float(head + "1" if head in ("", "+", "-") else head)  # "-pi" is -1 pi
+    return coeff * math.pi / (float(tail[1:]) if tail else 1.0)
+
+
+def _scalar(s: str) -> complex:
     if "/" in s and "j" not in s:
         num, _, den = s.partition("/")
         return complex(float(num) / float(den))
-    try:
-        return complex(s)
-    except ValueError as exc:
-        raise ZXError(f"cannot parse scalar {text!r}") from exc
+    return complex(s)
+
+
+def parse_angle(text: str) -> float:
+    """Parse an angle like ``pi/2``, ``-3pi/4``, ``2*pi/3`` or ``1.25``."""
+    return _parse_number(text, "angle", _angle)
+
+
+def _parse_scalar(text: str) -> complex:
+    return _parse_number(text, "scalar", _scalar)
 
 
 def parse_diagram(text: str) -> ZXDiagram:

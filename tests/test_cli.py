@@ -47,6 +47,27 @@ def test_verify_missing_required_field_exits_2(capsys):
     assert main(["verify", "--deco", "mcz"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--deco", "mcz", "--m", "6", "--mprime", "6"],
+        ["zx-check", "--builtin", "mcz", "--n", "15"],
+        "sample",
+    ],
+    ids=["verify-mcz[6,6]", "zx-check-mcz[15]", "sample-mcz[6,6]"],
+)
+def test_oversize_request_exits_2(tmp_path, capsys, argv):
+    if argv == "sample":
+        config = write_config(
+            tmp_path, decomposition={"name": "mcz", "m": 6, "m_prime": 6},
+            observable="X" * 12,
+        )
+        argv = ["sample", "--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "over the cap of 2^26" in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["bogus"])
@@ -336,6 +357,13 @@ def test_sample_rejects_bad_matrices_and_cc_basis(tmp_path, capsys, overrides, f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("state", ["ab", "0x", ""])
+def test_sample_rejects_bad_state_strings(tmp_path, capsys, state):
+    config = write_config(tmp_path, initial_state=state)
+    assert main(["sample", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: initial_state:")
+
+
 def test_sample_bitstring_and_density_matrix_states(tmp_path):
     config = write_config(tmp_path, initial_state="10", observable="ZZ")
     assert main(["sample", "--config", str(config)]) == 0
@@ -443,6 +471,36 @@ def test_zx_check_parse_error_exits_2(tmp_path, capsys):
     path.write_text("frobnicate\n")
     assert main(["zx-check", str(path)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line,argv_tail,expected",
+    [
+        ("node s z abc", None, "line 2:"),
+        ("node s z 2pi/x", None, "line 2:"),
+        ("node s z pi/0", None, "line 2:"),
+        ("scalar 1/0", None, "line 6:"),
+        ("scalar 1e999", None, "line 6:"),
+        ("node s h nan", None, "line 2:"),
+        (None, ["--builtin", "rzz", "--theta", "abc"], "--theta"),
+        (None, ["--builtin", "rzz", "--theta", "nan"], "--theta"),
+    ],
+    ids=["angle-text", "angle-divisor-text", "angle-zero-divisor", "scalar-zero-divisor",
+         "scalar-overflow", "hbox-nan", "theta-text", "theta-nan"],
+)
+def test_zx_check_rejects_bad_numbers(tmp_path, capsys, line, argv_tail, expected):
+    if line is not None:
+        lines = ["node in input", "node s z 0", "node out output", "edge in s", "edge s out"]
+        if line.startswith("node s"):
+            lines[1] = line
+        else:
+            lines.append(line)
+        path = tmp_path / "bad.zx"
+        path.write_text("\n".join(lines) + "\n")
+        argv_tail = [str(path)]
+    assert main(["zx-check", *argv_tail]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {expected}") and out.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qcut import gates
+from qcut import cuts, gates, zx
 from qcut.linalg import (
+    MAX_DENSE_ENTRIES,
     DimensionError,
     Operator,
     PauliString,
     QcutError,
     SizeCapError,
     embed_matrix,
+    check_dense,
     check_unitary,
     devectorize,
     identity_superoperator,
@@ -175,3 +179,53 @@ def test_embed_matrix():
     ket[0b001] = 1.0
     out = full @ ket
     assert out[0b101] == pytest.approx(1.0)
+
+
+def _parallel_spiders(n_edges: int) -> zx.ZXDiagram:
+    d = zx.ZXDiagram()
+    a, b = d.add_z(), d.add_z()
+    for _ in range(n_edges):
+        d.add_edge(a, b)
+    return d
+
+
+@pytest.mark.parametrize(
+    "function,args",
+    [
+        (ptm_of_unitary, (gates.identity(7),)),
+        (pauli_basis_matrices, (7,)),
+        (cuts.mcz_decomposition, (4, 3)),
+        (cuts.multi_z_rotation_decomposition, (4, 3, 0.5)),
+        (cuts.controlled_sequence_decomposition, ([((0,), gates.hadamard())], 6)),
+        (zx.contract, (zx.mcz_diagram(14),)),
+        (zx.contract, (_parallel_spiders(30),)),
+        # a zero-stride view: the shape of a 14-qubit operator without its memory
+        (Operator, (np.broadcast_to(np.complex128(0), (2**14, 2**14)),)),
+        (gates.identity, (14,)),
+        (gates.mcz, (14,)),
+        (gates.multi_z_rotation, (14, 0.5)),
+        (gates.basis_state, ("0" * 14,)),
+    ],
+    ids=["ptm_of_unitary", "pauli_basis", "mcz", "multi_z", "controlled_sequence",
+         "zx_open_legs", "zx_node_degree", "operator", "gate_identity", "gate_mcz",
+         "gate_multi_z", "basis_state"],
+)
+def test_size_cap_refuses_before_allocating(function, args):
+    # each request needs at least 2^28 entries (4 GiB); the cap must refuse it
+    # before any array near that size exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="over the cap of 2\\^26"):
+            function(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_check_dense_boundary():
+    assert MAX_DENSE_ENTRIES == 2**26
+    check_dense(MAX_DENSE_ENTRIES, "a 13-qubit operator")
+    with pytest.raises(SizeCapError, match="a 14-qubit operator needs 2\\^28"):
+        check_dense(4 * MAX_DENSE_ENTRIES, "a 14-qubit operator")
+
