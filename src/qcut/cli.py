@@ -72,6 +72,16 @@ def _check_int(value, where: str, lo: int, hi=None) -> int:
     return int(value)
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of an input file; one that cannot be read is a usage
+    error naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read ({exc})") from None
+
+
 def _parse_theta(value, where: str) -> float:
     try:
         theta = parse_angle(value) if isinstance(value, str) else float(value)
@@ -319,11 +329,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    with open(args.config) as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from None
+    try:
+        config = json.loads(_read_text(args.config))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON ({exc})") from None
     spec = build_experiment(config, seed=args.seed)
     n_batches = int(config.get("n_batches", 0))
     report = sampling.run(spec, n_batches=n_batches)
@@ -394,6 +403,9 @@ def _zx_builtin(args) -> int:
         failures += not ok
 
     theta = _parse_theta(args.theta, "--theta") if args.theta else np.pi / 2
+    for flag, value in (("--n", args.n), ("--m", args.m)):
+        if value is not None:
+            _check_int(value, flag, 1)
     if name in ("cnot-variants", "all"):
         for variant in zx.CNOT_VARIANTS:
             dev = np.max(np.abs(zx.contract(zx.cnot_diagram(variant)) - gates.cnot().mat))
@@ -412,19 +424,19 @@ def _zx_builtin(args) -> int:
                 f"  max|delta| = {_fmt(dev)}",
             )
     if name in ("mcz", "all"):
-        n = args.n or 3
+        n = 3 if args.n is None else args.n
         dev = np.max(np.abs(zx.contract(zx.mcz_diagram(n)) - gates.mcz(n).mat))
         check(f"mcz[{n}]", dev <= zx.RULE_ATOL, f"  max|delta| = {_fmt(dev)}")
     if name in ("mcp", "all"):
-        n = args.n or 2
+        n = 2 if args.n is None else args.n
         dev = np.max(np.abs(zx.contract(zx.mcp_diagram(n, theta)) - gates.mcp(n, theta).mat))
         check(f"mcp[{n},{_fmt(theta)}]", dev <= zx.RULE_ATOL, f"  max|delta| = {_fmt(dev)}")
     if name in ("rzz", "all"):
         dev = np.max(np.abs(zx.contract(zx.rzz_diagram(theta)) - gates.rzz(theta).mat))
         check(f"rzz[{_fmt(theta)}]", dev <= zx.RULE_ATOL, f"  max|delta| = {_fmt(dev)}")
     if name in ("mcz-fusion", "all"):
-        n = args.n or 4
-        m = args.m or n // 2
+        n = 4 if args.n is None else args.n
+        m = n // 2 if args.m is None else args.m
         rep = zx.verify_rule(zx.mcz_diagram(n), zx.split_mcz_three_hboxes(n, m))
         check(
             f"mcz-fusion[n={n},m={m}]", rep["equal"],
@@ -449,10 +461,7 @@ def cmd_zx_check(args) -> int:
         return _zx_builtin(args)
     if not args.files:
         raise ConfigError("zx-check: pass --builtin NAME or one/two diagram files")
-    diagrams = []
-    for path in args.files:
-        with open(path) as fh:
-            diagrams.append(zx.parse_diagram(fh.read()))
+    diagrams = [zx.parse_diagram(_read_text(path)) for path in args.files]
     if len(diagrams) == 1:
         mat = zx.contract(diagrams[0])
         print(f"shape: {mat.shape[0]} x {mat.shape[1]}")

@@ -1,29 +1,32 @@
 """ZX-diagram construction and exact tensor contraction.
 
 Diagrams are open tensor networks of Z-spiders, X-spiders and H-boxes with an
-explicit global scalar.  Contraction is exact (dense, tiny networks), so
-rewrite rules and cut insertions can be certified numerically including all
-scalar factors.
+explicit global scalar.  Contraction is exact, so rewrite rules and cut
+insertions can be certified numerically including all scalar factors.
 
-Tensor conventions (one axis of dimension 2 per incident edge):
+Conventions:
 
-* Z-spider with phase ``alpha``: entry 1 on the all-0 assignment,
-  ``e^{i alpha}`` on the all-1 assignment, 0 otherwise.  Arity 0 contributes
-  the scalar ``1 + e^{i alpha}``.
-* X-spider: the Z-spider tensor conjugated by a Hadamard on every leg (the
-  same data in the ``|+>/|->`` basis).
-* H-box with label ``a`` (default -1): entry ``a`` on the all-1 assignment,
-  1 otherwise.  The arity-2 box with ``a = -1`` equals ``sqrt(2) H``.
+* Z-spider with phase ``alpha``: a copy tensor, 1 when every leg is 0,
+  ``e^{i alpha}`` when every leg is 1, 0 otherwise.  Arity 0 contributes the
+  scalar ``1 + e^{i alpha}``.
+* X-spider: the Z-spider conjugated by a Hadamard on every leg (the same data
+  in the ``|+>/|->`` basis).
+* H-box with label ``a`` (default -1): ``a`` on the all-1 assignment, 1
+  otherwise.  The arity-2 box with ``a = -1`` equals ``sqrt(2) H``.
 
-Cups and caps are phase-0 Z-spiders with both legs on the same side; bare
-wires and wire crossings are just connectivity.  Only connectivity matters:
-contraction is invariant under node relabeling and edge reordering.
+:func:`contract` never builds a spider densely: all legs of a Z spider share
+one index carrying the weights ``(1, e^{i alpha})``, so cups, caps, bare
+wires and wire crossings are just connectivity, and contraction is invariant
+under node relabeling and edge reordering.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
+import itertools
 import math
+import string
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,21 +42,6 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 class ZXError(QcutError):
     """Malformed diagram or invalid contraction request."""
-
-
-def spider_tensor(kind: str, phase: float, arity: int) -> np.ndarray:
-    """Dense tensor of a Z- or X-spider with the given arity."""
-    if arity == 0:
-        return np.array(1.0 + np.exp(1j * phase))
-    t = np.zeros((2,) * arity, dtype=complex)
-    t[(0,) * arity] = 1.0
-    t[(1,) * arity] = np.exp(1j * phase)
-    if kind == "x":
-        for axis in range(arity):
-            t = np.moveaxis(np.tensordot(t, _HADAMARD, axes=([axis], [0])), -1, axis)
-    elif kind != "z":
-        raise ZXError(f"unknown spider kind {kind!r}")
-    return t
 
 
 def hbox_tensor(label: complex, arity: int) -> np.ndarray:
@@ -138,22 +126,14 @@ class ZXDiagram:
         )
 
 
-def _prepared(d: ZXDiagram) -> ZXDiagram:
-    """Insert identity spiders on boundary-boundary edges (bare wires)."""
-    boundary = {nid for nid, (kind, _) in d.nodes.items() if kind == "b"}
-    if not any(u in boundary and v in boundary for u, v in d.edges):
-        return d
-    out = d.copy()
-    new_edges = []
-    for u, v in out.edges:
-        if u in boundary and v in boundary:
-            mid = out.add_z(0.0)
-            new_edges.append((u, mid))
-            new_edges.append((mid, v))
-        else:
-            new_edges.append((u, v))
-    out.edges = new_edges
-    return out
+def _einsum(operands: list, arrays: list, result: list) -> np.ndarray:
+    """``np.einsum`` over label lists in letters local to this call; ``check_dense``
+    keeps each piece within 26 labels, so two operands fit in numpy's 52."""
+    letter: dict = {}
+    for label in itertools.chain(*operands, result):
+        letter.setdefault(label, string.ascii_letters[len(letter)])
+    spec = ",".join("".join(letter[x] for x in labels) for labels in operands)
+    return np.einsum(spec + "->" + "".join(letter[x] for x in result), *arrays)
 
 
 def contract(d: ZXDiagram) -> np.ndarray:
@@ -161,111 +141,105 @@ def contract(d: ZXDiagram) -> np.ndarray:
 
     Output axes are ordered by the output boundary list (first entry most
     significant), then input boundaries likewise.
+
+    Each edge is an index and each Z spider merges the indices of its legs.
+    An X spider weights a fresh index joined to each leg by a Hadamard; an
+    H-box is dense over its legs; a boundary leaves its index open.  A greedy
+    loop contracts the pair of pieces with the smallest result by one
+    ``np.einsum`` each, and the last piece is written onto the diagonal of a
+    zeroed output, where two boundaries share an index (as on a bare wire).
     """
     n_open = len(d.inputs) + len(d.outputs)
     check_dense(2**n_open, f"contraction with {n_open} open legs")
-    d = _prepared(d)
+    parent = list(range(len(d.edges)))  # union-find over edge indices
 
-    incident: dict = {nid: [] for nid in d.nodes}
-    for eid, (u, v) in enumerate(d.edges):
+    def find(e: int) -> int:
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    legs: dict = {nid: [] for nid in d.nodes}
+    for e, (u, v) in enumerate(d.edges):
         if u == v:
             raise ZXError(f"self-loop on node {u} is not supported")
-        incident[u].append(eid)
-        incident[v].append(eid)
+        for w in (u, v):
+            legs[w].append(e)
+            if d.nodes[w][0] == "z":
+                parent[find(e)] = find(legs[w][0])
 
-    boundary_edge = {}
-    pieces = []  # (edge-label list, ndarray)
+    pieces: dict = {}  # id -> (label list, ndarray)
+    where: dict = {}  # label -> ids of the pieces that carry it
+    new_id = itertools.count()
+
+    def add(labels: list, t: np.ndarray) -> int:
+        k = next(new_id)
+        pieces[k] = (labels, t)
+        for x in labels:
+            where.setdefault(x, set()).add(k)
+        return k
+
+    fresh = itertools.count(len(d.edges))
     for nid, (kind, param) in d.nodes.items():
-        legs = incident[nid]
+        labels = [find(e) for e in legs[nid]]
         if kind == "b":
-            if len(legs) != 1:
-                raise ZXError(f"boundary node {nid} has degree {len(legs)}, expected 1")
-            boundary_edge[nid] = legs[0]
-            continue
-        check_dense(2 ** len(legs), f"node {nid} with {len(legs)} legs")
-        if kind == "h":
-            t = hbox_tensor(param, len(legs))
+            if len(labels) != 1:
+                raise ZXError(f"boundary node {nid} has degree {len(labels)}, expected 1")
+        elif kind == "h":
+            check_dense(2 ** len(labels), f"H-box {nid} with {len(labels)} legs")
+            add(labels, hbox_tensor(param, len(labels)))
+        elif kind in ("z", "x"):
+            center = labels[0] if kind == "z" and labels else next(fresh)
+            add([center], np.array([1.0, np.exp(1j * float(np.real(param)))]))
+            if kind == "x":
+                for label in labels:
+                    add([center, label], _HADAMARD)
         else:
-            t = spider_tensor(kind, float(np.real(param)), len(legs))
-        pieces.append((legs, t))
+            raise ZXError(f"unknown node kind {kind!r}")
 
-    scalar = complex(d.scalar)
-    # isolated spiders (arity 0) are pure scalars
-    kept = []
-    for legs, t in pieces:
-        if t.ndim == 0:
-            scalar *= complex(t)
-        else:
-            kept.append((legs, t))
-    pieces = kept
+    order = [find(legs[nid][0]) for nid in d.outputs + d.inputs]
+    is_open = set(order)
 
-    open_edges = set(boundary_edge.values())
+    def kept(pair: tuple) -> list:
+        labels = dict.fromkeys(pieces[pair[0]][0] + pieces[pair[1]][0])
+        return [x for x in labels if x in is_open or where[x] - set(pair)]
 
+    heap: list = []  # (result size, pair); entries of contracted pieces are skipped
+
+    def push(k: int) -> None:
+        # only the pairs with the newest piece k change when it appears
+        for j in set().union(*(where[x] for x in pieces[k][0])):
+            if j < k:
+                heapq.heappush(heap, (len(kept((j, k))), (j, k)))
+
+    for k in pieces:
+        push(k)
     while len(pieces) > 1:
-        best = None
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                shared = set(pieces[i][0]) & set(pieces[j][0])
-                if not shared:
-                    continue
-                size = len(pieces[i][0]) + len(pieces[j][0]) - 2 * len(shared)
-                if best is None or size < best[0]:
-                    best = (size, i, j, shared)
-        if best is None:
-            # disconnected components: outer product
-            legs_a, ta = pieces.pop()
-            legs_b, tb = pieces.pop()
-            check_dense(2 ** (ta.ndim + tb.ndim), "outer product of disconnected pieces")
-            pieces.append((legs_a + legs_b, np.tensordot(ta, tb, axes=0)))
-            continue
-        size, i, j, shared = best
-        check_dense(2**size, f"contraction step with {size} legs")
-        legs_a, ta = pieces[i]
-        legs_b, tb = pieces[j]
-        ax_a = [legs_a.index(e) for e in shared]
-        ax_b = [legs_b.index(e) for e in shared]
-        t = np.tensordot(ta, tb, axes=(ax_a, ax_b))
-        legs = [e for e in legs_a if e not in shared] + [
-            e for e in legs_b if e not in shared
-        ]
-        pieces = [p for k, p in enumerate(pieces) if k not in (i, j)]
-        pieces.append((legs, t))
-
-    if pieces:
-        legs, t = pieces[0]
-        # contract any internal edge appearing twice on the same tensor
-        while True:
-            dup = next(
-                (e for e in legs if legs.count(e) == 2 and e not in open_edges), None
-            )
-            if dup is None:
-                break
-            a1 = legs.index(dup)
-            a2 = legs.index(dup, a1 + 1)
-            t = np.trace(t, axis1=a1, axis2=a2)
-            legs = [e for k, e in enumerate(legs) if k not in (a1, a2)]
-    else:
-        legs, t = [], np.array(1.0 + 0j)
-
-    dangling = [e for e in legs if e not in open_edges]
-    if dangling:
-        raise ZXError(f"internal edges {dangling} were not contracted")
-    if set(legs) != open_edges or len(legs) != len(open_edges):
-        raise ZXError("boundary edges do not match the remaining open legs")
-
-    order = [boundary_edge[nid] for nid in d.outputs] + [
-        boundary_edge[nid] for nid in d.inputs
-    ]
-    t = np.transpose(t, [legs.index(e) for e in order]) if legs else t
-    return scalar * t.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
-
-
-def compose(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:
-    """Sequential composition: run ``d1`` first (matrix ``contract(d2) @ contract(d1)``)."""
-    if len(d1.outputs) != len(d2.inputs):
-        raise ZXError(
-            f"cannot compose: {len(d1.outputs)} outputs vs {len(d2.inputs)} inputs"
+        while heap and not pieces.keys() >= set(heap[0][1]):
+            heapq.heappop(heap)
+        # with no index shared, the parts left are disconnected: join the two smallest
+        pair = heapq.heappop(heap)[1] if heap else tuple(
+            sorted(sorted(pieces, key=lambda k: len(pieces[k][0]))[:2])
         )
+        labels = kept(pair)
+        check_dense(2 ** len(labels), f"contraction step with {len(labels)} legs")
+        (la, ta), (lb, tb) = (pieces.pop(k) for k in pair)
+        for x in la + lb:
+            where[x] -= set(pair)
+        push(add(labels, _einsum([la, lb], [ta, tb], labels)))
+
+    labels, t = next(iter(pieces.values()), ([], np.array(1.0 + 0j)))
+    result = [x for x in dict.fromkeys(labels) if x in is_open]
+    missing = [x for x in dict.fromkeys(order) if x not in result]
+    out = np.zeros((1,) + (2,) * n_open, dtype=complex)
+    diagonal = _einsum([[None] + order], [out], [None] + missing + result)
+    np.multiply(_einsum([labels], [t], result), d.scalar, out=diagonal)
+    return out.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
+
+
+def _disjoint_union(d1: ZXDiagram, d2: ZXDiagram) -> tuple:
+    """``d1`` and ``d2`` side by side with ``d1``'s boundaries, and the offset
+    added to ``d2``'s node ids."""
     out = d1.copy()
     out.cut_edge = None
     offset = out._next_id
@@ -274,6 +248,16 @@ def compose(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:
     out.edges.extend((u + offset, v + offset) for u, v in d2.edges)
     out._next_id = offset + d2._next_id
     out.scalar *= d2.scalar
+    return out, offset
+
+
+def compose(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:
+    """Sequential composition: run ``d1`` first (matrix ``contract(d2) @ contract(d1)``)."""
+    if len(d1.outputs) != len(d2.inputs):
+        raise ZXError(
+            f"cannot compose: {len(d1.outputs)} outputs vs {len(d2.inputs)} inputs"
+        )
+    out, offset = _disjoint_union(d1, d2)
     # splice: turn the glued boundaries into identity spiders and join them
     for o_nid, i_nid in zip(d1.outputs, d2.inputs):
         out.nodes[o_nid] = ("z", 0.0)
@@ -285,16 +269,9 @@ def compose(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:
 
 def tensor(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:
     """Parallel composition with ``d1`` as the high-order (top) factor."""
-    out = d1.copy()
-    out.cut_edge = None
-    offset = out._next_id
-    for nid, data in d2.nodes.items():
-        out.nodes[nid + offset] = data
-    out.edges.extend((u + offset, v + offset) for u, v in d2.edges)
-    out._next_id = offset + d2._next_id
-    out.scalar *= d2.scalar
-    out.inputs = list(d1.inputs) + [nid + offset for nid in d2.inputs]
-    out.outputs = list(d1.outputs) + [nid + offset for nid in d2.outputs]
+    out, offset = _disjoint_union(d1, d2)
+    out.inputs += [nid + offset for nid in d2.inputs]
+    out.outputs += [nid + offset for nid in d2.outputs]
     return out
 
 
@@ -599,16 +576,8 @@ def insert_cut_fragment(d: ZXDiagram, edge: tuple, fragment: CutFragment) -> ZXD
     out = d.copy()
     out.cut_edge = None
     del out.edges[idx]
-    meas = (
-        out.add_z(fragment.measure_phase)
-        if fragment.measure_kind == "z"
-        else out.add_x(fragment.measure_phase)
-    )
-    prep = (
-        out.add_z(fragment.prepare_phase)
-        if fragment.prepare_kind == "z"
-        else out.add_x(fragment.prepare_phase)
-    )
+    meas = out._add_node(fragment.measure_kind, float(fragment.measure_phase))
+    prep = out._add_node(fragment.prepare_kind, float(fragment.prepare_phase))
     out.add_edge(u, meas)
     out.add_edge(prep, v)
     out.multiply_scalar(fragment.scalar)

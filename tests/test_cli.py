@@ -474,6 +474,46 @@ def test_zx_check_parse_error_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--builtin", "mcz", "--n", "0"], "--n"),
+        (["--builtin", "mcp", "--n", "0"], "--n"),
+        (["--builtin", "mcz-fusion", "--n", "0"], "--n"),
+        (["--builtin", "mcz-fusion", "--m", "0"], "--m"),
+        (["--builtin", "all", "--n", "-1"], "--n"),
+    ],
+    ids=["mcz-n0", "mcp-n0", "fusion-n0", "fusion-m0", "all-n-1"],
+)
+def test_zx_check_rejects_non_positive_sizes(capsys, argv, flag):
+    assert main(["zx-check", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {flag}:") and out.out == ""
+
+
+def _unreadable(tmp_path, case):
+    """A directory, or a file of bytes that are not UTF-8."""
+    if case == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"node s z caf\xe9\n")
+    return path
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_zx_check_unreadable_file_exits_2(tmp_path, capsys, case):
+    path = _unreadable(tmp_path, case)
+    assert main(["zx-check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read")
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_sample_unreadable_config_exits_2(tmp_path, capsys, case):
+    path = _unreadable(tmp_path, case)
+    assert main(["sample", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read")
+
+
+@pytest.mark.parametrize(
     "line,argv_tail,expected",
     [
         ("node s z abc", None, "line 2:"),

@@ -189,6 +189,19 @@ def _parallel_spiders(n_edges: int) -> zx.ZXDiagram:
     return d
 
 
+def _wide_hbox(n_legs: int) -> zx.ZXDiagram:
+    d = zx.ZXDiagram()
+    h, s = d.add_h(), d.add_z()
+    for _ in range(n_legs):
+        d.add_edge(h, s)
+    return d
+
+
+def test_parallel_spiders_fuse_to_a_scalar():
+    # two phase-0 Z spiders on one shared index: sum over it of 1 * 1
+    assert np.array_equal(zx.contract(_parallel_spiders(30)), [[2 + 0j]])
+
+
 @pytest.mark.parametrize(
     "function,args",
     [
@@ -198,7 +211,7 @@ def _parallel_spiders(n_edges: int) -> zx.ZXDiagram:
         (cuts.multi_z_rotation_decomposition, (4, 3, 0.5)),
         (cuts.controlled_sequence_decomposition, ([((0,), gates.hadamard())], 6)),
         (zx.contract, (zx.mcz_diagram(14),)),
-        (zx.contract, (_parallel_spiders(30),)),
+        (zx.contract, (_wide_hbox(30),)),
         # a zero-stride view: the shape of a 14-qubit operator without its memory
         (Operator, (np.broadcast_to(np.complex128(0), (2**14, 2**14)),)),
         (gates.identity, (14,)),

@@ -20,7 +20,6 @@ from qcut.zx import (
     parse_angle,
     parse_diagram,
     rzz_diagram,
-    spider_tensor,
     split_mcz_three_hboxes,
     state_diagram,
     swap_diagram,
@@ -38,9 +37,19 @@ SQ2 = np.sqrt(2)
 # ---------------------------------------------------------------------------
 
 
+def _one_spider(kind: str, phase: float, n_in: int, n_out: int) -> ZXDiagram:
+    d = ZXDiagram()
+    s = d.add_z(phase) if kind == "z" else d.add_x(phase)
+    for _ in range(n_in):
+        d.add_edge(d.add_input(), s)
+    for _ in range(n_out):
+        d.add_edge(s, d.add_output())
+    return d
+
+
 def test_z_spider_tensor():
     # [TRIVIAL] 1 at all-0, e^{i alpha} at all-1, else 0
-    t = spider_tensor("z", 0.7, 3)
+    t = contract(_one_spider("z", 0.7, 0, 3)).reshape(2, 2, 2)
     assert t[0, 0, 0] == pytest.approx(1.0)
     assert t[1, 1, 1] == pytest.approx(np.exp(0.7j))
     assert t[0, 1, 0] == 0 and t[1, 1, 0] == 0
@@ -48,13 +57,15 @@ def test_z_spider_tensor():
 
 def test_x_spider_is_hadamard_conjugated_z():
     h = gates.hadamard().mat
-    z = spider_tensor("z", 1.1, 2)
-    x = spider_tensor("x", 1.1, 2)
+    z = contract(_one_spider("z", 1.1, 1, 1))
+    x = contract(_one_spider("x", 1.1, 1, 1))
     assert np.allclose(x, h @ z @ h, atol=1e-12)
 
 
 def test_arity0_spiders_and_hbox():
-    assert spider_tensor("z", 0.4, 0) == pytest.approx(1 + np.exp(0.4j))
+    lone = contract(_one_spider("z", 0.4, 0, 0))
+    assert lone.shape == (1, 1)
+    assert lone[0, 0] == pytest.approx(1 + np.exp(0.4j))
     assert hbox_tensor(0.3 + 0.1j, 0) == pytest.approx(0.3 + 0.1j)
 
 
@@ -146,6 +157,51 @@ def test_dangling_and_self_loop_errors():
     d2.add_edge(extra, b)
     d2.add_edge(b, d2.add_output())
     assert contract(d2).shape == (4, 4)
+
+
+def test_long_chain_matches_matrix_product():
+    # 30 X spiders and 30 H-boxes in a row: more indices than np.einsum has
+    # letters, so the contraction must go step by step
+    rng = np.random.default_rng(3)
+    h = gates.hadamard().mat
+    d = ZXDiagram()
+    prev = d.add_input()
+    expected = np.eye(2, dtype=complex)
+    for _ in range(30):
+        alpha, label = rng.uniform(0, 2 * np.pi, size=2)
+        x, box = d.add_x(alpha), d.add_h(np.exp(1j * label))
+        for a, b in ((prev, x), (x, box)):
+            d.add_edge(a, b)
+        prev = box
+        box_mat = np.array([[1, 1], [1, np.exp(1j * label)]])
+        expected = box_mat @ h @ np.diag([1, np.exp(1j * alpha)]) @ h @ expected
+    d.add_edge(prev, d.add_output())
+    assert len(d.edges) > 52
+    got = contract(d)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("kind", ["z", "x"])
+@pytest.mark.parametrize("n_edges", [2, 3])
+def test_parallel_edges_between_spiders(kind, n_edges):
+    # [DERIVED] same-colour spiders fuse however many edges join them
+    d = ZXDiagram()
+    add = d.add_z if kind == "z" else d.add_x
+    a, b = add(0.4), add(1.3)
+    for _ in range(n_edges):
+        d.add_edge(a, b)
+    d.add_edge(d.add_input(), a)
+    d.add_edge(b, d.add_output())
+    want = contract(_one_spider(kind, 1.7, 1, 1))
+    assert np.allclose(contract(d), want, atol=1e-12)
+
+
+def test_closed_diagram_is_a_1x1_matrix():
+    # [DERIVED] a cup closed by a cap is the trace of the identity on a qubit
+    loop = compose(cup_diagram(), cap_diagram())
+    assert not loop.inputs and not loop.outputs
+    got = contract(loop)
+    assert got.shape == (1, 1) and got[0, 0] == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
