@@ -1,7 +1,6 @@
 """qcut: quasiprobability circuit cutting with a ZX verification engine."""
 
 from .channels import (
-    AncillaCircuit,
     GeneralizedMap,
     SignedKraus,
     SignedMeasurePrepare,
@@ -32,7 +31,6 @@ from .sampling import ExperimentSpec, SamplingReport, run
 from .zx import ZXDiagram, ZXError, contract, parse_diagram, verify_rule
 
 __all__ = [
-    "AncillaCircuit",
     "Decomposition",
     "DecompositionTerm",
     "DimensionError",

@@ -12,7 +12,7 @@ but can still be simulated without extra sampling overhead by tracking the
 signs of measured outcomes; the sampler does exactly that.  The action, the
 signs, the PTM and the Choi matrix are all derived from the branches.
 
-Four constructors convert the usual descriptions into branches:
+Three constructors convert the usual descriptions into branches:
 
 * :class:`UnitaryChannel` -- ``rho -> U rho U^dag``: one branch ``[U]``;
 * :class:`SignedMeasurePrepare` -- ``rho -> sum_v a_v Tr(E_v rho) rho_v``
@@ -20,12 +20,13 @@ Four constructors convert the usual descriptions into branches:
   ``sqrt(mu_i lambda_j) |s_j><e_i|`` from ``E_v = sum_i mu_i |e_i><e_i|``
   and ``rho_v = sum_j lambda_j |s_j><s_j|``;
 * :class:`SignedKraus` -- ``rho -> sum_v a_v K_v rho K_v^dag``: one branch
-  ``[K_v]`` per term;
-* :class:`AncillaCircuit` -- attach a one-qubit ancilla
-  ``sum_i alpha_i |a_i><a_i|``, apply a joint unitary ``U``, measure the
-  ancilla in a Pauli basis ``{|m_s>}`` and optionally apply an
-  outcome-dependent feedback unitary ``F_s``: outcome ``s`` is the branch
-  ``F_s (I (x) <m_s|) U (I (x) |a_i>) sqrt(alpha_i)``.
+  ``[K_v]`` per term.
+
+:func:`ancilla_map` builds every one-ancilla map: a ``|+>`` ancilla selects
+the system unitary ``U_0`` or ``U_1``, is measured in a Pauli basis
+``{|m_s>}``, and an optional outcome-dependent feedback unitary ``F_s``
+follows.  Outcome ``s`` is the branch with the one Kraus operator
+``F_s (<m_s|0> U_0 + <m_s|1> U_1) / sqrt(2)``.
 """
 
 from __future__ import annotations
@@ -40,14 +41,12 @@ from .linalg import (
     DimensionError,
     KET_0,
     KET_1,
-    KET_PLUS,
     PAULI_EIGENKETS,
     Operator,
     Superoperator,
     _is_power_of_two,
     check_unitary,
     embed_matrix,
-    projector,
     ptm_of_map,
 )
 
@@ -213,62 +212,31 @@ class SignedKraus(GeneralizedMap):
         super().__init__([(a, k.mat[None]) for a, k in terms])
 
 
-class AncillaCircuit(GeneralizedMap):
-    """One-ancilla realization of a signed two-outcome map.
+def ancilla_map(
+    u0: Operator,
+    u1: Operator,
+    basis: str,
+    signs: tuple,
+    feedback: Optional[tuple] = None,
+) -> GeneralizedMap:
+    """A ``|+>`` ancilla selects ``u0`` or ``u1`` on the system and is then
+    measured in Pauli ``basis``; outcome ``s`` is the branch ``signs[s]`` with
+    the one Kraus operator ``F_s (<m_s|0> u0 + <m_s|1> u1) / sqrt(2)``.
 
-    The ancilla is always the last tensor factor.  ``outcome_feedback``, when
-    given, holds one system-sized unitary per outcome, applied after the
-    ancilla measurement (classically controlled feedback).
+    ``feedback``, when given, holds one system unitary ``F_s`` per outcome,
+    applied after the ancilla measurement (classically controlled feedback).
     """
-
-    def __init__(
-        self,
-        system_qubits: int,
-        ancilla_init: Operator,
-        joint_unitary: Operator,
-        measure_basis: str,
-        outcome_signs: tuple,
-        outcome_feedback: Optional[tuple] = None,
-    ):
-        if system_qubits < 1:
-            raise DimensionError("need at least one system qubit")
-        if ancilla_init.n_qubits != 1:
-            raise DimensionError("ancilla_init must be a single-qubit state")
-        alpha, ancilla_vecs = check_density(ancilla_init, "ancilla_init")
-        if joint_unitary.n_qubits != system_qubits + 1:
-            raise DimensionError(
-                f"joint unitary must act on {system_qubits + 1} qubits, "
-                f"got {joint_unitary.n_qubits}"
-            )
-        check_unitary(joint_unitary.mat, "joint_unitary")
-        if measure_basis not in MEASUREMENT_KETS:
-            raise DimensionError(f"measure_basis must be X, Y or Z, got {measure_basis!r}")
-        if len(outcome_signs) != 2:
-            raise DimensionError("outcome_signs must have exactly two entries")
-        if outcome_feedback is not None:
-            if len(outcome_feedback) != 2:
-                raise DimensionError("outcome_feedback must have exactly two entries")
-            for f in outcome_feedback:
-                if f is not None and f.n_qubits != system_qubits:
-                    raise DimensionError("feedback unitaries must act on the system")
-        d = 2**system_qubits
-        keep = alpha > KRAUS_FLOOR
-        ancilla_kets = ancilla_vecs[:, keep] * np.sqrt(alpha[keep])  # sqrt(alpha_i) |a_i>
-        # kraus[s, i] = (I (x) <m_s|) U (I (x) sqrt(alpha_i) |a_i>)
-        kraus = np.einsum(
-            "sk,akbi->siab",
-            np.conj(MEASUREMENT_KETS[measure_basis]),
-            joint_unitary.mat.reshape(d, 2, d, 2) @ ancilla_kets,
-        )
-        branches = [
-            (sign, kraus[s] if f is None else f.mat @ kraus[s])
-            for s, (sign, f) in enumerate(zip(outcome_signs, outcome_feedback or (None, None)))
-        ]
-        super().__init__(branches)
-        self.ancilla_init = ancilla_init
-        self.joint_unitary = joint_unitary
-        self.measure_basis = measure_basis
-        self.outcome_feedback = outcome_feedback
+    if basis not in MEASUREMENT_KETS:
+        raise DimensionError(f"measure basis must be X, Y or Z, got {basis!r}")
+    if u0.dim != u1.dim:
+        raise DimensionError("u0 and u1 must act on one register")
+    check_unitary(u0.mat, "u0")
+    check_unitary(u1.mat, "u1")
+    branches = []
+    for s, (sign, m) in enumerate(zip(signs, MEASUREMENT_KETS[basis], strict=True)):
+        k = (np.conj(m[0]) * u0.mat + np.conj(m[1]) * u1.mat) / np.sqrt(2)
+        branches.append((sign, [k if feedback is None else feedback[s].mat @ k]))
+    return GeneralizedMap(branches)
 
 
 # ---------------------------------------------------------------------------
@@ -303,30 +271,18 @@ def signed_z_map() -> SignedKraus:
     return _rank_one_map([(1, KET_0, KET_0), (-1, KET_1, KET_1)])
 
 
-def mcz_mx_map(m: int) -> AncillaCircuit:
+def mcz_mx_map(m: int) -> GeneralizedMap:
     """MCZ between an ``m``-qubit register and a ``|+>`` ancilla, followed by an
     X-basis ancilla measurement with signs ``(+1, -1)``."""
     if m < 1:
         raise DimensionError(f"need m >= 1, got {m}")
-    return AncillaCircuit(
-        system_qubits=m,
-        ancilla_init=projector(KET_PLUS),
-        joint_unitary=gates.mcz(m + 1),
-        measure_basis="X",
-        outcome_signs=(1, -1),
-    )
+    return ancilla_map(gates.identity(m), gates.mcz(m), "X", (1, -1))
 
 
-def rzz_my_map(theta: float) -> AncillaCircuit:
+def rzz_my_map(theta: float) -> GeneralizedMap:
     """ZZ-rotation against a ``|+>`` ancilla followed by a Y-basis ancilla
     measurement with signs ``(+1, -1)``."""
-    return AncillaCircuit(
-        system_qubits=1,
-        ancilla_init=projector(KET_PLUS),
-        joint_unitary=gates.rzz(theta),
-        measure_basis="Y",
-        outcome_signs=(1, -1),
-    )
+    return ancilla_map(gates.rz(theta), gates.rz(-theta), "Y", (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -353,62 +309,40 @@ def _check_ops(ops: Sequence[tuple], n_targets: int):
         check_unitary(u.mat, "controlled-sequence entry")
 
 
-def _sequence_with_control(
-    ops: Sequence[tuple], n_targets: int, control_index: int, target_offset: int, n: int
-) -> Operator:
-    """Product of controlled gates on an ``n``-qubit space, applied in list order."""
-    full = np.eye(2**n, dtype=complex)
+def _sequence(ops: Sequence[tuple], n_targets: int) -> Operator:
+    """Product of the sequence's unitaries on the target register, applied in
+    list order."""
+    _check_ops(ops, n_targets)
+    full = np.eye(2**n_targets, dtype=complex)
     for targets, u in ops:
-        placed = [control_index] + [target_offset + t for t in targets]
-        full = embed_matrix(gates.controlled(u).mat, placed, n) @ full
+        full = embed_matrix(u.mat, targets, n_targets) @ full
     return Operator(full)
 
 
 def controlled_sequence_unitary(ops: Sequence[tuple], n_targets: int) -> Operator:
     """The full sequence on (control qubit 0, targets 1..n_targets)."""
-    _check_ops(ops, n_targets)
-    return _sequence_with_control(ops, n_targets, 0, 1, n_targets + 1)
+    return gates.controlled(_sequence(ops, n_targets))
 
 
-def _e_v_map(ops: Sequence[tuple], n_targets: int, basis: str) -> AncillaCircuit:
-    _check_ops(ops, n_targets)
-    joint = _sequence_with_control(ops, n_targets, n_targets, 0, n_targets + 1)
-    return AncillaCircuit(
-        system_qubits=n_targets,
-        ancilla_init=projector(KET_PLUS),
-        joint_unitary=joint,
-        measure_basis=basis,
-        outcome_signs=(1, -1),
-    )
-
-
-def e_v_mx_map(ops: Sequence[tuple], n_targets: int) -> AncillaCircuit:
+def e_v_mx_map(ops: Sequence[tuple], n_targets: int) -> GeneralizedMap:
     """Run the sequence with a ``|+>`` ancilla as control and measure it in X,
     signs ``(+1, -1)``.  Acts on the target register."""
-    return _e_v_map(ops, n_targets, "X")
+    return ancilla_map(gates.identity(n_targets), _sequence(ops, n_targets), "X", (1, -1))
 
 
-def e_v_mz_map(ops: Sequence[tuple], n_targets: int) -> AncillaCircuit:
+def e_v_mz_map(ops: Sequence[tuple], n_targets: int) -> GeneralizedMap:
     """As :func:`e_v_mx_map` but with a Z-basis ancilla measurement."""
-    return _e_v_map(ops, n_targets, "Z")
+    return ancilla_map(gates.identity(n_targets), _sequence(ops, n_targets), "Z", (1, -1))
 
 
-def e_rzv_map(ops: Sequence[tuple], n_targets: int) -> AncillaCircuit:
+def e_rzv_map(ops: Sequence[tuple], n_targets: int) -> GeneralizedMap:
     """CPTP map on (control, targets): ancilla-controlled sequence, Y-basis
     ancilla measurement, and outcome-dependent ``R_Z(+-pi/2)`` feedback on the
     control qubit."""
-    _check_ops(ops, n_targets)
-    n_sys = 1 + n_targets
-    joint = _sequence_with_control(ops, n_targets, n_sys, 1, n_sys + 1)
+    v = _sequence(ops, n_targets).mat
     feedback = tuple(
-        Operator(embed_matrix(gates.rz(sign * np.pi / 2).mat, [0], n_sys))
-        for sign in (+1, -1)
+        Operator(np.kron(gates.rz(sign * np.pi / 2).mat, np.eye(len(v)))) for sign in (1, -1)
     )
-    return AncillaCircuit(
-        system_qubits=n_sys,
-        ancilla_init=projector(KET_PLUS),
-        joint_unitary=joint,
-        measure_basis="Y",
-        outcome_signs=(1, 1),
-        outcome_feedback=feedback,
+    return ancilla_map(
+        gates.identity(1 + n_targets), Operator(np.kron(np.eye(2), v)), "Y", (1, 1), feedback
     )

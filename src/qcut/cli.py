@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -47,7 +48,9 @@ _GATE_TABLE = {
 }
 
 
-def _require_fields(obj: dict, where: str, required, optional=()):
+def _require_fields(obj, where: str, required, optional=()):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be an object, got {type(obj).__name__}")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
@@ -82,6 +85,22 @@ def _read_text(path) -> str:
         raise ConfigError(f"{path}: cannot read ({exc})") from None
 
 
+def _write_text(path, text: str):
+    """Write ``text`` to an output file as given; one that cannot be written is
+    a usage error naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc})") from None
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _parse_theta(value, where: str) -> float:
     try:
         theta = parse_angle(value) if isinstance(value, str) else float(value)
@@ -93,8 +112,6 @@ def _parse_theta(value, where: str) -> float:
 
 
 def _parse_controlled_op(entry, where: str, n_targets: int):
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: each controlled op must be an object")
     _require_fields(entry, where, ["targets", "gate"], ["theta", "matrix"])
     if not isinstance(entry["targets"], list):
         raise ConfigError(f"{where}.targets: must be a list of target indices")
@@ -228,6 +245,9 @@ def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
         ["decomposition", "initial_state", "observable", "shots"],
         ["seed", "output", "batch_csv", "n_batches"],
     )
+    for field in ("output", "batch_csv"):
+        if not isinstance(config.get(field, ""), str):
+            raise ConfigError(f"{field}: must be a path string, got {config[field]!r}")
     deco = build_decomposition(config["decomposition"])
     part = deco.partition
     n = sum(part)
@@ -346,18 +366,14 @@ def cmd_sample(args) -> int:
         payload = json.dumps(
             report.to_dict(), sort_keys=True, indent=2, allow_nan=False
         ) + "\n"
-        with open(out_path, "w") as fh:
-            fh.write(payload)
+        _write_text(out_path, payload)
         print(f"report written to {out_path}")
     csv_path = args.batch_csv or config.get("batch_csv")
     if csv_path:
         if not report.batch_means:
             raise ConfigError("batch_csv: set n_batches > 0 in the config")
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["batch_index", "partial_mean"])
-            for k, mean in enumerate(report.batch_means):
-                writer.writerow([k, _fmt(mean)])
+        rows = [[k, _fmt(mean)] for k, mean in enumerate(report.batch_means)]
+        _write_text(csv_path, _csv_text([["batch_index", "partial_mean"], *rows]))
         print(f"batch means written to {csv_path}")
     return 0
 
@@ -386,10 +402,9 @@ def cmd_norms(args) -> int:
         cc = sum(t.needs_cc for t in deco.terms)
         rows.append([base, params, _fmt(deco.one_norm()), str(len(deco.terms)), str(cc)])
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        _write_text(args.csv, _csv_text(rows))
     else:
-        csv.writer(sys.stdout).writerows(rows)
+        sys.stdout.write(_csv_text(rows))
     return 0
 
 
@@ -532,7 +547,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, zx.ZXError, SizeCapError, FileNotFoundError) as exc:
+    except (ConfigError, zx.ZXError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QcutError as exc:

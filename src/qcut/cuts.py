@@ -61,7 +61,6 @@ class DecompositionTerm:
         self.needs_cc = bool(needs_cc)
         if not self.factors:
             raise DimensionError(f"term {label!r} has no factors")
-        self._ptm = None
 
     @property
     def n_qubits(self) -> int:
@@ -72,12 +71,10 @@ class DecompositionTerm:
 
     def to_superoperator(self) -> Superoperator:
         """Unweighted PTM of the term's tensor-product map."""
-        if self._ptm is None:
-            ptm = self.factors[0].to_superoperator()
-            for f in self.factors[1:]:
-                ptm = ptm.kron_with(f.to_superoperator())
-            self._ptm = ptm
-        return self._ptm
+        ptm = self.factors[0].to_superoperator()
+        for f in self.factors[1:]:
+            ptm = ptm.kron_with(f.to_superoperator())
+        return ptm
 
     def __repr__(self):
         return f"DecompositionTerm(q={self.q:+.6g}, label={self.label!r})"
@@ -157,21 +154,6 @@ class Decomposition:
             "max_abs_deviation": float(deviation),
             "passed": bool(deviation <= atol),
         }
-
-    def describe(self) -> str:
-        """Structured text summary (used by the CLI)."""
-        lines = [
-            f"decomposition: {self.name}",
-            f"partition: {list(self.partition)}",
-            f"gamma: {self.one_norm():.12g}",
-            f"terms: {len(self.terms)}",
-        ]
-        for t in self.terms:
-            lines.append(
-                f"  q={t.q:+.12g}  cptp={'yes' if t.is_cptp() else 'no'}  "
-                f"cc={'yes' if t.needs_cc else 'no'}  {t.label}"
-            )
-        return "\n".join(lines)
 
     def __repr__(self):
         return (

@@ -4,11 +4,11 @@ import pytest
 from qcut import gates
 from qcut.channels import (
     MEASUREMENT_KETS,
-    AncillaCircuit,
     GeneralizedMap,
     SignedKraus,
     SignedMeasurePrepare,
     UnitaryChannel,
+    ancilla_map,
     controlled_sequence_unitary,
     e_rzv_map,
     e_v_mx_map,
@@ -24,6 +24,7 @@ from qcut.linalg import (
     DimensionError,
     Operator,
     QcutError,
+    embed_matrix,
     pauli_eigenbasis,
     projector,
     ptm_of_unitary,
@@ -158,23 +159,34 @@ def test_signed_kraus_completeness_enforced():
 
 
 # ---------------------------------------------------------------------------
-# AncillaCircuit maps
+# One-ancilla maps
 # ---------------------------------------------------------------------------
 
 
-def dilation_branch(ch, mats, outcome):
-    """Reference: unnormalized branch ``F_s Tr_a(Pi_s U (rho (x) anc) U^dag) F_s^dag``
+def dilation_branch(joint, basis, feedback, mats, outcome):
+    """Reference: unnormalized branch ``F_s Tr_a(Pi_s U (rho (x) |+><+|) U^dag) F_s^dag``
     computed on the dilated register (ancilla last), without Kraus operators."""
-    d = 2**ch.n_qubits
-    u = ch.joint_unitary.mat
-    ext = np.einsum("nab,cd->nacbd", mats, ch.ancilla_init.mat).reshape(-1, 2 * d, 2 * d)
+    d = mats.shape[-1]
+    u = joint.mat
+    ext = np.einsum("nab,cd->nacbd", mats, projector(KET_PLUS).mat).reshape(-1, 2 * d, 2 * d)
     sigma = (u @ ext @ u.conj().T).reshape(-1, d, 2, d, 2)
-    ket = MEASUREMENT_KETS[ch.measure_basis][outcome]
+    ket = MEASUREMENT_KETS[basis][outcome]
     branch = np.einsum("nakbi,k,i->nab", sigma, ket.conj(), ket)
-    if ch.outcome_feedback is not None:
-        f = ch.outcome_feedback[outcome].mat
+    if feedback is not None:
+        f = feedback[outcome].mat
         branch = f @ branch @ f.conj().T
     return branch
+
+
+def last_controlled_sequence(ops, n_targets, offset):
+    """Dense sequence controlled by the last qubit, target ``t`` on qubit
+    ``offset + t``, applied in list order."""
+    n = offset + n_targets + 1
+    full = np.eye(2**n, dtype=complex)
+    for targets, u in ops:
+        placed = [n - 1] + [offset + t for t in targets]
+        full = embed_matrix(gates.controlled(u).mat, placed, n) @ full
+    return Operator(full)
 
 
 def random_unitary(d, seed):
@@ -184,32 +196,35 @@ def random_unitary(d, seed):
 
 
 SEQUENCE = [((0,), X), ((1,), random_unitary(2, 5)), ((0, 1), random_unitary(4, 6))]
+RZV_FEEDBACK = tuple(
+    Operator(embed_matrix(gates.rz(sign * np.pi / 2).mat, [0], 3)) for sign in (1, -1)
+)
 
 
 @pytest.mark.parametrize(
-    "ch",
+    "ch, joint, basis, feedback",
     [
-        mcz_mx_map(1),
-        mcz_mx_map(3),
-        rzz_my_map(0.7),
-        e_v_mx_map(SEQUENCE, 2),
-        e_v_mz_map(SEQUENCE, 2),
-        e_rzv_map(SEQUENCE, 2),
-        # a mixed ancilla gives two Kraus operators per branch
-        AncillaCircuit(2, Operator(np.diag([0.7, 0.3])), random_unitary(8, 7), "X", (1, -1)),
+        (mcz_mx_map(1), gates.mcz(2), "X", None),
+        (mcz_mx_map(3), gates.mcz(4), "X", None),
+        (rzz_my_map(0.7), gates.rzz(0.7), "Y", None),
+        (e_v_mx_map(SEQUENCE, 2), last_controlled_sequence(SEQUENCE, 2, 0), "X", None),
+        (e_v_mz_map(SEQUENCE, 2), last_controlled_sequence(SEQUENCE, 2, 0), "Z", None),
+        (e_rzv_map(SEQUENCE, 2), last_controlled_sequence(SEQUENCE, 2, 1), "Y", RZV_FEEDBACK),
     ],
-    ids=["mcz_mx_1", "mcz_mx_3", "rzz_my", "e_v_mx", "e_v_mz", "e_rzv", "mixed_ancilla"],
+    ids=["mcz_mx_1", "mcz_mx_3", "rzz_my", "e_v_mx", "e_v_mz", "e_rzv"],
 )
-def test_kraus_branches_match_ancilla_dilation(ch):
+def test_kraus_branches_match_ancilla_dilation(ch, joint, basis, feedback):
     # each branch sum_k K rho K^dag equals the dilated circuit's outcome
-    # branch on random inputs and on the whole Pauli basis
+    # branch on random inputs
     d = 2**ch.n_qubits
     rng = np.random.default_rng(9)
     mats = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
-    for outcome, (sign, kraus) in enumerate(ch.branches):
+    dilated = [dilation_branch(joint, basis, feedback, mats, k) for k in (0, 1)]
+    assert len(ch.branches) == 2
+    for (_, kraus), expected in zip(ch.branches, dilated):
         images = sum(k @ mats @ k.conj().T for k in kraus)
-        assert np.max(np.abs(images - dilation_branch(ch, mats, outcome))) <= 1e-12
-    signed = sum(s * dilation_branch(ch, mats, k) for k, s in enumerate(ch.signs))
+        assert np.max(np.abs(images - expected)) <= 1e-12
+    signed = sum(s * branch for s, branch in zip(ch.signs, dilated))
     assert np.max(np.abs(ch.apply_batch(mats) - signed)) <= 1e-12
 
 
@@ -227,9 +242,16 @@ def test_mcz_mx_map_branches_are_probabilities():
     ch = mcz_mx_map(2)
     rho = random_density(2, 2)
     mats = rho.mat[None]
-    probs = [float(np.real(np.trace(dilation_branch(ch, mats, k)[0]))) for k in (0, 1)]
+    probs = [
+        float(np.real(np.trace(dilation_branch(gates.mcz(3), "X", None, mats, k)[0])))
+        for k in (0, 1)
+    ]
     assert all(p >= -1e-12 for p in probs)
     assert sum(probs) == pytest.approx(1.0)
+    for p, (_, kraus) in zip(probs, ch.branches):
+        assert np.real(np.trace(sum(k @ rho.mat @ k.conj().T for k in kraus))) == (
+            pytest.approx(p, abs=1e-12)
+        )
 
 
 def test_rzz_my_map_equals_scaled_signed_z():
@@ -259,15 +281,8 @@ def test_e_rzv_is_cptp_and_others_are_not():
 
 
 def test_ancilla_circuit_identity_recovery():
-    # ancilla |0>, joint identity, Z measurement: branch 0 has probability 1
-    ident = gates.identity(2)
-    ch = AncillaCircuit(
-        system_qubits=1,
-        ancilla_init=gates.basis_state("0"),
-        joint_unitary=ident,
-        measure_basis="Z",
-        outcome_signs=(1, 1),
-    )
+    # both branches apply the identity and both outcomes count +1
+    ch = ancilla_map(gates.identity(1), gates.identity(1), "Z", (1, 1))
     sup = ch.to_superoperator()
     assert sup.max_abs_diff(ptm_of_unitary(gates.identity(1))) < 1e-12
     assert ch.is_cptp()
@@ -323,6 +338,7 @@ def test_generalized_map_validation(branches):
 
 
 def test_ancilla_circuit_rejects_non_unitary_joint():
-    with pytest.raises(DimensionError, match="joint_unitary"):
-        AncillaCircuit(1, gates.basis_state("0"), Operator(np.diag([1, 1, 1, 0.5])),
-                       "Z", (1, -1))
+    with pytest.raises(DimensionError, match="not unitary"):
+        ancilla_map(gates.identity(1), Operator(np.diag([1, 0.5])), "Z", (1, -1))
+    with pytest.raises(DimensionError, match="X, Y or Z"):
+        ancilla_map(gates.identity(1), X, "W", (1, -1))

@@ -514,6 +514,53 @@ def test_sample_unreadable_config_exits_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
+    "text,field",
+    [
+        ("null", "config"),
+        ("[1, 2]", "config"),
+        ('"plus"', "config"),
+        (None, "decomposition"),
+        ([], "decomposition"),
+        (5, "decomposition.controlled_ops[0]"),
+    ],
+    ids=["config-null", "config-list", "config-string", "decomposition-null",
+         "decomposition-list", "controlled-op-int"],
+)
+def test_sample_rejects_non_object_config_values(tmp_path, capsys, text, field):
+    if field == "config":
+        config = tmp_path / "config.json"
+        config.write_text(text)
+    elif field == "decomposition":
+        config = write_config(tmp_path, decomposition=text)
+    else:
+        config = write_config(tmp_path, decomposition=sequence_with(controlled_ops=[text]))
+    assert main(["sample", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be an object")
+
+
+@pytest.mark.parametrize(
+    "field,value", [("output", 5), ("output", True), ("batch_csv", 5), ("output", None)]
+)
+def test_sample_rejects_non_string_output_fields(tmp_path, capsys, field, value):
+    config = write_config(tmp_path, shots=10, n_batches=2, **{field: value})
+    assert main(["sample", "--config", str(config)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {field}: must be a path string") and out.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--output", "--batch-csv", "norms"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, flag):
+    # the directory itself is the output path, so opening it for writing fails
+    if flag == "norms":
+        argv = ["norms", "--csv", str(tmp_path)]
+    else:
+        config = write_config(tmp_path, shots=10, n_batches=2)
+        argv = ["sample", "--config", str(config), flag, str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot write")
+
+
+@pytest.mark.parametrize(
     "line,argv_tail,expected",
     [
         ("node s z abc", None, "line 2:"),

@@ -278,10 +278,3 @@ def test_sampling_probabilities_normalized():
     p = deco.sampling_probabilities()
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0)
-
-
-def test_describe_mentions_every_term():
-    deco = mcz_decomposition(1, 1)
-    text = deco.describe()
-    assert deco.name in text
-    assert text.count("q =") == len(deco.terms) or len(text) > 0
