@@ -10,7 +10,8 @@ Each branch is a completely positive map and the branch probabilities
 outcomes carry signs.  Maps with any ``-1`` sign are not physical channels
 but can still be simulated without extra sampling overhead by tracking the
 signs of measured outcomes; the sampler does exactly that.  The action, the
-signs, the PTM and the Choi matrix are all derived from the branches.
+signs, the PTM and, when every Kraus operator is diagonal, the Schur
+multiplier are all derived from the branches.
 
 Three constructors convert the usual descriptions into branches:
 
@@ -47,12 +48,9 @@ from .linalg import (
     _is_power_of_two,
     check_unitary,
     embed_matrix,
+    exact_diagonal,
     ptm_of_map,
 )
-
-#: Choi positivity tolerance; looser than equality checks because eigenvalue
-#: computation amplifies rounding.
-CHOI_ATOL = 1e-9
 
 #: eigen-components with at most this weight are rounding noise and get no
 #: Kraus operator
@@ -124,14 +122,6 @@ class GeneralizedMap:
                 accumulate(out, k @ mats @ k.conj().T, out=out)
         return out
 
-    def apply(self, a: Operator) -> Operator:
-        """Exact linear action on an operator."""
-        if a.n_qubits != self.n_qubits:
-            raise DimensionError(
-                f"map acts on {self.n_qubits} qubits, operator has {a.n_qubits}"
-            )
-        return Operator(self.apply_batch(a.mat[None, :, :])[0])
-
     @property
     def signs(self) -> tuple:
         return tuple(a for a, _ in self.branches)
@@ -143,31 +133,21 @@ class GeneralizedMap:
             self._ptm = cached
         return cached
 
-    def choi_matrix(self) -> np.ndarray:
-        d = 2**self.n_qubits
-        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |i><j| at i*d + j
-        images = self.apply_batch(units).reshape(d, d, d, d)  # [i, j, a, b]
-        return np.transpose(images, (2, 0, 3, 1)).reshape(d * d, d * d)
+    def schur(self) -> Optional[np.ndarray]:
+        """The ``d x d`` matrix ``S`` with ``E(rho) = S * rho`` entrywise,
+        ``S = sum_b a_b sum_k k k^dag`` over the diagonals ``k`` of the Kraus
+        operators, when every off-diagonal entry is exactly zero; else ``None``."""
+        s = np.zeros((2**self.n_qubits,) * 2, dtype=complex)
+        for sign, kraus in self.branches:
+            diag = exact_diagonal(kraus)
+            if diag is None:
+                return None
+            s += sign * (diag.T @ diag.conj())
+        return s
 
     def is_cptp(self) -> bool:
         """True iff every sign is +1 (completeness is enforced at construction)."""
         return all(a == 1 for a in self.signs)
-
-    def cptp_diagnostics(self) -> dict:
-        """Cross-check of the sign-based CPTP flag against the Choi matrix."""
-        choi = self.choi_matrix()
-        min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
-        d = 2**self.n_qubits
-        tr_out = np.trace(choi.reshape(d, d, d, d), axis1=0, axis2=2)
-        tp_dev = float(np.max(np.abs(tr_out - np.eye(d))))
-        choi_cptp = min_eig >= -CHOI_ATOL and tp_dev <= CHOI_ATOL
-        return {
-            "flags_cptp": self.is_cptp(),
-            "choi_min_eigenvalue": min_eig,
-            "trace_preservation_deviation": tp_dev,
-            "choi_cptp": choi_cptp,
-            "consistent": self.is_cptp() == choi_cptp,
-        }
 
     def __repr__(self):
         return (

@@ -343,6 +343,9 @@ def cmd_verify(args) -> int:
             f"{deco.name}: gamma = {_fmt(report['one_norm'])}, "
             f"max|delta| = {_fmt(report['max_abs_deviation'])}  [{status}]"
         )
+        if not report["passed"]:
+            out, inp = report["worst_entry"]
+            print(f"  worst entry: out {out} <- in {inp}")
         failed += not report["passed"]
     print(f"{len(decos) - failed}/{len(decos)} decompositions verified")
     return 1 if failed else 0

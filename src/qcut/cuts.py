@@ -25,7 +25,8 @@ Built-in decompositions:
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
+from typing import Optional
 
 import numpy as np
 
@@ -37,8 +38,13 @@ from .linalg import (
     Superoperator,
     check_dense,
     embed_matrix,
+    exact_diagonal,
     pauli_eigenbasis,
+    pauli_index,
+    pauli_label,
+    ptm_of_schur,
     ptm_of_unitary,
+    schur_ptm_blocks,
 )
 
 #: reconstruction tolerance: sum of term PTMs vs. the target channel
@@ -85,7 +91,7 @@ class Decomposition:
 
     The target is kept as its unitary; its dense PTM (:attr:`target`) is
     built on first use, so building and sampling a decomposition never pays
-    for a ``4^n x 4^n`` matrix.
+    for a ``4^n x 4^n`` matrix, and verifying a diagonal one never reads it.
     """
 
     def __init__(self, name: str, partition, terms, target_unitary: Operator):
@@ -139,19 +145,53 @@ class Decomposition:
         gamma = self.one_norm()
         return np.array([abs(t.q) / gamma for t in self.terms])
 
+    def schur(self) -> Optional[np.ndarray]:
+        """Schur multiplier ``sum_nu q_nu S_nu1 (x) S_nu2 (x) ...`` of
+        ``sum_nu q_nu F_nu`` when every factor of every term has one, else
+        ``None``."""
+        total = 0
+        for t in self.terms:
+            forms = [f.schur() for f in t.factors]
+            if any(s is None for s in forms):
+                return None
+            total = total + t.q * reduce(np.kron, forms)
+        return total
+
     def reconstruct(self) -> Superoperator:
-        """Dense PTM of ``sum_nu q_nu F_nu``."""
+        """Dense PTM of ``sum_nu q_nu F_nu``, built once from the summed Schur
+        multiplier when the decomposition has one."""
+        s = self.schur()
+        if s is not None:
+            return ptm_of_schur(s)
         total = sum(t.q * t.to_superoperator().matrix for t in self.terms)
         return Superoperator(self.n_qubits, total)
 
     def verify(self, atol: float = ATOL_RECONSTRUCT) -> dict:
-        deviation = self.reconstruct().max_abs_diff(self.target)
+        """Compare the reconstruction with the target PTM entry by entry.
+
+        ``max_abs_deviation`` is the largest ``|delta|`` and ``worst_entry``
+        the output and input Pauli strings of that entry.  When both the
+        decomposition and the target gate are diagonal, only the ``8^n`` PTM
+        entries that can be nonzero are formed, from ``S - u conj(u)^T``.
+        """
+        n = self.n_qubits
+        s = self.schur()
+        u = exact_diagonal(self.target_unitary.mat)
+        if s is not None and u is not None:
+            delta = np.abs(schur_ptm_blocks(s - np.outer(u, u.conj())))
+            x, z_out, z_in = np.unravel_index(np.argmax(delta), delta.shape)
+            row, col = pauli_index(x, z_out, n), pauli_index(x, z_in, n)
+        else:
+            delta = np.abs(self.reconstruct().matrix - self.target.matrix)
+            row, col = np.unravel_index(np.argmax(delta), delta.shape)
+        deviation = float(delta.max())
         return {
             "name": self.name,
             "n_terms": len(self.terms),
             "one_norm": self.one_norm(),
             "sum_q": self.sum_q(),
-            "max_abs_deviation": float(deviation),
+            "max_abs_deviation": deviation,
+            "worst_entry": [pauli_label(row, n), pauli_label(col, n)],
             "passed": bool(deviation <= atol),
         }
 

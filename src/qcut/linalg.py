@@ -7,6 +7,13 @@ Z)`` per qubit with qubit 0 as the most significant index, matching the
 standard Kronecker-product convention, so PTMs of tensor-product maps are
 Kronecker products of the factor PTMs with no permutation bookkeeping.
 
+A map whose Kraus operators are all diagonal acts entrywise,
+``E(rho) = S * rho`` with a ``2^n x 2^n`` Schur multiplier ``S``.  Its PTM is
+block sparse: ``R_ij`` vanishes unless ``P_i`` and ``P_j`` share their X part,
+and :func:`schur_ptm_blocks` returns only those ``8^n`` entries, one
+Walsh-Hadamard transform per X part.  :func:`ptm_of_unitary` takes that path
+for an exactly diagonal unitary.
+
 Everything here is desk-scale by design: :func:`check_dense` caps every dense
 array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
 """
@@ -86,9 +93,6 @@ class Operator:
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
-    def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise DimensionError(f"dim mismatch: {self.dim} vs {other.dim}")
@@ -101,9 +105,6 @@ class Operator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
-
-    def close_to(self, other: "Operator", atol: float = ATOL_STRUCT) -> bool:
-        return self.dim == other.dim and np.max(np.abs(self.mat - other.mat)) <= atol
 
     def __repr__(self) -> str:
         return f"Operator(n={self.n_qubits})"
@@ -240,10 +241,14 @@ def identity_superoperator(n: int) -> Superoperator:
 
 
 def ptm_of_unitary(u: Operator) -> Superoperator:
-    """PTM of the channel ``rho -> U rho U^dag``."""
+    """PTM of the channel ``rho -> U rho U^dag``; an exactly diagonal ``U``
+    goes through :func:`ptm_of_schur` with ``S = u conj(u)^T``."""
     n = u.n_qubits
     check_dense(16**n, f"superoperator on {n} qubits")  # before the d x d unitarity products
     check_unitary(u.mat, "input")
+    diag = exact_diagonal(u.mat)
+    if diag is not None:
+        return ptm_of_schur(np.outer(diag, diag.conj()))
     return ptm_of_map(lambda mats: u.mat @ mats @ u.mat.conj().T, n)
 
 
@@ -257,6 +262,88 @@ def ptm_of_map(apply_batch, n: int) -> Superoperator:
     images = apply_batch(pauli_basis_matrices(n))
     coeffs = _pauli_coeffs_batch(images)
     return Superoperator(n, coeffs.T.copy())
+
+
+# ---------------------------------------------------------------------------
+# Diagonal maps in Schur form
+# ---------------------------------------------------------------------------
+
+
+def exact_diagonal(a: np.ndarray):
+    """Diagonal of ``a``, or of each matrix in a stack ``(..., d, d)``, when
+    every off-diagonal entry is exactly zero; ``None`` otherwise."""
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    return diag if np.count_nonzero(a) == np.count_nonzero(diag) else None
+
+
+def _popcount(a: np.ndarray, n: int) -> np.ndarray:
+    """Set bits of each entry of an integer array with entries below ``2^n``."""
+    out = np.zeros_like(a)
+    for k in range(n):
+        out += (a >> k) & 1
+    return out
+
+
+#: ``i^k`` for ``k mod 4``
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+#: ``[x bit, z bit]`` -> index of the one-qubit Pauli in ``PAULI_LETTERS``
+_LETTER_INDEX = np.array([[0, 3], [1, 2]])
+
+
+def pauli_index(x, z, n: int):
+    """Basis index of the Pauli string with X part ``x`` and Z part ``z``
+    (bit ``n - 1 - q`` is qubit ``q``); works elementwise on integer arrays."""
+    out = 0
+    for shift in range(n - 1, -1, -1):
+        out = 4 * out + _LETTER_INDEX[(x >> shift) & 1, (z >> shift) & 1]
+    return out
+
+
+def pauli_label(index: int, n: int) -> str:
+    """Letters of the Pauli string at basis ``index``, e.g. ``"XZI"``."""
+    index = int(index)
+    return "".join(PAULI_LETTERS[(index >> 2 * shift) & 3] for shift in range(n - 1, -1, -1))
+
+
+def schur_ptm_blocks(s: np.ndarray) -> np.ndarray:
+    """The nonzero PTM entries of the Schur map ``rho -> s * rho`` (entrywise).
+
+    With ``P = i^{|x & z|} X^x Z^z`` the map keeps the X part, so only entries
+    with equal X parts survive.  Returns ``B`` of shape ``(d, d, d)`` with
+    ``B[x, z_i, z_j] = R_ij`` for ``P_i = (x, z_i)``, ``P_j = (x, z_j)``:
+
+        B = (-1)^{z_i . x} i^{|x & z_i| + |x & z_j|} W_x(z_i ^ z_j) / d,
+
+    where ``W_x`` is the Walsh-Hadamard transform of ``g_x(b) = s[b ^ x, b]``.
+    """
+    d = s.shape[0]
+    n = d.bit_length() - 1
+    check_dense(d**3, f"Schur-form PTM blocks on {n} qubits")
+    idx = np.arange(d)
+    xor = idx[:, None] ^ idx[None, :]
+    w = s[xor, idx[None, :]].reshape((d,) + (2,) * n)  # g[x, b], one axis per bit of b
+    for axis in range(1, n + 1):
+        lo, hi = np.take(w, 0, axis), np.take(w, 1, axis)
+        w = np.stack([lo + hi, lo - hi], axis=axis)
+    w = w.reshape(d, d)
+    overlap = _popcount(idx[:, None] & idx[None, :], n)  # |x & z|
+    y_phase = _I_POWERS[overlap % 4]
+    x_sign = 1 - 2 * (overlap % 2)
+    return (x_sign * y_phase)[:, :, None] * y_phase[:, None, :] * w[:, xor] / d
+
+
+def ptm_of_schur(s: np.ndarray) -> Superoperator:
+    """Dense PTM of ``rho -> s * rho``: :func:`schur_ptm_blocks` scattered into
+    a zero ``4^n x 4^n`` matrix."""
+    d = s.shape[0]
+    n = d.bit_length() - 1
+    check_dense(16**n, f"superoperator on {n} qubits")
+    idx = np.arange(d)
+    p = pauli_index(idx[:, None], idx[None, :], n)  # p[x, z]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    out[p[:, :, None], p[:, None, :]] = schur_ptm_blocks(s)
+    return Superoperator(n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,16 @@ from qcut.linalg import (
     embed_matrix,
     pauli_eigenbasis,
     projector,
+    ptm_of_schur,
     ptm_of_unitary,
 )
+from qcut.cuts import (
+    mcz_decomposition,
+    multi_z_rotation_decomposition,
+    rzz_decomposition_a,
+    rzz_decomposition_b,
+)
+from oracles import apply_map, close_to, cptp_diagnostics, dag
 
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
@@ -52,9 +60,9 @@ def random_density(n, seed):
 def test_unitary_channel_matches_conjugation():
     ch = UnitaryChannel(gates.cnot())
     rho = random_density(2, 0)
-    out = ch.apply(rho)
-    expected = gates.cnot() @ rho @ gates.cnot().dag()
-    assert out.close_to(expected, atol=1e-12)
+    out = apply_map(ch, rho)
+    expected = gates.cnot() @ rho @ dag(gates.cnot())
+    assert close_to(out, expected, atol=1e-12)
     assert ch.is_cptp()
     assert ch.to_superoperator().max_abs_diff(ptm_of_unitary(gates.cnot())) < 1e-12
 
@@ -82,7 +90,7 @@ def test_pauli_measure_prepare_ptm():
     # [DERIVED] E_Z0 maps rho to (rho_00 - rho_11) |0><0| (signed Z measurement)
     ch = pauli_measure_prepare("Z", 0)
     rho = random_density(1, 1)
-    out = ch.apply(rho)
+    out = apply_map(ch, rho)
     expected = (rho.mat[0, 0] - rho.mat[1, 1]) * gates.basis_state("0").mat
     assert np.allclose(out.mat, expected, atol=1e-12)
     assert not ch.is_cptp()  # carries a signed branch
@@ -92,7 +100,7 @@ def test_grouped_pauli_map_is_cptp():
     for p in "XYZ":
         ch = grouped_pauli_map(p)
         assert ch.is_cptp(), p
-        diag = ch.cptp_diagnostics()
+        diag = cptp_diagnostics(ch)
         assert diag["choi_cptp"] and diag["consistent"]
 
 
@@ -137,7 +145,7 @@ def test_rank_one_maps_match_measure_prepare(build, terms):
 
 def test_cptp_diagnostics_cross_check():
     ch = pauli_measure_prepare("X", 1)
-    diag = ch.cptp_diagnostics()
+    diag = cptp_diagnostics(ch)
     assert diag["flags_cptp"] == ch.is_cptp()
     assert diag["consistent"]
     assert isinstance(diag["choi_min_eigenvalue"], float)
@@ -269,7 +277,7 @@ def test_controlled_sequence_unitary():
     expected = gates.cnot_on(3, 0, 1) @ Operator(
         np.diag([1.0, 1.0, 1.0, 1.0, 1.0, np.exp(1j * theta), 1.0, np.exp(1j * theta)])
     )
-    assert u.close_to(expected, atol=1e-12)
+    assert close_to(u, expected, atol=1e-12)
 
 
 def test_e_rzv_is_cptp_and_others_are_not():
@@ -303,9 +311,9 @@ def test_branches_define_action_signs_and_ptm():
     assert ch.n_qubits == 1 and ch.signs == (1, -1) and not ch.is_cptp()
     rho = random_density(1, 4)
     expected = k0 @ rho.mat @ k0.conj().T - k1 @ rho.mat @ k1.conj().T
-    assert np.allclose(ch.apply(rho).mat, expected, atol=1e-12)
+    assert np.allclose(apply_map(ch, rho).mat, expected, atol=1e-12)
     assert ch.to_superoperator() is ch.to_superoperator()
-    assert ch.cptp_diagnostics()["consistent"]
+    assert cptp_diagnostics(ch)["consistent"]
     assert all(not kraus.flags.writeable for _, kraus in ch.branches)
 
 
@@ -342,3 +350,43 @@ def test_ancilla_circuit_rejects_non_unitary_joint():
         ancilla_map(gates.identity(1), Operator(np.diag([1, 0.5])), "Z", (1, -1))
     with pytest.raises(DimensionError, match="X, Y or Z"):
         ancilla_map(gates.identity(1), X, "W", (1, -1))
+
+
+# ---------------------------------------------------------------------------
+# Schur form of diagonal maps
+# ---------------------------------------------------------------------------
+
+
+def _diagonal_family_factors():
+    decos = [rzz_decomposition_a(0.9), rzz_decomposition_b(-0.4)]
+    for n in range(2, 6):
+        for m in range(1, n):
+            decos.append(mcz_decomposition(m, n - m))
+            decos.append(multi_z_rotation_decomposition(m, n - m, 0.3 * n))
+    for deco in decos:
+        for t in deco.terms:
+            for i, f in enumerate(t.factors):
+                yield pytest.param(f, id=f"{deco.name}:{t.label}:{i}")
+
+
+@pytest.mark.parametrize("ch", list(_diagonal_family_factors()))
+def test_schur_form_matches_dense_ptm(ch):
+    s = ch.schur()
+    assert s is not None
+    dense = ch.to_superoperator().matrix  # through ptm_of_map
+    assert np.max(np.abs(ptm_of_schur(s).matrix - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pauli_measure_prepare("X", 0),
+        lambda: pauli_measure_prepare("I", 1),
+        lambda: grouped_pauli_map("Y"),
+        lambda: e_rzv_map([((0,), X)], 2),
+        lambda: GeneralizedMap([(1, [np.array([[1.0, 1e-300], [0.0, 1.0]])])]),
+    ],
+    ids=["E_X0", "E_I1", "grouped_Y", "e_rzv", "tiny_off_diagonal"],
+)
+def test_schur_form_needs_exactly_diagonal_kraus(build):
+    assert build().schur() is None

@@ -5,6 +5,7 @@ import pytest
 
 import qcut.channels
 import qcut.cuts
+import qcut.linalg
 from qcut.cli import build_decomposition, build_experiment, main
 
 
@@ -31,6 +32,25 @@ def test_verify_single(capsys):
     assert main(["verify", "--deco", "mcz", "--m", "2", "--mprime", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "gamma = 3" in out
+
+
+def test_verify_names_the_worst_entry_on_fail_only(monkeypatch, capsys):
+    assert main(["verify", "--deco", "mcz", "--m", "2", "--mprime", "2"]) == 0
+    assert "worst entry" not in capsys.readouterr().out
+    build = qcut.cuts.mcz_decomposition
+
+    def flipped(m, m_prime):
+        deco = build(m, m_prime)
+        t = deco.terms[0]
+        terms = (qcut.cuts.DecompositionTerm(-t.q, t.factors, t.label),) + deco.terms[1:]
+        return qcut.cuts.Decomposition(deco.name, deco.partition, terms, deco.target_unitary)
+
+    monkeypatch.setattr(qcut.cuts, "mcz_decomposition", flipped)
+    assert main(["verify", "--deco", "mcz", "--m", "2", "--mprime", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    out, inp = flipped(2, 2).verify()["worst_entry"]
+    assert lines[0].startswith("mcz[2,2]: gamma = 3, max|delta| = ") and "[FAIL]" in lines[0]
+    assert lines[1] == f"  worst entry: out {out} <- in {inp}"
 
 
 def test_verify_theta_angle_syntax(capsys):
@@ -265,6 +285,11 @@ def no_ptm(monkeypatch):
     monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", refuse)
     monkeypatch.setattr(qcut.channels, "ptm_of_map", refuse)
     monkeypatch.setattr(qcut.cuts.DecompositionTerm, "to_superoperator", refuse)
+    # the Schur-form path, and the Schur forms it starts from
+    for module in (qcut.cuts, qcut.linalg):
+        monkeypatch.setattr(module, "ptm_of_schur", refuse)
+        monkeypatch.setattr(module, "schur_ptm_blocks", refuse)
+    monkeypatch.setattr(qcut.channels.GeneralizedMap, "schur", refuse)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import qcut.channels
 import qcut.cuts
+import qcut.linalg
 from qcut import gates
 from qcut.channels import UnitaryChannel
 from qcut.cuts import (
@@ -15,7 +17,7 @@ from qcut.cuts import (
     wire_cut_cc,
     wire_cut_ncc,
 )
-from qcut.linalg import DimensionError, Operator, QcutError, ptm_of_unitary
+from qcut.linalg import DimensionError, Operator, QcutError, ptm_of_map, ptm_of_unitary
 
 THETAS = [0.0, np.pi / 6, np.pi / 4, np.pi / 2, -np.pi / 4, 1.234, np.pi]
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
@@ -240,6 +242,8 @@ def test_decomposition_partition_alignment():
 
 
 def test_verify_builds_target_ptm_once(monkeypatch):
+    # a Hadamard makes the decomposition non-diagonal, so verify() compares
+    # dense PTMs and needs the target's
     calls = []
 
     def counting(u, **kwargs):
@@ -247,15 +251,97 @@ def test_verify_builds_target_ptm_once(monkeypatch):
         return ptm_of_unitary(u, **kwargs)
 
     monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", counting)
-    deco = mcz_decomposition(2, 1)
+    deco = controlled_sequence_decomposition([((0,), gates.hadamard())], 1)
     deco.reconstruct()
     assert calls == []  # building and reconstructing need no target PTM
     first = deco.verify()
     second = deco.verify()
-    assert calls == [3]
+    assert calls == [2]
     assert first == second and first["passed"]
-    assert deco.target.max_abs_diff(ptm_of_unitary(gates.mcz(3))) == 0.0
-    assert calls == [3]
+    assert deco.target.max_abs_diff(ptm_of_unitary(gates.controlled(gates.hadamard()))) == 0.0
+    assert calls == [2]
+
+
+def test_diagonal_verify_builds_no_dense_ptm(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense PTM was built")
+
+    for module in (qcut.cuts, qcut.linalg):
+        monkeypatch.setattr(module, "ptm_of_unitary", refuse)
+    for module in (qcut.channels, qcut.linalg):
+        monkeypatch.setattr(module, "ptm_of_map", refuse)
+    report = mcz_decomposition(2, 1).verify()
+    assert report["passed"] and report["max_abs_deviation"] < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Schur-form path against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def dense_reconstruct(deco) -> np.ndarray:
+    """``sum_nu q_nu F_nu`` from the factors' dense PTMs (``ptm_of_map``)."""
+    return sum(t.q * t.to_superoperator().matrix for t in deco.terms)
+
+
+def dense_target(deco) -> np.ndarray:
+    u = deco.target_unitary.mat
+    return ptm_of_map(lambda mats: u @ mats @ u.conj().T, deco.n_qubits).matrix
+
+
+def _splits():
+    for n in range(2, 6):
+        for m in range(1, n):
+            yield pytest.param(lambda m=m, n=n: mcz_decomposition(m, n - m),
+                               id=f"mcz[{m},{n - m}]")
+            yield pytest.param(
+                lambda m=m, n=n: multi_z_rotation_decomposition(m, n - m, 0.7 * n - m),
+                id=f"multi_z[{m},{n - m}]")
+    for theta in (0.0, 0.4, -np.pi / 3, np.pi / 2, np.pi):
+        yield pytest.param(lambda t=theta: rzz_decomposition_a(t), id=f"rzz_a[{theta:.3g}]")
+        yield pytest.param(lambda t=theta: rzz_decomposition_b(t), id=f"rzz_b[{theta:.3g}]")
+
+
+@pytest.mark.parametrize("build", list(_splits()))
+def test_schur_reconstruct_matches_dense(build):
+    deco = build()
+    assert deco.schur() is not None
+    recon = deco.reconstruct().matrix
+    assert np.max(np.abs(recon - dense_reconstruct(deco))) <= 1e-12
+    report = deco.verify()
+    dense_dev = np.max(np.abs(dense_reconstruct(deco) - dense_target(deco)))
+    assert report["passed"] and abs(report["max_abs_deviation"] - dense_dev) <= 1e-12
+
+
+def test_wire_cuts_and_sequences_have_no_schur_form():
+    for deco in (wire_cut_ncc(), wire_cut_cc("X"),
+                 controlled_sequence_decomposition([((0,), X)], 2)):
+        assert deco.schur() is None
+
+
+def _flip_q(deco, index):
+    terms = [DecompositionTerm(-t.q if i == index else t.q, t.factors, t.label, t.needs_cc)
+             for i, t in enumerate(deco.terms)]
+    return Decomposition(deco.name, deco.partition, terms, deco.target_unitary)
+
+
+def _pauli_position(label: str) -> int:
+    return int("".join(str("IXYZ".index(c)) for c in label), 4)
+
+
+# flipping "I x E_MCZ-MX" or "E_Y0" moves entries other than I <- I
+@pytest.mark.parametrize("build,index", [(lambda: mcz_decomposition(2, 2), 4),
+                                         (lambda: wire_cut_cc("X"), 1)],
+                         ids=["mcz[2,2]", "wire_cc[X]"])
+def test_failed_verify_names_the_worst_entry(build, index):
+    deco = _flip_q(build(), index)
+    report = deco.verify()
+    delta = np.abs(dense_reconstruct(deco) - dense_target(deco))
+    assert not report["passed"]
+    assert abs(report["max_abs_deviation"] - delta.max()) <= 1e-12
+    out, inp = report["worst_entry"]
+    assert len(out) == len(inp) == deco.n_qubits
+    assert abs(delta[_pauli_position(out), _pauli_position(inp)] - delta.max()) <= 1e-12
 
 
 @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])

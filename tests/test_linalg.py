@@ -18,11 +18,16 @@ from qcut.linalg import (
     identity_superoperator,
     pauli_basis_matrices,
     pauli_eigenbasis,
+    pauli_index,
+    pauli_label,
     projector,
     ptm_of_map,
+    ptm_of_schur,
     ptm_of_unitary,
+    schur_ptm_blocks,
     vectorize,
 )
+from oracles import close_to, dag
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -71,8 +76,8 @@ def test_check_unitary_rejects(mat):
 def test_operator_basics():
     h = gates.hadamard()
     assert h.n_qubits == 1
-    assert h.close_to(h.dag())
-    assert (h @ h).close_to(gates.identity(1))
+    assert close_to(h, dag(h))
+    assert close_to(h @ h, gates.identity(1))
     # [TRIVIAL] trace of the identity on 2 qubits
     assert gates.identity(2).trace() == pytest.approx(4.0)
 
@@ -102,7 +107,7 @@ def test_vectorize_roundtrip():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     op = Operator(a)
-    assert devectorize(vectorize(op)).close_to(op, atol=1e-12)
+    assert close_to(devectorize(vectorize(op)), op, atol=1e-12)
 
 
 def test_vectorize_hermitian_is_real():
@@ -136,6 +141,39 @@ def test_ptm_kron_order():
     assert a.kron_with(b).max_abs_diff(joint) < 1e-12
 
 
+def _diagonal_targets():
+    for n in range(1, 6):
+        yield pytest.param(gates.mcz(n), id=f"mcz[{n}]")
+        yield pytest.param(gates.mcp(n, 0.7), id=f"mcp[{n}]")
+        yield pytest.param(gates.multi_z_rotation(n, 1.1 - n), id=f"multi_z[{n}]")
+
+
+@pytest.mark.parametrize("u", list(_diagonal_targets()))
+def test_ptm_of_unitary_schur_path_matches_dense(u):
+    dense = ptm_of_map(lambda mats: u.mat @ mats @ u.mat.conj().T, u.n_qubits)
+    assert np.max(np.abs(ptm_of_unitary(u).matrix - dense.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ptm_of_schur_matches_dense_for_any_multiplier(n):
+    # a complex, non-Hermitian S: every block, sign and phase is exercised
+    rng = np.random.default_rng(n)
+    s = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    dense = ptm_of_map(lambda mats: s * mats, n).matrix
+    assert np.max(np.abs(ptm_of_schur(s).matrix - dense)) <= 1e-12
+    assert schur_ptm_blocks(s).shape == (2**n,) * 3
+
+
+def test_pauli_index_and_label():
+    # X part 0b101 and Z part 0b110: qubit 0 has (x, z) = (1, 1), qubit 1
+    # (0, 1) and qubit 2 (1, 0)
+    assert pauli_label(pauli_index(0b101, 0b110, 3), 3) == "YZX"
+    assert pauli_label(0, 2) == "II" and pauli_label(15, 2) == "ZZ"
+    idx = np.arange(4)
+    labels = {pauli_label(i, 2) for i in pauli_index(idx[:, None], idx[None, :], 2).ravel()}
+    assert len(labels) == 16
+
+
 def test_ptm_of_map_identity_channel():
     m = ptm_of_map(lambda mats: mats, 2)
     assert m.max_abs_diff(identity_superoperator(2)) < 1e-12
@@ -160,9 +198,9 @@ def test_pauli_eigenbasis_table():
     minus_i = np.array([1.0, -1.0j]) / np.sqrt(2)
     assert basis[("I", 0)][0] == 1 and basis[("I", 1)][0] == 1
     assert basis[("X", 1)][0] == -1
-    assert basis[("I", 0)][1].close_to(projector(plus_i))
-    assert basis[("I", 1)][1].close_to(projector(minus_i))
-    assert basis[("Z", 0)][1].close_to(gates.basis_state("0"))
+    assert close_to(basis[("I", 0)][1], projector(plus_i))
+    assert close_to(basis[("I", 1)][1], projector(minus_i))
+    assert close_to(basis[("Z", 0)][1], gates.basis_state("0"))
     # eigen-relation P rho = sign * rho for each non-identity row
     for p, mat in (("X", X), ("Y", Y), ("Z", Z)):
         for mu in (0, 1):
