@@ -1,11 +1,6 @@
 """qcut: quasiprobability circuit cutting with a ZX verification engine."""
 
-from .channels import (
-    GeneralizedMap,
-    SignedKraus,
-    SignedMeasurePrepare,
-    UnitaryChannel,
-)
+from .channels import GeneralizedMap, UnitaryChannel
 from .cuts import (
     Decomposition,
     DecompositionTerm,
@@ -40,8 +35,6 @@ __all__ = [
     "PauliString",
     "QcutError",
     "SamplingReport",
-    "SignedKraus",
-    "SignedMeasurePrepare",
     "SizeCapError",
     "Superoperator",
     "UnitaryChannel",

@@ -11,23 +11,17 @@ outcomes carry signs.  Maps with any ``-1`` sign are not physical channels
 but can still be simulated without extra sampling overhead by tracking the
 signs of measured outcomes; the sampler does exactly that.  The action, the
 signs, the PTM and, when every Kraus operator is diagonal, the Schur
-multiplier are all derived from the branches.
-
-Three constructors convert the usual descriptions into branches:
+multiplier are all derived from the branches, which come from:
 
 * :class:`UnitaryChannel` -- ``rho -> U rho U^dag``: one branch ``[U]``;
-* :class:`SignedMeasurePrepare` -- ``rho -> sum_v a_v Tr(E_v rho) rho_v``
-  with POVM elements ``E_v``: branch ``v`` holds the operators
-  ``sqrt(mu_i lambda_j) |s_j><e_i|`` from ``E_v = sum_i mu_i |e_i><e_i|``
-  and ``rho_v = sum_j lambda_j |s_j><s_j|``;
-* :class:`SignedKraus` -- ``rho -> sum_v a_v K_v rho K_v^dag``: one branch
-  ``[K_v]`` per term.
-
-:func:`ancilla_map` builds every one-ancilla map: a ``|+>`` ancilla selects
-the system unitary ``U_0`` or ``U_1``, is measured in a Pauli basis
-``{|m_s>}``, and an optional outcome-dependent feedback unitary ``F_s``
-follows.  Outcome ``s`` is the branch with the one Kraus operator
-``F_s (<m_s|0> U_0 + <m_s|1> U_1) / sqrt(2)``.
+* the rank-one measure-and-prepare maps (:func:`pauli_measure_prepare`,
+  :func:`grouped_pauli_map`, :func:`signed_z_map`) -- measure ``|e><e|`` and
+  prepare ``|s>``: one branch ``[|s><e|]`` per outcome;
+* :func:`ancilla_map` -- every one-ancilla map: a ``|+>`` ancilla selects
+  the system unitary ``U_0`` or ``U_1``, is measured in a Pauli basis
+  ``{|m_s>}``, and an optional outcome-dependent feedback unitary ``F_s``
+  follows.  Outcome ``s`` is the branch with the one Kraus operator
+  ``F_s (<m_s|0> U_0 + <m_s|1> U_1) / sqrt(2)``.
 """
 
 from __future__ import annotations
@@ -52,10 +46,6 @@ from .linalg import (
     ptm_of_map,
 )
 
-#: eigen-components with at most this weight are rounding noise and get no
-#: Kraus operator
-KRAUS_FLOOR = 1e-14
-
 #: Pauli -> (+1 eigenket, -1 eigenket)
 MEASUREMENT_KETS = {
     p: (PAULI_EIGENKETS[(p, 0)][1], PAULI_EIGENKETS[(p, 1)][1]) for p in "XYZ"
@@ -68,21 +58,13 @@ def _check_sign(a) -> int:
     return int(a)
 
 
-def _psd_eigh(mat: np.ndarray, what: str) -> tuple:
-    """Eigendecomposition ``(w, v)`` of a Hermitian positive semidefinite matrix."""
-    herm_dev = np.abs(mat - mat.conj().T).max()
-    w, v = np.linalg.eigh(mat)
-    if not (herm_dev <= ATOL_STRUCT and w.min() >= -ATOL_STRUCT):
-        raise DimensionError(f"{what} must be Hermitian positive semidefinite")
-    return w, v
-
-
-def check_density(rho: Operator, what: str) -> tuple:
-    """Eigendecomposition of a density matrix; raises unless it has unit
-    trace and is Hermitian positive semidefinite."""
+def check_density(rho: Operator, what: str):
+    """Raise unless ``rho`` has unit trace and is Hermitian positive semidefinite."""
     if not abs(rho.trace() - 1) <= ATOL_STRUCT:
         raise DimensionError(f"{what} must have unit trace")
-    return _psd_eigh(rho.mat, what)
+    herm_dev = np.abs(rho.mat - rho.mat.conj().T).max()
+    if not (herm_dev <= ATOL_STRUCT and np.linalg.eigvalsh(rho.mat).min() >= -ATOL_STRUCT):
+        raise DimensionError(f"{what} must be Hermitian positive semidefinite")
 
 
 class GeneralizedMap:
@@ -164,34 +146,6 @@ class UnitaryChannel(GeneralizedMap):
         super().__init__([(1, u.mat[None])])
 
 
-class SignedMeasurePrepare(GeneralizedMap):
-    """``rho -> sum_v a_v Tr(E_v rho) rho_v`` with signs ``a_v = +-1``."""
-
-    def __init__(self, terms: Sequence[tuple]):
-        if not terms:
-            raise DimensionError("measure-and-prepare map needs at least one term")
-        d = terms[0][1].dim
-        branches = []
-        for a, e, rho in terms:
-            if e.dim != d or rho.dim != d:
-                raise DimensionError("POVM elements and states must share one register")
-            mu, effect_vecs = _psd_eigh(e.mat, "POVM elements")
-            lam, state_vecs = check_density(rho, "prepared state")
-            weights = np.outer(mu, lam)
-            # kraus[i, j] = sqrt(mu_i lambda_j) |s_j><e_i|
-            kraus = np.einsum("ij,aj,bi->ijab", np.sqrt(np.abs(weights)), state_vecs,
-                              effect_vecs.conj())
-            branches.append((a, kraus[weights > KRAUS_FLOOR]))
-        super().__init__(branches)
-
-
-class SignedKraus(GeneralizedMap):
-    """``rho -> sum_v a_v K_v rho K_v^dag`` with ``sum K^dag K = I``."""
-
-    def __init__(self, terms: Sequence[tuple]):
-        super().__init__([(a, k.mat[None]) for a, k in terms])
-
-
 def ancilla_map(
     u0: Operator,
     u1: Operator,
@@ -224,13 +178,13 @@ def ancilla_map(
 # ---------------------------------------------------------------------------
 
 
-def _rank_one_map(terms: Sequence[tuple]) -> SignedKraus:
+def _rank_one_map(terms: Sequence[tuple]) -> GeneralizedMap:
     """Measure ``|e><e|`` and prepare ``|s>``: term ``(a, e, s)`` of kets is
     the branch ``a`` with the one Kraus operator ``|s><e|``."""
-    return SignedKraus([(a, Operator(np.outer(s, e.conj()))) for a, e, s in terms])
+    return GeneralizedMap([(a, [np.outer(s, e.conj())]) for a, e, s in terms])
 
 
-def pauli_measure_prepare(p: str, mu: int) -> SignedKraus:
+def pauli_measure_prepare(p: str, mu: int) -> GeneralizedMap:
     """Measure in the eigenbasis of Pauli ``p`` and always prepare eigenstate
     ``mu``, with the eigenvalue signs attached to the measurement branches."""
     if (p, mu) not in PAULI_EIGENKETS:
@@ -239,14 +193,14 @@ def pauli_measure_prepare(p: str, mu: int) -> SignedKraus:
     return _rank_one_map([(*PAULI_EIGENKETS[(p, nu)], prep) for nu in (0, 1)])
 
 
-def grouped_pauli_map(p: str) -> SignedKraus:
+def grouped_pauli_map(p: str) -> GeneralizedMap:
     """Measure Pauli ``p`` and re-prepare the observed eigenstate (CPTP)."""
     if p not in MEASUREMENT_KETS:
         raise DimensionError(f"grouped map needs P in X, Y, Z, got {p!r}")
     return _rank_one_map([(1, ket, ket) for ket in MEASUREMENT_KETS[p]])
 
 
-def signed_z_map() -> SignedKraus:
+def signed_z_map() -> GeneralizedMap:
     """Measure Z, re-prepare the observed state, and flip the sign on outcome 1."""
     return _rank_one_map([(1, KET_0, KET_0), (-1, KET_1, KET_1)])
 
@@ -289,9 +243,9 @@ def _check_ops(ops: Sequence[tuple], n_targets: int):
         check_unitary(u.mat, "controlled-sequence entry")
 
 
-def _sequence(ops: Sequence[tuple], n_targets: int) -> Operator:
-    """Product of the sequence's unitaries on the target register, applied in
-    list order."""
+def sequence_unitary(ops: Sequence[tuple], n_targets: int) -> Operator:
+    """Product ``V`` of the sequence's unitaries on the target register,
+    applied in list order; the sequence is validated here, once."""
     _check_ops(ops, n_targets)
     full = np.eye(2**n_targets, dtype=complex)
     for targets, u in ops:
@@ -299,30 +253,25 @@ def _sequence(ops: Sequence[tuple], n_targets: int) -> Operator:
     return Operator(full)
 
 
-def controlled_sequence_unitary(ops: Sequence[tuple], n_targets: int) -> Operator:
-    """The full sequence on (control qubit 0, targets 1..n_targets)."""
-    return gates.controlled(_sequence(ops, n_targets))
-
-
-def e_v_mx_map(ops: Sequence[tuple], n_targets: int) -> GeneralizedMap:
-    """Run the sequence with a ``|+>`` ancilla as control and measure it in X,
+def e_v_mx_map(v: Operator) -> GeneralizedMap:
+    """Run ``V`` with a ``|+>`` ancilla as control and measure it in X,
     signs ``(+1, -1)``.  Acts on the target register."""
-    return ancilla_map(gates.identity(n_targets), _sequence(ops, n_targets), "X", (1, -1))
+    return ancilla_map(gates.identity(v.n_qubits), v, "X", (1, -1))
 
 
-def e_v_mz_map(ops: Sequence[tuple], n_targets: int) -> GeneralizedMap:
+def e_v_mz_map(v: Operator) -> GeneralizedMap:
     """As :func:`e_v_mx_map` but with a Z-basis ancilla measurement."""
-    return ancilla_map(gates.identity(n_targets), _sequence(ops, n_targets), "Z", (1, -1))
+    return ancilla_map(gates.identity(v.n_qubits), v, "Z", (1, -1))
 
 
-def e_rzv_map(ops: Sequence[tuple], n_targets: int) -> GeneralizedMap:
-    """CPTP map on (control, targets): ancilla-controlled sequence, Y-basis
+def e_rzv_map(v: Operator) -> GeneralizedMap:
+    """CPTP map on (control, targets): ancilla-controlled ``V``, Y-basis
     ancilla measurement, and outcome-dependent ``R_Z(+-pi/2)`` feedback on the
     control qubit."""
-    v = _sequence(ops, n_targets).mat
     feedback = tuple(
-        Operator(np.kron(gates.rz(sign * np.pi / 2).mat, np.eye(len(v)))) for sign in (1, -1)
+        Operator(np.kron(gates.rz(sign * np.pi / 2).mat, np.eye(v.dim))) for sign in (1, -1)
     )
     return ancilla_map(
-        gates.identity(1 + n_targets), Operator(np.kron(np.eye(2), v)), "Y", (1, 1), feedback
+        gates.identity(1 + v.n_qubits), Operator(np.kron(np.eye(2), v.mat)), "Y", (1, 1),
+        feedback,
     )

@@ -411,66 +411,83 @@ def cmd_norms(args) -> int:
     return 0
 
 
+def _max_abs(a) -> float:
+    return np.max(np.abs(a))
+
+
+def _zx_cnot_variants(n, m, theta):
+    for variant in zx.CNOT_VARIANTS:
+        dev = _max_abs(zx.contract(zx.cnot_diagram(variant)) - gates.cnot().mat)
+        yield f"cnot[{variant}]", dev
+
+
+def _zx_states(n, m, theta):
+    for kind, phase, ket in (
+        ("z", 0.0, np.array([1, 1]) / np.sqrt(2)),
+        ("z", np.pi, np.array([1, -1]) / np.sqrt(2)),
+        ("x", 0.0, np.array([1, 0])),
+        ("x", np.pi, np.array([0, 1])),
+    ):
+        vec = zx.contract(zx.state_diagram(kind, phase)).ravel()
+        yield f"state[{kind},{_fmt(phase)}]", _max_abs(vec - np.sqrt(2) * ket)
+
+
+def _zx_mcz(n, m, theta):
+    n = n or 3
+    yield f"mcz[{n}]", _max_abs(zx.contract(zx.mcz_diagram(n)) - gates.mcz(n).mat)
+
+
+def _zx_mcp(n, m, theta):
+    n = n or 2
+    dev = _max_abs(zx.contract(zx.mcp_diagram(n, theta)) - gates.mcp(n, theta).mat)
+    yield f"mcp[{n},{_fmt(theta)}]", dev
+
+
+def _zx_rzz(n, m, theta):
+    dev = _max_abs(zx.contract(zx.rzz_diagram(theta)) - gates.rzz(theta).mat)
+    yield f"rzz[{_fmt(theta)}]", dev
+
+
+def _zx_mcz_fusion(n, m, theta):
+    n = n or 4
+    m = m or n // 2
+    rep = zx.verify_rule(zx.mcz_diagram(n), zx.split_mcz_three_hboxes(n, m))
+    yield f"mcz-fusion[n={n},m={m}]", rep["max_abs_deviation"]
+
+
+def _zx_rules(n, m, theta):
+    for rule_name, fn in zx.BUILTIN_RULES.items():
+        yield f"rule[{rule_name}]", zx.verify_rule(*fn())["max_abs_deviation"]
+
+
+#: ``zx-check --builtin`` name -> check yielding ``(label, max|delta|)`` pairs
+#: from ``--n`` and ``--m`` (None when not given, else >= 1) and the angle;
+#: ``all`` runs them in this order
+_ZX_BUILTINS = {
+    "cnot-variants": _zx_cnot_variants,
+    "states": _zx_states,
+    "mcz": _zx_mcz,
+    "mcp": _zx_mcp,
+    "rzz": _zx_rzz,
+    "mcz-fusion": _zx_mcz_fusion,
+    "rules": _zx_rules,
+}
+
+
 def _zx_builtin(args) -> int:
     name = args.builtin
-    failures = 0
-
-    def check(label, ok, detail=""):
-        nonlocal failures
-        print(f"{label}: {'PASS' if ok else 'FAIL'}{detail}")
-        failures += not ok
-
+    if name != "all" and name not in _ZX_BUILTINS:
+        raise ConfigError(f"zx-check: unknown builtin {name!r}")
     theta = _parse_theta(args.theta, "--theta") if args.theta else np.pi / 2
     for flag, value in (("--n", args.n), ("--m", args.m)):
         if value is not None:
             _check_int(value, flag, 1)
-    if name in ("cnot-variants", "all"):
-        for variant in zx.CNOT_VARIANTS:
-            dev = np.max(np.abs(zx.contract(zx.cnot_diagram(variant)) - gates.cnot().mat))
-            check(f"cnot[{variant}]", dev <= zx.RULE_ATOL, f"  max|delta| = {_fmt(dev)}")
-    if name in ("states", "all"):
-        for kind, phase, ket in (
-            ("z", 0.0, np.array([1, 1]) / np.sqrt(2)),
-            ("z", np.pi, np.array([1, -1]) / np.sqrt(2)),
-            ("x", 0.0, np.array([1, 0])),
-            ("x", np.pi, np.array([0, 1])),
-        ):
-            vec = zx.contract(zx.state_diagram(kind, phase)).ravel()
-            dev = np.max(np.abs(vec - np.sqrt(2) * ket))
-            check(
-                f"state[{kind},{_fmt(phase)}]", dev <= zx.RULE_ATOL,
-                f"  max|delta| = {_fmt(dev)}",
-            )
-    if name in ("mcz", "all"):
-        n = 3 if args.n is None else args.n
-        dev = np.max(np.abs(zx.contract(zx.mcz_diagram(n)) - gates.mcz(n).mat))
-        check(f"mcz[{n}]", dev <= zx.RULE_ATOL, f"  max|delta| = {_fmt(dev)}")
-    if name in ("mcp", "all"):
-        n = 2 if args.n is None else args.n
-        dev = np.max(np.abs(zx.contract(zx.mcp_diagram(n, theta)) - gates.mcp(n, theta).mat))
-        check(f"mcp[{n},{_fmt(theta)}]", dev <= zx.RULE_ATOL, f"  max|delta| = {_fmt(dev)}")
-    if name in ("rzz", "all"):
-        dev = np.max(np.abs(zx.contract(zx.rzz_diagram(theta)) - gates.rzz(theta).mat))
-        check(f"rzz[{_fmt(theta)}]", dev <= zx.RULE_ATOL, f"  max|delta| = {_fmt(dev)}")
-    if name in ("mcz-fusion", "all"):
-        n = 4 if args.n is None else args.n
-        m = n // 2 if args.m is None else args.m
-        rep = zx.verify_rule(zx.mcz_diagram(n), zx.split_mcz_three_hboxes(n, m))
-        check(
-            f"mcz-fusion[n={n},m={m}]", rep["equal"],
-            f"  max|delta| = {_fmt(rep['max_abs_deviation'])}",
-        )
-    if name in ("rules", "all"):
-        for rule_name, fn in zx.BUILTIN_RULES.items():
-            rep = zx.verify_rule(*fn())
-            check(
-                f"rule[{rule_name}]", rep["equal"],
-                f"  max|delta| = {_fmt(rep['max_abs_deviation'])}",
-            )
-    if failures == 0 and name not in (
-        "cnot-variants", "states", "mcz", "mcp", "rzz", "mcz-fusion", "rules", "all"
-    ):
-        raise ConfigError(f"zx-check: unknown builtin {name!r}")
+    failures = 0
+    for check in _ZX_BUILTINS.values() if name == "all" else [_ZX_BUILTINS[name]]:
+        for label, dev in check(args.n, args.m, theta):
+            ok = dev <= zx.RULE_ATOL
+            print(f"{label}: {'PASS' if ok else 'FAIL'}  max|delta| = {_fmt(dev)}")
+            failures += not ok
     return 1 if failures else 0
 
 
@@ -535,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="*", help="diagram file(s) in the text format")
     p.add_argument(
         "--builtin",
-        help="cnot-variants | states | mcz | mcp | rzz | mcz-fusion | rules | all",
+        help=" | ".join([*_ZX_BUILTINS, "all"]),
     )
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)

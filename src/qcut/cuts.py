@@ -33,13 +33,13 @@ import numpy as np
 from . import channels as ch
 from . import gates
 from .linalg import (
+    PAULI_EIGENKETS,
     DimensionError,
     Operator,
     Superoperator,
     check_dense,
     embed_matrix,
     exact_diagonal,
-    pauli_eigenbasis,
     pauli_index,
     pauli_label,
     ptm_of_schur,
@@ -207,20 +207,22 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 
 
+def _fixed_preparation_terms(paulis: str) -> list:
+    """For each Pauli ``p`` and eigenstate ``mu``: measure ``p`` and always
+    prepare ``mu``, with coefficient ``a/2`` for the eigenvalue sign ``a``."""
+    return [
+        DecompositionTerm(
+            PAULI_EIGENKETS[(p, mu)][0] / 2, [ch.pauli_measure_prepare(p, mu)], f"E_{p}{mu}"
+        )
+        for p in paulis
+        for mu in (0, 1)
+    ]
+
+
 def wire_cut_ncc() -> Decomposition:
     """Single-qubit identity as eight fixed-preparation measure-and-prepare
     maps with coefficients ``a/2``; ``gamma = 4``, no communication."""
-    table = pauli_eigenbasis()
-    terms = []
-    for p in "IXYZ":
-        for mu in (0, 1):
-            a, _ = table[(p, mu)]
-            terms.append(
-                DecompositionTerm(
-                    a / 2, [ch.pauli_measure_prepare(p, mu)], f"E_{p}{mu}"
-                )
-            )
-    return Decomposition("wire_ncc", (1,), terms, gates.identity(1))
+    return Decomposition("wire_ncc", (1,), _fixed_preparation_terms("IXYZ"), gates.identity(1))
 
 
 def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
@@ -232,24 +234,13 @@ def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
     """
     if cc_basis not in ("X", "Y", "Z"):
         raise DimensionError(f"cc_basis must be X, Y or Z, got {cc_basis!r}")
-    terms = [
-        DecompositionTerm(
-            1.0, [ch.grouped_pauli_map(cc_basis)], f"E_{cc_basis}", needs_cc=True
-        )
-    ]
-    table = pauli_eigenbasis()
-    for p in "XYZ":
-        if p == cc_basis:
-            continue
-        for mu in (0, 1):
-            a, _ = table[(p, mu)]
-            terms.append(
-                DecompositionTerm(
-                    a / 2, [ch.pauli_measure_prepare(p, mu)], f"E_{p}{mu}"
-                )
-            )
+    grouped = DecompositionTerm(
+        1.0, [ch.grouped_pauli_map(cc_basis)], f"E_{cc_basis}", needs_cc=True
+    )
+    others = "".join(p for p in "XYZ" if p != cc_basis)
     return Decomposition(
-        f"wire_cc[{cc_basis}]", (1,), terms, gates.identity(1)
+        f"wire_cc[{cc_basis}]", (1,), [grouped, *_fixed_preparation_terms(others)],
+        gates.identity(1),
     )
 
 
@@ -429,16 +420,16 @@ def controlled_sequence_decomposition(ops, n_targets: int) -> Decomposition:
     """
     n = 1 + n_targets
     check_dense(16**n, f"PTM of a cut on {n} qubits")
-    mx = ch.e_v_mx_map(ops, n_targets)
-    mz = ch.e_v_mz_map(ops, n_targets)
+    v = ch.sequence_unitary(ops, n_targets)
+    mx = ch.e_v_mx_map(v)
+    mz = ch.e_v_mz_map(v)
     ident = ch.UnitaryChannel(gates.identity(1))
     terms = [
-        DecompositionTerm(1.0, [ch.e_rzv_map(ops, n_targets)], "E_RZV"),
+        DecompositionTerm(1.0, [ch.e_rzv_map(v)], "E_RZV"),
         DecompositionTerm(0.5, [ident, mx], "I x E_V-MX"),
         DecompositionTerm(-0.5, [_rz_channel(np.pi), mx], "RZ(pi) x E_V-MX"),
         DecompositionTerm(1.0, [ch.signed_z_map(), mz], "EbarZ x E_V-MZ"),
     ]
-    target = ch.controlled_sequence_unitary(ops, n_targets)
     return Decomposition(
-        f"controlled_sequence[M={len(tuple(ops))}]", (1, n_targets), terms, target
+        f"controlled_sequence[M={len(tuple(ops))}]", (1, n_targets), terms, gates.controlled(v)
     )

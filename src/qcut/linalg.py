@@ -26,10 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-#: tolerance for structural checks (unitarity, PTM realness, POVM completeness)
+#: tolerance for structural checks (unitarity, Kraus completeness, density matrices)
 ATOL_STRUCT = 1e-10
-#: tolerance for round-trip identities (vectorize/devectorize)
-ATOL_ROUNDTRIP = 1e-12
 
 #: complex entries in one dense array: 2^26 x 16 B = 1 GiB, i.e. a 13-qubit
 #: operator, a 6-qubit PTM or a 26-leg ZX tensor
@@ -161,32 +159,6 @@ def _pauli_coeffs_batch(mats: np.ndarray) -> np.ndarray:
     return t.reshape(b, 4**n)
 
 
-def _pauli_mats_batch(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_pauli_coeffs_batch`: (B, 4^n) -> (B, 2^n, 2^n)."""
-    b = coeffs.shape[0]
-    n = (coeffs.shape[1].bit_length() - 1) // 2
-    t = coeffs.reshape((b,) + (4,) * n)
-    for _ in range(n):
-        t = np.tensordot(t, _PB, axes=([1], [0]))
-    perm = [0] + [1 + 2 * i for i in range(n)] + [2 + 2 * i for i in range(n)]
-    return np.transpose(t, perm).reshape(b, 2**n, 2**n)
-
-
-def vectorize(a: Operator) -> np.ndarray:
-    """Expansion coefficients of ``a`` in the normalized Pauli basis."""
-    return _pauli_coeffs_batch(a.mat[None, :, :])[0]
-
-
-def devectorize(coeffs: np.ndarray) -> Operator:
-    """Inverse of :func:`vectorize`."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    d2 = coeffs.shape[0]
-    n = (d2.bit_length() - 1) // 2
-    if 4**n != d2:
-        raise DimensionError(f"coefficient vector length {d2} is not a power of 4")
-    return Operator(_pauli_mats_batch(coeffs[None, :])[0])
-
-
 @lru_cache(maxsize=None)
 def _basis_cached(n: int) -> np.ndarray:
     if n == 1:
@@ -233,11 +205,6 @@ class Superoperator:
         if self.n != other.n:
             raise DimensionError(f"qubit count mismatch: {self.n} vs {other.n}")
         return float(np.max(np.abs(self.matrix - other.matrix)))
-
-
-def identity_superoperator(n: int) -> Superoperator:
-    check_dense(16**n, f"superoperator on {n} qubits")
-    return Superoperator(n, np.eye(4**n, dtype=complex))
 
 
 def ptm_of_unitary(u: Operator) -> Superoperator:
@@ -358,10 +325,6 @@ KET_PLUS_I = np.array([1, 1j], dtype=complex) / np.sqrt(2)
 KET_MINUS_I = np.array([1, -1j], dtype=complex) / np.sqrt(2)
 
 
-def projector(ket: np.ndarray) -> Operator:
-    return Operator(np.outer(ket, ket.conj()))
-
-
 #: (P, mu) -> (sign, eigenket).  For X, Y, Z these are the +1/-1 eigenstate
 #: pairs; the identity row reuses the Y eigenstates with both signs +1 (the
 #: conventional choice for the freedom in expanding the identity).
@@ -377,14 +340,8 @@ PAULI_EIGENKETS = {
 }
 
 
-@lru_cache(maxsize=1)
-def pauli_eigenbasis() -> dict:
-    """Table mapping (P, mu) to (sign, rank-1 projector) of :data:`PAULI_EIGENKETS`."""
-    return {key: (a, projector(ket)) for key, (a, ket) in PAULI_EIGENKETS.items()}
-
-
 # ---------------------------------------------------------------------------
-# Qubit-subset helpers on raw matrices (used by the channel executor)
+# Qubit-subset helpers on raw matrices
 # ---------------------------------------------------------------------------
 
 

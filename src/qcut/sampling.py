@@ -17,8 +17,7 @@ never materializes individual shots: it draws multinomial counts of shots per
 term and then per support value, batch by batch, so its time and memory
 depend on the support size and the number of batches but not on the shot
 count.  Shots are i.i.d., so this is exactly the distribution of the
-shot-by-shot protocol (:func:`execute_term` implements the sequential
-single-shot version used to cross-check the enumeration).
+shot-by-shot protocol.
 
 The exact value a report is compared with (:func:`exact_expectation`) is the
 cut channel's expectation, computed per term and per register block from the
@@ -52,9 +51,10 @@ class ExperimentSpec:
     """A cut-circuit sampling experiment.
 
     All per-register lists follow the decomposition's partition order.
-    ``pre_unitaries``/``post_unitaries`` model local circuits before and
-    after the cut channel; ``observable`` is a product observable with
-    per-register eigenvalues in ``[-1, 1]``.
+    ``observable`` is a product observable with per-register eigenvalues in
+    ``[-1, 1]``.  Local circuits ``U`` before and after the cut channel are
+    folded in by the caller: ``U rho U^dag`` as the state, ``U^dag O U`` as
+    the observable.
     """
 
     decomposition: Decomposition
@@ -62,17 +62,11 @@ class ExperimentSpec:
     observable: tuple
     shots: int
     seed: int
-    pre_unitaries: Optional[tuple] = None
-    post_unitaries: Optional[tuple] = None
 
     def __post_init__(self):
         part = self.decomposition.partition
         object.__setattr__(self, "initial_state", tuple(self.initial_state))
         object.__setattr__(self, "observable", tuple(self.observable))
-        for name in ("pre_unitaries", "post_unitaries"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, tuple(val))
         if self.shots < 1:
             raise DimensionError(f"shots must be >= 1, got {self.shots}")
         seed = self.seed
@@ -88,11 +82,7 @@ class ExperimentSpec:
         for label, ops in (
             ("initial_state", self.initial_state),
             ("observable", self.observable),
-            ("pre_unitaries", self.pre_unitaries),
-            ("post_unitaries", self.post_unitaries),
         ):
-            if ops is None:
-                continue
             if len(ops) != len(part):
                 raise DimensionError(
                     f"{label} has {len(ops)} entries for {len(part)} registers"
@@ -156,9 +146,7 @@ class SamplingReport:
 def _blocks_of_term(spec: ExperimentSpec, term: DecompositionTerm) -> list:
     """Group the experiment's per-register data by the term's factor layout.
 
-    Returns one entry per factor: (factor, rho_block, obs_block) with the
-    pre-unitary already applied to the block state and the post-unitary
-    absorbed into the block observable (Heisenberg picture).
+    Returns one entry per factor: (factor, rho_block, obs_block).
     """
     part = spec.decomposition.partition
     edges = np.cumsum((0,) + part)
@@ -167,18 +155,8 @@ def _blocks_of_term(spec: ExperimentSpec, term: DecompositionTerm) -> list:
     for factor in term.factors:
         stop = start + factor.n_qubits
         regs = [r for r in range(len(part)) if edges[r] >= start and edges[r + 1] <= stop]
-        rhos, obss = [], []
-        for r in regs:
-            rho_r = spec.initial_state[r].mat
-            obs_r = spec.observable[r].mat
-            if spec.pre_unitaries is not None:
-                u = spec.pre_unitaries[r].mat
-                rho_r = u @ rho_r @ u.conj().T
-            if spec.post_unitaries is not None:
-                u = spec.post_unitaries[r].mat
-                obs_r = u.conj().T @ obs_r @ u
-            rhos.append(rho_r)
-            obss.append(obs_r)
+        rhos = [spec.initial_state[r].mat for r in regs]
+        obss = [spec.observable[r].mat for r in regs]
         blocks.append((factor, reduce(np.kron, rhos), reduce(np.kron, obss)))
         start = stop
     return blocks
@@ -207,13 +185,11 @@ def _eigen_distribution(obs: np.ndarray, rho: np.ndarray) -> tuple:
     return lam, probs / probs.sum()
 
 
-def _block_value_distribution(factor, rho, obs, track_signs: bool) -> tuple:
+def _block_value_distribution(factor, rho, obs) -> tuple:
     """Discrete distribution of ``sign * lambda`` for one block."""
     values = []
     probs = []
     for p_branch, sign, state in _factor_branches(factor, rho):
-        if not track_signs:
-            sign = 1
         lam, p_lam = _eigen_distribution(obs, state)
         values.append(sign * lam)
         probs.append(p_branch * p_lam)
@@ -223,19 +199,15 @@ def _block_value_distribution(factor, rho, obs, track_signs: bool) -> tuple:
     return values[keep], probs[keep] / probs[keep].sum()
 
 
-def term_value_distributions(
-    spec: ExperimentSpec, term: DecompositionTerm, track_signs: bool = True
-) -> list:
+def term_value_distributions(spec: ExperimentSpec, term: DecompositionTerm) -> list:
     """Per-block distributions of the signed observable sample for one term."""
     return [
-        _block_value_distribution(factor, rho, obs, track_signs)
+        _block_value_distribution(factor, rho, obs)
         for factor, rho, obs in _blocks_of_term(spec, term)
     ]
 
 
-def term_support(
-    spec: ExperimentSpec, term: DecompositionTerm, track_signs: bool = True
-) -> tuple:
+def term_support(spec: ExperimentSpec, term: DecompositionTerm) -> tuple:
     """Joint distribution of ``sign * lambda`` over all blocks of one term.
 
     Blocks are independent, so this is the outer product of the block
@@ -244,7 +216,7 @@ def term_support(
     """
     values = np.ones(1)
     probs = np.ones(1)
-    for block_values, block_probs in term_value_distributions(spec, term, track_signs):
+    for block_values, block_probs in term_value_distributions(spec, term):
         values, inverse = np.unique(
             np.multiply.outer(values, block_values).ravel(), return_inverse=True
         )
@@ -252,31 +224,6 @@ def term_support(
             inverse, weights=np.multiply.outer(probs, block_probs).ravel()
         )
     return values, probs
-
-
-# ---------------------------------------------------------------------------
-# Single-shot physical executor (sequential oracle)
-# ---------------------------------------------------------------------------
-
-
-def execute_term(term: DecompositionTerm, spec: ExperimentSpec, rng) -> tuple:
-    """Physically simulate one shot of one term: sample each factor's
-    measurement branch, then the observable eigenvalue per block.
-
-    Returns ``(sign, lam)`` with ``sign`` the product of branch signs and
-    ``lam`` the product of sampled per-block eigenvalues.
-    """
-    sign = 1
-    lam_total = 1.0
-    for factor, rho, obs in _blocks_of_term(spec, term):
-        branches = _factor_branches(factor, rho)
-        probs = np.array([b[0] for b in branches])
-        k = int(rng.choice(len(branches), p=probs / probs.sum()))
-        p, s, state = branches[k]
-        sign *= s
-        lam, p_lam = _eigen_distribution(obs, state)
-        lam_total *= float(lam[int(rng.choice(len(lam), p=p_lam))])
-    return sign, lam_total
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +250,9 @@ def exact_expectation(spec: ExperimentSpec) -> float:
     return float(np.real(total))
 
 
-def run(
-    spec: ExperimentSpec,
-    track_signs: bool = True,
-    n_batches: int = 0,
-) -> SamplingReport:
+def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
     """Run the sampling experiment; deterministic given ``(spec, seed)``.
 
-    With ``track_signs=False`` the classical branch signs are discarded,
-    which biases the estimator for any decomposition containing a non-CPTP
-    term (used to demonstrate why the sign bookkeeping is required).
     ``n_batches > 0`` additionally records contiguous shot-batch means, with
     batch sizes as in ``np.array_split``; it must not exceed ``shots``.
     """
@@ -339,7 +279,7 @@ def run(
         batch_sum = 0.0
         for nu in map(int, np.flatnonzero(term_counts)):
             if nu not in supports:
-                supports[nu] = term_support(spec, deco.terms[nu], track_signs)
+                supports[nu] = term_support(spec, deco.terms[nu])
             values, probs = supports[nu]
             drawn = rng.multinomial(term_counts[nu], probs)
             counts[nu] = counts.get(nu, 0) + drawn

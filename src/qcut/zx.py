@@ -57,9 +57,8 @@ def hbox_tensor(label: complex, arity: int) -> np.ndarray:
 class ZXDiagram:
     """Open ZX tensor network with ordered boundaries and a global scalar.
 
-    Built incrementally via ``add_*`` methods; all operations that combine
-    diagrams (:func:`compose`, :func:`tensor`, :func:`insert_cut_fragment`)
-    return new diagrams, and :func:`contract` is pure.
+    Built incrementally via ``add_*`` methods; :func:`insert_cut_fragment`
+    returns a new diagram, and :func:`contract` is pure.
     """
 
     nodes: dict = field(default_factory=dict)
@@ -115,9 +114,6 @@ class ZXDiagram:
             cut_edge=self.cut_edge,
             _next_id=self._next_id,
         )
-
-    def degree(self, nid: int) -> int:
-        return sum((u == nid) + (v == nid) for u, v in self.edges)
 
     def __repr__(self):
         return (
@@ -237,44 +233,6 @@ def contract(d: ZXDiagram) -> np.ndarray:
     return out.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
 
 
-def _disjoint_union(d1: ZXDiagram, d2: ZXDiagram) -> tuple:
-    """``d1`` and ``d2`` side by side with ``d1``'s boundaries, and the offset
-    added to ``d2``'s node ids."""
-    out = d1.copy()
-    out.cut_edge = None
-    offset = out._next_id
-    for nid, data in d2.nodes.items():
-        out.nodes[nid + offset] = data
-    out.edges.extend((u + offset, v + offset) for u, v in d2.edges)
-    out._next_id = offset + d2._next_id
-    out.scalar *= d2.scalar
-    return out, offset
-
-
-def compose(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:
-    """Sequential composition: run ``d1`` first (matrix ``contract(d2) @ contract(d1)``)."""
-    if len(d1.outputs) != len(d2.inputs):
-        raise ZXError(
-            f"cannot compose: {len(d1.outputs)} outputs vs {len(d2.inputs)} inputs"
-        )
-    out, offset = _disjoint_union(d1, d2)
-    # splice: turn the glued boundaries into identity spiders and join them
-    for o_nid, i_nid in zip(d1.outputs, d2.inputs):
-        out.nodes[o_nid] = ("z", 0.0)
-        out.nodes[i_nid + offset] = ("z", 0.0)
-        out.edges.append((o_nid, i_nid + offset))
-    out.outputs = [nid + offset for nid in d2.outputs]
-    return out
-
-
-def tensor(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:
-    """Parallel composition with ``d1`` as the high-order (top) factor."""
-    out, offset = _disjoint_union(d1, d2)
-    out.inputs += [nid + offset for nid in d2.inputs]
-    out.outputs += [nid + offset for nid in d2.outputs]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -290,50 +248,12 @@ def wire_diagram(n: int = 1) -> ZXDiagram:
     return d
 
 
-def swap_diagram() -> ZXDiagram:
-    d = ZXDiagram()
-    i0, i1 = d.add_input(), d.add_input()
-    o0, o1 = d.add_output(), d.add_output()
-    d.add_edge(i0, o1)
-    d.add_edge(i1, o0)
-    return d
-
-
 def state_diagram(kind: str, phase: float = 0.0) -> ZXDiagram:
     """Single spider with one output and no inputs (a ``sqrt(2)``-scaled ket)."""
     d = ZXDiagram()
     s = d.add_z(phase) if kind == "z" else d.add_x(phase)
     o = d.add_output()
     d.add_edge(s, o)
-    return d
-
-
-def effect_diagram(kind: str, phase: float = 0.0) -> ZXDiagram:
-    """Single spider with one input and no outputs (a ``sqrt(2)``-scaled bra)."""
-    d = ZXDiagram()
-    s = d.add_z(phase) if kind == "z" else d.add_x(phase)
-    i = d.add_input()
-    d.add_edge(i, s)
-    return d
-
-
-def cup_diagram() -> ZXDiagram:
-    """No inputs, two outputs: the unnormalized Bell state ``|00> + |11>``."""
-    d = ZXDiagram()
-    s = d.add_z(0.0)
-    o0, o1 = d.add_output(), d.add_output()
-    d.add_edge(s, o0)
-    d.add_edge(s, o1)
-    return d
-
-
-def cap_diagram() -> ZXDiagram:
-    """Two inputs, no outputs: the unnormalized Bell effect ``<00| + <11|``."""
-    d = ZXDiagram()
-    s = d.add_z(0.0)
-    i0, i1 = d.add_input(), d.add_input()
-    d.add_edge(i0, s)
-    d.add_edge(i1, s)
     return d
 
 

@@ -2,17 +2,32 @@
 
 They recompute what the package derives from a map's branches or an
 operator's matrix by the textbook route, so the tests can check the package
-against them.
+against them: the measure-and-prepare map from eigendecompositions, Pauli
+coefficients from traces, single shots drawn one at a time, and ZX diagrams
+glued from small pieces.
 """
 
 import numpy as np
 
-from qcut.channels import GeneralizedMap
-from qcut.linalg import ATOL_STRUCT, DimensionError, Operator
+from qcut.channels import GeneralizedMap, check_density
+from qcut.cuts import Decomposition, DecompositionTerm
+from qcut.linalg import (
+    ATOL_STRUCT,
+    PAULI_EIGENKETS,
+    DimensionError,
+    Operator,
+    pauli_basis_matrices,
+)
+from qcut.sampling import _blocks_of_term, _eigen_distribution, _factor_branches
+from qcut.zx import ZXDiagram, ZXError, parse_diagram
 
 #: Choi positivity tolerance; looser than equality checks because eigenvalue
 #: computation amplifies rounding.
 CHOI_ATOL = 1e-9
+
+#: eigen-components with at most this weight are rounding noise and get no
+#: Kraus operator
+KRAUS_FLOOR = 1e-14
 
 
 def dag(a: Operator) -> Operator:
@@ -54,3 +69,136 @@ def cptp_diagnostics(ch: GeneralizedMap) -> dict:
         "choi_cptp": choi_cptp,
         "consistent": ch.is_cptp() == choi_cptp,
     }
+
+
+def projector(ket: np.ndarray) -> Operator:
+    return Operator(np.outer(ket, ket.conj()))
+
+
+def pauli_eigenbasis() -> dict:
+    """Table mapping (P, mu) to (sign, rank-1 projector) of ``PAULI_EIGENKETS``."""
+    return {key: (a, projector(ket)) for key, (a, ket) in PAULI_EIGENKETS.items()}
+
+
+def vectorize(a: Operator) -> np.ndarray:
+    """Coefficients ``Tr(P_i a)`` of ``a`` in the normalized Pauli basis."""
+    return np.einsum("iab,ba->i", pauli_basis_matrices(a.n_qubits), a.mat)
+
+
+def devectorize(coeffs: np.ndarray) -> Operator:
+    """Inverse of :func:`vectorize`: ``sum_i c_i P_i``."""
+    n = (len(coeffs).bit_length() - 1) // 2
+    return Operator(np.einsum("i,iab->ab", coeffs, pauli_basis_matrices(n)))
+
+
+def measure_prepare_map(terms) -> GeneralizedMap:
+    """``rho -> sum_v a_v Tr(E_v rho) rho_v`` for terms ``(a_v, E_v, rho_v)``:
+    branch ``v`` holds ``sqrt(mu_i lambda_j) |s_j><e_i|`` from the
+    eigendecompositions ``E_v = sum_i mu_i |e_i><e_i|`` and
+    ``rho_v = sum_j lambda_j |s_j><s_j|``, dropping weights below
+    ``KRAUS_FLOOR``."""
+    if not terms:
+        raise DimensionError("measure-and-prepare map needs at least one term")
+    d = terms[0][1].dim
+    branches = []
+    for a, e, rho in terms:
+        if e.dim != d or rho.dim != d:
+            raise DimensionError("POVM elements and states must share one register")
+        mu, effect_vecs = np.linalg.eigh(e.mat)
+        if not (close_to(e, dag(e)) and mu.min() >= -ATOL_STRUCT):
+            raise DimensionError("POVM elements must be Hermitian positive semidefinite")
+        check_density(rho, "prepared state")
+        lam, state_vecs = np.linalg.eigh(rho.mat)
+        weights = np.outer(mu, lam)
+        # kraus[i, j] = sqrt(mu_i lambda_j) |s_j><e_i|
+        kraus = np.einsum("ij,aj,bi->ijab", np.sqrt(np.abs(weights)), state_vecs,
+                          effect_vecs.conj())
+        branches.append((a, kraus[weights > KRAUS_FLOOR]))
+    return GeneralizedMap(branches)
+
+
+def execute_term(term, spec, rng) -> tuple:
+    """Physically simulate one shot of one term: sample each factor's
+    measurement branch, then the observable eigenvalue per block.
+
+    Returns ``(sign, lam)`` with ``sign`` the product of branch signs and
+    ``lam`` the product of sampled per-block eigenvalues.
+    """
+    sign = 1
+    lam_total = 1.0
+    for factor, rho, obs in _blocks_of_term(spec, term):
+        branches = _factor_branches(factor, rho)
+        probs = np.array([b[0] for b in branches])
+        k = int(rng.choice(len(branches), p=probs / probs.sum()))
+        p, s, state = branches[k]
+        sign *= s
+        lam, p_lam = _eigen_distribution(obs, state)
+        lam_total *= float(lam[int(rng.choice(len(lam), p=p_lam))])
+    return sign, lam_total
+
+
+def unsigned(deco: Decomposition) -> Decomposition:
+    """``deco`` with every branch sign of every factor set to ``+1``: the
+    estimator that drops the classically tracked signs."""
+    terms = [
+        DecompositionTerm(
+            t.q,
+            [GeneralizedMap([(1, kraus) for _, kraus in f.branches]) for f in t.factors],
+            t.label,
+            t.needs_cc,
+        )
+        for t in deco.terms
+    ]
+    return Decomposition(deco.name, deco.partition, terms, deco.target_unitary)
+
+
+def degree(d: ZXDiagram, nid: int) -> int:
+    return sum((u == nid) + (v == nid) for u, v in d.edges)
+
+
+def tensor(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:
+    """Parallel composition with ``d1`` as the high-order (top) factor."""
+    out = d1.copy()
+    out.cut_edge = None
+    offset = out._next_id
+    out.nodes.update((nid + offset, data) for nid, data in d2.nodes.items())
+    out.edges += [(u + offset, v + offset) for u, v in d2.edges]
+    out.inputs += [nid + offset for nid in d2.inputs]
+    out.outputs += [nid + offset for nid in d2.outputs]
+    out._next_id = offset + d2._next_id
+    out.scalar *= d2.scalar
+    return out
+
+
+def compose(d1: ZXDiagram, d2: ZXDiagram) -> ZXDiagram:
+    """Sequential composition: run ``d1`` first (matrix ``contract(d2) @ contract(d1)``)."""
+    if len(d1.outputs) != len(d2.inputs):
+        raise ZXError(f"cannot compose: {len(d1.outputs)} outputs vs {len(d2.inputs)} inputs")
+    out = tensor(d1, d2)
+    n_in, n_mid = len(d1.inputs), len(d1.outputs)
+    # splice: turn the glued boundaries into identity spiders and join them
+    for o_nid, i_nid in zip(out.outputs[:n_mid], out.inputs[n_in:]):
+        out.nodes[o_nid] = out.nodes[i_nid] = ("z", 0.0)
+        out.edges.append((o_nid, i_nid))
+    out.inputs, out.outputs = out.inputs[:n_in], out.outputs[n_mid:]
+    return out
+
+
+def swap_diagram() -> ZXDiagram:
+    return parse_diagram("node a input\nnode b input\nnode c output\nnode d output\n"
+                         "edge a d\nedge b c")
+
+
+def effect_diagram(kind: str, phase: float = 0.0) -> ZXDiagram:
+    """Single spider with one input and no outputs (a ``sqrt(2)``-scaled bra)."""
+    return parse_diagram(f"node s {kind} {phase!r}\nnode i input\nedge i s")
+
+
+def cup_diagram() -> ZXDiagram:
+    """No inputs, two outputs: the unnormalized Bell state ``|00> + |11>``."""
+    return parse_diagram("node s z\nnode a output\nnode b output\nedge s a\nedge s b")
+
+
+def cap_diagram() -> ZXDiagram:
+    """Two inputs, no outputs: the unnormalized Bell effect ``<00| + <11|``."""
+    return parse_diagram("node s z\nnode a input\nnode b input\nedge a s\nedge b s")

@@ -5,11 +5,8 @@ from qcut import gates
 from qcut.channels import (
     MEASUREMENT_KETS,
     GeneralizedMap,
-    SignedKraus,
-    SignedMeasurePrepare,
     UnitaryChannel,
     ancilla_map,
-    controlled_sequence_unitary,
     e_rzv_map,
     e_v_mx_map,
     e_v_mz_map,
@@ -17,6 +14,7 @@ from qcut.channels import (
     mcz_mx_map,
     pauli_measure_prepare,
     rzz_my_map,
+    sequence_unitary,
     signed_z_map,
 )
 from qcut.linalg import (
@@ -25,8 +23,6 @@ from qcut.linalg import (
     Operator,
     QcutError,
     embed_matrix,
-    pauli_eigenbasis,
-    projector,
     ptm_of_schur,
     ptm_of_unitary,
 )
@@ -36,7 +32,15 @@ from qcut.cuts import (
     rzz_decomposition_a,
     rzz_decomposition_b,
 )
-from oracles import apply_map, close_to, cptp_diagnostics, dag
+from oracles import (
+    apply_map,
+    close_to,
+    cptp_diagnostics,
+    dag,
+    measure_prepare_map,
+    pauli_eigenbasis,
+    projector,
+)
 
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
@@ -68,7 +72,7 @@ def test_unitary_channel_matches_conjugation():
 
 
 # ---------------------------------------------------------------------------
-# SignedMeasurePrepare
+# Measure-and-prepare maps
 # ---------------------------------------------------------------------------
 
 
@@ -76,14 +80,14 @@ def test_measure_prepare_validation():
     p0 = gates.basis_state("0")
     p1 = gates.basis_state("1")
     with pytest.raises(QcutError):
-        SignedMeasurePrepare([(1.0, p0, p0)])  # effects don't sum to identity
+        measure_prepare_map([(1.0, p0, p0)])  # effects don't sum to identity
     with pytest.raises(QcutError):
-        SignedMeasurePrepare([(1.0, p0, 2.0 * p0), (1.0, p1, p1)])  # not a state
+        measure_prepare_map([(1.0, p0, 2.0 * p0), (1.0, p1, p1)])  # not a state
     # non-Hermitian effects that sum to I and whose lower triangles look PSD
     e0 = Operator(np.array([[1.0, 0.5], [0.0, 0.0]]))
     e1 = Operator(np.array([[0.0, -0.5], [0.0, 1.0]]))
     with pytest.raises(QcutError, match="Hermitian"):
-        SignedMeasurePrepare([(1.0, e0, p0), (1.0, e1, p1)])
+        measure_prepare_map([(1.0, e0, p0), (1.0, e1, p1)])
 
 
 def test_pauli_measure_prepare_ptm():
@@ -132,7 +136,7 @@ def _rank_one_cases():
 def test_rank_one_maps_match_measure_prepare(build, terms):
     # the named maps take |s><e| from the eigenkets directly; branch by branch
     # they must act as the measure-and-prepare map of the projectors
-    ch, ref = build(), SignedMeasurePrepare(terms)
+    ch, ref = build(), measure_prepare_map(terms)
     assert ch.signs == ref.signs
     rng = np.random.default_rng(3)
     mats = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
@@ -152,15 +156,15 @@ def test_cptp_diagnostics_cross_check():
 
 
 # ---------------------------------------------------------------------------
-# SignedKraus
+# Signed Kraus branches
 # ---------------------------------------------------------------------------
 
 
 def test_signed_kraus_completeness_enforced():
     p0 = gates.basis_state("0")
     with pytest.raises(QcutError):
-        SignedKraus([(1.0, p0)])
-    ch = SignedKraus([(1.0, gates.basis_state("0")), (-1.0, gates.basis_state("1"))])
+        GeneralizedMap([(1.0, [p0.mat])])
+    ch = GeneralizedMap([(1.0, [p0.mat]), (-1.0, [gates.basis_state("1").mat])])
     m = ch.to_superoperator().matrix
     assert np.allclose(m, ANTIDIAG_IZ, atol=1e-12)
     assert not ch.is_cptp()
@@ -204,6 +208,7 @@ def random_unitary(d, seed):
 
 
 SEQUENCE = [((0,), X), ((1,), random_unitary(2, 5)), ((0, 1), random_unitary(4, 6))]
+SEQUENCE_V = sequence_unitary(SEQUENCE, 2)
 RZV_FEEDBACK = tuple(
     Operator(embed_matrix(gates.rz(sign * np.pi / 2).mat, [0], 3)) for sign in (1, -1)
 )
@@ -215,9 +220,9 @@ RZV_FEEDBACK = tuple(
         (mcz_mx_map(1), gates.mcz(2), "X", None),
         (mcz_mx_map(3), gates.mcz(4), "X", None),
         (rzz_my_map(0.7), gates.rzz(0.7), "Y", None),
-        (e_v_mx_map(SEQUENCE, 2), last_controlled_sequence(SEQUENCE, 2, 0), "X", None),
-        (e_v_mz_map(SEQUENCE, 2), last_controlled_sequence(SEQUENCE, 2, 0), "Z", None),
-        (e_rzv_map(SEQUENCE, 2), last_controlled_sequence(SEQUENCE, 2, 1), "Y", RZV_FEEDBACK),
+        (e_v_mx_map(SEQUENCE_V), last_controlled_sequence(SEQUENCE, 2, 0), "X", None),
+        (e_v_mz_map(SEQUENCE_V), last_controlled_sequence(SEQUENCE, 2, 0), "Z", None),
+        (e_rzv_map(SEQUENCE_V), last_controlled_sequence(SEQUENCE, 2, 1), "Y", RZV_FEEDBACK),
     ],
     ids=["mcz_mx_1", "mcz_mx_3", "rzz_my", "e_v_mx", "e_v_mz", "e_rzv"],
 )
@@ -272,7 +277,7 @@ def test_rzz_my_map_equals_scaled_signed_z():
 def test_controlled_sequence_unitary():
     theta = np.pi / 5
     ops = [((0,), X), ((1,), Operator(np.diag([1.0, np.exp(1j * theta)])))]
-    u = controlled_sequence_unitary(ops, 2)
+    u = gates.controlled(sequence_unitary(ops, 2))
     # control = qubit 0: CNOT(0 -> 1) then controlled-phase(0, 2)
     expected = gates.cnot_on(3, 0, 1) @ Operator(
         np.diag([1.0, 1.0, 1.0, 1.0, 1.0, np.exp(1j * theta), 1.0, np.exp(1j * theta)])
@@ -281,11 +286,11 @@ def test_controlled_sequence_unitary():
 
 
 def test_e_rzv_is_cptp_and_others_are_not():
-    ops = [((0,), X)]
-    assert e_rzv_map(ops, 1).is_cptp()
-    assert not e_v_mx_map(ops, 1).is_cptp()
-    assert not e_v_mz_map(ops, 1).is_cptp()
-    assert e_v_mx_map(ops, 1).signs == (1, -1)
+    v = sequence_unitary([((0,), X)], 1)
+    assert e_rzv_map(v).is_cptp()
+    assert not e_v_mx_map(v).is_cptp()
+    assert not e_v_mz_map(v).is_cptp()
+    assert e_v_mx_map(v).signs == (1, -1)
 
 
 def test_ancilla_circuit_identity_recovery():
@@ -321,7 +326,7 @@ def test_measure_prepare_branches_are_rank_one_kraus():
     # E = |0><0| and rho = |+><+| are rank one, so the zero-weight
     # eigen-components get no operator and each branch has one
     plus = projector(KET_PLUS)
-    ch = SignedMeasurePrepare(
+    ch = measure_prepare_map(
         [(1, gates.basis_state("0"), plus), (-1, gates.basis_state("1"), plus)]
     )
     assert [len(kraus) for _, kraus in ch.branches] == [1, 1]
@@ -383,7 +388,7 @@ def test_schur_form_matches_dense_ptm(ch):
         lambda: pauli_measure_prepare("X", 0),
         lambda: pauli_measure_prepare("I", 1),
         lambda: grouped_pauli_map("Y"),
-        lambda: e_rzv_map([((0,), X)], 2),
+        lambda: e_rzv_map(sequence_unitary([((0,), X)], 2)),
         lambda: GeneralizedMap([(1, [np.array([[1.0, 1e-300], [0.0, 1.0]])])]),
     ],
     ids=["E_X0", "E_I1", "grouped_Y", "e_rzv", "tiny_off_diagonal"],

@@ -1,4 +1,5 @@
-"""Every name a ``qcut`` module imports is used in that module."""
+"""Every name a ``qcut`` module imports is used in that module, and every
+module-level name it assigns is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,23 @@ def test_package_reexports_every_import():
     assert sorted(imported_names(tree)) == sorted(qcut.__all__)
     for name in qcut.__all__:
         assert hasattr(qcut, name), name
+
+
+def test_every_module_constant_is_read():
+    # a name counts as read when it is loaded bare or as ``module.name``
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    reads = {"__all__", "__version__"} | {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}:{stmt.lineno}:{target.id}"
+        for module, tree in sorted(trees.items())
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name) and target.id not in reads
+    ]
+    assert not unread, f"module-level names nothing in qcut reads: {unread}"

@@ -20,16 +20,14 @@ from qcut.linalg import (
     Operator,
     PauliString,
     QcutError,
-    devectorize,
-    vectorize,
 )
 from qcut.sampling import (
     ExperimentSpec,
     exact_expectation,
-    execute_term,
     run,
     term_support,
 )
+from oracles import devectorize, execute_term, unsigned, vectorize
 
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
@@ -123,9 +121,9 @@ def test_sign_tracking_matters():
     # dropping the classically-tracked signs produces a biased estimator
     spec = spec_for(wire_cut_cc(), "1", "Z", shots=300_000, seed=2)
     signed = run(spec)
-    unsigned = run(spec, track_signs=False)
+    dropped = run(dataclasses.replace(spec, decomposition=unsigned(spec.decomposition)))
     assert abs(signed.estimate - (-1.0)) < 5 * signed.standard_error
-    assert abs(unsigned.estimate - (-1.0)) > 10 * unsigned.standard_error
+    assert abs(dropped.estimate - (-1.0)) > 10 * dropped.standard_error
 
 
 def test_execute_term_oracle_agrees_with_vectorized_run():
@@ -284,17 +282,9 @@ def dense_exact(spec):
     """Oracle: sum_nu q_nu <O, PTM_nu vec(rho)> through the dense reconstruct()."""
     rho = np.array([[1.0 + 0j]])
     obs = np.array([[1.0 + 0j]])
-    for r in range(len(spec.decomposition.partition)):
-        rho_r = spec.initial_state[r].mat
-        obs_r = spec.observable[r].mat
-        if spec.pre_unitaries is not None:
-            u = spec.pre_unitaries[r].mat
-            rho_r = u @ rho_r @ u.conj().T
-        if spec.post_unitaries is not None:
-            u = spec.post_unitaries[r].mat
-            obs_r = u.conj().T @ obs_r @ u
-        rho = np.kron(rho, rho_r)
-        obs = np.kron(obs, obs_r)
+    for rho_r, obs_r in zip(spec.initial_state, spec.observable):
+        rho = np.kron(rho, rho_r.mat)
+        obs = np.kron(obs, obs_r.mat)
     out = spec.decomposition.reconstruct().matrix @ vectorize(Operator(rho))
     return float(np.real(np.vdot(vectorize(Operator(obs)), out)))
 
@@ -320,15 +310,22 @@ def _random_sequence(seed, n_targets):
 )
 @pytest.mark.parametrize("local_unitaries", [False, True], ids=["bare", "pre_post"])
 def test_block_exact_expectation_matches_dense_reconstruction(deco, local_unitaries):
-    # multi_z (2, 2) has SignedKraus factors, which the sampler cannot draw
-    # from but whose exact value the block-wise sum still covers
+    # the block-wise sum covers every family, ladder-conjugated multi_z
+    # factors on (2, 2) included; local circuits U before and after the cut
+    # are folded in as U rho U^dag and U^dag O U
     spec = random_spec(deco, seed=17)
     if local_unitaries:
         rng = np.random.default_rng(18)
+        pre = [haar_unitary(rng, 2**s).mat for s in deco.partition]
+        post = [haar_unitary(rng, 2**s).mat for s in deco.partition]
         spec = dataclasses.replace(
             spec,
-            pre_unitaries=tuple(haar_unitary(rng, 2**s) for s in deco.partition),
-            post_unitaries=tuple(haar_unitary(rng, 2**s) for s in deco.partition),
+            initial_state=tuple(
+                Operator(u @ rho.mat @ u.conj().T) for u, rho in zip(pre, spec.initial_state)
+            ),
+            observable=tuple(
+                Operator(u.conj().T @ obs.mat @ u) for u, obs in zip(post, spec.observable)
+            ),
         )
     assert exact_expectation(spec) == pytest.approx(dense_exact(spec), abs=1e-12)
 

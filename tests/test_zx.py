@@ -7,12 +7,8 @@ from qcut.zx import (
     CNOT_VARIANTS,
     ZXDiagram,
     ZXError,
-    cap_diagram,
     cnot_diagram,
-    compose,
     contract,
-    cup_diagram,
-    effect_diagram,
     hbox_tensor,
     insert_cut_fragment,
     mcp_diagram,
@@ -22,11 +18,18 @@ from qcut.zx import (
     rzz_diagram,
     split_mcz_three_hboxes,
     state_diagram,
-    swap_diagram,
-    tensor,
     verify_rule,
     wire_cut_fragments,
     wire_diagram,
+)
+from oracles import (
+    cap_diagram,
+    compose,
+    cup_diagram,
+    degree,
+    effect_diagram,
+    swap_diagram,
+    tensor,
 )
 
 SQ2 = np.sqrt(2)
@@ -130,7 +133,7 @@ def test_rzz_diagram_exact_including_global_phase():
 def test_scalar_subdiagram_absorbed():
     d = wire_diagram(1)
     lone = d.add_z(np.pi / 3)  # arity-0 spider contributes 1 + e^{i pi/3}
-    assert d.degree(lone) == 0
+    assert degree(d, lone) == 0
     assert np.allclose(contract(d), (1 + np.exp(1j * np.pi / 3)) * np.eye(2), atol=1e-12)
 
 
