@@ -19,7 +19,7 @@ from .linalg import (
     QcutError,
     SizeCapError,
     Superoperator,
-    ptm_of_map,
+    ptm_of_kraus,
     ptm_of_unitary,
 )
 from .sampling import ExperimentSpec, SamplingReport, run
@@ -45,7 +45,7 @@ __all__ = [
     "mcz_decomposition",
     "multi_z_rotation_decomposition",
     "parse_diagram",
-    "ptm_of_map",
+    "ptm_of_kraus",
     "ptm_of_unitary",
     "run",
     "rzz_decomposition_a",

@@ -42,8 +42,8 @@ from .linalg import (
     _is_power_of_two,
     check_unitary,
     embed_matrix,
-    exact_diagonal,
-    ptm_of_map,
+    ptm_of_kraus,
+    schur_of_kraus,
 )
 
 #: Pauli -> (+1 eigenket, -1 eigenket)
@@ -87,7 +87,7 @@ class GeneralizedMap:
                 raise DimensionError("Kraus operators must share one register of qubits")
             kraus.setflags(write=False)
         # rows of the stacked operators: stacked^dag stacked = sum_b sum_k K^dag K
-        stacked = np.concatenate([kraus for _, kraus in self.branches]).reshape(-1, d)
+        stacked = self.kraus()[1].reshape(-1, d)
         dev = np.abs(stacked.conj().T @ stacked - np.eye(d)).max()
         if not dev <= ATOL_STRUCT:
             raise DimensionError(
@@ -108,24 +108,23 @@ class GeneralizedMap:
     def signs(self) -> tuple:
         return tuple(a for a, _ in self.branches)
 
+    def kraus(self) -> tuple:
+        """``(weights, ops)``: every Kraus operator of every branch in one
+        ``(k, d, d)`` stack, weighted by its branch's sign."""
+        weights = np.concatenate([np.full(len(kraus), float(a)) for a, kraus in self.branches])
+        return weights, np.concatenate([kraus for _, kraus in self.branches])
+
     def to_superoperator(self) -> Superoperator:
         cached = getattr(self, "_ptm", None)
         if cached is None:
-            cached = ptm_of_map(self.apply_batch, self.n_qubits)
+            cached = ptm_of_kraus(*self.kraus())
             self._ptm = cached
         return cached
 
     def schur(self) -> Optional[np.ndarray]:
-        """The ``d x d`` matrix ``S`` with ``E(rho) = S * rho`` entrywise,
-        ``S = sum_b a_b sum_k k k^dag`` over the diagonals ``k`` of the Kraus
-        operators, when every off-diagonal entry is exactly zero; else ``None``."""
-        s = np.zeros((2**self.n_qubits,) * 2, dtype=complex)
-        for sign, kraus in self.branches:
-            diag = exact_diagonal(kraus)
-            if diag is None:
-                return None
-            s += sign * (diag.T @ diag.conj())
-        return s
+        """The ``d x d`` matrix ``S`` with ``E(rho) = S * rho`` entrywise when
+        every Kraus operator is exactly diagonal; else ``None``."""
+        return schur_of_kraus(*self.kraus())
 
     def is_cptp(self) -> bool:
         """True iff every sign is +1 (completeness is enforced at construction)."""

@@ -460,17 +460,17 @@ def _zx_rules(n, m, theta):
         yield f"rule[{rule_name}]", zx.verify_rule(*fn())["max_abs_deviation"]
 
 
-#: ``zx-check --builtin`` name -> check yielding ``(label, max|delta|)`` pairs
-#: from ``--n`` and ``--m`` (None when not given, else >= 1) and the angle;
-#: ``all`` runs them in this order
+#: ``zx-check --builtin`` name -> (check, the flags it reads); a check yields
+#: ``(label, max|delta|)`` pairs from ``--n`` and ``--m`` (None when not
+#: given, else >= 1) and the angle; ``all`` runs them in this order
 _ZX_BUILTINS = {
-    "cnot-variants": _zx_cnot_variants,
-    "states": _zx_states,
-    "mcz": _zx_mcz,
-    "mcp": _zx_mcp,
-    "rzz": _zx_rzz,
-    "mcz-fusion": _zx_mcz_fusion,
-    "rules": _zx_rules,
+    "cnot-variants": (_zx_cnot_variants, ()),
+    "states": (_zx_states, ()),
+    "mcz": (_zx_mcz, ("--n",)),
+    "mcp": (_zx_mcp, ("--n", "--theta")),
+    "rzz": (_zx_rzz, ("--theta",)),
+    "mcz-fusion": (_zx_mcz_fusion, ("--n", "--m")),
+    "rules": (_zx_rules, ()),
 }
 
 
@@ -478,12 +478,19 @@ def _zx_builtin(args) -> int:
     name = args.builtin
     if name != "all" and name not in _ZX_BUILTINS:
         raise ConfigError(f"zx-check: unknown builtin {name!r}")
+    if name != "all":
+        given = {"--n": args.n, "--m": args.m, "--theta": args.theta}
+        unread = [flag for flag, value in given.items()
+                  if value is not None and flag not in _ZX_BUILTINS[name][1]]
+        if unread:
+            raise ConfigError(f"{', '.join(unread)}: not read by zx-check --builtin {name}")
     theta = _parse_theta(args.theta, "--theta") if args.theta else np.pi / 2
     for flag, value in (("--n", args.n), ("--m", args.m)):
         if value is not None:
             _check_int(value, flag, 1)
     failures = 0
-    for check in _ZX_BUILTINS.values() if name == "all" else [_ZX_BUILTINS[name]]:
+    checks = _ZX_BUILTINS.values() if name == "all" else [_ZX_BUILTINS[name]]
+    for check, _ in checks:
         for label, dev in check(args.n, args.m, theta):
             ok = dev <= zx.RULE_ATOL
             print(f"{label}: {'PASS' if ok else 'FAIL'}  max|delta| = {_fmt(dev)}")

@@ -25,7 +25,7 @@ Built-in decompositions:
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,11 +40,14 @@ from .linalg import (
     check_dense,
     embed_matrix,
     exact_diagonal,
+    kraus_transform,
     pauli_index,
     pauli_label,
+    ptm_of_kraus,
     ptm_of_schur,
     ptm_of_unitary,
-    schur_ptm_blocks,
+    schur_of_kraus,
+    schur_transform,
 )
 
 #: reconstruction tolerance: sum of term PTMs vs. the target channel
@@ -75,12 +78,19 @@ class DecompositionTerm:
     def is_cptp(self) -> bool:
         return all(f.is_cptp() for f in self.factors)
 
+    def kraus(self) -> tuple:
+        """``(weights, ops)`` of the term's product map: ``K_1 (x) K_2 (x) ...``
+        for each choice of one Kraus operator per factor, signs multiplied."""
+        weights, ops = np.ones(1), np.ones((1, 1, 1))
+        for f_weights, f_ops in (f.kraus() for f in self.factors):
+            weights = np.outer(weights, f_weights).ravel()
+            d = ops.shape[1] * f_ops.shape[1]
+            ops = np.einsum("iab,jcd->ijacbd", ops, f_ops).reshape(len(weights), d, d)
+        return weights, ops
+
     def to_superoperator(self) -> Superoperator:
         """Unweighted PTM of the term's tensor-product map."""
-        ptm = self.factors[0].to_superoperator()
-        for f in self.factors[1:]:
-            ptm = ptm.kron_with(f.to_superoperator())
-        return ptm
+        return ptm_of_kraus(*self.kraus())
 
     def __repr__(self):
         return f"DecompositionTerm(q={self.q:+.6g}, label={self.label!r})"
@@ -146,45 +156,50 @@ class Decomposition:
         return np.array([abs(t.q) / gamma for t in self.terms])
 
     def schur(self) -> Optional[np.ndarray]:
-        """Schur multiplier ``sum_nu q_nu S_nu1 (x) S_nu2 (x) ...`` of
-        ``sum_nu q_nu F_nu`` when every factor of every term has one, else
-        ``None``."""
-        total = 0
-        for t in self.terms:
-            forms = [f.schur() for f in t.factors]
-            if any(s is None for s in forms):
-                return None
-            total = total + t.q * reduce(np.kron, forms)
-        return total
+        """Schur multiplier of ``sum_nu q_nu F_nu`` when every product Kraus
+        operator is diagonal, else ``None``."""
+        return schur_of_kraus(*self.kraus())
+
+    def kraus(self) -> tuple:
+        """``(weights, ops)`` of ``sum_nu q_nu F_nu``: every term's product
+        Kraus operators, weighted by ``q_nu`` times their signs."""
+        parts = [(t.q, *t.kraus()) for t in self.terms]
+        return (np.concatenate([q * weights for q, weights, _ in parts]),
+                np.concatenate([ops for _, _, ops in parts]))
 
     def reconstruct(self) -> Superoperator:
         """Dense PTM of ``sum_nu q_nu F_nu``, built once from the summed Schur
-        multiplier when the decomposition has one."""
-        s = self.schur()
-        if s is not None:
-            return ptm_of_schur(s)
-        total = sum(t.q * t.to_superoperator().matrix for t in self.terms)
-        return Superoperator(self.n_qubits, total)
+        multiplier when the decomposition has one, else from its signed Kraus
+        operators."""
+        weights, ops = self.kraus()
+        s = schur_of_kraus(weights, ops)
+        return ptm_of_kraus(weights, ops) if s is None else ptm_of_schur(s)
 
     def verify(self, atol: float = ATOL_RECONSTRUCT) -> dict:
         """Compare the reconstruction with the target PTM entry by entry.
 
         ``max_abs_deviation`` is the largest ``|delta|`` and ``worst_entry``
-        the output and input Pauli strings of that entry.  When both the
-        decomposition and the target gate are diagonal, only the ``8^n`` PTM
-        entries that can be nonzero are formed, from ``S - u conj(u)^T``.
+        the output and input Pauli strings of that entry.  Each PTM entry of
+        the difference is a unit phase times one of ``W / d``, so no PTM is
+        built: ``W`` comes from ``S - u conj(u)^T`` when the decomposition
+        and the target gate are diagonal, else from the signed Kraus
+        operators with ``(-1, U)`` appended for the target.
         """
         n = self.n_qubits
-        s = self.schur()
+        weights, ops = self.kraus()
+        s = schur_of_kraus(weights, ops)
         u = exact_diagonal(self.target_unitary.mat)
         if s is not None and u is not None:
-            delta = np.abs(schur_ptm_blocks(s - np.outer(u, u.conj())))
-            x, z_out, z_in = np.unravel_index(np.argmax(delta), delta.shape)
-            row, col = pauli_index(x, z_out, n), pauli_index(x, z_in, n)
+            delta = np.abs(schur_transform(s - np.outer(u, u.conj())))
+            x, z = np.unravel_index(np.argmax(delta), delta.shape)
+            # the first maximal PTM entry of block x has z_out = 0, z_in = z
+            row, col = pauli_index(x, 0, n), pauli_index(x, z, n)
         else:
-            delta = np.abs(self.reconstruct().matrix - self.target.matrix)
-            row, col = np.unravel_index(np.argmax(delta), delta.shape)
-        deviation = float(delta.max())
+            delta = np.abs(kraus_transform(np.append(weights, -1.0),
+                                           np.concatenate([ops, self.target_unitary.mat[None]])))
+            z_out, z_in, x_out, x_in = np.unravel_index(np.argmax(delta), delta.shape)
+            row, col = pauli_index(x_out, z_out, n), pauli_index(x_in, z_in, n)
+        deviation = float(delta.max()) / 2**n
         return {
             "name": self.name,
             "n_terms": len(self.terms),

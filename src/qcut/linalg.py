@@ -7,12 +7,17 @@ Z)`` per qubit with qubit 0 as the most significant index, matching the
 standard Kronecker-product convention, so PTMs of tensor-product maps are
 Kronecker products of the factor PTMs with no permutation bookkeeping.
 
+Indexed by X and Z part, ``P = i^{|x & z|} X^x Z^z``, every PTM entry of
+``rho -> sum_k w_k K_k rho K_k^dag`` is a unit phase times one entry of a
+Walsh-Hadamard array ``W / d`` (:func:`kraus_transform`), which
+:func:`ptm_of_kraus`, the dense PTM builder, phases and reorders.
+
 A map whose Kraus operators are all diagonal acts entrywise,
 ``E(rho) = S * rho`` with a ``2^n x 2^n`` Schur multiplier ``S``.  Its PTM is
 block sparse: ``R_ij`` vanishes unless ``P_i`` and ``P_j`` share their X part,
-and :func:`schur_ptm_blocks` returns only those ``8^n`` entries, one
-Walsh-Hadamard transform per X part.  :func:`ptm_of_unitary` takes that path
-for an exactly diagonal unitary.
+and :func:`schur_ptm_blocks` returns only those ``8^n`` entries from a
+``d x d`` array ``W`` (:func:`schur_transform`).  :func:`ptm_of_unitary` takes
+that path for an exactly diagonal unitary.
 
 Everything here is desk-scale by design: :func:`check_dense` caps every dense
 array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
@@ -21,7 +26,7 @@ array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -108,14 +113,13 @@ class Operator:
         return f"Operator(n={self.n_qubits})"
 
 
-# single-qubit Paulis and the normalized basis tensor (4, 2, 2)
+# single-qubit Paulis
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_LETTERS = "IXYZ"
 _PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-_PB = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -147,39 +151,6 @@ def check_unitary(mat: np.ndarray, what: str):
         raise DimensionError(f"{what} is not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
-def _pauli_coeffs_batch(mats: np.ndarray) -> np.ndarray:
-    """Coefficients ``Tr(Pbar_i A)`` for a batch of matrices, shape (B, 4^n)."""
-    b, d, _ = mats.shape
-    n = d.bit_length() - 1
-    t = mats.reshape((b,) + (2,) * (2 * n))
-    for k in range(n):
-        # axes: (B,) + (4,)*k + rows + cols; row of qubit k at 1+k, col at 1+n
-        t = np.tensordot(t, _PB, axes=([1 + k, 1 + n], [2, 1]))
-        t = np.moveaxis(t, -1, 1 + k)
-    return t.reshape(b, 4**n)
-
-
-@lru_cache(maxsize=None)
-def _basis_cached(n: int) -> np.ndarray:
-    if n == 1:
-        out = _PB.copy()
-    else:
-        lo = _basis_cached(n - 1)
-        out = np.einsum("iab,jcd->ijacbd", _PB, lo).reshape(
-            4**n, 2**n, 2**n
-        )
-    out.setflags(write=False)
-    return out
-
-
-def pauli_basis_matrices(n: int) -> np.ndarray:
-    """All ``4^n`` normalized Pauli-string matrices, shape (4^n, 2^n, 2^n)."""
-    if n < 1:
-        raise DimensionError(f"need n >= 1, got {n}")
-    check_dense(16**n, f"Pauli basis on {n} qubits")
-    return _basis_cached(n)
-
-
 @dataclass(frozen=True)
 class Superoperator:
     """A linear map on operators, stored as its PTM in the normalized Pauli basis."""
@@ -197,10 +168,6 @@ class Superoperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def kron_with(self, other: "Superoperator") -> "Superoperator":
-        check_dense(16 ** (self.n + other.n), f"superoperator on {self.n + other.n} qubits")
-        return Superoperator(self.n + other.n, np.kron(self.matrix, other.matrix))
-
     def max_abs_diff(self, other: "Superoperator") -> float:
         if self.n != other.n:
             raise DimensionError(f"qubit count mismatch: {self.n} vs {other.n}")
@@ -216,19 +183,7 @@ def ptm_of_unitary(u: Operator) -> Superoperator:
     diag = exact_diagonal(u.mat)
     if diag is not None:
         return ptm_of_schur(np.outer(diag, diag.conj()))
-    return ptm_of_map(lambda mats: u.mat @ mats @ u.mat.conj().T, n)
-
-
-def ptm_of_map(apply_batch, n: int) -> Superoperator:
-    """PTM of an arbitrary linear map given its batched action on matrices.
-
-    ``apply_batch`` maps a read-only array of shape (B, 2^n, 2^n) to the
-    array of images, same shape.
-    """
-    check_dense(16**n, f"superoperator on {n} qubits")
-    images = apply_batch(pauli_basis_matrices(n))
-    coeffs = _pauli_coeffs_batch(images)
-    return Superoperator(n, coeffs.T.copy())
+    return ptm_of_kraus(np.ones(1), u.mat[None])
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +228,28 @@ def pauli_label(index: int, n: int) -> str:
     return "".join(PAULI_LETTERS[(index >> 2 * shift) & 3] for shift in range(n - 1, -1, -1))
 
 
+def schur_of_kraus(weights: np.ndarray, kraus: np.ndarray):
+    """Schur multiplier ``S = sum_k w_k diag(K_k) diag(K_k)^dag`` of
+    ``rho -> sum_k w_k K_k rho K_k^dag`` when every ``K_k`` is exactly
+    diagonal; ``None`` otherwise."""
+    diag = exact_diagonal(kraus)
+    return None if diag is None else (diag.T * weights) @ diag.conj()
+
+
+def schur_transform(s: np.ndarray) -> np.ndarray:
+    """``W[x, z]``, the Walsh-Hadamard transform over ``b`` of ``s[b ^ x, b]``:
+    every PTM entry of ``rho -> s * rho`` is a unit phase times one of ``W / d``."""
+    d = s.shape[0]
+    n = d.bit_length() - 1
+    check_dense(d * d, f"Schur-form transform on {n} qubits")
+    idx = np.arange(d)
+    w = s[idx[:, None] ^ idx[None, :], idx[None, :]].reshape((d,) + (2,) * n)  # g[x, b]
+    for axis in range(1, n + 1):
+        lo, hi = np.take(w, 0, axis), np.take(w, 1, axis)
+        w = np.stack([lo + hi, lo - hi], axis=axis)
+    return w.reshape(d, d)
+
+
 def schur_ptm_blocks(s: np.ndarray) -> np.ndarray:
     """The nonzero PTM entries of the Schur map ``rho -> s * rho`` (entrywise).
 
@@ -280,24 +257,19 @@ def schur_ptm_blocks(s: np.ndarray) -> np.ndarray:
     with equal X parts survive.  Returns ``B`` of shape ``(d, d, d)`` with
     ``B[x, z_i, z_j] = R_ij`` for ``P_i = (x, z_i)``, ``P_j = (x, z_j)``:
 
-        B = (-1)^{z_i . x} i^{|x & z_i| + |x & z_j|} W_x(z_i ^ z_j) / d,
+        B = (-1)^{z_i . x} i^{|x & z_i| + |x & z_j|} W[x, z_i ^ z_j] / d,
 
-    where ``W_x`` is the Walsh-Hadamard transform of ``g_x(b) = s[b ^ x, b]``.
+    with ``W`` from :func:`schur_transform`.
     """
     d = s.shape[0]
     n = d.bit_length() - 1
     check_dense(d**3, f"Schur-form PTM blocks on {n} qubits")
+    w = schur_transform(s)
     idx = np.arange(d)
-    xor = idx[:, None] ^ idx[None, :]
-    w = s[xor, idx[None, :]].reshape((d,) + (2,) * n)  # g[x, b], one axis per bit of b
-    for axis in range(1, n + 1):
-        lo, hi = np.take(w, 0, axis), np.take(w, 1, axis)
-        w = np.stack([lo + hi, lo - hi], axis=axis)
-    w = w.reshape(d, d)
     overlap = _popcount(idx[:, None] & idx[None, :], n)  # |x & z|
     y_phase = _I_POWERS[overlap % 4]
     x_sign = 1 - 2 * (overlap % 2)
-    return (x_sign * y_phase)[:, :, None] * y_phase[:, None, :] * w[:, xor] / d
+    return (x_sign * y_phase)[:, :, None] * y_phase[:, None, :] * w[:, idx[:, None] ^ idx] / d
 
 
 def ptm_of_schur(s: np.ndarray) -> Superoperator:
@@ -310,6 +282,51 @@ def ptm_of_schur(s: np.ndarray) -> Superoperator:
     p = pauli_index(idx[:, None], idx[None, :], n)  # p[x, z]
     out = np.zeros((d * d, d * d), dtype=complex)
     out[p[:, :, None], p[:, None, :]] = schur_ptm_blocks(s)
+    return Superoperator(n, out)
+
+
+# ---------------------------------------------------------------------------
+# Signed Kraus maps
+# ---------------------------------------------------------------------------
+
+
+def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """``W[z', z, x', x] = Tr(P' E(P)) / (i^{|x' & z'|} i^{|x & z|})`` for
+    ``E(rho) = sum_k w_k K_k rho K_k^dag`` and ``P = i^{|x & z|} X^x Z^z``:
+
+        W = H G H over (c, b),  G[c, b, x', x] = sum_k w_k conj(K_k[c ^ x', b]) K_k[c, b ^ x],
+
+    with the Hadamard matrix ``H[z, c] = (-1)^{|z & c|}``.
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    m, d, _ = kraus.shape
+    n = d.bit_length() - 1
+    check_dense(d**3 * max(d, m), f"Pauli transfer array on {n} qubits")
+    idx = np.arange(d)
+    xor = idx[:, None] ^ idx[None, :]
+    bra = np.conj(kraus[:, xor, :]) * np.reshape(weights, (m, 1, 1, 1))  # [k, c, x', b]
+    w = bra.transpose(1, 3, 2, 0) @ kraus[:, :, xor].transpose(1, 2, 0, 3)  # G[c, b, x', x]
+    del bra
+    # H is real: apply it to the (real, imag) pairs as real gemms
+    h = 1.0 - 2 * (_popcount(idx[:, None] & idx[None, :], n) % 2)
+    w = h @ w.reshape(d, -1).view(float)  # [z', (b, x', x)]
+    w = h @ w.reshape(d, d, -1)  # [z', z, (x', x)]
+    return w.view(complex).reshape((d,) * 4)
+
+
+def ptm_of_kraus(weights: np.ndarray, kraus: np.ndarray) -> Superoperator:
+    """PTM of ``rho -> sum_k w_k K_k rho K_k^dag`` for real weights ``w_k``
+    and a ``(k, d, d)`` stack of operators, from :func:`kraus_transform`."""
+    w = kraus_transform(weights, kraus)
+    d = w.shape[0]
+    n = d.bit_length() - 1
+    idx = np.arange(d)
+    # X and Z part of each basis index, in basis order
+    x, z = np.divmod(np.argsort(pauli_index(idx[:, None], idx[None, :], n).ravel()), d)
+    out = w[z[:, None], z[None, :], x[:, None], x[None, :]]
+    phase = _I_POWERS[_popcount(x & z, n) % 4]
+    out *= phase[:, None]
+    out *= phase / d
     return Superoperator(n, out)
 
 

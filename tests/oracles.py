@@ -3,9 +3,11 @@
 They recompute what the package derives from a map's branches or an
 operator's matrix by the textbook route, so the tests can check the package
 against them: the measure-and-prepare map from eigendecompositions, Pauli
-coefficients from traces, single shots drawn one at a time, and ZX diagrams
-glued from small pieces.
+coefficients from traces, PTMs from a map's images of the whole Pauli basis,
+single shots drawn one at a time, and ZX diagrams glued from small pieces.
 """
+
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -14,11 +16,15 @@ from qcut.cuts import Decomposition, DecompositionTerm
 from qcut.linalg import (
     ATOL_STRUCT,
     PAULI_EIGENKETS,
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DimensionError,
     Operator,
-    pauli_basis_matrices,
+    Superoperator,
+    check_dense,
 )
-from qcut.sampling import _blocks_of_term, _eigen_distribution, _factor_branches
 from qcut.zx import ZXDiagram, ZXError, parse_diagram
 
 #: Choi positivity tolerance; looser than equality checks because eigenvalue
@@ -80,6 +86,63 @@ def pauli_eigenbasis() -> dict:
     return {key: (a, projector(ket)) for key, (a, ket) in PAULI_EIGENKETS.items()}
 
 
+# normalized single-qubit Pauli basis tensor (4, 2, 2)
+_PB = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2.0)
+
+
+def _pauli_coeffs_batch(mats: np.ndarray) -> np.ndarray:
+    """Coefficients ``Tr(Pbar_i A)`` for a batch of matrices, shape (B, 4^n)."""
+    b, d, _ = mats.shape
+    n = d.bit_length() - 1
+    t = mats.reshape((b,) + (2,) * (2 * n))
+    for k in range(n):
+        # axes: (B,) + (4,)*k + rows + cols; row of qubit k at 1+k, col at 1+n
+        t = np.tensordot(t, _PB, axes=([1 + k, 1 + n], [2, 1]))
+        t = np.moveaxis(t, -1, 1 + k)
+    return t.reshape(b, 4**n)
+
+
+@lru_cache(maxsize=None)
+def _basis_cached(n: int) -> np.ndarray:
+    if n == 1:
+        out = _PB.copy()
+    else:
+        lo = _basis_cached(n - 1)
+        out = np.einsum("iab,jcd->ijacbd", _PB, lo).reshape(
+            4**n, 2**n, 2**n
+        )
+    out.setflags(write=False)
+    return out
+
+
+def pauli_basis_matrices(n: int) -> np.ndarray:
+    """All ``4^n`` normalized Pauli-string matrices, shape (4^n, 2^n, 2^n)."""
+    if n < 1:
+        raise DimensionError(f"need n >= 1, got {n}")
+    check_dense(16**n, f"Pauli basis on {n} qubits")
+    return _basis_cached(n)
+
+
+def ptm_of_map(apply_batch, n: int) -> Superoperator:
+    """PTM of an arbitrary linear map given its batched action on matrices.
+
+    ``apply_batch`` maps a read-only array of shape (B, 2^n, 2^n) to the
+    array of images, same shape.
+    """
+    check_dense(16**n, f"superoperator on {n} qubits")
+    images = apply_batch(pauli_basis_matrices(n))
+    coeffs = _pauli_coeffs_batch(images)
+    return Superoperator(n, coeffs.T.copy())
+
+
+def haar_unitary(rng, d: int) -> Operator:
+    """Haar-random ``d x d`` unitary: QR of a complex Gaussian matrix with the
+    phases of ``R``'s diagonal moved into ``Q``."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return Operator(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
 def vectorize(a: Operator) -> np.ndarray:
     """Coefficients ``Tr(P_i a)`` of ``a`` in the normalized Pauli basis."""
     return np.einsum("iab,ba->i", pauli_basis_matrices(a.n_qubits), a.mat)
@@ -117,23 +180,42 @@ def measure_prepare_map(terms) -> GeneralizedMap:
     return GeneralizedMap(branches)
 
 
+def _draw(rng, weights: np.ndarray) -> int:
+    """Index ``i`` with probability ``weights[i] / sum(weights)``, from one
+    uniform draw."""
+    cumulative = np.cumsum(weights)
+    return int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+
+
 def execute_term(term, spec, rng) -> tuple:
     """Physically simulate one shot of one term: sample each factor's
     measurement branch, then the observable eigenvalue per block.
 
-    Returns ``(sign, lam)`` with ``sign`` the product of branch signs and
-    ``lam`` the product of sampled per-block eigenvalues.
+    Each factor acts on the Kronecker product of the registers it covers.
+    Branch ``b`` occurs with probability ``Tr(sum_k K rho K^dag)`` over its
+    Kraus stack and leaves that (unnormalized) post-state; the observable
+    block is then measured in its own eigenbasis.  Returns ``(sign, lam)``
+    with ``sign`` the product of branch signs and ``lam`` the product of
+    sampled per-block eigenvalues.
     """
+    registers = iter(zip(spec.decomposition.partition, spec.initial_state, spec.observable))
     sign = 1
     lam_total = 1.0
-    for factor, rho, obs in _blocks_of_term(spec, term):
-        branches = _factor_branches(factor, rho)
-        probs = np.array([b[0] for b in branches])
-        k = int(rng.choice(len(branches), p=probs / probs.sum()))
-        p, s, state = branches[k]
-        sign *= s
-        lam, p_lam = _eigen_distribution(obs, state)
-        lam_total *= float(lam[int(rng.choice(len(lam), p=p_lam))])
+    for factor in term.factors:
+        states, observables, size = [], [], 0
+        while size < factor.n_qubits:
+            width, state, observable = next(registers)
+            states.append(state.mat)
+            observables.append(observable.mat)
+            size += width
+        rho, obs = reduce(np.kron, states), reduce(np.kron, observables)
+        posts = [np.einsum("kab,bc,kdc->ad", kraus, rho, kraus.conj())
+                 for _, kraus in factor.branches]
+        b = _draw(rng, [max(np.trace(post).real, 0.0) for post in posts])
+        sign *= factor.branches[b][0]
+        lam, vecs = np.linalg.eigh(obs)
+        p_lam = np.einsum("ai,ab,bi->i", vecs.conj(), posts[b], vecs).real
+        lam_total *= float(lam[_draw(rng, np.clip(p_lam, 0.0, None))])
     return sign, lam_total
 
 

@@ -37,9 +37,11 @@ from oracles import (
     close_to,
     cptp_diagnostics,
     dag,
+    haar_unitary,
     measure_prepare_map,
     pauli_eigenbasis,
     projector,
+    ptm_of_map,
 )
 
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
@@ -322,6 +324,19 @@ def test_branches_define_action_signs_and_ptm():
     assert all(not kraus.flags.writeable for _, kraus in ch.branches)
 
 
+def test_signed_multi_kraus_ptm_matches_dense():
+    # two branches of two Kraus operators each on two qubits, signs (+1, -1):
+    # sqrt(p_k) U_k for Haar unitaries U_k, so completeness holds
+    rng = np.random.default_rng(8)
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    ops = [np.sqrt(pk) * haar_unitary(rng, 4).mat for pk in p]
+    ch = GeneralizedMap([(1, ops[:2]), (-1, ops[2:])])
+    dense = ptm_of_map(ch.apply_batch, 2).matrix
+    assert np.max(np.abs(ch.to_superoperator().matrix - dense)) <= 1e-12
+    weights, kraus = ch.kraus()
+    assert weights.tolist() == [1, 1, -1, -1] and kraus.shape == (4, 4, 4)
+
+
 def test_measure_prepare_branches_are_rank_one_kraus():
     # E = |0><0| and rho = |+><+| are rank one, so the zero-weight
     # eigen-components get no operator and each branch has one
@@ -378,7 +393,7 @@ def _diagonal_family_factors():
 def test_schur_form_matches_dense_ptm(ch):
     s = ch.schur()
     assert s is not None
-    dense = ch.to_superoperator().matrix  # through ptm_of_map
+    dense = ptm_of_map(ch.apply_batch, ch.n_qubits).matrix
     assert np.max(np.abs(ptm_of_schur(s).matrix - dense)) <= 1e-12
 
 

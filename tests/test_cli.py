@@ -283,12 +283,17 @@ def no_ptm(monkeypatch):
         raise AssertionError("a PTM was built")
 
     monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", refuse)
-    monkeypatch.setattr(qcut.channels, "ptm_of_map", refuse)
     monkeypatch.setattr(qcut.cuts.DecompositionTerm, "to_superoperator", refuse)
+    # the signed-Kraus kernel and the transform under it
+    for module in (qcut.channels, qcut.cuts, qcut.linalg):
+        monkeypatch.setattr(module, "ptm_of_kraus", refuse)
+    for module in (qcut.cuts, qcut.linalg):
+        monkeypatch.setattr(module, "kraus_transform", refuse)
     # the Schur-form path, and the Schur forms it starts from
     for module in (qcut.cuts, qcut.linalg):
         monkeypatch.setattr(module, "ptm_of_schur", refuse)
-        monkeypatch.setattr(module, "schur_ptm_blocks", refuse)
+        monkeypatch.setattr(module, "schur_transform", refuse)
+    monkeypatch.setattr(qcut.linalg, "schur_ptm_blocks", refuse)
     monkeypatch.setattr(qcut.channels.GeneralizedMap, "schur", refuse)
 
 
@@ -513,6 +518,53 @@ def test_zx_check_rejects_non_positive_sizes(capsys, argv, flag):
     assert main(["zx-check", *argv]) == 2
     out = capsys.readouterr()
     assert out.err.startswith(f"error: {flag}:") and out.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (["rzz", "--n", "5"], "--n"),
+        (["mcz", "--m", "7"], "--m"),
+        (["states", "--theta", "1"], "--theta"),
+        (["cnot-variants", "--n", "2", "--theta", "pi"], "--n, --theta"),
+        (["mcz-fusion", "--m", "0", "--theta", "1"], "--theta"),
+    ],
+    ids=["rzz-n", "mcz-m", "states-theta", "cnot-n-theta", "fusion-theta-first"],
+)
+def test_zx_check_rejects_flags_the_builtin_never_reads(capsys, argv, flags):
+    assert main(["zx-check", "--builtin", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {flags}: not read by zx-check --builtin {argv[0]}\n"
+    assert out.out == ""
+
+
+def test_zx_check_unknown_builtin_is_named_before_unread_flags(capsys):
+    assert main(["zx-check", "--builtin", "frobnicate", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: zx-check: unknown builtin 'frobnicate'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["mcz", "--n", "15"], "contraction with 30 open legs needs 2^30"),
+        (["mcp", "--n", "14"], "contraction with 28 open legs needs 2^28"),
+        (["all", "--n", "15"], "contraction with 30 open legs needs 2^30"),
+    ],
+    ids=["mcz-n15", "mcp-n14", "all-n15"],
+)
+def test_zx_check_flags_a_builtin_reads_reach_the_check(capsys, argv, err):
+    # `all` reads every flag; a flag the named check reads goes through to it
+    assert main(["zx-check", "--builtin", *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {err} dense entries, over the cap of 2^26\n"
+    )
+
+
+def test_zx_check_all_accepts_every_flag(capsys):
+    assert main(["zx-check", "--builtin", "all", "--n", "3", "--m", "1",
+                 "--theta", "pi/3"]) == 0
+    out = capsys.readouterr().out
+    assert "mcz-fusion[n=3,m=1]: PASS" in out and "FAIL" not in out
 
 
 def _unreadable(tmp_path, case):

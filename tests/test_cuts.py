@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from qcut.cuts import (
     wire_cut_cc,
     wire_cut_ncc,
 )
-from qcut.linalg import DimensionError, Operator, QcutError, ptm_of_map, ptm_of_unitary
+from qcut.linalg import DimensionError, Operator, QcutError, ptm_of_unitary
+from oracles import haar_unitary, ptm_of_map
 
 THETAS = [0.0, np.pi / 6, np.pi / 4, np.pi / 2, -np.pi / 4, 1.234, np.pi]
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
@@ -242,8 +245,8 @@ def test_decomposition_partition_alignment():
 
 
 def test_verify_builds_target_ptm_once(monkeypatch):
-    # a Hadamard makes the decomposition non-diagonal, so verify() compares
-    # dense PTMs and needs the target's
+    # a Hadamard makes the decomposition non-diagonal; verify() still compares
+    # through the signed Kraus operators and never needs the target's PTM
     calls = []
 
     def counting(u, **kwargs):
@@ -253,12 +256,12 @@ def test_verify_builds_target_ptm_once(monkeypatch):
     monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", counting)
     deco = controlled_sequence_decomposition([((0,), gates.hadamard())], 1)
     deco.reconstruct()
-    assert calls == []  # building and reconstructing need no target PTM
     first = deco.verify()
     second = deco.verify()
-    assert calls == [2]
+    assert calls == []  # building, reconstructing and verifying need no target PTM
     assert first == second and first["passed"]
     assert deco.target.max_abs_diff(ptm_of_unitary(gates.controlled(gates.hadamard()))) == 0.0
+    assert deco.target is deco.target
     assert calls == [2]
 
 
@@ -268,20 +271,26 @@ def test_diagonal_verify_builds_no_dense_ptm(monkeypatch):
 
     for module in (qcut.cuts, qcut.linalg):
         monkeypatch.setattr(module, "ptm_of_unitary", refuse)
-    for module in (qcut.channels, qcut.linalg):
-        monkeypatch.setattr(module, "ptm_of_map", refuse)
+        monkeypatch.setattr(module, "kraus_transform", refuse)
+    for module in (qcut.channels, qcut.cuts, qcut.linalg):
+        monkeypatch.setattr(module, "ptm_of_kraus", refuse)
     report = mcz_decomposition(2, 1).verify()
     assert report["passed"] and report["max_abs_deviation"] < 1e-15
 
 
 # ---------------------------------------------------------------------------
-# Schur-form path against the dense oracle
+# Both verification paths against the dense oracle
 # ---------------------------------------------------------------------------
 
 
 def dense_reconstruct(deco) -> np.ndarray:
-    """``sum_nu q_nu F_nu`` from the factors' dense PTMs (``ptm_of_map``)."""
-    return sum(t.q * t.to_superoperator().matrix for t in deco.terms)
+    """``sum_nu q_nu F_nu`` from each factor's action on the whole Pauli
+    basis (``oracles.ptm_of_map``), combined by ``np.kron``."""
+    total = 0
+    for t in deco.terms:
+        ptms = [ptm_of_map(f.apply_batch, f.n_qubits).matrix for f in t.factors]
+        total = total + t.q * reduce(np.kron, ptms)
+    return total
 
 
 def dense_target(deco) -> np.ndarray:
@@ -306,10 +315,10 @@ def _splits():
 def test_schur_reconstruct_matches_dense(build):
     deco = build()
     assert deco.schur() is not None
-    recon = deco.reconstruct().matrix
-    assert np.max(np.abs(recon - dense_reconstruct(deco))) <= 1e-12
+    reference = dense_reconstruct(deco)
+    assert np.max(np.abs(deco.reconstruct().matrix - reference)) <= 1e-12
     report = deco.verify()
-    dense_dev = np.max(np.abs(dense_reconstruct(deco) - dense_target(deco)))
+    dense_dev = np.max(np.abs(reference - dense_target(deco)))
     assert report["passed"] and abs(report["max_abs_deviation"] - dense_dev) <= 1e-12
 
 
@@ -341,6 +350,46 @@ def test_failed_verify_names_the_worst_entry(build, index):
     assert abs(report["max_abs_deviation"] - delta.max()) <= 1e-12
     out, inp = report["worst_entry"]
     assert len(out) == len(inp) == deco.n_qubits
+    assert abs(delta[_pauli_position(out), _pauli_position(inp)] - delta.max()) <= 1e-12
+
+
+def _haar_sequence(n_targets: int, seed: int) -> Decomposition:
+    rng = np.random.default_rng(seed)
+    ops = [((t,), haar_unitary(rng, 2)) for t in range(n_targets)]
+    return controlled_sequence_decomposition(ops, n_targets)
+
+
+def _two_qubit_op_sequence() -> Decomposition:
+    rng = np.random.default_rng(77)
+    ops = [((2, 0), haar_unitary(rng, 4)), ((1,), haar_unitary(rng, 2))]
+    return controlled_sequence_decomposition(ops, 3)
+
+
+def _non_diagonal():
+    yield pytest.param(wire_cut_ncc, id="wire_ncc")
+    for basis in "XYZ":
+        yield pytest.param(lambda b=basis: wire_cut_cc(b), id=f"wire_cc[{basis}]")
+    for k in range(1, 5):
+        yield pytest.param(lambda k=k: _haar_sequence(k, 60 + k), id=f"controlled_sequence[{k}]")
+    yield pytest.param(_two_qubit_op_sequence, id="controlled_sequence[2q-op]")
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["built", "flipped"])
+@pytest.mark.parametrize("build", list(_non_diagonal()))
+def test_kraus_verify_matches_dense(build, flip):
+    deco = build()
+    assert deco.schur() is None
+    if flip:
+        deco = _flip_q(deco, 1)
+    reference = dense_reconstruct(deco)
+    assert np.max(np.abs(deco.reconstruct().matrix - reference)) <= 1e-12
+    delta = np.abs(reference - dense_target(deco))
+    report = deco.verify()
+    assert abs(report["max_abs_deviation"] - delta.max()) <= 1e-12
+    assert report["passed"] is not flip
+    out, inp = report["worst_entry"]
+    assert len(out) == len(inp) == deco.n_qubits
+    # ties allowed: any entry whose reference deviation is maximal
     assert abs(delta[_pauli_position(out), _pauli_position(inp)] - delta.max()) <= 1e-12
 
 

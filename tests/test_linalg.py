@@ -14,15 +14,24 @@ from qcut.linalg import (
     embed_matrix,
     check_dense,
     check_unitary,
-    pauli_basis_matrices,
     pauli_index,
     pauli_label,
-    ptm_of_map,
+    ptm_of_kraus,
     ptm_of_schur,
     ptm_of_unitary,
     schur_ptm_blocks,
 )
-from oracles import close_to, dag, devectorize, pauli_eigenbasis, projector, vectorize
+from oracles import (
+    close_to,
+    dag,
+    devectorize,
+    haar_unitary,
+    pauli_basis_matrices,
+    pauli_eigenbasis,
+    projector,
+    ptm_of_map,
+    vectorize,
+)
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -133,7 +142,31 @@ def test_ptm_kron_order():
     a = ptm_of_unitary(gates.hadamard())
     b = ptm_of_unitary(gates.rz(0.5))
     joint = ptm_of_unitary(Operator(np.kron(gates.hadamard().mat, gates.rz(0.5).mat)))
-    assert a.kron_with(b).max_abs_diff(joint) < 1e-12
+    assert np.max(np.abs(np.kron(a.matrix, b.matrix) - joint.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ptm_of_unitary_matches_dense_on_haar_unitaries(n):
+    # a Haar unitary is non-diagonal and has Y components at every position,
+    # so every phase and sign of the kernel is exercised
+    u = haar_unitary(np.random.default_rng(40 + n), 2**n).mat
+    dense = ptm_of_map(lambda mats: u @ mats @ u.conj().T, n).matrix
+    assert np.max(np.abs(ptm_of_unitary(Operator(u)).matrix - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ptm_of_kraus_matches_dense_for_any_operators(n):
+    # arbitrary complex operators with signed, non-unit weights: the map is
+    # neither trace preserving nor completely positive
+    rng = np.random.default_rng(n)
+    d = 2**n
+    kraus = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    weights = np.array([0.7, -1.3, 0.25])
+    dense = ptm_of_map(
+        lambda mats: sum(w * k @ mats @ k.conj().T for w, k in zip(weights, kraus)), n
+    ).matrix
+    scale = np.abs(dense).max()
+    assert np.max(np.abs(ptm_of_kraus(weights, kraus).matrix - dense)) <= 1e-12 * scale
 
 
 def _diagonal_targets():
@@ -183,7 +216,7 @@ def test_ptm_nonunitary_rejected():
 
 def test_superop_size_cap():
     with pytest.raises(SizeCapError):
-        pauli_basis_matrices(8)
+        ptm_of_kraus(np.ones(1), np.broadcast_to(np.complex128(0), (1, 2**8, 2**8)))
 
 
 def test_pauli_eigenbasis_table():
@@ -239,7 +272,7 @@ def test_parallel_spiders_fuse_to_a_scalar():
     "function,args",
     [
         (ptm_of_unitary, (gates.identity(7),)),
-        (pauli_basis_matrices, (7,)),
+        (ptm_of_kraus, (np.ones(1), gates.identity(7).mat[None])),
         (cuts.mcz_decomposition, (4, 3)),
         (cuts.multi_z_rotation_decomposition, (4, 3, 0.5)),
         (cuts.controlled_sequence_decomposition, ([((0,), gates.hadamard())], 6)),
@@ -252,7 +285,7 @@ def test_parallel_spiders_fuse_to_a_scalar():
         (gates.multi_z_rotation, (14, 0.5)),
         (gates.basis_state, ("0" * 14,)),
     ],
-    ids=["ptm_of_unitary", "pauli_basis", "mcz", "multi_z", "controlled_sequence",
+    ids=["ptm_of_unitary", "ptm_of_kraus", "mcz", "multi_z", "controlled_sequence",
          "zx_open_legs", "zx_node_degree", "operator", "gate_identity", "gate_mcz",
          "gate_multi_z", "basis_state"],
 )

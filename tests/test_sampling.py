@@ -27,7 +27,7 @@ from qcut.sampling import (
     run,
     term_support,
 )
-from oracles import devectorize, execute_term, unsigned, vectorize
+from oracles import devectorize, execute_term, haar_unitary, unsigned, vectorize
 
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
@@ -270,12 +270,6 @@ def test_term_support_matches_execute_term_histogram(deco):
             continue
         stat = float(np.sum((observed - expected) ** 2 / expected))
         assert stat < chi2_threshold(len(expected) - 1), (term, stat)
-
-
-def haar_unitary(rng, d):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return Operator(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 def dense_exact(spec):
