@@ -43,7 +43,6 @@ from .linalg import (
     check_unitary,
     embed_matrix,
     ptm_of_kraus,
-    schur_of_kraus,
 )
 
 #: Pauli -> (+1 eigenket, -1 eigenket)
@@ -120,11 +119,6 @@ class GeneralizedMap:
             cached = ptm_of_kraus(*self.kraus())
             self._ptm = cached
         return cached
-
-    def schur(self) -> Optional[np.ndarray]:
-        """The ``d x d`` matrix ``S`` with ``E(rho) = S * rho`` entrywise when
-        every Kraus operator is exactly diagonal; else ``None``."""
-        return schur_of_kraus(*self.kraus())
 
     def is_cptp(self) -> bool:
         """True iff every sign is +1 (completeness is enforced at construction)."""

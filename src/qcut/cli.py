@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cuts, gates, sampling, zx
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, Operator, PauliString, QcutError
-from .linalg import SizeCapError, check_unitary
+from .linalg import SizeCapError, check_unitary, max_abs_diff
 from .zx import parse_angle
 
 
@@ -44,7 +44,7 @@ _GATE_TABLE = {
     "y": Operator(PAULI_Y),
     "z": Operator(PAULI_Z),
     "h": gates.hadamard(),
-    "s": Operator(np.diag([1.0, 1j])),
+    "s": Operator.diagonal([1.0, 1j]),
 }
 
 
@@ -411,13 +411,9 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def _max_abs(a) -> float:
-    return np.max(np.abs(a))
-
-
 def _zx_cnot_variants(n, m, theta):
     for variant in zx.CNOT_VARIANTS:
-        dev = _max_abs(zx.contract(zx.cnot_diagram(variant)) - gates.cnot().mat)
+        dev = max_abs_diff(zx.contract(zx.cnot_diagram(variant)), gates.cnot().mat)
         yield f"cnot[{variant}]", dev
 
 
@@ -429,22 +425,22 @@ def _zx_states(n, m, theta):
         ("x", np.pi, np.array([0, 1])),
     ):
         vec = zx.contract(zx.state_diagram(kind, phase)).ravel()
-        yield f"state[{kind},{_fmt(phase)}]", _max_abs(vec - np.sqrt(2) * ket)
+        yield f"state[{kind},{_fmt(phase)}]", max_abs_diff(vec, np.sqrt(2) * ket)
 
 
 def _zx_mcz(n, m, theta):
     n = n or 3
-    yield f"mcz[{n}]", _max_abs(zx.contract(zx.mcz_diagram(n)) - gates.mcz(n).mat)
+    yield f"mcz[{n}]", max_abs_diff(zx.contract(zx.mcz_diagram(n)), gates.mcz(n).mat)
 
 
 def _zx_mcp(n, m, theta):
     n = n or 2
-    dev = _max_abs(zx.contract(zx.mcp_diagram(n, theta)) - gates.mcp(n, theta).mat)
+    dev = max_abs_diff(zx.contract(zx.mcp_diagram(n, theta)), gates.mcp(n, theta).mat)
     yield f"mcp[{n},{_fmt(theta)}]", dev
 
 
 def _zx_rzz(n, m, theta):
-    dev = _max_abs(zx.contract(zx.rzz_diagram(theta)) - gates.rzz(theta).mat)
+    dev = max_abs_diff(zx.contract(zx.rzz_diagram(theta)), gates.rzz(theta).mat)
     yield f"rzz[{_fmt(theta)}]", dev
 
 

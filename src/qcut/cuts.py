@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -154,11 +153,6 @@ class Decomposition:
     def sampling_probabilities(self) -> np.ndarray:
         gamma = self.one_norm()
         return np.array([abs(t.q) / gamma for t in self.terms])
-
-    def schur(self) -> Optional[np.ndarray]:
-        """Schur multiplier of ``sum_nu q_nu F_nu`` when every product Kraus
-        operator is diagonal, else ``None``."""
-        return schur_of_kraus(*self.kraus())
 
     def kraus(self) -> tuple:
         """``(weights, ops)`` of ``sum_nu q_nu F_nu``: every term's product

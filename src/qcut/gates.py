@@ -1,4 +1,9 @@
-"""Common gate and state constructors used across the cut library."""
+"""Common gate and state constructors used across the cut library.
+
+Diagonal gates (``rz``, ``multi_z_rotation``, ``mcp``, ``mcz``) are built with
+:meth:`~qcut.linalg.Operator.diagonal`, which writes the phases into one zero
+matrix with no dense ``np.diag`` temporary, second copy or full-matrix scan.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ def identity(n: int = 1) -> Operator:
 
 
 def rz(theta: float) -> Operator:
-    return Operator(np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)]))
+    return Operator.diagonal([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
 
 
 def rzz(theta: float) -> Operator:
@@ -26,7 +31,7 @@ def multi_z_rotation(n: int, theta: float) -> Operator:
     check_dense(4**n, f"operator on {n} qubits")
     parity = np.array([bin(k).count("1") % 2 for k in range(2**n)])
     phases = np.exp(-1j * (theta / 2) * (-1.0) ** parity)
-    return Operator(np.diag(phases))
+    return Operator.diagonal(phases)
 
 
 def mcz(n: int) -> Operator:
@@ -41,7 +46,7 @@ def mcp(n: int, theta: float) -> Operator:
     check_dense(4**n, f"operator on {n} qubits")
     diag = np.ones(2**n, dtype=complex)
     diag[-1] = np.exp(1j * theta)
-    return Operator(np.diag(diag))
+    return Operator.diagonal(diag)
 
 
 def hadamard() -> Operator:

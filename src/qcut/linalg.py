@@ -85,6 +85,30 @@ class Operator:
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 
+    @classmethod
+    def diagonal(cls, values) -> "Operator":
+        """``diag(values)`` written straight into one zero matrix.
+
+        Checks what ``Operator(np.diag(values))`` would: the length is a power
+        of two, the matrix fits the cap (before it is allocated) and every
+        value is finite; the off-diagonal zeros are finite by construction.
+        """
+        vec = np.asarray(values, dtype=complex)
+        if vec.ndim != 1:
+            raise DimensionError(f"diagonal must be a 1-D vector, got shape {vec.shape}")
+        d = vec.shape[0]
+        if not _is_power_of_two(d):
+            raise DimensionError(f"operator dimension must be a power of two, got {d}")
+        check_dense(d * d, f"operator of dimension {d}")
+        if not np.isfinite(vec).all():
+            raise DimensionError("operator entries must be finite")
+        arr = np.zeros((d, d), dtype=complex)
+        np.fill_diagonal(arr, vec)
+        arr.setflags(write=False)
+        op = object.__new__(cls)
+        object.__setattr__(op, "mat", arr)
+        return op
+
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
 
@@ -171,7 +195,39 @@ class Superoperator:
     def max_abs_diff(self, other: "Superoperator") -> float:
         if self.n != other.n:
             raise DimensionError(f"qubit count mismatch: {self.n} vs {other.n}")
-        return float(np.max(np.abs(self.matrix - other.matrix)))
+        return max_abs_diff(self.matrix, other.matrix)
+
+
+#: bytes of the scratch buffer :func:`max_abs_diff` reuses for each block of rows
+_DIFF_SCRATCH_BYTES = 2**20
+
+
+def max_abs_diff(a, b) -> float:
+    """``max |a - b|`` over two equal-shape arrays: the float that
+    ``np.max(np.abs(a - b))`` returns, NaN included, but taken one block of
+    leading rows at a time through one fixed scratch buffer, so no full-size
+    temporary is allocated."""
+    if np.shape(a) != np.shape(b):
+        raise DimensionError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
+    a, b = np.atleast_1d(np.asarray(a)), np.atleast_1d(np.asarray(b))
+    if a.size == 0:
+        raise DimensionError("max_abs_diff of empty arrays")
+    diff_type = np.result_type(a, b)
+    abs_type = np.empty(0, diff_type).real.dtype
+    row_bytes = a[0].size * (diff_type.itemsize + abs_type.itemsize)
+    step = min(len(a), max(1, _DIFF_SCRATCH_BYTES // row_bytes))  # rows per block
+    scratch = np.empty(step * row_bytes, np.uint8)
+    split = step * a[0].size * diff_type.itemsize
+    diff = scratch[:split].view(diff_type).reshape((step,) + a.shape[1:])
+    mag = scratch[split:].view(abs_type).reshape(diff.shape)
+    worst = None
+    for start in range(0, len(a), step):
+        k = min(step, len(a) - start)
+        np.subtract(a[start:start + k], b[start:start + k], out=diff[:k])
+        np.abs(diff[:k], out=mag[:k])
+        block = mag[:k].max()
+        worst = block if worst is None else np.maximum(worst, block)  # keeps a NaN
+    return float(worst)
 
 
 def ptm_of_unitary(u: Operator) -> Superoperator:

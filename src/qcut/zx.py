@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import QcutError, check_dense
+from .linalg import QcutError, check_dense, max_abs_diff
 
 #: matrix equality tolerance for rule certification
 RULE_ATOL = 1e-10
@@ -522,7 +522,7 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
         )
     a = contract(lhs)
     b = contract(rhs)
-    deviation = float(np.max(np.abs(a - b)))
+    deviation = max_abs_diff(a, b)
     report = {
         "max_abs_deviation": deviation,
         "equal": deviation <= RULE_ATOL,

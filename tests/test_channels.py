@@ -25,6 +25,7 @@ from qcut.linalg import (
     embed_matrix,
     ptm_of_schur,
     ptm_of_unitary,
+    schur_of_kraus,
 )
 from qcut.cuts import (
     mcz_decomposition,
@@ -391,7 +392,7 @@ def _diagonal_family_factors():
 
 @pytest.mark.parametrize("ch", list(_diagonal_family_factors()))
 def test_schur_form_matches_dense_ptm(ch):
-    s = ch.schur()
+    s = schur_of_kraus(*ch.kraus())
     assert s is not None
     dense = ptm_of_map(ch.apply_batch, ch.n_qubits).matrix
     assert np.max(np.abs(ptm_of_schur(s).matrix - dense)) <= 1e-12
@@ -409,4 +410,4 @@ def test_schur_form_matches_dense_ptm(ch):
     ids=["E_X0", "E_I1", "grouped_Y", "e_rzv", "tiny_off_diagonal"],
 )
 def test_schur_form_needs_exactly_diagonal_kraus(build):
-    assert build().schur() is None
+    assert schur_of_kraus(*build().kraus()) is None

@@ -294,7 +294,8 @@ def no_ptm(monkeypatch):
         monkeypatch.setattr(module, "ptm_of_schur", refuse)
         monkeypatch.setattr(module, "schur_transform", refuse)
     monkeypatch.setattr(qcut.linalg, "schur_ptm_blocks", refuse)
-    monkeypatch.setattr(qcut.channels.GeneralizedMap, "schur", refuse)
+    for module in (qcut.cuts, qcut.linalg):
+        monkeypatch.setattr(module, "schur_of_kraus", refuse)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcut import cuts, gates, zx
+from qcut import cuts, gates, linalg, zx
 from qcut.linalg import (
     MAX_DENSE_ENTRIES,
     DimensionError,
@@ -14,6 +14,7 @@ from qcut.linalg import (
     embed_matrix,
     check_dense,
     check_unitary,
+    max_abs_diff,
     pauli_index,
     pauli_label,
     ptm_of_kraus,
@@ -75,6 +76,111 @@ def test_check_unitary_rejects(mat):
     with pytest.raises(DimensionError, match="gate is not unitary"):
         check_unitary(mat, "gate")
     check_unitary(gates.hadamard().mat, "gate")
+
+
+def _diagonal_cases():
+    for theta in (0.0, 0.37, -np.pi, 2.5):
+        yield pytest.param(gates.rz(theta), [np.exp(-0.5j * theta), np.exp(0.5j * theta)],
+                           id=f"rz[{theta:.3g}]")
+    for n in range(1, 7):
+        parity = [bin(k).count("1") % 2 for k in range(2**n)]
+        phases = [np.exp(-0.35j * (1 - 2 * p)) for p in parity]
+        yield pytest.param(gates.multi_z_rotation(n, 0.7), phases, id=f"multi_z[{n}]")
+    for n in range(1, 9):
+        values = np.ones(2**n, dtype=complex)
+        values[-1] = np.exp(1.1j)
+        yield pytest.param(gates.mcp(n, 1.1), values, id=f"mcp[{n}]")
+
+
+@pytest.mark.parametrize("gate,values", list(_diagonal_cases()))
+def test_diagonal_gates_match_dense_diag(gate, values):
+    assert np.array_equal(gate.mat, Operator(np.diag(values)).mat)
+    assert gate.mat.dtype == complex and not gate.mat.flags.writeable
+
+
+def test_operator_diagonal_is_read_only():
+    op = Operator.diagonal([1.0, 1j])
+    assert np.array_equal(op.mat, np.diag([1.0, 1j]))
+    with pytest.raises(ValueError):
+        op.mat[0, 1] = 1.0
+    with pytest.raises(AttributeError):
+        op.mat = np.eye(2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_operator_diagonal_rejects_non_finite_values(bad):
+    with pytest.raises(DimensionError, match="finite"):
+        Operator.diagonal([1.0, bad, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("values", [np.eye(2), [1.0, 1.0, 1.0], [], 1.0],
+                         ids=["2d", "length_3", "empty", "scalar"])
+def test_operator_diagonal_rejects_bad_shapes(values):
+    with pytest.raises(DimensionError):
+        Operator.diagonal(values)
+
+
+def _random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _block_rows(cols: int) -> int:
+    """Rows of ``cols`` complex entries in one block of ``max_abs_diff``."""
+    return linalg._DIFF_SCRATCH_BYTES // (cols * (16 + 8))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (2,), (5, 3), (2048, 2048), (2, 3, 4),
+     (_block_rows(512) - 1, 512), (_block_rows(512) + 1, 512),
+     (2 * _block_rows(512) - 1, 512), (2 * _block_rows(512) + 1, 512)],
+)
+def test_max_abs_diff_equals_dense_max(shape):
+    rng = np.random.default_rng(sum(shape))
+    a, b = _random_complex(rng, shape), _random_complex(rng, shape)
+    got = max_abs_diff(a, b)
+    assert type(got) is float
+    assert got == np.max(np.abs(a - b))
+    assert max_abs_diff(a.real, b.real) == np.max(np.abs(a.real - b.real))
+
+
+@pytest.mark.parametrize("row", [0, 1, 2 * _block_rows(64) + 3, 4 * _block_rows(64) - 1],
+                         ids=["first_row", "first_block", "middle_block", "last_block"])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_max_abs_diff_propagates_nan(row, which):
+    # the maximum of every other block is finite and positive, so a running
+    # maximum that drops a NaN block still returns a plausible number
+    rng = np.random.default_rng(5)
+    shape = (4 * _block_rows(64), 64)
+    a, b = _random_complex(rng, shape), _random_complex(rng, shape)
+    (a if which == "a" else b)[row, 7] = complex(np.nan, 0.0)
+    assert np.isnan(np.max(np.abs(a - b)))
+    assert np.isnan(max_abs_diff(a, b))
+
+
+def test_max_abs_diff_keeps_inf():
+    rng = np.random.default_rng(6)
+    a, b = _random_complex(rng, (300, 64)), _random_complex(rng, (300, 64))
+    b[150, 0] = np.inf
+    assert max_abs_diff(a, b) == np.inf
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((4,), (4, 1)), ((2, 2), (2,))])
+def test_max_abs_diff_rejects_shape_mismatch(shapes):
+    with pytest.raises(DimensionError, match="shape"):
+        max_abs_diff(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+
+def test_mcz_gate_memory():
+    # one 2^10 x 2^10 complex matrix is 16 MiB; a dense np.diag temporary and
+    # a validating copy would double it
+    tracemalloc.start()
+    try:
+        gates.mcz(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_operator_basics():
@@ -282,12 +388,14 @@ def test_parallel_spiders_fuse_to_a_scalar():
         (Operator, (np.broadcast_to(np.complex128(0), (2**14, 2**14)),)),
         (gates.identity, (14,)),
         (gates.mcz, (14,)),
+        (gates.mcp, (14, 0.3)),
+        (Operator.diagonal, (np.broadcast_to(np.complex128(1), (2**14,)),)),
         (gates.multi_z_rotation, (14, 0.5)),
         (gates.basis_state, ("0" * 14,)),
     ],
     ids=["ptm_of_unitary", "ptm_of_kraus", "mcz", "multi_z", "controlled_sequence",
          "zx_open_legs", "zx_node_degree", "operator", "gate_identity", "gate_mcz",
-         "gate_multi_z", "basis_state"],
+         "gate_mcp", "operator_diagonal", "gate_multi_z", "basis_state"],
 )
 def test_size_cap_refuses_before_allocating(function, args):
     # each request needs at least 2^28 entries (4 GiB); the cap must refuse it

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,38 @@ def test_verify_rule_detects_scalar_mismatch():
     report = verify_rule(lhs, rhs, up_to_scalar=True)
     assert report["equal_up_to_scalar"]
     assert report["scalar_ratio"] == pytest.approx(2.0)
+
+
+def _with_nan_phase(d: ZXDiagram) -> ZXDiagram:
+    out = d.copy()
+    node = next(k for k, (kind, _) in out.nodes.items() if kind == "z")
+    out.nodes[node] = ("z", float("nan"))
+    return out
+
+
+@pytest.mark.parametrize("nan_side", ["lhs", "rhs"])
+def test_verify_rule_reports_nan_as_unequal(nan_side):
+    good = rzz_diagram(0.3)
+    bad = _with_nan_phase(good)
+    assert np.isnan(contract(bad)).any() and not np.isnan(contract(bad)).all()
+    lhs, rhs = (bad, good) if nan_side == "lhs" else (good, bad)
+    report = verify_rule(lhs, rhs)
+    assert np.isnan(report["max_abs_deviation"])
+    assert report["equal"] is False
+
+
+def test_verify_rule_memory():
+    # each side contracts to a 2^10 x 2^10 complex matrix (16 MiB); a dense
+    # difference and its magnitude would add 24 MiB on top of both
+    lhs, rhs = mcz_diagram(10), split_mcz_three_hboxes(10, 5)
+    tracemalloc.start()
+    try:
+        report = verify_rule(lhs, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["equal"]
+    assert peak < 40 * 2**20
 
 
 def test_verify_rule_rejects_shape_mismatch():
