@@ -530,7 +530,7 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
     if up_to_scalar:
         norm = np.vdot(a, a)
         ratio = complex(np.vdot(a, b) / norm) if abs(norm) > 0 else complex("nan")
-        residual = float(np.max(np.abs(b - ratio * a)))
+        residual = max_abs_diff(b, ratio * a)
         report["scalar_ratio"] = ratio
         report["scalar_residual"] = residual
         report["equal_up_to_scalar"] = residual <= RULE_ATOL
