@@ -12,9 +12,11 @@ variance at most ``gamma^2 - <O>^2``.
 
 Because every map is a small dense object, the full discrete distribution of
 ``y`` for each term can be enumerated exactly, and the number of shots that
-land on each support value is a sufficient statistic.  :func:`run` therefore
-never materializes individual shots: it draws multinomial counts of shots per
-term and then per support value, batch by batch, so its time and memory
+land on each support value is a sufficient statistic.  The enumeration works
+in the eigenbasis of each block observable, diagonalized once per
+:func:`run` call.  :func:`run` never materializes individual shots: one
+multinomial draw gives the shots of every term in every batch, and one more
+per drawn term splits them over its support values, so time and memory
 depend on the support size and the number of batches but not on the shot
 count.  Shots are i.i.d., so this is exactly the distribution of the
 shot-by-shot protocol.
@@ -35,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import GeneralizedMap, check_density
+from .channels import check_density
 from .linalg import ATOL_STRUCT, DimensionError
 from .cuts import Decomposition, DecompositionTerm
 
@@ -116,6 +118,9 @@ class SamplingReport:
     per_term_shots: tuple
     seed: int
     single_shot_variance: float
+    #: shots/(shots-1) * (gamma^2 - estimate^2), the most single_shot_variance
+    #: can be with |y| <= gamma on every shot (None for one shot)
+    variance_bound: Optional[float] = None
     batch_means: tuple = ()
     #: mean of ``sign * lambda`` over each term's shots (None for 0 shots)
     per_term_means: tuple = ()
@@ -132,6 +137,7 @@ class SamplingReport:
             "per_term_shots": list(self.per_term_shots),
             "seed": self.seed,
             "single_shot_variance": self.single_shot_variance,
+            "variance_bound": self.variance_bound,
             "batch_means": list(self.batch_means),
             "per_term_means": list(self.per_term_means),
             "z_score": self.z_score,
@@ -143,87 +149,77 @@ class SamplingReport:
 # ---------------------------------------------------------------------------
 
 
-def _blocks_of_term(spec: ExperimentSpec, term: DecompositionTerm) -> list:
-    """Group the experiment's per-register data by the term's factor layout.
-
-    Returns one entry per factor: (factor, rho_block, obs_block).
-    """
+def _term_blocks(spec: ExperimentSpec, term: DecompositionTerm) -> list:
+    """``(factor, span)`` per factor of ``term``: ``span`` is the
+    ``(first, stop)`` range of the registers the factor acts on."""
     part = spec.decomposition.partition
-    edges = np.cumsum((0,) + part)
-    blocks = []
-    start = 0
+    blocks, stop = [], 0
     for factor in term.factors:
-        stop = start + factor.n_qubits
-        regs = [r for r in range(len(part)) if edges[r] >= start and edges[r + 1] <= stop]
-        rhos = [spec.initial_state[r].mat for r in regs]
-        obss = [spec.observable[r].mat for r in regs]
-        blocks.append((factor, reduce(np.kron, rhos), reduce(np.kron, obss)))
-        start = stop
+        first, width = stop, 0
+        while width < factor.n_qubits:
+            width += part[stop]
+            stop += 1
+        blocks.append((factor, (first, stop)))
     return blocks
 
 
-def _factor_branches(factor: GeneralizedMap, rho: np.ndarray) -> list:
-    """All outcome branches of one factor on a block state.
+def _block_operators(spec: ExperimentSpec, span: tuple) -> tuple:
+    """``(rho, obs)``: Kronecker products of the registers in ``span``."""
+    regs = range(*span)
+    return (
+        reduce(np.kron, [spec.initial_state[r].mat for r in regs]),
+        reduce(np.kron, [spec.observable[r].mat for r in regs]),
+    )
 
-    Returns (probability, sign, post-state) triples; probabilities sum to 1
-    for a unit-trace input.
+
+def term_value_distributions(
+    spec: ExperimentSpec, term: DecompositionTerm, eigen: Optional[dict] = None
+) -> list:
+    """Per-block distributions ``(values, probs)`` of ``sign * lambda`` for one term.
+
+    With ``obs = V diag(lambda) V^dag`` and ``rho_V = V^dag rho V``, branch
+    ``b`` followed by outcome ``lambda_a`` has probability
+    ``P_b[a] = sum_k (M_k rho_V M_k^dag)_aa`` over the branch's Kraus
+    operators ``M_k = V^dag K_k V``: one batched product per factor.
+    ``eigen`` maps a register span to ``(lambda, V, rho_V)``; :func:`run`
+    passes one dict per call, so each span is diagonalized once per call.
     """
+    eigen = {} if eigen is None else eigen
     out = []
-    for sign, kraus in factor.branches:
-        post = (kraus @ rho @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
-        p = float(np.real(np.trace(post)))
-        if p > PROB_FLOOR:
-            out.append((p, sign, post / p))
+    for factor, span in _term_blocks(spec, term):
+        if span not in eigen:
+            rho, obs = _block_operators(spec, span)
+            lam, vecs = np.linalg.eigh(obs)
+            eigen[span] = lam, vecs, vecs.conj().T @ rho @ vecs
+        lam, vecs, rho_v = eigen[span]
+        branches = [(a, k) for a, k in factor.branches if len(k)]
+        m = vecs.conj().T @ np.concatenate([k for _, k in branches]) @ vecs
+        probs = np.maximum(np.einsum("kab,kab->ka", m @ rho_v, m.conj()).real, 0.0)
+        if len(m) > len(branches):  # add up the rows of each branch's operators
+            starts = np.cumsum([0] + [len(k) for _, k in branches[:-1]])
+            probs = np.add.reduceat(probs, starts)
+        values = np.multiply.outer([a for a, _ in branches], lam)
+        keep = probs > PROB_FLOOR
+        probs = probs[keep]
+        out.append((values[keep], probs / probs.sum()))
     return out
 
 
-def _eigen_distribution(obs: np.ndarray, rho: np.ndarray) -> tuple:
-    """Projective measurement of ``obs`` on ``rho``: (eigenvalues, probabilities)."""
-    lam, vecs = np.linalg.eigh(obs)
-    probs = np.real(np.einsum("ia,ij,ja->a", vecs.conj(), rho, vecs))
-    probs = np.clip(probs, 0.0, None)
-    return lam, probs / probs.sum()
-
-
-def _block_value_distribution(factor, rho, obs) -> tuple:
-    """Discrete distribution of ``sign * lambda`` for one block."""
-    values = []
-    probs = []
-    for p_branch, sign, state in _factor_branches(factor, rho):
-        lam, p_lam = _eigen_distribution(obs, state)
-        values.append(sign * lam)
-        probs.append(p_branch * p_lam)
-    values = np.concatenate(values)
-    probs = np.concatenate(probs)
-    keep = probs > PROB_FLOOR
-    return values[keep], probs[keep] / probs[keep].sum()
-
-
-def term_value_distributions(spec: ExperimentSpec, term: DecompositionTerm) -> list:
-    """Per-block distributions of the signed observable sample for one term."""
-    return [
-        _block_value_distribution(factor, rho, obs)
-        for factor, rho, obs in _blocks_of_term(spec, term)
-    ]
-
-
-def term_support(spec: ExperimentSpec, term: DecompositionTerm) -> tuple:
+def term_support(
+    spec: ExperimentSpec, term: DecompositionTerm, eigen: Optional[dict] = None
+) -> tuple:
     """Joint distribution of ``sign * lambda`` over all blocks of one term.
 
     Blocks are independent, so this is the outer product of the block
     distributions with equal values merged.  Returns ``(values, probs)`` with
-    distinct, sorted values.
+    distinct, sorted values.  ``eigen`` is as in :func:`term_value_distributions`.
     """
-    values = np.ones(1)
-    probs = np.ones(1)
-    for block_values, block_probs in term_value_distributions(spec, term):
-        values, inverse = np.unique(
-            np.multiply.outer(values, block_values).ravel(), return_inverse=True
-        )
-        probs = np.bincount(
-            inverse, weights=np.multiply.outer(probs, block_probs).ravel()
-        )
-    return values, probs
+    blocks = term_value_distributions(spec, term, eigen)
+    values, inverse = np.unique(
+        reduce(np.multiply.outer, [v for v, _ in blocks]).ravel(), return_inverse=True
+    )
+    probs = reduce(np.multiply.outer, [p for _, p in blocks]).ravel()
+    return values, np.bincount(inverse, weights=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +236,13 @@ def exact_expectation(spec: ExperimentSpec) -> float:
     block.  This is the value the sampler estimates, which equals the target
     gate's expectation only as far as the decomposition reconstructs it.
     """
-    total = 0.0
+    total, operators = 0.0, {}
     for term in spec.decomposition.terms:
         value = term.q
-        for factor, rho, obs in _blocks_of_term(spec, term):
+        for factor, span in _term_blocks(spec, term):
+            if span not in operators:
+                operators[span] = _block_operators(spec, span)
+            rho, obs = operators[span]
             image = factor.apply_batch(rho[None, :, :])[0]
             value *= np.einsum("ij,ji->", obs, image)
         total += value
@@ -261,40 +260,35 @@ def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
         raise DimensionError(f"n_batches must be in 0..{shots}, got {n_batches}")
     deco = spec.decomposition
     gamma = deco.one_norm()
-    p_terms = deco.sampling_probabilities()
     rng = np.random.Generator(np.random.Philox(spec.seed))
 
-    # term index -> (support values of sign * lambda, probabilities), filled
-    # the first time a term is drawn; term index -> shots per support value
-    supports = {}
-    counts = {}
-    per_term_shots = np.zeros(len(deco.terms), dtype=np.int64)
-    batch_means = []
+    # sizes as in np.array_split; term_counts[b, nu] shots of term nu in
+    # batch b; then per drawn term one (batches, support) array of shots per
+    # support value, of which only the batch sums and the totals are kept
     k = max(n_batches, 1)
-    base, extra = divmod(shots, k)
-    for b in range(k):
-        size = base + (b < extra)
-        term_counts = rng.multinomial(size, p_terms)
-        per_term_shots += term_counts
-        batch_sum = 0.0
-        for nu in map(int, np.flatnonzero(term_counts)):
-            if nu not in supports:
-                supports[nu] = term_support(spec, deco.terms[nu])
-            values, probs = supports[nu]
-            drawn = rng.multinomial(term_counts[nu], probs)
-            counts[nu] = counts.get(nu, 0) + drawn
-            batch_sum += float(np.sign(deco.terms[nu].q) * (drawn @ values))
-        batch_means.append(gamma * batch_sum / size)
+    sizes = np.full(k, shots // k, dtype=np.int64)
+    sizes[: shots % k] += 1
+    term_counts = rng.multinomial(sizes, deco.sampling_probabilities())
+    per_term_shots = term_counts.sum(axis=0)
+    eigen, supports, counts = {}, {}, {}
+    batch_sums = np.zeros(k)
+    for nu in map(int, np.flatnonzero(per_term_shots)):
+        supports[nu] = term_support(spec, deco.terms[nu], eigen)
+        drawn = rng.multinomial(term_counts[:, nu], supports[nu][1])
+        counts[nu] = drawn.sum(axis=0)
+        batch_sums += drawn @ (np.sign(deco.terms[nu].q) * supports[nu][0])
+    del term_counts, drawn  # only their batch sums and totals outlive the loop
 
     per_term_means = [None] * len(deco.terms)
     for nu, c in counts.items():
         per_term_means[nu] = float(c @ supports[nu][0]) / int(per_term_shots[nu])
     ys = {nu: gamma * np.sign(deco.terms[nu].q) * supports[nu][0] for nu in counts}
     estimate = sum(float(counts[nu] @ y) for nu, y in ys.items()) / shots
-    variance = 0.0
+    variance, bound = 0.0, None
     if shots > 1:
         squares = sum(float(counts[nu] @ (y - estimate) ** 2) for nu, y in ys.items())
         variance = squares / (shots - 1)
+        bound = shots / (shots - 1) * (gamma**2 - estimate**2)
     stderr = float(np.sqrt(variance / shots))
     exact = exact_expectation(spec)
     return SamplingReport(
@@ -306,7 +300,8 @@ def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
         per_term_shots=tuple(int(c) for c in per_term_shots),
         seed=spec.seed,
         single_shot_variance=variance,
-        batch_means=tuple(batch_means) if n_batches > 0 else (),
+        variance_bound=bound,
+        batch_means=tuple((gamma * batch_sums / sizes).tolist()) if n_batches else (),
         per_term_means=tuple(per_term_means),
         z_score=(estimate - exact) / stderr if stderr > 0 else None,
     )

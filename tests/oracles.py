@@ -4,7 +4,8 @@ They recompute what the package derives from a map's branches or an
 operator's matrix by the textbook route, so the tests can check the package
 against them: the measure-and-prepare map from eigendecompositions, Pauli
 coefficients from traces, PTMs from a map's images of the whole Pauli basis,
-single shots drawn one at a time, and ZX diagrams glued from small pieces.
+single shots drawn one at a time, a term's outcome distribution enumerated
+branch by branch, and ZX diagrams glued from small pieces.
 """
 
 from functools import lru_cache, reduce
@@ -25,6 +26,7 @@ from qcut.linalg import (
     Superoperator,
     check_dense,
 )
+from qcut.sampling import PROB_FLOOR
 from qcut.zx import ZXDiagram, ZXError, parse_diagram
 
 #: Choi positivity tolerance; looser than equality checks because eigenvalue
@@ -187,6 +189,52 @@ def _draw(rng, weights: np.ndarray) -> int:
     return int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
 
 
+def term_blocks(term, spec) -> list:
+    """``(factor, rho, obs)`` per factor of ``term``: the Kronecker products of
+    the register states and observables the factor covers."""
+    registers = iter(zip(spec.decomposition.partition, spec.initial_state, spec.observable))
+    blocks = []
+    for factor in term.factors:
+        states, observables, size = [], [], 0
+        while size < factor.n_qubits:
+            width, state, observable = next(registers)
+            states.append(state.mat)
+            observables.append(observable.mat)
+            size += width
+        blocks.append((factor, reduce(np.kron, states), reduce(np.kron, observables)))
+    return blocks
+
+
+def branch_probabilities(factor: GeneralizedMap, rho: np.ndarray) -> list:
+    """``Tr(sum_k K rho K^dag)`` and the post-state, per branch of ``factor``."""
+    posts = [np.einsum("kab,bc,kdc->ad", kraus, rho, kraus.conj())
+             for _, kraus in factor.branches]
+    return [(max(np.trace(post).real, 0.0), post) for post in posts]
+
+
+def branch_value_distributions(term, spec) -> list:
+    """Per-block ``(values, probs)`` of ``sign * lambda`` for one term,
+    enumerated branch by branch: a branch's probability is the trace of its
+    post-state, and the observable is measured on the normalized post-state
+    in its own eigenbasis.  Branches and outcomes with probability at most
+    ``PROB_FLOOR`` are dropped, and the kept probabilities renormalized."""
+    out = []
+    for factor, rho, obs in term_blocks(term, spec):
+        lam, vecs = np.linalg.eigh(obs)
+        values, probs = [], []
+        branches = zip(factor.branches, branch_probabilities(factor, rho))
+        for (sign, _), (p, post) in branches:
+            if p > PROB_FLOOR:
+                p_lam = np.einsum("ai,ab,bi->i", vecs.conj(), post / p, vecs).real
+                p_lam = np.clip(p_lam, 0.0, None)
+                values.append(sign * lam)
+                probs.append(p * p_lam / p_lam.sum())
+        values, probs = np.concatenate(values), np.concatenate(probs)
+        keep = probs > PROB_FLOOR
+        out.append((values[keep], probs[keep] / probs[keep].sum()))
+    return out
+
+
 def execute_term(term, spec, rng) -> tuple:
     """Physically simulate one shot of one term: sample each factor's
     measurement branch, then the observable eigenvalue per block.
@@ -198,23 +246,14 @@ def execute_term(term, spec, rng) -> tuple:
     with ``sign`` the product of branch signs and ``lam`` the product of
     sampled per-block eigenvalues.
     """
-    registers = iter(zip(spec.decomposition.partition, spec.initial_state, spec.observable))
     sign = 1
     lam_total = 1.0
-    for factor in term.factors:
-        states, observables, size = [], [], 0
-        while size < factor.n_qubits:
-            width, state, observable = next(registers)
-            states.append(state.mat)
-            observables.append(observable.mat)
-            size += width
-        rho, obs = reduce(np.kron, states), reduce(np.kron, observables)
-        posts = [np.einsum("kab,bc,kdc->ad", kraus, rho, kraus.conj())
-                 for _, kraus in factor.branches]
-        b = _draw(rng, [max(np.trace(post).real, 0.0) for post in posts])
+    for factor, rho, obs in term_blocks(term, spec):
+        branches = branch_probabilities(factor, rho)
+        b = _draw(rng, [p for p, _ in branches])
         sign *= factor.branches[b][0]
         lam, vecs = np.linalg.eigh(obs)
-        p_lam = np.einsum("ai,ab,bi->i", vecs.conj(), posts[b], vecs).real
+        p_lam = np.einsum("ai,ab,bi->i", vecs.conj(), branches[b][1], vecs).real
         lam_total *= float(lam[_draw(rng, np.clip(p_lam, 0.0, None))])
     return sign, lam_total
 

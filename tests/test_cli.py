@@ -5,6 +5,7 @@ import pytest
 
 import qcut.channels
 import qcut.cuts
+import qcut.cli
 import qcut.linalg
 from qcut.cli import build_decomposition, build_experiment, main
 
@@ -92,6 +93,53 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["bogus"])
     assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert qcut.cli._parser() is qcut.cli._parser()
+
+
+def test_reused_parser_takes_seed_from_config_after_seed_flag(tmp_path):
+    config = write_config(tmp_path)
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    argv = ["sample", "--config", str(config), "--output"]
+    assert main([*argv, str(out1), "--seed", "5"]) == 0
+    assert main([*argv, str(out2)]) == 0
+    assert json.loads(out1.read_text())["seed"] == 5
+    assert json.loads(out2.read_text())["seed"] == 7
+
+
+def test_reused_parser_still_rejects_unread_zx_flags_after_sample(tmp_path, capsys):
+    assert main(["sample", "--config", str(write_config(tmp_path))]) == 0
+    capsys.readouterr()
+    assert main(["zx-check", "--builtin", "rzz", "--n", "5"]) == 2
+    assert capsys.readouterr().err == "error: --n: not read by zx-check --builtin rzz\n"
+
+
+def test_reused_parser_usage_error_message_unchanged(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        qcut.cli._parser.__wrapped__().parse_args(["sample", "--seed", "x"])
+    assert err.value.code == 2
+    fresh = capsys.readouterr().err
+    assert main(["sample", "--config", str(write_config(tmp_path))]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--seed", "x"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == fresh
+    assert "invalid int value: 'x'" in fresh
+
+
+def test_dispatch_runs_a_replaced_command(tmp_path, monkeypatch):
+    assert main(["norms", "--csv", str(tmp_path / "norms.csv")]) == 0
+    monkeypatch.setattr(qcut.cli, "cmd_norms", lambda args: 42)
+    assert main(["norms"]) == 42
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import sys
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from qcut import gates
 from qcut.cuts import (
+    Decomposition,
+    DecompositionTerm,
     controlled_sequence_decomposition,
     mcz_decomposition,
     multi_z_rotation_decomposition,
@@ -22,12 +26,24 @@ from qcut.linalg import (
     QcutError,
 )
 from qcut.sampling import (
+    PROB_FLOOR,
     ExperimentSpec,
     exact_expectation,
     run,
     term_support,
+    term_value_distributions,
 )
-from oracles import devectorize, execute_term, haar_unitary, unsigned, vectorize
+from oracles import (
+    branch_probabilities,
+    branch_value_distributions,
+    devectorize,
+    execute_term,
+    haar_unitary,
+    measure_prepare_map,
+    term_blocks,
+    unsigned,
+    vectorize,
+)
 
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
@@ -333,6 +349,162 @@ def test_term_support_merges_equal_values():
         values, probs = term_support(spec, term)
         assert set(values) <= {-1.0, 1.0}
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def pauli_spec(deco, seed):
+    """Random pure one-qubit states and a random X/Y/Z string, as the
+    benchmark's sample configs draw them."""
+    rng = np.random.default_rng(seed)
+    n = sum(deco.partition)
+    qubits = []
+    for _ in range(n):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        qubits.append(np.outer(v, v.conj()))
+    paulis = "".join(rng.choice(list("XYZ"), size=n))
+    states, observables, pos = [], [], 0
+    for size in deco.partition:
+        states.append(Operator(reduce(np.kron, qubits[pos : pos + size])))
+        observables.append(PauliString(paulis[pos : pos + size]).to_operator())
+        pos += size
+    return ExperimentSpec(deco, tuple(states), tuple(observables), shots=1, seed=seed)
+
+
+def assert_matches_branch_reference(spec):
+    for term in spec.decomposition.terms:
+        batched = term_value_distributions(spec, term)
+        reference = branch_value_distributions(term, spec)
+        assert len(batched) == len(reference)
+        for (values, probs), (ref_values, ref_probs) in zip(batched, reference):
+            assert values.shape == ref_values.shape
+            assert np.array_equal(values, ref_values)
+            assert np.max(np.abs(probs - ref_probs)) <= 1e-14
+
+
+# every family of the benchmark's sample and sample_wide mixes, plus multi_z
+BENCHMARK_FAMILIES = [
+    wire_cut_ncc(),
+    wire_cut_cc("Y"),
+    *(mcz_decomposition(m, n - m) for n in (2, 3, 4, 5) for m in range(1, n)),
+    rzz_decomposition_a(0.9),
+    rzz_decomposition_b(-2.3),
+    *(controlled_sequence_decomposition(_random_sequence(k, k), k) for k in (1, 3, 4)),
+    multi_z_rotation_decomposition(2, 2, 0.8),
+    multi_z_rotation_decomposition(3, 2, -0.4),
+]
+
+
+@pytest.mark.parametrize("deco", BENCHMARK_FAMILIES, ids=lambda d: d.name)
+def test_batched_enumeration_matches_branch_reference(deco):
+    # values bit-equal (same eigh, same branch order), probabilities to 1e-14
+    assert_matches_branch_reference(pauli_spec(deco, seed=len(deco.terms)))
+
+
+@pytest.mark.parametrize(
+    "deco,bits,obs",
+    [
+        (wire_cut_cc(), "0", "Z"),
+        (wire_cut_ncc(), "1", "Z"),
+        (mcz_decomposition(2, 1), "110", "ZZZ"),
+        (rzz_decomposition_b(np.pi / 2), "00", "ZZ"),
+        (multi_z_rotation_decomposition(2, 2, 0.8), "0110", "ZZZZ"),
+    ],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_batched_enumeration_drops_the_branches_the_reference_drops(deco, bits, obs):
+    spec = spec_for(deco, bits, obs, shots=1)
+    # the case exercises the floor: some branch of some factor never occurs
+    assert any(
+        p <= PROB_FLOOR
+        for term in deco.terms
+        for factor, rho, _ in term_blocks(term, spec)
+        for p, _ in branch_probabilities(factor, rho)
+    )
+    assert_matches_branch_reference(spec)
+
+
+@pytest.mark.parametrize(
+    "deco",
+    [
+        wire_cut_ncc(),
+        mcz_decomposition(2, 1),
+        rzz_decomposition_b(np.pi / 2),
+        multi_z_rotation_decomposition(2, 2, 0.8),
+        controlled_sequence_decomposition(_random_sequence(5, 2), 2),
+    ],
+    ids=lambda d: d.name,
+)
+def test_batched_enumeration_matches_reference_on_non_pauli_observables(deco):
+    assert_matches_branch_reference(random_spec(deco, seed=11))
+
+
+def test_batched_enumeration_sums_multi_kraus_and_skips_empty_branches():
+    # a measure-and-prepare map that prepares mixed states has two Kraus
+    # operators per branch; a zero effect leaves a branch with none
+    rng = np.random.default_rng(4)
+    u = haar_unitary(rng, 2).mat
+    mixed = [Operator(np.diag([0.7, 0.3]).astype(complex)),
+             Operator(u @ np.diag([0.4, 0.6]) @ u.conj().T)]
+    zero = Operator(np.zeros((2, 2), dtype=complex))
+    effects = [Operator(np.diag([1.0, 0.0]).astype(complex)),
+               Operator(np.diag([0.0, 1.0]).astype(complex))]
+    factor = measure_prepare_map(
+        [(1, effects[0], mixed[0]), (-1, zero, mixed[0]), (-1, effects[1], mixed[1])]
+    )
+    assert [len(k) for _, k in factor.branches] == [2, 0, 2]
+    deco = Decomposition("mp", (1,), [DecompositionTerm(1.0, [factor], "mp")],
+                         gates.identity(1))
+    assert_matches_branch_reference(random_spec(deco, seed=2))
+
+
+@pytest.mark.parametrize(
+    "deco,state,obs",
+    [
+        (mcz_decomposition(2, 1), "plus", "XXX"),
+        (mcz_decomposition(1, 2), "010", "ZZZ"),
+        (wire_cut_ncc(), "plus", "Z"),
+        (wire_cut_cc("X"), "1", "Z"),
+        (rzz_decomposition_a(0.7), "plus", "YX"),
+        (rzz_decomposition_b(-1.1), "01", "ZZ"),
+        (controlled_sequence_decomposition(_random_sequence(5, 2), 2), "plus", "XZX"),
+    ],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_single_shot_variance_within_variance_bound(deco, state, obs):
+    # |y| <= gamma on every shot, so the ddof=1 variance is at most
+    # shots/(shots-1) * (gamma^2 - estimate^2), also with the estimate near 0
+    for shots in (2, 7, 5_000):
+        report = run(spec_for(deco, state, obs, shots=shots, seed=shots))
+        bound = shots / (shots - 1) * (report.gamma**2 - report.estimate**2)
+        assert report.variance_bound == pytest.approx(bound, rel=1e-15, abs=1e-15)
+        assert report.single_shot_variance <= report.variance_bound + 1e-9
+        assert report.to_dict()["variance_bound"] == report.variance_bound
+
+
+def test_variance_bound_null_for_one_shot():
+    report = run(spec_for(wire_cut_cc(), "0", "Z", shots=1, seed=0))
+    assert report.variance_bound is None
+    data = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert data["variance_bound"] is None
+
+
+def test_many_batches_stay_within_a_small_multiple_of_batch_means():
+    # the (batches, terms) and (batches, support) count arrays live only
+    # while run() folds them into batch sums: with 6 terms of support <= 2
+    # the peak is about 3.3 times the report's batch means
+    spec = spec_for(rzz_decomposition_b(np.pi / 2), "plus", "XX", shots=10**9, seed=3)
+    run(spec, n_batches=10)  # warm caches
+    tracemalloc.start()
+    try:
+        report = run(spec, n_batches=10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    means = report.batch_means
+    footprint = sys.getsizeof(means) + sum(sys.getsizeof(m) for m in means)
+    assert len(means) == 10**5
+    assert abs(report.estimate - report.exact_value) < 5 * report.standard_error
+    assert peak < 4 * footprint
 
 
 @pytest.mark.parametrize("shots", [10**9, 10**12])
