@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -525,10 +525,7 @@ def cmd_zx_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by every
-    :func:`main` call in the process."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcut", description="Quasiprobability circuit-cutting toolkit"
     )
@@ -541,15 +538,18 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mprime", type=int)
     p.add_argument("--theta", help="angle, e.g. pi/4")
     p.add_argument("--cc-basis", dest="cc_basis", choices=["X", "Y", "Z"])
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="run a sampling experiment from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, help="overrides the config's seed")
     p.add_argument("--output", help="JSON report path (overrides config)")
     p.add_argument("--batch-csv", dest="batch_csv", help="CSV of shot-batch means")
+    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("norms", help="print the 1-norm catalog as CSV")
     p.add_argument("--csv", help="write to a file instead of stdout")
+    p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("zx-check", help="contract/compare ZX diagrams")
     p.add_argument("files", nargs="*", help="diagram file(s) in the text format")
@@ -561,15 +561,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--theta")
     p.add_argument("--up-to-scalar", dest="up_to_scalar", action="store_true")
+    p.set_defaults(func=cmd_zx_check)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    # looked up per call, so a replaced cmd_* function is the one that runs
-    command = globals()["cmd_" + args.command.replace("-", "_")]
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        return command(args)
+        return args.func(args)
     except (ConfigError, zx.ZXError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

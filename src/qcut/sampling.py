@@ -15,10 +15,10 @@ Because every map is a small dense object, the full discrete distribution of
 land on each support value is a sufficient statistic.  The enumeration works
 in the eigenbasis of each block observable, diagonalized once per
 :func:`run` call.  :func:`run` never materializes individual shots: one
-multinomial draw gives the shots of every term in every batch, and one more
-per drawn term splits them over its support values, so time and memory
-depend on the support size and the number of batches but not on the shot
-count.  Shots are i.i.d., so this is exactly the distribution of the
+multinomial draw gives the shots of every term in ``BATCH_CHUNK`` batches,
+and one more per drawn term splits them over its support values, so time and
+memory depend on the support size and the number of batches but not on the
+shot count.  Shots are i.i.d., so this is exactly the distribution of the
 shot-by-shot protocol.
 
 The exact value a report is compared with (:func:`exact_expectation`) is the
@@ -46,6 +46,9 @@ EIGENVALUE_SLACK = 1e-12
 
 #: probabilities this close to 0 are treated as exactly 0 (rounding guard)
 PROB_FLOOR = 1e-14
+
+#: batches per count draw in :func:`run`: arrays of BATCH_CHUNK x (terms + support)
+BATCH_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -163,17 +166,20 @@ def _term_blocks(spec: ExperimentSpec, term: DecompositionTerm) -> list:
     return blocks
 
 
-def _block_operators(spec: ExperimentSpec, span: tuple) -> tuple:
-    """``(rho, obs)``: Kronecker products of the registers in ``span``."""
-    regs = range(*span)
-    return (
-        reduce(np.kron, [spec.initial_state[r].mat for r in regs]),
-        reduce(np.kron, [spec.observable[r].mat for r in regs]),
-    )
+def _block(spec: ExperimentSpec, span: tuple, blocks: dict) -> tuple:
+    """``(rho, obs, lambda, V, V^dag rho V)`` of the registers in ``span``, with
+    ``obs = V diag(lambda) V^dag``; computed once per span and ``blocks`` dict."""
+    if span not in blocks:
+        regs = range(*span)
+        rho = reduce(np.kron, [spec.initial_state[r].mat for r in regs])
+        obs = reduce(np.kron, [spec.observable[r].mat for r in regs])
+        lam, vecs = np.linalg.eigh(obs)
+        blocks[span] = rho, obs, lam, vecs, vecs.conj().T @ rho @ vecs
+    return blocks[span]
 
 
 def term_value_distributions(
-    spec: ExperimentSpec, term: DecompositionTerm, eigen: Optional[dict] = None
+    spec: ExperimentSpec, term: DecompositionTerm, blocks: Optional[dict] = None
 ) -> list:
     """Per-block distributions ``(values, probs)`` of ``sign * lambda`` for one term.
 
@@ -181,24 +187,21 @@ def term_value_distributions(
     ``b`` followed by outcome ``lambda_a`` has probability
     ``P_b[a] = sum_k (M_k rho_V M_k^dag)_aa`` over the branch's Kraus
     operators ``M_k = V^dag K_k V``: one batched product per factor.
-    ``eigen`` maps a register span to ``(lambda, V, rho_V)``; :func:`run`
-    passes one dict per call, so each span is diagonalized once per call.
+    ``blocks`` is as in :func:`_block`; :func:`run` passes one dict per call,
+    so each span is diagonalized once per call.
     """
-    eigen = {} if eigen is None else eigen
+    blocks = {} if blocks is None else blocks
     out = []
     for factor, span in _term_blocks(spec, term):
-        if span not in eigen:
-            rho, obs = _block_operators(spec, span)
-            lam, vecs = np.linalg.eigh(obs)
-            eigen[span] = lam, vecs, vecs.conj().T @ rho @ vecs
-        lam, vecs, rho_v = eigen[span]
-        branches = [(a, k) for a, k in factor.branches if len(k)]
-        m = vecs.conj().T @ np.concatenate([k for _, k in branches]) @ vecs
+        _, _, lam, vecs, rho_v = _block(spec, span, blocks)
+        weights, kraus = factor.kraus()
+        m = vecs.conj().T @ kraus @ vecs
         probs = np.maximum(np.einsum("kab,kab->ka", m @ rho_v, m.conj()).real, 0.0)
-        if len(m) > len(branches):  # add up the rows of each branch's operators
-            starts = np.cumsum([0] + [len(k) for _, k in branches[:-1]])
+        # first row of each non-empty branch; a branch's rows add up
+        starts = np.cumsum([0] + [len(k) for _, k in factor.branches if len(k)])[:-1]
+        if len(m) > len(starts):
             probs = np.add.reduceat(probs, starts)
-        values = np.multiply.outer([a for a, _ in branches], lam)
+        values = np.multiply.outer(weights[starts], lam)
         keep = probs > PROB_FLOOR
         probs = probs[keep]
         out.append((values[keep], probs / probs.sum()))
@@ -206,19 +209,19 @@ def term_value_distributions(
 
 
 def term_support(
-    spec: ExperimentSpec, term: DecompositionTerm, eigen: Optional[dict] = None
+    spec: ExperimentSpec, term: DecompositionTerm, blocks: Optional[dict] = None
 ) -> tuple:
     """Joint distribution of ``sign * lambda`` over all blocks of one term.
 
     Blocks are independent, so this is the outer product of the block
     distributions with equal values merged.  Returns ``(values, probs)`` with
-    distinct, sorted values.  ``eigen`` is as in :func:`term_value_distributions`.
+    distinct, sorted values.  ``blocks`` is as in :func:`_block`.
     """
-    blocks = term_value_distributions(spec, term, eigen)
+    dists = term_value_distributions(spec, term, blocks)
     values, inverse = np.unique(
-        reduce(np.multiply.outer, [v for v, _ in blocks]).ravel(), return_inverse=True
+        reduce(np.multiply.outer, [v for v, _ in dists]).ravel(), return_inverse=True
     )
-    probs = reduce(np.multiply.outer, [p for _, p in blocks]).ravel()
+    probs = reduce(np.multiply.outer, [p for _, p in dists]).ravel()
     return values, np.bincount(inverse, weights=probs)
 
 
@@ -227,7 +230,7 @@ def term_support(
 # ---------------------------------------------------------------------------
 
 
-def exact_expectation(spec: ExperimentSpec) -> float:
+def exact_expectation(spec: ExperimentSpec, blocks: Optional[dict] = None) -> float:
     """Exact expectation of the cut channel on this experiment.
 
     Computed term by term and block by block as
@@ -235,14 +238,13 @@ def exact_expectation(spec: ExperimentSpec) -> float:
     block state, so no PTM is built and the cost stays that of the largest
     block.  This is the value the sampler estimates, which equals the target
     gate's expectation only as far as the decomposition reconstructs it.
+    ``blocks`` is as in :func:`_block`.
     """
-    total, operators = 0.0, {}
+    total, blocks = 0.0, {} if blocks is None else blocks
     for term in spec.decomposition.terms:
         value = term.q
         for factor, span in _term_blocks(spec, term):
-            if span not in operators:
-                operators[span] = _block_operators(spec, span)
-            rho, obs = operators[span]
+            rho, obs = _block(spec, span, blocks)[:2]
             image = factor.apply_batch(rho[None, :, :])[0]
             value *= np.einsum("ij,ji->", obs, image)
         total += value
@@ -262,22 +264,24 @@ def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
     gamma = deco.one_norm()
     rng = np.random.Generator(np.random.Philox(spec.seed))
 
-    # sizes as in np.array_split; term_counts[b, nu] shots of term nu in
-    # batch b; then per drawn term one (batches, support) array of shots per
-    # support value, of which only the batch sums and the totals are kept
+    # sizes as in np.array_split; per chunk of batches, shots per (batch, term),
+    # then per drawn term shots per (batch, support value), summed as they come
     k = max(n_batches, 1)
     sizes = np.full(k, shots // k, dtype=np.int64)
     sizes[: shots % k] += 1
-    term_counts = rng.multinomial(sizes, deco.sampling_probabilities())
-    per_term_shots = term_counts.sum(axis=0)
-    eigen, supports, counts = {}, {}, {}
+    per_term_shots = np.zeros(len(deco.terms), dtype=np.int64)
+    blocks, supports, counts = {}, {}, {}
     batch_sums = np.zeros(k)
-    for nu in map(int, np.flatnonzero(per_term_shots)):
-        supports[nu] = term_support(spec, deco.terms[nu], eigen)
-        drawn = rng.multinomial(term_counts[:, nu], supports[nu][1])
-        counts[nu] = drawn.sum(axis=0)
-        batch_sums += drawn @ (np.sign(deco.terms[nu].q) * supports[nu][0])
-    del term_counts, drawn  # only their batch sums and totals outlive the loop
+    for first in range(0, k, BATCH_CHUNK):
+        rows = slice(first, first + BATCH_CHUNK)
+        term_counts = rng.multinomial(sizes[rows], deco.sampling_probabilities())
+        per_term_shots += term_counts.sum(axis=0)
+        for nu in map(int, np.flatnonzero(term_counts.any(axis=0))):
+            if nu not in supports:
+                supports[nu] = term_support(spec, deco.terms[nu], blocks)
+            drawn = rng.multinomial(term_counts[:, nu], supports[nu][1])
+            counts[nu] = counts.get(nu, 0) + drawn.sum(axis=0)
+            batch_sums[rows] += drawn @ (np.sign(deco.terms[nu].q) * supports[nu][0])
 
     per_term_means = [None] * len(deco.terms)
     for nu, c in counts.items():
@@ -290,7 +294,7 @@ def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
         variance = squares / (shots - 1)
         bound = shots / (shots - 1) * (gamma**2 - estimate**2)
     stderr = float(np.sqrt(variance / shots))
-    exact = exact_expectation(spec)
+    exact = exact_expectation(spec, blocks)
     return SamplingReport(
         estimate=estimate,
         standard_error=stderr,

@@ -96,15 +96,11 @@ def test_usage_error_exits_2():
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# repeated main() calls in one process
 # ---------------------------------------------------------------------------
 
 
-def test_parser_is_built_once():
-    assert qcut.cli._parser() is qcut.cli._parser()
-
-
-def test_reused_parser_takes_seed_from_config_after_seed_flag(tmp_path):
+def test_second_call_takes_seed_from_config_after_seed_flag(tmp_path):
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     argv = ["sample", "--config", str(config), "--output"]
@@ -114,16 +110,16 @@ def test_reused_parser_takes_seed_from_config_after_seed_flag(tmp_path):
     assert json.loads(out2.read_text())["seed"] == 7
 
 
-def test_reused_parser_still_rejects_unread_zx_flags_after_sample(tmp_path, capsys):
+def test_zx_check_still_rejects_unread_flags_after_sample(tmp_path, capsys):
     assert main(["sample", "--config", str(write_config(tmp_path))]) == 0
     capsys.readouterr()
     assert main(["zx-check", "--builtin", "rzz", "--n", "5"]) == 2
     assert capsys.readouterr().err == "error: --n: not read by zx-check --builtin rzz\n"
 
 
-def test_reused_parser_usage_error_message_unchanged(tmp_path, capsys):
+def test_usage_error_message_unchanged_after_sample(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
-        qcut.cli._parser.__wrapped__().parse_args(["sample", "--seed", "x"])
+        qcut.cli._build_parser().parse_args(["sample", "--seed", "x"])
     assert err.value.code == 2
     fresh = capsys.readouterr().err
     assert main(["sample", "--config", str(write_config(tmp_path))]) == 0

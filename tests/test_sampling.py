@@ -26,6 +26,7 @@ from qcut.linalg import (
     QcutError,
 )
 from qcut.sampling import (
+    BATCH_CHUNK,
     PROB_FLOOR,
     ExperimentSpec,
     exact_expectation,
@@ -488,11 +489,21 @@ def test_variance_bound_null_for_one_shot():
     assert data["variance_bound"] is None
 
 
-def test_many_batches_stay_within_a_small_multiple_of_batch_means():
-    # the (batches, terms) and (batches, support) count arrays live only
-    # while run() folds them into batch sums: with 6 terms of support <= 2
-    # the peak is about 3.3 times the report's batch means
-    spec = spec_for(rzz_decomposition_b(np.pi / 2), "plus", "XX", shots=10**9, seed=3)
+@pytest.mark.parametrize(
+    "make_spec",
+    [
+        # 6 terms of support <= 2
+        lambda: spec_for(rzz_decomposition_b(np.pi / 2), "plus", "XX", shots=10**9, seed=3),
+        # 6 terms of support 8 to 16
+        lambda: random_spec(mcz_decomposition(2, 1), seed=5, shots=10**9),
+    ],
+    ids=["rzz_b", "random_mcz"],
+)
+def test_many_batches_stay_within_a_small_multiple_of_batch_means(make_spec):
+    # run() draws the (batches, terms) and (batches, support) count arrays
+    # BATCH_CHUNK batches at a time, so the peak does not grow with the
+    # support size: about 1.8 times the report's batch means on both specs
+    spec = make_spec()
     run(spec, n_batches=10)  # warm caches
     tracemalloc.start()
     try:
@@ -504,7 +515,20 @@ def test_many_batches_stay_within_a_small_multiple_of_batch_means():
     footprint = sys.getsizeof(means) + sum(sys.getsizeof(m) for m in means)
     assert len(means) == 10**5
     assert abs(report.estimate - report.exact_value) < 5 * report.standard_error
-    assert peak < 4 * footprint
+    assert peak < 3 * footprint
+
+
+def test_batches_across_chunks_add_up_to_the_estimate():
+    spec = random_spec(mcz_decomposition(2, 1), seed=6, shots=10**6 + 3)
+    n_batches = 2 * BATCH_CHUNK + 3
+    report = run(spec, n_batches=n_batches)
+    sizes = [len(b) for b in np.array_split(np.empty(spec.shots, dtype=bool), n_batches)]
+    assert sum(report.per_term_shots) == spec.shots
+    assert len(report.batch_means) == n_batches
+    total = np.dot(sizes, report.batch_means)
+    assert total / spec.shots == pytest.approx(report.estimate, rel=1e-12, abs=1e-12)
+    # a batch mean is a mean of shots, each of magnitude at most gamma
+    assert max(map(abs, report.batch_means)) <= report.gamma * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("shots", [10**9, 10**12])
