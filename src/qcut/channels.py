@@ -10,8 +10,7 @@ Each branch is a completely positive map and the branch probabilities
 outcomes carry signs.  Maps with any ``-1`` sign are not physical channels
 but can still be simulated without extra sampling overhead by tracking the
 signs of measured outcomes; the sampler does exactly that.  The action, the
-signs, the PTM and, when every Kraus operator is diagonal, the Schur
-multiplier are all derived from the branches, which come from:
+signs and the PTM are all derived from the branches, which come from:
 
 * :class:`UnitaryChannel` -- ``rho -> U rho U^dag``: one branch ``[U]``;
 * the rank-one measure-and-prepare maps (:func:`pauli_measure_prepare`,

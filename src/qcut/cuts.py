@@ -38,15 +38,11 @@ from .linalg import (
     Superoperator,
     check_dense,
     embed_matrix,
-    exact_diagonal,
     kraus_transform,
-    pauli_index,
     pauli_label,
     ptm_of_kraus,
-    ptm_of_schur,
     ptm_of_unitary,
-    schur_of_kraus,
-    schur_transform,
+    transform_entry,
 )
 
 #: reconstruction tolerance: sum of term PTMs vs. the target channel
@@ -80,11 +76,12 @@ class DecompositionTerm:
     def kraus(self) -> tuple:
         """``(weights, ops)`` of the term's product map: ``K_1 (x) K_2 (x) ...``
         for each choice of one Kraus operator per factor, signs multiplied."""
-        weights, ops = np.ones(1), np.ones((1, 1, 1))
-        for f_weights, f_ops in (f.kraus() for f in self.factors):
+        weights, ops = self.factors[0].kraus()
+        for f_weights, f_ops in (f.kraus() for f in self.factors[1:]):
+            m, d = len(weights) * len(f_weights), ops.shape[1] * f_ops.shape[1]
             weights = np.outer(weights, f_weights).ravel()
-            d = ops.shape[1] * f_ops.shape[1]
-            ops = np.einsum("iab,jcd->ijacbd", ops, f_ops).reshape(len(weights), d, d)
+            ops = ops[:, None, :, None, :, None] * f_ops[None, :, None, :, None, :]
+            ops = ops.reshape(m, d, d)  # [(i, j), (a, c), (b, d)]
         return weights, ops
 
     def to_superoperator(self) -> Superoperator:
@@ -100,7 +97,7 @@ class Decomposition:
 
     The target is kept as its unitary; its dense PTM (:attr:`target`) is
     built on first use, so building and sampling a decomposition never pays
-    for a ``4^n x 4^n`` matrix, and verifying a diagonal one never reads it.
+    for a ``4^n x 4^n`` matrix, and verifying one never reads it.
     """
 
     def __init__(self, name: str, partition, terms, target_unitary: Operator):
@@ -162,38 +159,27 @@ class Decomposition:
                 np.concatenate([ops for _, _, ops in parts]))
 
     def reconstruct(self) -> Superoperator:
-        """Dense PTM of ``sum_nu q_nu F_nu``, built once from the summed Schur
-        multiplier when the decomposition has one, else from its signed Kraus
+        """Dense PTM of ``sum_nu q_nu F_nu``, built once from its signed Kraus
         operators."""
-        weights, ops = self.kraus()
-        s = schur_of_kraus(weights, ops)
-        return ptm_of_kraus(weights, ops) if s is None else ptm_of_schur(s)
+        return ptm_of_kraus(*self.kraus())
 
     def verify(self, atol: float = ATOL_RECONSTRUCT) -> dict:
         """Compare the reconstruction with the target PTM entry by entry.
 
         ``max_abs_deviation`` is the largest ``|delta|`` and ``worst_entry``
         the output and input Pauli strings of that entry.  Each PTM entry of
-        the difference is a unit phase times one of ``W / d``, so no PTM is
-        built: ``W`` comes from ``S - u conj(u)^T`` when the decomposition
-        and the target gate are diagonal, else from the signed Kraus
-        operators with ``(-1, U)`` appended for the target.
+        the difference is a unit phase times one of ``A / d`` from
+        :func:`~qcut.linalg.kraus_transform` of the signed Kraus operators
+        with ``(-1, U)`` appended for the target, so no PTM is built.
         """
         n = self.n_qubits
         weights, ops = self.kraus()
-        s = schur_of_kraus(weights, ops)
-        u = exact_diagonal(self.target_unitary.mat)
-        if s is not None and u is not None:
-            delta = np.abs(schur_transform(s - np.outer(u, u.conj())))
-            x, z = np.unravel_index(np.argmax(delta), delta.shape)
-            # the first maximal PTM entry of block x has z_out = 0, z_in = z
-            row, col = pauli_index(x, 0, n), pauli_index(x, z, n)
-        else:
-            delta = np.abs(kraus_transform(np.append(weights, -1.0),
-                                           np.concatenate([ops, self.target_unitary.mat[None]])))
-            z_out, z_in, x_out, x_in = np.unravel_index(np.argmax(delta), delta.shape)
-            row, col = pauli_index(x_out, z_out, n), pauli_index(x_in, z_in, n)
-        deviation = float(delta.max()) / 2**n
+        a, diag = kraus_transform(np.append(weights, -1.0),
+                                  np.concatenate([ops, self.target_unitary.mat[None]]))
+        delta = np.abs(a)
+        index = np.unravel_index(np.argmax(delta), delta.shape)
+        row, col = transform_entry(index, diag, n)
+        deviation = float(delta[index]) / 2**n
         return {
             "name": self.name,
             "n_terms": len(self.terms),

@@ -9,15 +9,13 @@ Kronecker products of the factor PTMs with no permutation bookkeeping.
 
 Indexed by X and Z part, ``P = i^{|x & z|} X^x Z^z``, every PTM entry of
 ``rho -> sum_k w_k K_k rho K_k^dag`` is a unit phase times one entry of a
-Walsh-Hadamard array ``W / d`` (:func:`kraus_transform`), which
-:func:`ptm_of_kraus`, the dense PTM builder, phases and reorders.
-
-A map whose Kraus operators are all diagonal acts entrywise,
-``E(rho) = S * rho`` with a ``2^n x 2^n`` Schur multiplier ``S``.  Its PTM is
-block sparse: ``R_ij`` vanishes unless ``P_i`` and ``P_j`` share their X part,
-and :func:`schur_ptm_blocks` returns only those ``8^n`` entries from a
-``d x d`` array ``W`` (:func:`schur_transform`).  :func:`ptm_of_unitary` takes
-that path for an exactly diagonal unitary.
+Walsh-Hadamard array ``A / d`` (:func:`kraus_transform`), which
+:func:`ptm_of_kraus`, the dense PTM builder, phases and scatters.  The kernel
+first splits off the qubits ``D`` on which every ``K_k`` is exactly diagonal.
+The map keeps the X part on ``D``, so ``A`` has ``d_D^2 d_T^4`` entries
+instead of ``d^4``: with no such qubit it is the dense array, and with every
+qubit diagonal the map acts entrywise, ``E(rho) = S * rho`` with a Schur
+multiplier ``S``, and ``A`` is the ``d x d`` transform of ``S``.
 
 Everything here is desk-scale by design: :func:`check_dense` caps every dense
 array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
@@ -231,27 +229,16 @@ def max_abs_diff(a, b) -> float:
 
 
 def ptm_of_unitary(u: Operator) -> Superoperator:
-    """PTM of the channel ``rho -> U rho U^dag``; an exactly diagonal ``U``
-    goes through :func:`ptm_of_schur` with ``S = u conj(u)^T``."""
+    """PTM of the channel ``rho -> U rho U^dag``: :func:`ptm_of_kraus` of ``U``."""
     n = u.n_qubits
     check_dense(16**n, f"superoperator on {n} qubits")  # before the d x d unitarity products
     check_unitary(u.mat, "input")
-    diag = exact_diagonal(u.mat)
-    if diag is not None:
-        return ptm_of_schur(np.outer(diag, diag.conj()))
     return ptm_of_kraus(np.ones(1), u.mat[None])
 
 
 # ---------------------------------------------------------------------------
-# Diagonal maps in Schur form
+# Signed Kraus maps
 # ---------------------------------------------------------------------------
-
-
-def exact_diagonal(a: np.ndarray):
-    """Diagonal of ``a``, or of each matrix in a stack ``(..., d, d)``, when
-    every off-diagonal entry is exactly zero; ``None`` otherwise."""
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    return diag if np.count_nonzero(a) == np.count_nonzero(diag) else None
 
 
 def _popcount(a: np.ndarray, n: int) -> np.ndarray:
@@ -262,19 +249,29 @@ def _popcount(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _hadamard(d: int) -> np.ndarray:
+    """``H[z, c] = (-1)^{|z & c|}`` on ``d = 2^n`` indices, by Sylvester's doubling."""
+    h = np.ones((1, 1))
+    while len(h) < d:
+        h = np.concatenate([np.concatenate([h, h], 1), np.concatenate([h, -h], 1)])
+    return h
+
+
 #: ``i^k`` for ``k mod 4``
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
-#: ``[x bit, z bit]`` -> index of the one-qubit Pauli in ``PAULI_LETTERS``
-_LETTER_INDEX = np.array([[0, 3], [1, 2]])
 
-
-def pauli_index(x, z, n: int):
-    """Basis index of the Pauli string with X part ``x`` and Z part ``z``
-    (bit ``n - 1 - q`` is qubit ``q``); works elementwise on integer arrays."""
-    out = 0
-    for shift in range(n - 1, -1, -1):
-        out = 4 * out + _LETTER_INDEX[(x >> shift) & 1, (z >> shift) & 1]
+def pauli_index(x, z, n: int, lead: tuple = ()):
+    """Basis index of the Pauli string with X part ``x`` and Z part ``z``;
+    works elementwise on integer arrays.  Bit ``n - 1 - j`` of ``x`` and
+    ``z`` is the ``j``-th qubit of the qubits ``lead`` followed by the rest,
+    each run in increasing order (so qubit ``j`` when ``lead`` is empty)."""
+    order = [*lead, *(q for q in range(n) if q not in lead)]
+    xz, out = x ^ z, 0
+    for j, q in enumerate(order):
+        # qubit q's base-4 digit is its letter (I, X, Y, Z) = (x ^ z) + 2 z
+        shift, digit = n - 1 - j, 2 * (n - 1 - q)
+        out = out + ((xz >> shift & 1) << digit) + ((z >> shift & 1) << digit + 1)
     return out
 
 
@@ -284,105 +281,104 @@ def pauli_label(index: int, n: int) -> str:
     return "".join(PAULI_LETTERS[(index >> 2 * shift) & 3] for shift in range(n - 1, -1, -1))
 
 
-def schur_of_kraus(weights: np.ndarray, kraus: np.ndarray):
-    """Schur multiplier ``S = sum_k w_k diag(K_k) diag(K_k)^dag`` of
-    ``rho -> sum_k w_k K_k rho K_k^dag`` when every ``K_k`` is exactly
-    diagonal; ``None`` otherwise."""
-    diag = exact_diagonal(kraus)
-    return None if diag is None else (diag.T * weights) @ diag.conj()
+def diagonal_qubits(kraus: np.ndarray) -> tuple:
+    """Qubits on which every operator of a ``(k, d, d)`` stack is exactly
+    diagonal: no nonzero entry, however small, has a row and a column index
+    that differ in that qubit's bit."""
+    n = np.shape(kraus)[-1].bit_length() - 1
+    rows, cols = np.nonzero(np.any(kraus, axis=0))
+    flipped = int(np.bitwise_or.reduce(rows ^ cols, initial=0))
+    return tuple(q for q in range(n) if not flipped >> (n - 1 - q) & 1)
 
 
-def schur_transform(s: np.ndarray) -> np.ndarray:
-    """``W[x, z]``, the Walsh-Hadamard transform over ``b`` of ``s[b ^ x, b]``:
-    every PTM entry of ``rho -> s * rho`` is a unit phase times one of ``W / d``."""
-    d = s.shape[0]
-    n = d.bit_length() - 1
-    check_dense(d * d, f"Schur-form transform on {n} qubits")
-    idx = np.arange(d)
-    w = s[idx[:, None] ^ idx[None, :], idx[None, :]].reshape((d,) + (2,) * n)  # g[x, b]
-    for axis in range(1, n + 1):
-        lo, hi = np.take(w, 0, axis), np.take(w, 1, axis)
-        w = np.stack([lo + hi, lo - hi], axis=axis)
-    return w.reshape(d, d)
+def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
+    """``(A, D)``: the Walsh-Hadamard array of ``E(rho) = sum_k w_k K_k rho
+    K_k^dag`` and the qubits ``D`` on which every ``K_k`` is exactly diagonal
+    (:func:`diagonal_qubits`).
 
+    With the qubits of ``D`` first and the rest ``T`` after, ``K_k = sum_s
+    |s><s| (x) K_k^(s)``.  For ``P = i^{|x & z|} X^x Z^z``, the PTM entry of
+    ``P' = (x_D x'_T, z'_D z'_T)`` and ``P = (x_D x_T, z_D z_T)`` is
 
-def schur_ptm_blocks(s: np.ndarray) -> np.ndarray:
-    """The nonzero PTM entries of the Schur map ``rho -> s * rho`` (entrywise).
+        i^{|x' & z'|} i^{|x & z|} (-1)^{|z'_D & x_D|} A[x_D, z'_D ^ z_D, z'_T, z_T, x'_T, x_T] / d,
 
-    With ``P = i^{|x & z|} X^x Z^z`` the map keeps the X part, so only entries
-    with equal X parts survive.  Returns ``B`` of shape ``(d, d, d)`` with
-    ``B[x, z_i, z_j] = R_ij`` for ``P_i = (x, z_i)``, ``P_j = (x, z_j)``:
+    and every entry whose X parts differ on ``D`` is zero.  ``A`` is the
+    transform over the blocks of ``T``'s transform ``F``:
 
-        B = (-1)^{z_i . x} i^{|x & z_i| + |x & z_j|} W[x, z_i ^ z_j] / d,
+        A[x_D, u] = sum_b (-1)^{|u & b|} F[b ^ x_D, b],   F = H G H over (c, b),
+        G[t, s, c, b, x', x] = sum_k w_k conj(K_k^(s)[c ^ x', b]) K_k^(t)[c, b ^ x],
 
-    with ``W`` from :func:`schur_transform`.
-    """
-    d = s.shape[0]
-    n = d.bit_length() - 1
-    check_dense(d**3, f"Schur-form PTM blocks on {n} qubits")
-    w = schur_transform(s)
-    idx = np.arange(d)
-    overlap = _popcount(idx[:, None] & idx[None, :], n)  # |x & z|
-    y_phase = _I_POWERS[overlap % 4]
-    x_sign = 1 - 2 * (overlap % 2)
-    return (x_sign * y_phase)[:, :, None] * y_phase[:, None, :] * w[:, idx[:, None] ^ idx] / d
-
-
-def ptm_of_schur(s: np.ndarray) -> Superoperator:
-    """Dense PTM of ``rho -> s * rho``: :func:`schur_ptm_blocks` scattered into
-    a zero ``4^n x 4^n`` matrix."""
-    d = s.shape[0]
-    n = d.bit_length() - 1
-    check_dense(16**n, f"superoperator on {n} qubits")
-    idx = np.arange(d)
-    p = pauli_index(idx[:, None], idx[None, :], n)  # p[x, z]
-    out = np.zeros((d * d, d * d), dtype=complex)
-    out[p[:, :, None], p[:, None, :]] = schur_ptm_blocks(s)
-    return Superoperator(n, out)
-
-
-# ---------------------------------------------------------------------------
-# Signed Kraus maps
-# ---------------------------------------------------------------------------
-
-
-def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> np.ndarray:
-    """``W[z', z, x', x] = Tr(P' E(P)) / (i^{|x' & z'|} i^{|x & z|})`` for
-    ``E(rho) = sum_k w_k K_k rho K_k^dag`` and ``P = i^{|x & z|} X^x Z^z``:
-
-        W = H G H over (c, b),  G[c, b, x', x] = sum_k w_k conj(K_k[c ^ x', b]) K_k[c, b ^ x],
-
-    with the Hadamard matrix ``H[z, c] = (-1)^{|z & c|}``.
+    with the Hadamard matrix ``H[z, c] = (-1)^{|z & c|}``.  ``A`` has
+    ``d_D^2 d_T^4`` entries: ``D = ()`` gives the dense ``d^4`` array, and
+    ``D`` = every qubit the ``d x d`` transform of the Schur multiplier
+    ``G[t, s] = S[t, s]`` of ``E(rho) = S * rho``.
     """
     kraus = np.asarray(kraus, dtype=complex)
     m, d, _ = kraus.shape
     n = d.bit_length() - 1
-    check_dense(d**3 * max(d, m), f"Pauli transfer array on {n} qubits")
-    idx = np.arange(d)
-    xor = idx[:, None] ^ idx[None, :]
-    bra = np.conj(kraus[:, xor, :]) * np.reshape(weights, (m, 1, 1, 1))  # [k, c, x', b]
-    w = bra.transpose(1, 3, 2, 0) @ kraus[:, :, xor].transpose(1, 2, 0, 3)  # G[c, b, x', x]
-    del bra
-    # H is real: apply it to the (real, imag) pairs as real gemms
-    h = 1.0 - 2 * (_popcount(idx[:, None] & idx[None, :], n) % 2)
-    w = h @ w.reshape(d, -1).view(float)  # [z', (b, x', x)]
-    w = h @ w.reshape(d, d, -1)  # [z', z, (x', x)]
-    return w.view(complex).reshape((d,) * 4)
+    diag = diagonal_qubits(kraus)
+    d_d = 2 ** len(diag)
+    d_t = d // d_d
+    check_dense(m * d_d * d_t**3, f"Kraus gathers on {n} qubits")
+    check_dense(d_d**2 * d_t**4, f"Pauli transfer array on {n} qubits")
+    order = [*diag, *(q for q in range(n) if q not in diag)]
+    axes = [0, *(1 + q for q in order), *(1 + n + q for q in order)]
+    perm = kraus.reshape((m,) + (2,) * (2 * n)).transpose(axes).reshape(m, d_d, d_t, d_d, d_t)
+    blocks = np.diagonal(perm, axis1=1, axis2=3).transpose(3, 1, 2, 0)  # [s, a, a', k]
+    i_d, i_t = np.arange(d_d), np.arange(d_t)
+    xor = i_t[:, None] ^ i_t
+    # one gemm per (c, b): rows (s, x'), columns (t, x), the Kraus index k innermost
+    bra = (np.conj(blocks) * weights)[i_d[:, None], xor[:, None, None, :], i_t[:, None, None]]
+    ket = blocks[i_d[:, None], i_t[:, None, None, None], xor[:, None, :]]
+    w = bra.reshape(d_t, d_t, -1, m) @ ket.reshape(d_t, d_t, -1, m).swapaxes(2, 3)
+    del bra, ket
+    if d_t > 1:  # H is real: apply it to the (real, imag) pairs as real gemms
+        h = _hadamard(d_t)
+        w = h @ w.reshape(d_t, -1).view(float)  # [z', (b, s, x', t, x)]
+        w = (h @ w.reshape(d_t, d_t, -1)).view(complex)  # [z', z, (s, x', t, x)]
+    if diag:
+        # [x_D, b, z', z, x', x] = F[t = b ^ x_D, s = b], then H over b
+        w = w.reshape(d_t, d_t, d_d, d_t, d_d, d_t)[:, :, i_d, :, i_d[:, None] ^ i_d, :]
+        w = (_hadamard(d_d) @ w.reshape(d_d, d_d, -1).view(float)).view(complex)
+    return w.reshape(d_d, d_d, d_t, d_t, d_t, d_t), diag
+
+
+def transform_entry(index, diag: tuple, n: int) -> tuple:
+    """PTM row and column of the entry ``(x_D, u, z'_T, z_T, x'_T, x_T)`` of
+    :func:`kraus_transform`'s array ``A``, taking ``z'_D = 0`` of the
+    ``z'_D ^ z_D = u`` entries that share its magnitude."""
+    x_d, u, z_out, z_in, x_out, x_in = (int(i) for i in index)
+    n_t = n - len(diag)
+    return (pauli_index(x_d << n_t | x_out, z_out, n, diag),
+            pauli_index(x_d << n_t | x_in, u << n_t | z_in, n, diag))
 
 
 def ptm_of_kraus(weights: np.ndarray, kraus: np.ndarray) -> Superoperator:
-    """PTM of ``rho -> sum_k w_k K_k rho K_k^dag`` for real weights ``w_k``
-    and a ``(k, d, d)`` stack of operators, from :func:`kraus_transform`."""
-    w = kraus_transform(weights, kraus)
-    d = w.shape[0]
+    """PTM of ``rho -> sum_k w_k K_k rho K_k^dag`` for weights ``w_k`` and a
+    ``(k, d, d)`` stack of operators: :func:`kraus_transform`'s array,
+    phased and scattered into a zero ``4^n x 4^n`` matrix."""
+    d = np.shape(kraus)[-1]
     n = d.bit_length() - 1
+    check_dense(16**n, f"superoperator on {n} qubits")
+    a, diag = kraus_transform(weights, kraus)
+    d_d, d_t = a.shape[0], a.shape[2]
+    n_t = n - len(diag)
+    x_d, zd_out, zd_in, zt_out, zt_in, xt_out, xt_in = np.indices(
+        (d_d,) * 3 + (d_t,) * 4, sparse=True)
+    x_out, z_out = x_d << n_t | xt_out, zd_out << n_t | zt_out
+    x_in, z_in = x_d << n_t | xt_in, zd_in << n_t | zt_in
+    # [x, z] tables in the kernel's qubit order: Y count |x & z| and basis index
     idx = np.arange(d)
-    # X and Z part of each basis index, in basis order
-    x, z = np.divmod(np.argsort(pauli_index(idx[:, None], idx[None, :], n).ravel()), d)
-    out = w[z[:, None], z[None, :], x[:, None], x[None, :]]
-    phase = _I_POWERS[_popcount(x & z, n) % 4]
-    out *= phase[:, None]
-    out *= phase / d
+    overlap, count = idx[:, None] & idx, _popcount(idx, n)
+    y_phase = _I_POWERS[count[overlap] % 4]
+    i_d = np.arange(d_d)
+    w = a[:, i_d[:, None] ^ i_d] if diag else a[:, None]  # no copy of a dense array
+    # rows also take (-1)^{|z'_D & x_D|}
+    w *= (y_phase * _I_POWERS[2 * count[overlap >> n_t] % 4])[x_out, z_out]
+    w *= y_phase[x_in, z_in] / d
+    p = pauli_index(idx[:, None], idx, n, diag)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    out[p[x_out, z_out], p[x_in, z_in]] = w
     return Superoperator(n, out)
 
 

@@ -22,10 +22,10 @@ from qcut.linalg import (
     DimensionError,
     Operator,
     QcutError,
+    diagonal_qubits,
     embed_matrix,
-    ptm_of_schur,
+    ptm_of_kraus,
     ptm_of_unitary,
-    schur_of_kraus,
 )
 from qcut.cuts import (
     mcz_decomposition,
@@ -392,22 +392,23 @@ def _diagonal_family_factors():
 
 @pytest.mark.parametrize("ch", list(_diagonal_family_factors()))
 def test_schur_form_matches_dense_ptm(ch):
-    s = schur_of_kraus(*ch.kraus())
-    assert s is not None
+    # every Kraus operator is diagonal: the kernel takes its Schur-form case
+    assert diagonal_qubits(ch.kraus()[1]) == tuple(range(ch.n_qubits))
     dense = ptm_of_map(ch.apply_batch, ch.n_qubits).matrix
-    assert np.max(np.abs(ptm_of_schur(s).matrix - dense)) <= 1e-12
+    assert np.max(np.abs(ptm_of_kraus(*ch.kraus()).matrix - dense)) <= 1e-12
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build,diag",
     [
-        lambda: pauli_measure_prepare("X", 0),
-        lambda: pauli_measure_prepare("I", 1),
-        lambda: grouped_pauli_map("Y"),
-        lambda: e_rzv_map(sequence_unitary([((0,), X)], 2)),
-        lambda: GeneralizedMap([(1, [np.array([[1.0, 1e-300], [0.0, 1.0]])])]),
+        (lambda: pauli_measure_prepare("X", 0), ()),
+        (lambda: pauli_measure_prepare("I", 1), ()),
+        (lambda: grouped_pauli_map("Y"), ()),
+        # diagonal on the control and on the untouched second target
+        (lambda: e_rzv_map(sequence_unitary([((0,), X)], 2)), (0, 2)),
+        (lambda: GeneralizedMap([(1, [np.array([[1.0, 1e-300], [0.0, 1.0]])])]), ()),
     ],
     ids=["E_X0", "E_I1", "grouped_Y", "e_rzv", "tiny_off_diagonal"],
 )
-def test_schur_form_needs_exactly_diagonal_kraus(build):
-    assert schur_of_kraus(*build().kraus()) is None
+def test_schur_form_needs_exactly_diagonal_kraus(build, diag):
+    assert diagonal_qubits(build().kraus()[1]) == diag

@@ -328,18 +328,11 @@ def no_ptm(monkeypatch):
 
     monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", refuse)
     monkeypatch.setattr(qcut.cuts.DecompositionTerm, "to_superoperator", refuse)
-    # the signed-Kraus kernel and the transform under it
+    # the PTM builder and the one kernel under it, which verify() also calls
     for module in (qcut.channels, qcut.cuts, qcut.linalg):
         monkeypatch.setattr(module, "ptm_of_kraus", refuse)
     for module in (qcut.cuts, qcut.linalg):
         monkeypatch.setattr(module, "kraus_transform", refuse)
-    # the Schur-form path, and the Schur forms it starts from
-    for module in (qcut.cuts, qcut.linalg):
-        monkeypatch.setattr(module, "ptm_of_schur", refuse)
-        monkeypatch.setattr(module, "schur_transform", refuse)
-    monkeypatch.setattr(qcut.linalg, "schur_ptm_blocks", refuse)
-    for module in (qcut.cuts, qcut.linalg):
-        monkeypatch.setattr(module, "schur_of_kraus", refuse)
 
 
 @pytest.mark.parametrize(

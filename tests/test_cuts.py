@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -19,7 +20,7 @@ from qcut.cuts import (
     wire_cut_cc,
     wire_cut_ncc,
 )
-from qcut.linalg import DimensionError, Operator, QcutError, ptm_of_unitary, schur_of_kraus
+from qcut.linalg import DimensionError, Operator, QcutError, diagonal_qubits, ptm_of_unitary
 from oracles import haar_unitary, ptm_of_map
 
 THETAS = [0.0, np.pi / 6, np.pi / 4, np.pi / 2, -np.pi / 4, 1.234, np.pi]
@@ -265,17 +266,38 @@ def test_verify_builds_target_ptm_once(monkeypatch):
     assert calls == [2]
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_diagonal_verify_builds_no_dense_ptm(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense PTM was built")
 
     for module in (qcut.cuts, qcut.linalg):
         monkeypatch.setattr(module, "ptm_of_unitary", refuse)
-        monkeypatch.setattr(module, "kraus_transform", refuse)
     for module in (qcut.channels, qcut.cuts, qcut.linalg):
         monkeypatch.setattr(module, "ptm_of_kraus", refuse)
     report = mcz_decomposition(2, 1).verify()
     assert report["passed"] and report["max_abs_deviation"] < 1e-15
+    # the kernel's all-diagonal case reads a d x d array, not the 4^6 x 4^6 PTM
+    deco = mcz_decomposition(3, 3)
+    assert _traced_peak(deco.verify) < 2 * 2**20
+
+
+def test_controlled_sequence_verify_splits_off_the_control():
+    # 4 targets: the kernel's array has 2^2 * 16^4 entries, 4 MiB; one dense
+    # 4^5 x 4^5 complex PTM is 16 MiB
+    deco = _haar_sequence(4, 64)
+    assert deco.verify()["passed"]
+    assert _traced_peak(deco.verify) < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +336,7 @@ def _splits():
 @pytest.mark.parametrize("build", list(_splits()))
 def test_schur_reconstruct_matches_dense(build):
     deco = build()
-    assert schur_of_kraus(*deco.kraus()) is not None
+    assert diagonal_qubits(deco.kraus()[1]) == tuple(range(deco.n_qubits))
     reference = dense_reconstruct(deco)
     assert np.max(np.abs(deco.reconstruct().matrix - reference)) <= 1e-12
     report = deco.verify()
@@ -323,9 +345,12 @@ def test_schur_reconstruct_matches_dense(build):
 
 
 def test_wire_cuts_and_sequences_have_no_schur_form():
-    for deco in (wire_cut_ncc(), wire_cut_cc("X"),
-                 controlled_sequence_decomposition([((0,), X)], 2)):
-        assert schur_of_kraus(*deco.kraus()) is None
+    for deco in (wire_cut_ncc(), wire_cut_cc("X")):
+        assert diagonal_qubits(deco.kraus()[1]) == ()
+    # a controlled sequence is diagonal on the shared control and on the
+    # targets it leaves alone (here the second, qubit 2)
+    deco = controlled_sequence_decomposition([((0,), X)], 2)
+    assert diagonal_qubits(deco.kraus()[1]) == (0, 2)
 
 
 def _flip_q(deco, index):
@@ -378,7 +403,7 @@ def _non_diagonal():
 @pytest.mark.parametrize("build", list(_non_diagonal()))
 def test_kraus_verify_matches_dense(build, flip):
     deco = build()
-    assert schur_of_kraus(*deco.kraus()) is None
+    assert diagonal_qubits(deco.kraus()[1]) != tuple(range(deco.n_qubits))
     if flip:
         deco = _flip_q(deco, 1)
     reference = dense_reconstruct(deco)

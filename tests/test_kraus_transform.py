@@ -1,0 +1,153 @@
+"""The one signed-Kraus kernel against the dense PTM oracle.
+
+Stacks are diagonal on a chosen qubit set D, so the kernel splits D off; the
+maximum of ``|A| / d`` must equal the largest dense PTM entry, ``worst_entry``
+must land on a maximal entry, and ``ptm_of_kraus`` must rebuild the dense PTM.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qcut import cuts, gates
+from qcut.linalg import (
+    SizeCapError,
+    diagonal_qubits,
+    kraus_transform,
+    ptm_of_kraus,
+    transform_entry,
+)
+from oracles import haar_unitary, ptm_of_map
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def random_stack(rng, n: int, diag, m: int = 3) -> tuple:
+    """``m`` random complex operators on ``n`` qubits, exactly diagonal on the
+    qubits ``diag``, each of unit Frobenius norm, with signed weights."""
+    d = 2**n
+    kraus = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    idx = np.arange(d)
+    for q in diag:
+        kraus[:, (idx[:, None] ^ idx) >> (n - 1 - q) & 1 == 1] = 0
+    kraus /= np.linalg.norm(kraus, axis=(1, 2), keepdims=True)
+    weights = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.25, 1.5, size=m)
+    return weights, kraus
+
+
+def dense_ptm(weights, kraus) -> np.ndarray:
+    n = kraus.shape[-1].bit_length() - 1
+    return ptm_of_map(
+        lambda mats: sum(w * k @ mats @ k.conj().T for w, k in zip(weights, kraus)), n
+    ).matrix
+
+
+def check_against_oracle(weights, kraus, diag):
+    d = kraus.shape[-1]
+    n = d.bit_length() - 1
+    dense = dense_ptm(weights, kraus)
+    a, found = kraus_transform(weights, kraus)
+    assert found == tuple(diag)
+    d_d = 2 ** len(diag)
+    assert a.shape == (d_d, d_d) + (d // d_d,) * 4
+    delta = np.abs(a)
+    index = np.unravel_index(np.argmax(delta), delta.shape)
+    assert abs(delta[index] / d - np.abs(dense).max()) <= 1e-12
+    row, col = transform_entry(index, found, n)
+    assert abs(abs(dense[row, col]) - np.abs(dense).max()) <= 1e-12
+    assert np.max(np.abs(ptm_of_kraus(weights, kraus).matrix - dense)) <= 1e-12
+
+
+def _diagonal_sets():
+    for n in range(1, 5):
+        sets = {(), (0,), (n // 2,), (n - 1,), tuple(range(n))}
+        for diag in sorted(sets):
+            yield pytest.param(n, diag, id=f"n{n}-D{''.join(map(str, diag)) or '_'}")
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["built", "negated"])
+@pytest.mark.parametrize("n,diag", list(_diagonal_sets()))
+def test_kernel_matches_dense_oracle(n, diag, negate):
+    rng = np.random.default_rng(100 * n + sum(1 << q for q in diag))
+    weights, kraus = random_stack(rng, n, diag)
+    if negate:
+        weights[1] = -weights[1]
+    check_against_oracle(weights, kraus, diag)
+
+
+@pytest.mark.parametrize("n,q", [(1, 0), (3, 0), (3, 1), (3, 2)])
+def test_tiny_entry_keeps_a_qubit_off_the_diagonal_set(n, q):
+    # one 1e-18 entry off qubit q's diagonal, in one operator of the stack
+    rng = np.random.default_rng(n + q)
+    weights, kraus = random_stack(rng, n, range(n))
+    kraus[1, 0, 1 << (n - 1 - q)] = 1e-18
+    assert diagonal_qubits(kraus) == tuple(p for p in range(n) if p != q)
+    check_against_oracle(weights, kraus, diagonal_qubits(kraus))
+
+
+@pytest.mark.parametrize("n,diag", [(7, ()), (8, (0,))], ids=["n7-D_", "n8-D0"])
+def test_kernel_cap_counts_its_own_arrays(n, diag):
+    # d_D^2 d_T^4 output entries: 2^28 and 2^30, over the cap of 2^26
+    weights, kraus = random_stack(np.random.default_rng(n), n, diag, m=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="over the cap of 2\\^26"):
+            kraus_transform(weights, kraus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_all_diagonal_stack_runs_far_past_the_dense_ptm_cap():
+    # 9 qubits: a dense PTM would need 2^36 entries, the kernel's array 2^18
+    weights, kraus = random_stack(np.random.default_rng(9), 9, range(9), m=2)
+    a, diag = kraus_transform(weights, kraus)
+    assert diag == tuple(range(9)) and a.shape == (512, 512, 1, 1, 1, 1)
+    diags = np.diagonal(kraus, axis1=1, axis2=2)
+    s = (diags.T * weights) @ diags.conj()
+    # x_D = 0 is the transform of the diagonal of S: its u = 0 entry is the trace
+    assert abs(a[0, 0, 0, 0, 0, 0] - np.trace(s)) <= 1e-12 * np.abs(s).sum()
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(
+    n=st.integers(1, 4), mask=st.integers(0, 15), m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_stacks_match_dense_oracle(n, mask, m, seed):
+    diag = tuple(q for q in range(n) if mask >> q & 1)
+    weights, kraus = random_stack(np.random.default_rng(seed), n, diag, m)
+    check_against_oracle(weights, kraus, diag)
+
+
+@st.composite
+def controlled_ops(draw):
+    n_targets = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, min(2, n_targets)))
+        targets = tuple(draw(st.permutations(range(n_targets)))[:size])
+        ops.append((targets, haar_unitary(rng, 2**size)))
+    return ops, n_targets
+
+
+@hypothesis.settings(max_examples=25, deadline=None, database=None)
+@hypothesis.given(case=controlled_ops())
+def test_random_controlled_sequences_verify(case):
+    ops, n_targets = case
+    deco = cuts.controlled_sequence_decomposition(ops, n_targets)
+    report = deco.verify()
+    assert report["passed"], report
+    assert abs(deco.one_norm() - 3.0) <= 1e-12
+    # block-diagonal on the shared control
+    assert diagonal_qubits(deco.kraus()[1])[:1] == (0,)
+
+
+def test_sequence_of_a_controlled_gate_on_every_target_has_control_only():
+    ops = [((t,), gates.hadamard()) for t in range(3)]
+    deco = cuts.controlled_sequence_decomposition(ops, 3)
+    assert diagonal_qubits(deco.kraus()[1]) == (0,)

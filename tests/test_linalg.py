@@ -14,13 +14,12 @@ from qcut.linalg import (
     embed_matrix,
     check_dense,
     check_unitary,
+    kraus_transform,
     max_abs_diff,
     pauli_index,
     pauli_label,
     ptm_of_kraus,
-    ptm_of_schur,
     ptm_of_unitary,
-    schur_ptm_blocks,
 )
 from oracles import (
     close_to,
@@ -290,12 +289,18 @@ def test_ptm_of_unitary_schur_path_matches_dense(u):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ptm_of_schur_matches_dense_for_any_multiplier(n):
-    # a complex, non-Hermitian S: every block, sign and phase is exercised
+    # a complex, non-Hermitian S = sum_k w_k a_k conj(a_k)^T from d diagonal
+    # operators with complex weights: every block, sign and phase is exercised
     rng = np.random.default_rng(n)
-    s = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    d = 2**n
+    diags = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    weights = rng.normal(size=d) + 1j * rng.normal(size=d)
+    s = (diags.T * weights) @ diags.conj()
+    kraus = np.zeros((d, d, d), dtype=complex)
+    kraus[:, np.arange(d), np.arange(d)] = diags
     dense = ptm_of_map(lambda mats: s * mats, n).matrix
-    assert np.max(np.abs(ptm_of_schur(s).matrix - dense)) <= 1e-12
-    assert schur_ptm_blocks(s).shape == (2**n,) * 3
+    assert np.max(np.abs(ptm_of_kraus(weights, kraus).matrix - dense)) <= 1e-12
+    assert kraus_transform(weights, kraus)[0].shape == (d, d, 1, 1, 1, 1)
 
 
 def test_pauli_index_and_label():
