@@ -25,6 +25,7 @@ signs and the PTM are all derived from the branches, which come from:
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,23 +70,30 @@ class GeneralizedMap:
     """A signed sum of completely positive maps, stored as its branches.
 
     ``branches`` is a tuple of ``(sign, kraus)`` pairs: ``sign`` is ``+1`` or
-    ``-1`` and ``kraus`` a read-only ``(k, d, d)`` stack of Kraus operators.
+    ``-1`` and ``kraus`` a read-only ``(k, d, d)`` stack of Kraus operators,
+    a view of the rows of :meth:`kraus`'s one stack.
     Construction enforces ``sum_b sum_k K^dag K = I``.
     """
 
     def __init__(self, branches: Sequence[tuple]):
         if not branches:
             raise DimensionError("a map needs at least one branch")
-        self.branches = tuple(
-            (_check_sign(a), np.array(kraus, dtype=complex)) for a, kraus in branches
-        )
-        d = self.branches[0][1].shape[-1]
-        for _, kraus in self.branches:
+        signs = [_check_sign(a) for a, _ in branches]
+        stacks = [np.asarray(kraus, dtype=complex) for _, kraus in branches]
+        d = stacks[0].shape[-1]
+        for kraus in stacks:
             if kraus.ndim != 3 or kraus.shape[1:] != (d, d) or not _is_power_of_two(d):
                 raise DimensionError("Kraus operators must share one register of qubits")
-            kraus.setflags(write=False)
+        # one read-only stack of every operator; each branch is a view of its rows
+        sizes = [len(kraus) for kraus in stacks]
+        weights, ops = np.repeat(np.array(signs, float), sizes), np.concatenate(stacks)
+        for array in (weights, ops):
+            array.setflags(write=False)
+        self._kraus = weights, ops
+        ends = accumulate(sizes)
+        self.branches = tuple((a, ops[end - k:end]) for a, k, end in zip(signs, sizes, ends))
         # rows of the stacked operators: stacked^dag stacked = sum_b sum_k K^dag K
-        stacked = self.kraus()[1].reshape(-1, d)
+        stacked = ops.reshape(-1, d)
         dev = np.abs(stacked.conj().T @ stacked - np.eye(d)).max()
         if not dev <= ATOL_STRUCT:
             raise DimensionError(
@@ -108,16 +116,14 @@ class GeneralizedMap:
 
     def kraus(self) -> tuple:
         """``(weights, ops)``: every Kraus operator of every branch in one
-        ``(k, d, d)`` stack, weighted by its branch's sign."""
-        weights = np.concatenate([np.full(len(kraus), float(a)) for a, kraus in self.branches])
-        return weights, np.concatenate([kraus for _, kraus in self.branches])
+        read-only ``(k, d, d)`` stack, weighted by its branch's sign; built
+        once, at construction."""
+        return self._kraus
 
     def to_superoperator(self) -> Superoperator:
-        cached = getattr(self, "_ptm", None)
-        if cached is None:
-            cached = ptm_of_kraus(*self.kraus())
-            self._ptm = cached
-        return cached
+        if not hasattr(self, "_ptm"):
+            self._ptm = ptm_of_kraus(*self.kraus())
+        return self._ptm
 
     def is_cptp(self) -> bool:
         """True iff every sign is +1 (completeness is enforced at construction)."""

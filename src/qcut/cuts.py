@@ -16,8 +16,8 @@ Built-in decompositions:
   ``gamma = 3`` for any split;
 * :func:`rzz_decomposition_a` / :func:`rzz_decomposition_b` -- two-qubit ZZ
   rotation, ``gamma = 3`` resp. ``gamma = 1 + 2|sin(theta)|``;
-* :func:`multi_z_rotation_decomposition` -- ``exp(-i theta/2 Z^n)`` via local
-  CNOT ladders around the two-qubit cut;
+* :func:`multi_z_rotation_decomposition` -- ``exp(-i theta/2 Z^n)``: the
+  two-qubit cut between local CNOT ladders, built as parity-lifted diagonals;
 * :func:`controlled_sequence_decomposition` -- a sequence of single-qubit
   controlled unitaries sharing one control, ``gamma = 3``.
 """
@@ -37,7 +37,6 @@ from .linalg import (
     Operator,
     Superoperator,
     check_dense,
-    embed_matrix,
     kraus_transform,
     pauli_label,
     ptm_of_kraus,
@@ -351,51 +350,48 @@ def rzz_decomposition_b(theta: float) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _ladder(size: int, wire: int) -> Operator:
-    """CNOT ladder folding the register's parity onto qubit ``wire``."""
-    mat = np.eye(2**size, dtype=complex)
-    for q in range(size):
-        if q != wire:
-            mat = gates.cnot_on(size, q, wire).mat @ mat
-    return Operator(mat)
-
-
-def _conjugate_factor(factor: ch.GeneralizedMap, size: int, wire: int):
-    """Lift a single-qubit factor on ``wire`` to the register and conjugate
-    each Kraus operator by the parity ladder.  Size-1 registers return the
-    factor unchanged."""
+def _parity_lift(factors, size: int) -> list:
+    """Lift single-qubit factors with exactly diagonal Kraus operators to a
+    ``size``-qubit register: conjugating ``diag(k)`` on one qubit by a parity
+    ladder gives ``diag(k[parity(x)])``.  Any nonzero off-diagonal entry,
+    however small, raises :class:`DimensionError`.  Size-1 registers keep the
+    factors unchanged."""
     if size == 1:
-        return factor
-    ladder = _ladder(size, wire).mat
-    return ch.GeneralizedMap([
-        (sign, [ladder.conj().T @ embed_matrix(k, [wire], size) @ ladder for k in kraus])
-        for sign, kraus in factor.branches
-    ])
+        return list(factors)
+    parity, idx = gates.parity(size), np.arange(2**size)
+
+    def lift(kraus):
+        diag = np.diagonal(kraus, axis1=1, axis2=2)
+        if np.count_nonzero(kraus) != np.count_nonzero(diag):
+            raise DimensionError("a parity-lifted factor must be exactly diagonal")
+        out = np.zeros((len(kraus), 2**size, 2**size), dtype=complex)
+        out[:, idx, idx] = diag[:, parity]
+        return out
+
+    return [ch.GeneralizedMap([(sign, lift(k)) for sign, k in f.branches]) for f in factors]
 
 
 def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomposition:
     """Cut of ``exp(-i theta/2 Z^(m+m'))`` across the (m, m') boundary.
 
-    Local CNOT ladders fold each register's parity onto the qubit adjacent to
-    the cut, reducing the gate to a two-qubit ZZ rotation; every term of the
-    two-qubit protocol is conjugated register-locally, so
-    ``gamma = 1 + 2|sin(theta)|`` is unchanged.  For ``(1, 1)`` the ladders
-    are empty and this reduces to the two-qubit decomposition itself.
+    On hardware, local CNOT ladders fold each register's parity onto the
+    qubit adjacent to the cut, reducing the gate to a two-qubit ZZ rotation;
+    every term of the two-qubit protocol runs between them, so
+    ``gamma = 1 + 2|sin(theta)|`` is unchanged.  Those terms' factors are
+    diagonal, so each conjugated factor is built by :func:`_parity_lift`,
+    with no ladder matrix.  For ``(1, 1)`` this is the two-qubit cut itself.
     """
     if m < 1 or m_prime < 1:
         raise DimensionError(f"need m, m' >= 1, got ({m}, {m_prime})")
     n = m + m_prime
     check_dense(16**n, f"PTM of a cut on {n} qubits")
-    base = rzz_decomposition_b(theta)
-    terms = []
-    for t in base.terms:
-        up = _conjugate_factor(t.factors[0], m, m - 1)
-        low = _conjugate_factor(t.factors[1], m_prime, 0)
-        terms.append(DecompositionTerm(t.q, [up, low], t.label, t.needs_cc))
-    target = gates.multi_z_rotation(n, theta)
-    return Decomposition(
-        f"multi_z[{m},{m_prime},{theta:.12g}]", (m, m_prime), terms, target
-    )
+    base = rzz_decomposition_b(theta).terms
+    ups = _parity_lift([t.factors[0] for t in base], m)
+    lows = _parity_lift([t.factors[1] for t in base], m_prime)
+    terms = [DecompositionTerm(t.q, [up, low], t.label, t.needs_cc)
+             for t, up, low in zip(base, ups, lows)]
+    name = f"multi_z[{m},{m_prime},{theta:.12g}]"
+    return Decomposition(name, (m, m_prime), terms, gates.multi_z_rotation(n, theta))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionError, Operator, check_dense, embed_matrix
+from .linalg import DimensionError, Operator, _popcount, check_dense
 
 
 def identity(n: int = 1) -> Operator:
@@ -26,12 +26,15 @@ def rzz(theta: float) -> Operator:
     return multi_z_rotation(2, theta)
 
 
+def parity(n: int) -> np.ndarray:
+    """Bit parity ``|x| mod 2`` of every basis index ``x < 2^n``."""
+    return _popcount(np.arange(2**n), n) & 1
+
+
 def multi_z_rotation(n: int, theta: float) -> Operator:
     """``exp(-i theta/2 Z^(x)n)``: diagonal with phase set by bit parity."""
     check_dense(4**n, f"operator on {n} qubits")
-    parity = np.array([bin(k).count("1") % 2 for k in range(2**n)])
-    phases = np.exp(-1j * (theta / 2) * (-1.0) ** parity)
-    return Operator.diagonal(phases)
+    return Operator.diagonal(np.exp(-1j * (theta / 2) * (-1.0) ** parity(n)))
 
 
 def mcz(n: int) -> Operator:
@@ -67,13 +70,6 @@ def controlled(u: Operator) -> Operator:
     out = np.eye(2 * d, dtype=complex)
     out[d:, d:] = u.mat
     return Operator(out)
-
-
-def cnot_on(n: int, control: int, target: int) -> Operator:
-    """CNOT embedded in an ``n``-qubit register."""
-    if control == target or not (0 <= control < n and 0 <= target < n):
-        raise DimensionError(f"bad CNOT wiring ({control}->{target}) on {n} qubits")
-    return Operator(embed_matrix(cnot().mat, [control, target], n))
 
 
 def basis_state(bits: str) -> Operator:

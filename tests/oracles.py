@@ -5,13 +5,15 @@ operator's matrix by the textbook route, so the tests can check the package
 against them: the measure-and-prepare map from eigendecompositions, Pauli
 coefficients from traces, PTMs from a map's images of the whole Pauli basis,
 single shots drawn one at a time, a term's outcome distribution enumerated
-branch by branch, and ZX diagrams glued from small pieces.
+branch by branch, multi-Z factors conjugated by explicit CNOT ladders, and
+ZX diagrams glued from small pieces.
 """
 
 from functools import lru_cache, reduce
 
 import numpy as np
 
+from qcut import gates
 from qcut.channels import GeneralizedMap, check_density
 from qcut.cuts import Decomposition, DecompositionTerm
 from qcut.linalg import (
@@ -25,6 +27,7 @@ from qcut.linalg import (
     Operator,
     Superoperator,
     check_dense,
+    embed_matrix,
 )
 from qcut.sampling import PROB_FLOOR
 from qcut.zx import ZXDiagram, ZXError, parse_diagram
@@ -180,6 +183,27 @@ def measure_prepare_map(terms) -> GeneralizedMap:
                           effect_vecs.conj())
         branches.append((a, kraus[weights > KRAUS_FLOOR]))
     return GeneralizedMap(branches)
+
+
+def cnot_on(n: int, control: int, target: int) -> Operator:
+    """CNOT embedded in an ``n``-qubit register."""
+    if control == target or not (0 <= control < n and 0 <= target < n):
+        raise DimensionError(f"bad CNOT wiring ({control}->{target}) on {n} qubits")
+    return Operator(embed_matrix(gates.cnot().mat, [control, target], n))
+
+
+def ladder_conjugated(factor: GeneralizedMap, size: int, wire: int) -> GeneralizedMap:
+    """A single-qubit ``factor`` on qubit ``wire`` of a ``size``-qubit
+    register, each Kraus operator conjugated by the CNOT ladder that folds the
+    register's parity onto ``wire``: the textbook form of a multi-Z factor."""
+    ladder = np.eye(2**size, dtype=complex)
+    for q in range(size):
+        if q != wire:
+            ladder = cnot_on(size, q, wire).mat @ ladder
+    return GeneralizedMap([
+        (sign, [ladder.conj().T @ embed_matrix(k, [wire], size) @ ladder for k in kraus])
+        for sign, kraus in factor.branches
+    ])
 
 
 def _draw(rng, weights: np.ndarray) -> int:

@@ -36,6 +36,7 @@ from qcut.cuts import (
 from oracles import (
     apply_map,
     close_to,
+    cnot_on,
     cptp_diagnostics,
     dag,
     haar_unitary,
@@ -282,7 +283,7 @@ def test_controlled_sequence_unitary():
     ops = [((0,), X), ((1,), Operator(np.diag([1.0, np.exp(1j * theta)])))]
     u = gates.controlled(sequence_unitary(ops, 2))
     # control = qubit 0: CNOT(0 -> 1) then controlled-phase(0, 2)
-    expected = gates.cnot_on(3, 0, 1) @ Operator(
+    expected = cnot_on(3, 0, 1) @ Operator(
         np.diag([1.0, 1.0, 1.0, 1.0, 1.0, np.exp(1j * theta), 1.0, np.exp(1j * theta)])
     )
     assert close_to(u, expected, atol=1e-12)

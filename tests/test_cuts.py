@@ -21,7 +21,7 @@ from qcut.cuts import (
     wire_cut_ncc,
 )
 from qcut.linalg import DimensionError, Operator, QcutError, diagonal_qubits, ptm_of_unitary
-from oracles import haar_unitary, ptm_of_map
+from oracles import haar_unitary, ladder_conjugated, ptm_of_map
 
 THETAS = [0.0, np.pi / 6, np.pi / 4, np.pi / 2, -np.pi / 4, 1.234, np.pi]
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
@@ -76,6 +76,34 @@ def test_multi_z_factors_are_ladder_conjugated_kraus_maps():
             assert f.n_qubits == size
             assert f.signs == f_base.signs
             assert [len(k) for _, k in f.branches] == [len(k) for _, k in f_base.branches]
+    # the parity lift is bit-identical to conjugating by explicit CNOT
+    # ladders that fold each register's parity onto the qubit next to the cut
+    for m, m_prime in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 1)]:
+        for theta in (0.3, -2.1, np.pi):
+            base = rzz_decomposition_b(theta)
+            deco = multi_z_rotation_decomposition(m, m_prime, theta)
+            assert [t.label for t in deco.terms] == [t.label for t in base.terms]
+            for t_base, t in zip(base.terms, deco.terms):
+                wires = ((m, m - 1), (m_prime, 0))
+                for f_base, f, (size, wire) in zip(t_base.factors, t.factors, wires):
+                    oracle = ladder_conjugated(f_base, size, wire)
+                    assert f.signs == oracle.signs
+                    for got, want in zip(f.kraus(), oracle.kraus()):
+                        assert np.array_equal(got, want), (m, m_prime, theta, t.label)
+
+
+@pytest.mark.parametrize(
+    "kraus",
+    [
+        gates.hadamard().mat,
+        np.array([[1.0, 1e-18], [0.0, 1.0]]),  # below every tolerance, still refused
+    ],
+    ids=["hadamard", "tiny_off_diagonal"],
+)
+def test_parity_lift_refuses_non_diagonal_factor(kraus):
+    factor = qcut.channels.GeneralizedMap([(1, [kraus])])
+    with pytest.raises(DimensionError, match="exactly diagonal"):
+        qcut.cuts._parity_lift([factor], 2)
 
 
 def test_wire_cut_reconstructs_identity_channel():
