@@ -121,9 +121,7 @@ class GeneralizedMap:
         return self._kraus
 
     def to_superoperator(self) -> Superoperator:
-        if not hasattr(self, "_ptm"):
-            self._ptm = ptm_of_kraus(*self.kraus())
-        return self._ptm
+        return ptm_of_kraus(*self.kraus())
 
     def is_cptp(self) -> bool:
         """True iff every sign is +1 (completeness is enforced at construction)."""

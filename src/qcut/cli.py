@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cuts, gates, sampling, zx
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, Operator, PauliString, QcutError
-from .linalg import SizeCapError, check_unitary, max_abs_diff
+from .linalg import MAX_DENSE_ENTRIES, SizeCapError, check_unitary, max_abs_diff
 from .zx import parse_angle
 
 
@@ -30,6 +30,10 @@ def _fmt(x) -> str:
 #: the sampler draws shot counts as int64
 MAX_SHOTS = np.iinfo(np.int64).max
 
+#: the largest register size a request may name: on more qubits not even a
+#: state vector (2^n entries) fits under the dense-size cap
+MAX_QUBITS = MAX_DENSE_ENTRIES.bit_length() - 1
+
 
 class ConfigError(QcutError):
     """Invalid experiment configuration (reported with the offending field)."""
@@ -39,12 +43,17 @@ class ConfigError(QcutError):
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_GATE_TABLE = {
-    "x": Operator(PAULI_X),
-    "y": Operator(PAULI_Y),
-    "z": Operator(PAULI_Z),
-    "h": gates.hadamard(),
-    "s": Operator.diagonal([1.0, 1j]),
+#: controlled-op gate -> (its operator if it takes no angle or matrix, the
+#: fields it reads besides ``gate``); a missing ``theta`` is 0
+_GATES = {
+    "x": (Operator(PAULI_X), ("targets",)),
+    "y": (Operator(PAULI_Y), ("targets",)),
+    "z": (Operator(PAULI_Z), ("targets",)),
+    "h": (gates.hadamard(), ("targets",)),
+    "s": (Operator.diagonal([1.0, 1j]), ("targets",)),
+    "rz": (None, ("targets", "theta")),
+    "phase": (None, ("targets", "theta")),
+    "matrix": (None, ("targets", "matrix")),
 }
 
 
@@ -102,6 +111,8 @@ def _csv_text(rows) -> str:
 
 
 def _parse_theta(value, where: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: cannot parse angle {value!r}")
     try:
         theta = parse_angle(value) if isinstance(value, str) else float(value)
     except (QcutError, TypeError, ValueError, ArithmeticError):
@@ -111,36 +122,45 @@ def _parse_theta(value, where: str) -> float:
     return theta
 
 
+def _entry(obj, where: str, key: str, table: dict, optional):
+    """The ``table`` entry ``obj[key]`` names: a pair whose second item lists
+    the fields it reads besides ``key``.  ``obj`` must be an object holding
+    those fields and no other; the ones in ``optional`` may be left out."""
+    name = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(name, str) or name not in table:
+        _require_fields(obj, where, [key], {f for _, fields in table.values() for f in fields})
+        raise ConfigError(f"{where}: unknown {key} {name!r}")
+    _, fields = table[name]
+    required = [f for f in fields if f not in optional]
+    _require_fields(obj, where, [key, *required], [f for f in fields if f in optional])
+    return table[name]
+
+
 def _parse_controlled_op(entry, where: str, n_targets: int):
-    _require_fields(entry, where, ["targets", "gate"], ["theta", "matrix"])
+    op, _ = _entry(entry, where, "gate", _GATES, ("theta",))
     if not isinstance(entry["targets"], list):
         raise ConfigError(f"{where}.targets: must be a list of target indices")
-    targets = tuple(
-        _check_int(t, f"{where}.targets", 0, n_targets - 1) for t in entry["targets"]
-    )
+    targets = tuple(_check_int(t, f"{where}.targets", 0, n_targets - 1) for t in entry["targets"])
     gate = entry["gate"]
-    theta_where = f"{where}.theta"
-    if gate in _GATE_TABLE:
-        op = _GATE_TABLE[gate]
-    elif gate == "rz":
-        op = gates.rz(_parse_theta(entry.get("theta", 0), theta_where))
-    elif gate == "phase":
-        op = gates.mcp(1, _parse_theta(entry.get("theta", 0), theta_where))
-    elif gate == "matrix":
-        if "matrix" not in entry:
-            raise ConfigError(f"{where}: gate 'matrix' needs a 'matrix' field")
+    if gate == "matrix":
         op = _parse_matrix(entry["matrix"], where)
         try:
             check_unitary(op.mat, "matrix")
         except QcutError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    else:
-        raise ConfigError(f"{where}: unknown gate {gate!r}")
+    elif op is None:
+        theta = _parse_theta(entry.get("theta", 0), f"{where}.theta")
+        op = gates.rz(theta) if gate == "rz" else gates.mcp(1, theta)
     if op.dim != 2 ** len(targets):
-        raise ConfigError(
-            f"{where}: gate {gate!r} does not match {len(targets)} target qubits"
-        )
+        raise ConfigError(f"{where}: gate {gate!r} does not match {len(targets)} target qubits")
     return targets, op
+
+
+def _parse_controlled_ops(value, where: str, parsed: dict) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: must be a list")
+    n_targets = parsed["n_targets"]
+    return [_parse_controlled_op(e, f"{where}[{k}]", n_targets) for k, e in enumerate(value)]
 
 
 def _parse_matrix(data, where: str) -> Operator:
@@ -150,69 +170,68 @@ def _parse_matrix(data, where: str) -> Operator:
             return complex(v)
         if isinstance(v, (list, tuple)) and len(v) == 2:
             return complex(float(v[0]), float(v[1]))
-        raise ConfigError(f"{where}: matrix entries must be numbers or [re, im]")
+        # not a ConfigError: the handler below adds ``where`` once
+        raise QcutError("matrix entries must be numbers or [re, im]")
 
     try:
         return Operator([[cell(v) for v in row] for row in data])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: malformed matrix") from None
     except QcutError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _parse_size(value, where: str, _) -> int:
+    return _check_int(value, where, 1, MAX_QUBITS)
+
+
+def _parse_cc_basis(value, where: str, _) -> str:
+    if value not in ("X", "Y", "Z"):
+        raise ConfigError(f"{where}: must be X, Y or Z, got {value!r}")
+    return value
+
+
+#: decomposition field -> parser(value, where, the fields parsed before it).
+#: Fields are parsed in this order, so ``n_targets`` bounds the targets of
+#: ``controlled_ops``.
+_FIELDS = {
+    "m": _parse_size,
+    "m_prime": _parse_size,
+    "n_targets": _parse_size,
+    "theta": lambda value, where, _: _parse_theta(value, where),
+    "cc_basis": _parse_cc_basis,
+    "controlled_ops": _parse_controlled_ops,
+}
+
+#: the decomposition fields a config may leave out; the builder's own
+#: default stands in for one left out
+_OPTIONAL = ("cc_basis",)
+
+#: decomposition name -> (its builder's name on :mod:`qcut.cuts`, the fields
+#: the builder takes in call order).  The builder is looked up when called.
+_FAMILIES = {
+    "wire_ncc": ("wire_cut_ncc", ()),
+    "wire_cc": ("wire_cut_cc", ("cc_basis",)),
+    "mcz": ("mcz_decomposition", ("m", "m_prime")),
+    "rzz_a": ("rzz_decomposition_a", ("theta",)),
+    "rzz_b": ("rzz_decomposition_b", ("theta",)),
+    "multi_z": ("multi_z_rotation_decomposition", ("m", "m_prime", "theta")),
+    "controlled_sequence": ("controlled_sequence_decomposition", ("controlled_ops", "n_targets")),
+}
+
+
 def build_decomposition(selector: dict) -> cuts.Decomposition:
-    _require_fields(
-        selector,
-        "decomposition",
-        ["name"],
-        ["m", "m_prime", "theta", "cc_basis", "controlled_ops", "n_targets"],
-    )
-    name = selector["name"]
-    if name == "wire_ncc":
-        return cuts.wire_cut_ncc()
-    if name == "wire_cc":
-        cc_basis = selector.get("cc_basis", "Y")
-        if cc_basis not in ("X", "Y", "Z"):
-            raise ConfigError(f"decomposition.cc_basis: must be X, Y or Z, got {cc_basis!r}")
-        return cuts.wire_cut_cc(cc_basis)
-    if name == "mcz":
-        for f in ("m", "m_prime"):
-            if f not in selector:
-                raise ConfigError(f"decomposition: mcz requires field {f!r}")
-        return cuts.mcz_decomposition(
-            _check_int(selector["m"], "decomposition.m", 1),
-            _check_int(selector["m_prime"], "decomposition.m_prime", 1),
-        )
-    if name in ("rzz_a", "rzz_b"):
-        if "theta" not in selector:
-            raise ConfigError(f"decomposition: {name} requires field 'theta'")
-        theta = _parse_theta(selector["theta"], "decomposition.theta")
-        build = cuts.rzz_decomposition_a if name == "rzz_a" else cuts.rzz_decomposition_b
-        return build(theta)
-    if name == "multi_z":
-        for f in ("m", "m_prime", "theta"):
-            if f not in selector:
-                raise ConfigError(f"decomposition: multi_z requires field {f!r}")
-        return cuts.multi_z_rotation_decomposition(
-            _check_int(selector["m"], "decomposition.m", 1),
-            _check_int(selector["m_prime"], "decomposition.m_prime", 1),
-            _parse_theta(selector["theta"], "decomposition.theta"),
-        )
-    if name == "controlled_sequence":
-        for f in ("controlled_ops", "n_targets"):
-            if f not in selector:
-                raise ConfigError(
-                    f"decomposition: controlled_sequence requires field {f!r}"
-                )
-        n_targets = _check_int(selector["n_targets"], "decomposition.n_targets", 1)
-        if not isinstance(selector["controlled_ops"], list):
-            raise ConfigError("decomposition.controlled_ops: must be a list")
-        ops = [
-            _parse_controlled_op(e, f"decomposition.controlled_ops[{k}]", n_targets)
-            for k, e in enumerate(selector["controlled_ops"])
-        ]
-        return cuts.controlled_sequence_decomposition(ops, n_targets)
-    raise ConfigError(f"decomposition: unknown name {name!r}")
+    """Build the decomposition a config's ``decomposition`` object names from
+    exactly the fields its family takes, each read by its one parser."""
+    builder, fields = _entry(selector, "decomposition", "name", _FAMILIES, _OPTIONAL)
+    parsed = {}
+    for field, parse in _FIELDS.items():
+        if field in selector:
+            parsed[field] = parse(selector[field], f"decomposition.{field}", parsed)
+    try:
+        return getattr(cuts, builder)(*(parsed[f] for f in fields if f in parsed))
+    except QcutError as exc:
+        raise ConfigError(f"decomposition: {exc}") from None
 
 
 def _blocks(seq, part):
@@ -223,49 +242,38 @@ def _blocks(seq, part):
         pos += size
 
 
-def _string_states(spec: str, part) -> list:
-    """Register states for ``"zeros"``, ``"plus"`` or one bit per qubit."""
+def _parse_states(spec, part) -> list:
+    """Register states for ``"zeros"``, ``"plus"``, one bit per qubit or one
+    single-qubit density matrix per qubit."""
+    n = sum(part)
     if spec == "plus":
         return [Operator(np.full((2**s, 2**s), 1.0 / 2**s, dtype=complex)) for s in part]
-    n = sum(part)
+    if isinstance(spec, list):
+        if len(spec) != n:
+            raise ConfigError(
+                f"initial_state: need one single-qubit density matrix per qubit ({n})")
+        mats = [_parse_matrix(m, f"initial_state[{k}]").mat for k, m in enumerate(spec)]
+        return [Operator(reduce(np.kron, block)) for block in _blocks(mats, part)]
+    if not isinstance(spec, str):
+        raise ConfigError("initial_state: expected a string or a list of matrices")
     bits = "0" * n if spec == "zeros" else spec
     if not bits or set(bits) - {"0", "1"}:
-        raise ConfigError(
-            f"initial_state: expected 'zeros', 'plus' or a bitstring, got {spec!r}"
-        )
+        raise ConfigError(f"initial_state: expected 'zeros', 'plus' or a bitstring, got {spec!r}")
     if len(bits) != n:
         raise ConfigError(f"initial_state: bitstring length {len(bits)} != {n} qubits")
     return [gates.basis_state(block) for block in _blocks(bits, part)]
 
 
 def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
-    _require_fields(
-        config,
-        "config",
-        ["decomposition", "initial_state", "observable", "shots"],
-        ["seed", "output", "batch_csv", "n_batches"],
-    )
+    _require_fields(config, "config", ["decomposition", "initial_state", "observable", "shots"],
+                    ["seed", "output", "batch_csv", "n_batches"])
     for field in ("output", "batch_csv"):
         if not isinstance(config.get(field, ""), str):
             raise ConfigError(f"{field}: must be a path string, got {config[field]!r}")
     deco = build_decomposition(config["decomposition"])
     part = deco.partition
     n = sum(part)
-
-    state_spec = config["initial_state"]
-    if isinstance(state_spec, str):
-        states = _string_states(state_spec, part)
-    elif isinstance(state_spec, list):
-        if len(state_spec) != n:
-            raise ConfigError(
-                f"initial_state: need one single-qubit density matrix per qubit ({n})"
-            )
-        qubit_states = [
-            _parse_matrix(m, f"initial_state[{k}]").mat for k, m in enumerate(state_spec)
-        ]
-        states = [Operator(reduce(np.kron, block)) for block in _blocks(qubit_states, part)]
-    else:
-        raise ConfigError("initial_state: expected a string or a list of matrices")
+    states = _parse_states(config["initial_state"], part)
 
     obs_spec = config["observable"]
     if not isinstance(obs_spec, str) or len(obs_spec) != n:
@@ -276,20 +284,15 @@ def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
         raise ConfigError(f"observable: {exc}") from None
 
     shots = _check_int(config["shots"], "shots", 1, MAX_SHOTS)
-    _check_int(config.get("n_batches", 0), "n_batches", 0, shots)
+    _check_int(config.get("n_batches", 0), "n_batches", 0, min(shots, MAX_DENSE_ENTRIES))
     if seed is None:
         seed = config.get("seed")
     if seed is None:
         raise ConfigError("seed: required (pass --seed or set it in the config)")
     seed = _check_int(seed, "seed", 0)
     try:
-        return sampling.ExperimentSpec(
-            decomposition=deco,
-            initial_state=states,
-            observable=observables,
-            shots=shots,
-            seed=seed,
-        )
+        return sampling.ExperimentSpec(decomposition=deco, initial_state=states,
+                                       observable=observables, shots=shots, seed=seed)
     except QcutError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -315,25 +318,31 @@ def _verification_suite():
     for m, mp in ((2, 1), (1, 2), (2, 2)):
         yield cuts.multi_z_rotation_decomposition(m, mp, parse_angle("pi/4"))
     for theta in (parse_angle("pi/5"), parse_angle("pi/2")):
-        ops = [((0,), _GATE_TABLE["x"]), ((1,), gates.mcp(1, theta))]
+        ops = [((0,), _GATES["x"][0]), ((1,), gates.mcp(1, theta))]
         yield cuts.controlled_sequence_decomposition(ops, 2)
 
 
+#: ``verify`` flag -> the decomposition field it sets, which is also its dest
+_VERIFY_FLAGS = {"--deco": "name", "--m": "m", "--mprime": "m_prime", "--theta": "theta",
+                 "--cc-basis": "cc_basis"}
+
+
+def _reject_unread(given: dict, read, command: str):
+    """Refuse, by name, the flags set in ``given`` that ``command`` does not read."""
+    unread = [flag for flag, value in given.items() if value is not None and flag not in read]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by {command}")
+
+
 def cmd_verify(args) -> int:
+    given = {flag: getattr(args, field) for flag, field in _VERIFY_FLAGS.items()}
     if args.all:
+        _reject_unread(given, (), "verify --all")
         decos = list(_verification_suite())
+    elif args.name is None:
+        raise ConfigError("verify: pass --all or --deco NAME")
     else:
-        if not args.deco:
-            raise ConfigError("verify: pass --all or --deco NAME")
-        selector = {"name": args.deco}
-        for field, value in (
-            ("m", args.m),
-            ("m_prime", args.mprime),
-            ("theta", args.theta),
-            ("cc_basis", args.cc_basis),
-        ):
-            if value is not None:
-                selector[field] = value
+        selector = {_VERIFY_FLAGS[flag]: v for flag, v in given.items() if v is not None}
         decos = [build_decomposition(selector)]
     failed = 0
     for deco in decos:
@@ -394,7 +403,7 @@ def _norms_catalog():
     yield cuts.multi_z_rotation_decomposition(2, 1, parse_angle("pi/2")), (
         "m=2,m'=1,theta=pi/2"
     )
-    ops = [((0,), _GATE_TABLE["x"]), ((1,), gates.mcp(1, np.pi / 5))]
+    ops = [((0,), _GATES["x"][0]), ((1,), gates.mcp(1, np.pi / 5))]
     yield cuts.controlled_sequence_decomposition(ops, 2), "CNOT;phase(pi/5)"
 
 
@@ -472,18 +481,15 @@ _ZX_BUILTINS = {
 
 def _zx_builtin(args) -> int:
     name = args.builtin
-    if name != "all" and name not in _ZX_BUILTINS:
-        raise ConfigError(f"zx-check: unknown builtin {name!r}")
     if name != "all":
+        if name not in _ZX_BUILTINS:
+            raise ConfigError(f"zx-check: unknown builtin {name!r}")
         given = {"--n": args.n, "--m": args.m, "--theta": args.theta}
-        unread = [flag for flag, value in given.items()
-                  if value is not None and flag not in _ZX_BUILTINS[name][1]]
-        if unread:
-            raise ConfigError(f"{', '.join(unread)}: not read by zx-check --builtin {name}")
+        _reject_unread(given, _ZX_BUILTINS[name][1], f"zx-check --builtin {name}")
     theta = _parse_theta(args.theta, "--theta") if args.theta else np.pi / 2
     for flag, value in (("--n", args.n), ("--m", args.m)):
         if value is not None:
-            _check_int(value, flag, 1)
+            _check_int(value, flag, 1, MAX_QUBITS)
     failures = 0
     checks = _ZX_BUILTINS.values() if name == "all" else [_ZX_BUILTINS[name]]
     for check, _ in checks:
@@ -533,11 +539,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify decomposition reconstructions")
     p.add_argument("--all", action="store_true", help="run the full built-in suite")
-    p.add_argument("--deco", help="decomposition name (wire_ncc, wire_cc, mcz, ...)")
+    flag_of = {field: flag for flag, field in _VERIFY_FLAGS.items()}
+    families = [" ".join([name, *map(flag_of.get, fields)])
+                for name, (_, fields) in _FAMILIES.items() if set(fields) <= set(flag_of)]
+    p.add_argument("--deco", dest="name", metavar="DECO", help="; ".join(families))
     p.add_argument("--m", type=int)
-    p.add_argument("--mprime", type=int)
+    p.add_argument("--mprime", dest="m_prime", metavar="MPRIME", type=int)
     p.add_argument("--theta", help="angle, e.g. pi/4")
-    p.add_argument("--cc-basis", dest="cc_basis", choices=["X", "Y", "Z"])
+    p.add_argument("--cc-basis", dest="cc_basis", metavar="{X,Y,Z}")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="run a sampling experiment from a JSON config")
@@ -570,12 +579,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, zx.ZXError, SizeCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QcutError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, zx.ZXError, SizeCapError)) else 1
 
 
 if __name__ == "__main__":

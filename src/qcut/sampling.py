@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import check_density
-from .linalg import ATOL_STRUCT, DimensionError
+from .linalg import ATOL_STRUCT, DimensionError, check_dense
 from .cuts import Decomposition, DecompositionTerm
 
 #: slack on the |eigenvalue| <= 1 observable bound
@@ -267,6 +267,7 @@ def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
     # sizes as in np.array_split; per chunk of batches, shots per (batch, term),
     # then per drawn term shots per (batch, support value), summed as they come
     k = max(n_batches, 1)
+    check_dense(k, "shot batches")
     sizes = np.full(k, shots // k, dtype=np.int64)
     sizes[: shots % k] += 1
     per_term_shots = np.zeros(len(deco.terms), dtype=np.int64)

@@ -321,7 +321,7 @@ def test_branches_define_action_signs_and_ptm():
     rho = random_density(1, 4)
     expected = k0 @ rho.mat @ k0.conj().T - k1 @ rho.mat @ k1.conj().T
     assert np.allclose(apply_map(ch, rho).mat, expected, atol=1e-12)
-    assert ch.to_superoperator() is ch.to_superoperator()
+    assert np.array_equal(ch.to_superoperator().matrix, ch.to_superoperator().matrix)
     assert cptp_diagnostics(ch)["consistent"]
     assert all(not kraus.flags.writeable for _, kraus in ch.branches)
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +89,47 @@ def test_oversize_request_exits_2(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "over the cap of 2^26" in err
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["verify", "--all", "--m", "3", "--theta", "9"], "--m, --theta: not read by verify --all"),
+        (["verify", "--all", "--deco", "mcz", "--mprime", "1", "--cc-basis", "X"],
+         "--deco, --mprime, --cc-basis: not read by verify --all"),
+        (["verify", "--deco", "mcz", "--m", "1", "--mprime", "1", "--theta", "1"],
+         "decomposition: unknown fields ['theta']"),
+        (["verify", "--deco", "rzz_b", "--theta", "1", "--cc-basis", "Y"],
+         "decomposition: unknown fields ['cc_basis']"),
+        (["verify", "--deco", "wire_cc", "--cc-basis", "W"],
+         "decomposition.cc_basis: must be X, Y or Z, got 'W'"),
+        (["verify", "--deco", "mcz", "--m", "1000000000000", "--mprime", "1"],
+         "decomposition.m: must be an integer in 1..26, got 1000000000000"),
+        (["verify", "--deco", "multi_z", "--m", "1", "--mprime", "27", "--theta", "1"],
+         "decomposition.m_prime: must be an integer in 1..26, got 27"),
+        (["zx-check", "--builtin", "mcz", "--n", "1000000000000"],
+         "--n: must be an integer in 1..26, got 1000000000000"),
+        (["zx-check", "--builtin", "mcz-fusion", "--n", "3", "--m", "27"],
+         "--m: must be an integer in 1..26, got 27"),
+    ],
+    ids=["all-m-theta", "all-deco-mprime-cc", "mcz-theta", "rzz_b-cc_basis", "cc_basis-W",
+         "m-1e12", "mprime-27", "zx-n-1e12", "zx-m-27"],
+)
+def test_verify_and_zx_check_flags_are_bounded_and_read(capsys, argv, err):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr()
+    assert out.err == f"error: {err}\n" and out.out == ""
+
+
+def test_largest_named_size_reaches_the_size_cap(capsys):
+    # 26 qubits pass the bound and are refused by the builder's own cap
+    assert main(["verify", "--deco", "mcz", "--m", "26", "--mprime", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: decomposition: PTM of a cut on 27 qubits needs 2^108 dense entries, "
+        "over the cap of 2^26\n"
+    )
 
 
 def test_usage_error_exits_2():
@@ -202,6 +245,14 @@ def test_sample_rejects_bad_n_batches(tmp_path, capsys, n_batches):
     assert main(["sample", "--config", str(config), "--output", str(out)]) == 2
     assert "n_batches" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_rejects_n_batches_over_the_dense_cap(tmp_path, capsys):
+    config = write_config(tmp_path, shots=10**12, n_batches=10**12)
+    assert main(["sample", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: n_batches: must be an integer in 0..67108864, got 1000000000000\n"
+    )
 
 
 def test_sample_rejects_boolean_shots(tmp_path, capsys):
@@ -423,6 +474,63 @@ def test_sample_rejects_bad_matrices_and_cc_basis(tmp_path, capsys, overrides, f
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}:")
     assert "Traceback" not in err
+
+
+IDENTITY_2Q = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "decomposition,err",
+    [
+        (op_with(gate=["x"]), "decomposition.controlled_ops[0]: unknown gate ['x']"),
+        (op_with(gate={}), "decomposition.controlled_ops[0]: unknown gate {}"),
+        (op_with(gate=None), "decomposition.controlled_ops[0]: unknown gate None"),
+        (op_with(theta=1, matrix=[[1, 0], [0, 1]]),
+         "decomposition.controlled_ops[0]: unknown fields ['matrix', 'theta']"),
+        (op_with(gate="rz", matrix=[[1, 0], [0, 1]]),
+         "decomposition.controlled_ops[0]: unknown fields ['matrix']"),
+        (op_with(gate="matrix", theta=1, matrix=[[1, 0], [0, 1]]),
+         "decomposition.controlled_ops[0]: unknown fields ['theta']"),
+        (op_with(gate="matrix"), "decomposition.controlled_ops[0]: missing fields ['matrix']"),
+        (op_with(gate="matrix", matrix="ab"),
+         "decomposition.controlled_ops[0]: matrix entries must be numbers or [re, im]"),
+        (op_with(gate="matrix", matrix=[[10**400, 0], [0, 1]]),
+         "decomposition.controlled_ops[0]: malformed matrix"),
+        (op_with(gate="rz", theta=True),
+         "decomposition.controlled_ops[0].theta: cannot parse angle True"),
+        (sequence_with(controlled_ops=[{"targets": [0, 0], "gate": "matrix",
+                                        "matrix": IDENTITY_2Q}]),
+         "decomposition: duplicate target qubits in (0, 0)"),
+        (sequence_with(controlled_ops=[]),
+         "decomposition: need at least one controlled operation"),
+        (sequence_with(n_targets=1e12), "decomposition.n_targets: must be an integer in "
+                                        "1..26, got 1000000000000.0"),
+        ({"name": "mcz", "m": 1e300, "m_prime": 1},
+         "decomposition.m: must be an integer in 1..26, got 1e+300"),
+        ({"name": "mcz", "m": 1, "m_prime": 1, "theta": 1},
+         "decomposition: unknown fields ['theta']"),
+        ({"name": "wire_ncc", "cc_basis": "Y"}, "decomposition: unknown fields ['cc_basis']"),
+        ({"name": "mcz", "m": 1}, "decomposition: missing fields ['m_prime']"),
+        ({"name": ["x"]}, "decomposition: unknown name ['x']"),
+        ({"name": "nope", "m": 1}, "decomposition: unknown name 'nope'"),
+        ({"m": 1}, "decomposition: missing fields ['name']"),
+        ({"name": "rzz_b", "theta": False}, "decomposition.theta: cannot parse angle False"),
+    ],
+    ids=[
+        "gate-list", "gate-object", "gate-null", "x-theta-matrix", "rz-matrix",
+        "matrix-theta", "matrix-missing", "matrix-text", "matrix-overflow", "rz-theta-bool",
+        "duplicate-targets", "no-ops", "n_targets-1e12", "m-1e300", "mcz-theta",
+        "wire_ncc-cc_basis", "mcz-no-m_prime", "name-list", "name-unknown", "name-missing",
+        "theta-bool",
+    ],
+)
+def test_sample_rejects_malformed_decompositions(tmp_path, capsys, decomposition, err):
+    config = write_config(tmp_path, decomposition=decomposition)
+    start = time.perf_counter()
+    assert main(["sample", "--config", str(config)]) == 2
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr()
+    assert out.err == f"error: {err}\n" and out.out == ""
 
 
 @pytest.mark.parametrize("state", ["ab", "0x", ""])
@@ -719,6 +827,22 @@ def test_build_decomposition_names():
         ({"name": "multi_z", "m": 2, "m_prime": 1, "theta": "pi/2"}, 3.0),
     ):
         assert build_decomposition(selector).one_norm() == pytest.approx(expected_gamma)
+
+
+def test_readme_config_schema_names_every_family_field_and_gate():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme[readme.index("Config schema"):readme.index("The JSON report")]
+    gate_fields = {field for _, fields in qcut.cli._GATES.values() for field in fields}
+    names = [*qcut.cli._FAMILIES, *qcut.cli._FIELDS, *qcut.cli._GATES, *sorted(gate_fields)]
+    assert [name for name in names if f"`{name}`" not in schema] == []
+
+
+def test_verify_help_lists_the_families_it_can_build(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for line in ("mcz --m --mprime", "multi_z --m --mprime --theta", "wire_cc --cc-basis"):
+        assert line in out
 
 
 def test_build_experiment_shape_checks(tmp_path):

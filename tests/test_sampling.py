@@ -20,10 +20,12 @@ from qcut.cuts import (
     wire_cut_ncc,
 )
 from qcut.linalg import (
+    MAX_DENSE_ENTRIES,
     DimensionError,
     Operator,
     PauliString,
     QcutError,
+    SizeCapError,
 )
 from qcut.sampling import (
     BATCH_CHUNK,
@@ -165,6 +167,14 @@ def test_batch_means():
     report = run(spec, n_batches=4)
     assert len(report.batch_means) == 4
     assert np.mean(report.batch_means) == pytest.approx(report.estimate, abs=1e-9)
+
+
+def test_batch_count_is_capped_before_allocating():
+    spec = spec_for(wire_cut_cc(), "0", "Z", shots=10**12, seed=8)
+    with pytest.raises(SizeCapError, match="shot batches needs"):
+        run(spec, n_batches=10**12)
+    with pytest.raises(SizeCapError):
+        run(spec, n_batches=MAX_DENSE_ENTRIES + 1)
 
 
 def test_report_to_dict_is_json_plain():
