@@ -36,7 +36,7 @@ from .linalg import (
     DimensionError,
     Operator,
     Superoperator,
-    check_dense,
+    check_dense_bits,
     kraus_transform,
     pauli_label,
     ptm_of_kraus,
@@ -248,7 +248,7 @@ def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
     if m < 1 or m_prime < 1:
         raise DimensionError(f"need m, m' >= 1, got ({m}, {m_prime})")
     n = m + m_prime
-    check_dense(16**n, f"PTM of a cut on {n} qubits")
+    check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
     terms = []
     for sign in (+1, -1):
         u = ch.UnitaryChannel(gates.mcp(m, sign * np.pi / 2))
@@ -384,7 +384,7 @@ def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomp
     if m < 1 or m_prime < 1:
         raise DimensionError(f"need m, m' >= 1, got ({m}, {m_prime})")
     n = m + m_prime
-    check_dense(16**n, f"PTM of a cut on {n} qubits")
+    check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
     base = rzz_decomposition_b(theta).terms
     ups = _parity_lift([t.factors[0] for t in base], m)
     lows = _parity_lift([t.factors[1] for t in base], m_prime)
@@ -410,7 +410,7 @@ def controlled_sequence_decomposition(ops, n_targets: int) -> Decomposition:
     across the cut.
     """
     n = 1 + n_targets
-    check_dense(16**n, f"PTM of a cut on {n} qubits")
+    check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
     v = ch.sequence_unitary(ops, n_targets)
     mx = ch.e_v_mx_map(v)
     mz = ch.e_v_mz_map(v)

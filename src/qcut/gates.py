@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionError, Operator, _popcount, check_dense
+from .linalg import DimensionError, Operator, _popcount, check_dense_bits
 
 
 def identity(n: int = 1) -> Operator:
-    check_dense(4**n, f"operator on {n} qubits")
+    check_dense_bits(2 * n, f"operator on {n} qubits")
     return Operator(np.eye(2**n, dtype=complex))
 
 
@@ -33,7 +33,7 @@ def parity(n: int) -> np.ndarray:
 
 def multi_z_rotation(n: int, theta: float) -> Operator:
     """``exp(-i theta/2 Z^(x)n)``: diagonal with phase set by bit parity."""
-    check_dense(4**n, f"operator on {n} qubits")
+    check_dense_bits(2 * n, f"operator on {n} qubits")
     return Operator.diagonal(np.exp(-1j * (theta / 2) * (-1.0) ** parity(n)))
 
 
@@ -46,7 +46,7 @@ def mcp(n: int, theta: float) -> Operator:
     """Multi-controlled phase: ``diag(1, ..., 1, e^{i theta})``."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
-    check_dense(4**n, f"operator on {n} qubits")
+    check_dense_bits(2 * n, f"operator on {n} qubits")
     diag = np.ones(2**n, dtype=complex)
     diag[-1] = np.exp(1j * theta)
     return Operator.diagonal(diag)
@@ -76,7 +76,7 @@ def basis_state(bits: str) -> Operator:
     """Computational-basis density matrix for a bitstring like ``"110"``."""
     if not bits or set(bits) - {"0", "1"}:
         raise DimensionError(f"invalid bitstring {bits!r}")
-    check_dense(4 ** len(bits), f"operator on {len(bits)} qubits")
+    check_dense_bits(2 * len(bits), f"operator on {len(bits)} qubits")
     idx = int(bits, 2)
     d = 2 ** len(bits)
     mat = np.zeros((d, d), dtype=complex)

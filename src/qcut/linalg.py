@@ -35,6 +35,7 @@ ATOL_STRUCT = 1e-10
 #: complex entries in one dense array: 2^26 x 16 B = 1 GiB, i.e. a 13-qubit
 #: operator, a 6-qubit PTM or a 26-leg ZX tensor
 MAX_DENSE_ENTRIES = 2**26
+_CAP_BITS = MAX_DENSE_ENTRIES.bit_length() - 1
 
 
 class QcutError(Exception):
@@ -53,8 +54,14 @@ def check_dense(entries: int, what: str):
     """Raise :class:`SizeCapError` if ``what`` needs over MAX_DENSE_ENTRIES entries."""
     if entries > MAX_DENSE_ENTRIES:
         need = f"2^{entries.bit_length() - 1}" if _is_power_of_two(entries) else entries
-        cap = f"2^{MAX_DENSE_ENTRIES.bit_length() - 1}"
-        raise SizeCapError(f"{what} needs {need} dense entries, over the cap of {cap}")
+        raise SizeCapError(f"{what} needs {need} dense entries, over the cap of 2^{_CAP_BITS}")
+
+
+def check_dense_bits(bits: int, what: str):
+    """:func:`check_dense` of ``2**bits`` entries, comparing the exponent with
+    the cap's so that a huge ``bits`` is refused without computing the power."""
+    if bits > _CAP_BITS:
+        raise SizeCapError(f"{what} needs 2^{bits} dense entries, over the cap of 2^{_CAP_BITS}")
 
 
 def _is_power_of_two(d: int) -> bool:
@@ -231,7 +238,7 @@ def max_abs_diff(a, b) -> float:
 def ptm_of_unitary(u: Operator) -> Superoperator:
     """PTM of the channel ``rho -> U rho U^dag``: :func:`ptm_of_kraus` of ``U``."""
     n = u.n_qubits
-    check_dense(16**n, f"superoperator on {n} qubits")  # before the d x d unitarity products
+    check_dense_bits(4 * n, f"superoperator on {n} qubits")  # before the d x d unitarity products
     check_unitary(u.mat, "input")
     return ptm_of_kraus(np.ones(1), u.mat[None])
 
@@ -359,7 +366,7 @@ def ptm_of_kraus(weights: np.ndarray, kraus: np.ndarray) -> Superoperator:
     phased and scattered into a zero ``4^n x 4^n`` matrix."""
     d = np.shape(kraus)[-1]
     n = d.bit_length() - 1
-    check_dense(16**n, f"superoperator on {n} qubits")
+    check_dense_bits(4 * n, f"superoperator on {n} qubits")
     a, diag = kraus_transform(weights, kraus)
     d_d, d_t = a.shape[0], a.shape[2]
     n_t = n - len(diag)

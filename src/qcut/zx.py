@@ -14,10 +14,11 @@ Conventions:
 * H-box with label ``a`` (default -1): ``a`` on the all-1 assignment, 1
   otherwise.  The arity-2 box with ``a = -1`` equals ``sqrt(2) H``.
 
-:func:`contract` never builds a spider densely: all legs of a Z spider share
-one index carrying the weights ``(1, e^{i alpha})``, so cups, caps, bare
-wires and wire crossings are just connectivity, and contraction is invariant
-under node relabeling and edge reordering.
+Contraction never builds a spider densely: all legs of a Z spider share one
+index carrying the weights ``(1, e^{i alpha})``, so cups, caps, bare wires and
+wire crossings are just connectivity, invariant under node relabeling and edge
+reordering.  :func:`contract` writes the result out with every open leg on its
+own index; :func:`verify_rule` compares two diagrams on the indices they share.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import QcutError, check_dense, max_abs_diff
+from .linalg import QcutError, check_dense_bits, max_abs_diff
 
 #: matrix equality tolerance for rule certification
 RULE_ATOL = 1e-10
@@ -123,7 +124,7 @@ class ZXDiagram:
 
 
 def _einsum(operands: list, arrays: list, result: list) -> np.ndarray:
-    """``np.einsum`` over label lists in letters local to this call; ``check_dense``
+    """``np.einsum`` over label lists in letters local to this call; the size cap
     keeps each piece within 26 labels, so two operands fit in numpy's 52."""
     letter: dict = {}
     for label in itertools.chain(*operands, result):
@@ -133,20 +134,34 @@ def _einsum(operands: list, arrays: list, result: list) -> np.ndarray:
 
 
 def contract(d: ZXDiagram) -> np.ndarray:
-    """Contract to a dense ``2^out x 2^in`` matrix, global scalar included.
+    """Contract to a dense ``2^out x 2^in`` matrix, global scalar included:
+    :func:`_contract_compact` with each open leg on its own index.  Output axes
+    follow the output boundary list (first entry most significant), then the
+    input boundaries likewise."""
+    n_open = len(d.inputs) + len(d.outputs)
+    check_dense_bits(n_open, f"contraction with {n_open} open legs")
+    return _embed(*_contract_compact(d)).reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
 
-    Output axes are ordered by the output boundary list (first entry most
-    significant), then input boundaries likewise.
+
+def _embed(axes: list, result: list, t: np.ndarray) -> np.ndarray:
+    """``t`` (axes ``result``) in a zero array with one axis per label in
+    ``axes``: on the diagonal where labels repeat, constant over those it lacks."""
+    missing = [x for x in dict.fromkeys(axes) if x not in result]
+    out = np.zeros((1,) + (2,) * len(axes), dtype=complex)
+    _einsum([[None] + axes], [out], [None] + missing + result)[...] = t
+    return out[0]
+
+
+def _contract_compact(d: ZXDiagram) -> tuple:
+    """The open legs' index labels (outputs, then inputs), the labels the
+    final tensor carries, and that tensor with the global scalar applied.
 
     Each edge is an index and each Z spider merges the indices of its legs.
     An X spider weights a fresh index joined to each leg by a Hadamard; an
-    H-box is dense over its legs; a boundary leaves its index open.  A greedy
-    loop contracts the pair of pieces with the smallest result by one
-    ``np.einsum`` each, and the last piece is written onto the diagonal of a
-    zeroed output, where two boundaries share an index (as on a bare wire).
+    H-box is dense over its legs; a boundary leaves its index open, and two
+    boundaries share one (as on a bare wire).  A greedy loop contracts the
+    pair of pieces with the smallest result by one ``np.einsum`` each.
     """
-    n_open = len(d.inputs) + len(d.outputs)
-    check_dense(2**n_open, f"contraction with {n_open} open legs")
     parent = list(range(len(d.edges)))  # union-find over edge indices
 
     def find(e: int) -> int:
@@ -182,7 +197,7 @@ def contract(d: ZXDiagram) -> np.ndarray:
             if len(labels) != 1:
                 raise ZXError(f"boundary node {nid} has degree {len(labels)}, expected 1")
         elif kind == "h":
-            check_dense(2 ** len(labels), f"H-box {nid} with {len(labels)} legs")
+            check_dense_bits(len(labels), f"H-box {nid} with {len(labels)} legs")
             add(labels, hbox_tensor(param, len(labels)))
         elif kind in ("z", "x"):
             center = labels[0] if kind == "z" and labels else next(fresh)
@@ -218,7 +233,7 @@ def contract(d: ZXDiagram) -> np.ndarray:
             sorted(sorted(pieces, key=lambda k: len(pieces[k][0]))[:2])
         )
         labels = kept(pair)
-        check_dense(2 ** len(labels), f"contraction step with {len(labels)} legs")
+        check_dense_bits(len(labels), f"contraction step with {len(labels)} legs")
         (la, ta), (lb, tb) = (pieces.pop(k) for k in pair)
         for x in la + lb:
             where[x] -= set(pair)
@@ -226,11 +241,8 @@ def contract(d: ZXDiagram) -> np.ndarray:
 
     labels, t = next(iter(pieces.values()), ([], np.array(1.0 + 0j)))
     result = [x for x in dict.fromkeys(labels) if x in is_open]
-    missing = [x for x in dict.fromkeys(order) if x not in result]
-    out = np.zeros((1,) + (2,) * n_open, dtype=complex)
-    diagonal = _einsum([[None] + order], [out], [None] + missing + result)
-    np.multiply(_einsum([labels], [t], result), d.scalar, out=diagonal)
-    return out.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
+    # ``*`` on the numpy scalar of a full sum rounds differently from this ufunc
+    return order, result, np.multiply(_einsum([labels], [t], result), d.scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +522,9 @@ def insert_cut_fragment(d: ZXDiagram, edge: tuple, fragment: CutFragment) -> ZXD
 
 
 def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> dict:
-    """Contract both sides and report agreement.
+    """Contract both sides and report agreement over the common refinement of
+    their open-leg indices, where legs share an index only if they share one on
+    both sides; every dense entry outside it is 0 on both sides.
 
     With ``up_to_scalar`` the report includes the least-squares complex ratio
     ``c`` minimizing ``|rhs - c * lhs|`` and the residual after rescaling.
@@ -520,8 +534,11 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
             f"boundary signature mismatch: ({len(lhs.inputs)}, {len(lhs.outputs)}) "
             f"vs ({len(rhs.inputs)}, {len(rhs.outputs)})"
         )
-    a = contract(lhs)
-    b = contract(rhs)
+    sides = [_contract_compact(lhs), _contract_compact(rhs)]
+    shared = list(dict.fromkeys(zip(sides[0][0], sides[1][0])))
+    check_dense_bits(len(shared), f"comparison over {len(shared)} shared open-leg indices")
+    # each side's compact tensor is dropped once it is embedded
+    a, b = (_embed([k[i] for k in shared], *sides.pop(0)[1:]).ravel() for i in (0, 1))
     deviation = max_abs_diff(a, b)
     report = {
         "max_abs_deviation": deviation,

@@ -5,8 +5,8 @@ operator's matrix by the textbook route, so the tests can check the package
 against them: the measure-and-prepare map from eigendecompositions, Pauli
 coefficients from traces, PTMs from a map's images of the whole Pauli basis,
 single shots drawn one at a time, a term's outcome distribution enumerated
-branch by branch, multi-Z factors conjugated by explicit CNOT ladders, and
-ZX diagrams glued from small pieces.
+branch by branch, multi-Z factors conjugated by explicit CNOT ladders, ZX
+diagrams glued from small pieces and compared as two dense matrices.
 """
 
 from functools import lru_cache, reduce
@@ -28,9 +28,10 @@ from qcut.linalg import (
     Superoperator,
     check_dense,
     embed_matrix,
+    max_abs_diff,
 )
 from qcut.sampling import PROB_FLOOR
-from qcut.zx import ZXDiagram, ZXError, parse_diagram
+from qcut.zx import RULE_ATOL, ZXDiagram, ZXError, contract, parse_diagram
 
 #: Choi positivity tolerance; looser than equality checks because eigenvalue
 #: computation amplifies rounding.
@@ -347,3 +348,33 @@ def cup_diagram() -> ZXDiagram:
 def cap_diagram() -> ZXDiagram:
     """Two inputs, no outputs: the unnormalized Bell effect ``<00| + <11|``."""
     return parse_diagram("node s z\nnode a input\nnode b input\nedge a s\nedge b s")
+
+
+def with_nan_phase(d: ZXDiagram) -> ZXDiagram:
+    """``d`` with its first Z spider's phase set to NaN."""
+    out = d.copy()
+    node = next(k for k, (kind, _) in out.nodes.items() if kind == "z")
+    out.nodes[node] = ("z", float("nan"))
+    return out
+
+
+def dense_verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> dict:
+    """:func:`qcut.zx.verify_rule` computed on both sides' full dense
+    ``2^out x 2^in`` contractions."""
+    if len(lhs.inputs) != len(rhs.inputs) or len(lhs.outputs) != len(rhs.outputs):
+        raise ZXError("boundary signature mismatch")
+    a = contract(lhs)
+    b = contract(rhs)
+    deviation = max_abs_diff(a, b)
+    report = {
+        "max_abs_deviation": deviation,
+        "equal": deviation <= RULE_ATOL,
+    }
+    if up_to_scalar:
+        norm = np.vdot(a, a)
+        ratio = complex(np.vdot(a, b) / norm) if abs(norm) > 0 else complex("nan")
+        residual = max_abs_diff(b, ratio * a)
+        report["scalar_ratio"] = ratio
+        report["scalar_residual"] = residual
+        report["equal_up_to_scalar"] = residual <= RULE_ATOL
+    return report

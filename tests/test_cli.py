@@ -706,6 +706,12 @@ def test_zx_check_flags_a_builtin_reads_reach_the_check(capsys, argv, err):
     )
 
 
+def test_zx_check_mcz_fusion_runs_past_the_dense_cap(capsys):
+    # dense 2^40-entry matrices per side; 2^20 entries on the shared wire indices
+    assert main(["zx-check", "--builtin", "mcz-fusion", "--n", "20", "--m", "10"]) == 0
+    assert capsys.readouterr().out.startswith("mcz-fusion[n=20,m=10]: PASS")
+
+
 def test_zx_check_all_accepts_every_flag(capsys):
     assert main(["zx-check", "--builtin", "all", "--n", "3", "--m", "1",
                  "--theta", "pi/3"]) == 0

@@ -415,6 +415,42 @@ def test_size_cap_refuses_before_allocating(function, args):
     assert peak < 2**20
 
 
+_HUGE = 10**12
+
+
+class _HugeBits(str):
+    """The bitstring ``"0"`` reporting ``_HUGE`` characters."""
+
+    def __len__(self):
+        return _HUGE
+
+
+_CUT = f"PTM of a cut on {_HUGE + 1} qubits needs 2^{4 * _HUGE + 4}"
+_GATE = f"operator on {_HUGE} qubits needs 2^{2 * _HUGE}"
+
+
+@pytest.mark.parametrize(
+    "function,args,need",
+    [
+        (cuts.mcz_decomposition, (_HUGE, 1), _CUT),
+        (cuts.multi_z_rotation_decomposition, (_HUGE, 1, 0.5), _CUT),
+        (cuts.controlled_sequence_decomposition, ([((0,), gates.hadamard())], _HUGE), _CUT),
+        (gates.identity, (_HUGE,), _GATE),
+        (gates.mcp, (_HUGE, 0.3), _GATE),
+        (gates.multi_z_rotation, (_HUGE, 0.5), _GATE),
+        (gates.basis_state, (_HugeBits("0"),), _GATE),
+    ],
+    ids=["mcz", "multi_z", "controlled_sequence", "gate_identity", "gate_mcp",
+         "gate_multi_z", "basis_state"],
+)
+def test_absurd_size_is_refused_before_its_entry_count_is_computed(function, args, need):
+    # 4**n or 16**n at n = 10**12 is an integer of terabits: the exponent is
+    # compared with the cap's instead, so the refusal comes at once
+    with pytest.raises(SizeCapError) as info:
+        function(*args)
+    assert str(info.value) == f"{need} dense entries, over the cap of 2^26"
+
+
 def test_check_dense_boundary():
     assert MAX_DENSE_ENTRIES == 2**26
     check_dense(MAX_DENSE_ENTRIES, "a 13-qubit operator")

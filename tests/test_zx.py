@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcut import gates, zx
+from qcut.linalg import SizeCapError
 from qcut.zx import (
     BUILTIN_RULES,
     CNOT_VARIANTS,
@@ -32,6 +33,7 @@ from oracles import (
     effect_diagram,
     swap_diagram,
     tensor,
+    with_nan_phase,
 )
 
 SQ2 = np.sqrt(2)
@@ -231,17 +233,10 @@ def test_verify_rule_detects_scalar_mismatch():
     assert report["scalar_ratio"] == pytest.approx(2.0)
 
 
-def _with_nan_phase(d: ZXDiagram) -> ZXDiagram:
-    out = d.copy()
-    node = next(k for k, (kind, _) in out.nodes.items() if kind == "z")
-    out.nodes[node] = ("z", float("nan"))
-    return out
-
-
 @pytest.mark.parametrize("nan_side", ["lhs", "rhs"])
 def test_verify_rule_reports_nan_as_unequal(nan_side):
     good = rzz_diagram(0.3)
-    bad = _with_nan_phase(good)
+    bad = with_nan_phase(good)
     assert np.isnan(contract(bad)).any() and not np.isnan(contract(bad)).all()
     lhs, rhs = (bad, good) if nan_side == "lhs" else (good, bad)
     report = verify_rule(lhs, rhs)
@@ -261,6 +256,39 @@ def test_verify_rule_memory():
         tracemalloc.stop()
     assert report["equal"]
     assert peak < 40 * 2**20
+
+
+def test_verify_rule_compares_on_shared_indices_past_the_dense_cap():
+    # a dense comparison needs 2^32 entries per side; the wires' shared
+    # indices need 2^16
+    lhs, rhs = mcz_diagram(16), split_mcz_three_hboxes(16, 8)
+    tracemalloc.start()
+    try:
+        report = verify_rule(lhs, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["equal"]
+    assert peak < 4 * 2**20
+
+
+def test_verify_rule_caps_the_shared_indices_before_allocating():
+    # every wire shifted by one qubit: no input shares an index with the same
+    # output on both sides, so the 28 legs stay apart
+    shifted = ZXDiagram()
+    ins = [shifted.add_input() for _ in range(14)]
+    outs = [shifted.add_output() for _ in range(14)]
+    for k, i in enumerate(ins):
+        shifted.add_edge(i, outs[(k + 1) % 14])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="^comparison over 28 shared open-leg indices "
+                                               "needs 2\\^28 dense entries"):
+            verify_rule(wire_diagram(14), shifted)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_verify_rule_rejects_shape_mismatch():

@@ -1,9 +1,14 @@
-"""Property test: contraction depends only on the diagram's connectivity."""
+"""Property tests: contraction depends only on the diagram's connectivity,
+and ``verify_rule`` reports what the dense comparison of both sides reports."""
+
+import cmath
+import random
 
 import numpy as np
 import pytest
 
 from qcut import zx
+from oracles import cap_diagram, compose, cup_diagram, dense_verify_rule, with_nan_phase
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -52,3 +57,45 @@ def _scrambled(d: zx.ZXDiagram, rnd) -> zx.ZXDiagram:
 def test_contract_ignores_labels_and_edge_order(name, rnd):
     got = zx.contract(_scrambled(DIAGRAMS[name], rnd))
     assert np.max(np.abs(got - EXPECTED[name])) <= 1e-12
+
+
+#: the pair pool: the diagrams above plus closed ones and a NaN spider phase
+POOL = {
+    **DIAGRAMS,
+    "closed[loop]": compose(cup_diagram(), cap_diagram()),
+    "closed[hbox]": zx.parse_diagram("node s z 0.4\nnode h h 0.5\nedge s h\nscalar 0.3+0.2j"),
+    "rzz[nan]": with_nan_phase(zx.rzz_diagram(1.1)),
+}
+
+
+def _signature(d: zx.ZXDiagram) -> tuple:
+    return len(d.inputs), len(d.outputs)
+
+
+PAIRS = [(a, b) for a in sorted(POOL) for b in sorted(POOL)
+         if _signature(POOL[a]) == _signature(POOL[b])]
+
+
+def _agree(got, want, atol: float) -> bool:
+    return (cmath.isnan(got) and cmath.isnan(want)) or abs(got - want) <= atol
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(pair=st.sampled_from(PAIRS), rnd=st.randoms(use_true_random=False))
+# leg groupings that differ: both mcz wires tie input to output, the cnot
+# target's legs stay apart; H-boxes separate the color-change legs, the
+# identity-removal right side is a bare wire
+@hypothesis.example(pair=("mcz[2]", "cnot[spiders]"), rnd=random.Random(0))
+@hypothesis.example(pair=("color-change:lhs", "identity-removal:rhs"), rnd=random.Random(0))
+@hypothesis.example(pair=("closed[loop]", "closed[hbox]"), rnd=random.Random(0))
+@hypothesis.example(pair=("rzz[nan]", "rzz"), rnd=random.Random(0))
+def test_verify_rule_matches_the_dense_comparison(pair, rnd):
+    lhs, rhs = (_scrambled(POOL[name], rnd) for name in pair)
+    got = zx.verify_rule(lhs, rhs, up_to_scalar=True)
+    want = dense_verify_rule(lhs, rhs, up_to_scalar=True)
+    deviation, expected = got["max_abs_deviation"], want["max_abs_deviation"]
+    assert deviation == expected or (np.isnan(deviation) and np.isnan(expected))
+    assert got["equal"] == want["equal"]
+    assert _agree(got["scalar_ratio"], want["scalar_ratio"], 1e-12)
+    assert _agree(got["scalar_residual"], want["scalar_residual"], 1e-12)
+    assert got["equal_up_to_scalar"] == want["equal_up_to_scalar"]
