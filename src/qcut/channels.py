@@ -201,14 +201,6 @@ def signed_z_map() -> GeneralizedMap:
     return _rank_one_map([(1, KET_0, KET_0), (-1, KET_1, KET_1)])
 
 
-def mcz_mx_map(m: int) -> GeneralizedMap:
-    """MCZ between an ``m``-qubit register and a ``|+>`` ancilla, followed by an
-    X-basis ancilla measurement with signs ``(+1, -1)``."""
-    if m < 1:
-        raise DimensionError(f"need m >= 1, got {m}")
-    return ancilla_map(gates.identity(m), gates.mcz(m), "X", (1, -1))
-
-
 def rzz_my_map(theta: float) -> GeneralizedMap:
     """ZZ-rotation against a ``|+>`` ancilla followed by a Y-basis ancilla
     measurement with signs ``(+1, -1)``."""

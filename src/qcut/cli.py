@@ -486,7 +486,7 @@ def _zx_builtin(args) -> int:
             raise ConfigError(f"zx-check: unknown builtin {name!r}")
         given = {"--n": args.n, "--m": args.m, "--theta": args.theta}
         _reject_unread(given, _ZX_BUILTINS[name][1], f"zx-check --builtin {name}")
-    theta = _parse_theta(args.theta, "--theta") if args.theta else np.pi / 2
+    theta = _parse_theta(args.theta, "--theta") if args.theta is not None else np.pi / 2
     for flag, value in (("--n", args.n), ("--m", args.m)):
         if value is not None:
             _check_int(value, flag, 1, MAX_QUBITS)

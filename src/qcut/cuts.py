@@ -260,8 +260,8 @@ def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
         )
     ident_m = ch.UnitaryChannel(gates.identity(m))
     ident_mp = ch.UnitaryChannel(gates.identity(m_prime))
-    mx_m = ch.mcz_mx_map(m)
-    mx_mp = ch.mcz_mx_map(m_prime)
+    mx_m = ch.e_v_mx_map(gates.mcz(m))
+    mx_mp = ch.e_v_mx_map(gates.mcz(m_prime))
     terms.append(DecompositionTerm(0.5, [mx_m, ident_mp], "E_MCZ-MX x I"))
     terms.append(
         DecompositionTerm(

@@ -19,6 +19,11 @@ index carrying the weights ``(1, e^{i alpha})``, so cups, caps, bare wires and
 wire crossings are just connectivity, invariant under node relabeling and edge
 reordering.  :func:`contract` writes the result out with every open leg on its
 own index; :func:`verify_rule` compares two diagrams on the indices they share.
+
+:func:`insert_wire_cut` cuts a diagram's ``cut_edge`` with the terms of a
+single-qubit wire-cut decomposition: each rank-one Kraus operator ``|s><e|``
+becomes an arity-1 spider pair, so the diagrams it returns contract to the
+cut channel's outcomes exactly.
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ def hbox_tensor(label: complex, arity: int) -> np.ndarray:
 class ZXDiagram:
     """Open ZX tensor network with ordered boundaries and a global scalar.
 
-    Built incrementally via ``add_*`` methods; :func:`insert_cut_fragment`
-    returns a new diagram, and :func:`contract` is pure.
+    Built incrementally via ``add_*`` methods.  ``cut_edge``, when set, is
+    the ``(source, sink)`` wire that :func:`insert_wire_cut` cuts; it returns
+    new diagrams, and :func:`contract` is pure.
     """
 
     nodes: dict = field(default_factory=dict)
@@ -251,12 +257,13 @@ def _contract_compact(d: ZXDiagram) -> tuple:
 
 
 def wire_diagram(n: int = 1) -> ZXDiagram:
-    """``n`` parallel bare wires (the identity)."""
+    """``n`` parallel bare wires (the identity); ``cut_edge`` is the first."""
     d = ZXDiagram()
     for _ in range(n):
         i = d.add_input()
         o = d.add_output()
         d.add_edge(i, o)
+    d.cut_edge = d.edges[0] if n else None
     return d
 
 
@@ -401,118 +408,60 @@ def rzz_diagram(theta: float) -> ZXDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Wire-cut fragments
+# Wire cuts
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CutFragment:
-    """One measure/prepare spider pair replacing a cut wire.
-
-    ``weight`` is the quasiprobability coefficient attached to this fragment;
-    summing ``weight * (M rho M^dag)`` over a protocol's fragments, where M is
-    the contraction with the fragment inserted, reproduces the uncut channel.
-    ``scalar`` (1/2) is the wire-cut normalization absorbed into the diagram.
-    ``needs_cc`` marks fragments whose prepared state depends on the measured
-    outcome (classical communication across the cut).
-    """
-
-    name: str
-    weight: float
-    measure_kind: str
-    measure_phase: float
-    prepare_kind: str
-    prepare_phase: float
-    scalar: float = 0.5
-    needs_cc: bool = False
-
-
-def wire_cut_fragments(cc_basis: str = "Y") -> list:
-    """The ten fragments of the single-wire cut with classical communication.
-
-    ``cc_basis`` selects which Pauli's term is grouped into a single CPTP
-    measure-and-reprepare channel (weight +1 per outcome, classical
-    communication required); the other two Paulis contribute four
-    measure-and-prepare fragments each with weights +-1/2 and no
-    communication.
-    """
-    half = math.pi / 2
-    if cc_basis == "Y":
-        grouped = [
-            CutFragment("Y:+i", 1.0, "z", -half, "x", -half, needs_cc=True),
-            CutFragment("Y:-i", 1.0, "z", +half, "x", +half, needs_cc=True),
-        ]
-        peng = _peng_fragments("X", "z", (0.0, math.pi), (0.0, math.pi)) + (
-            _peng_fragments("Z", "x", (0.0, math.pi), (0.0, math.pi))
-        )
-    elif cc_basis == "X":
-        grouped = [
-            CutFragment("X:+", 1.0, "z", 0.0, "z", 0.0, needs_cc=True),
-            CutFragment("X:-", 1.0, "z", math.pi, "z", math.pi, needs_cc=True),
-        ]
-        # arity-1 Z(phi) is the ket |0> + e^{i phi}|1> but the bra <0| + e^{i phi}<1|,
-        # so the Y eigenstates take opposite phases on the measure and prepare side
-        peng = _peng_fragments("Y", "z", (-half, +half), (+half, -half)) + (
-            _peng_fragments("Z", "x", (0.0, math.pi), (0.0, math.pi))
-        )
-    elif cc_basis == "Z":
-        grouped = [
-            CutFragment("Z:0", 1.0, "x", 0.0, "x", 0.0, needs_cc=True),
-            CutFragment("Z:1", 1.0, "x", math.pi, "x", math.pi, needs_cc=True),
-        ]
-        peng = _peng_fragments("X", "z", (0.0, math.pi), (0.0, math.pi)) + (
-            _peng_fragments("Y", "z", (-half, +half), (+half, -half))
-        )
+def _arity1_spider(v: np.ndarray) -> tuple:
+    """``(kind, phase, t)``: X(0) or X(pi) when one entry of ``v`` is 0, else Z
+    with the phase of ``v[1] / v[0]``; ``t`` is the spider's tensor."""
+    small = RULE_ATOL * np.abs(v).max()
+    if min(abs(v[0]), abs(v[1])) <= small:
+        kind, phase = "x", 0.0 if abs(v[1]) <= small else math.pi
     else:
-        raise ZXError(f"cc_basis must be X, Y or Z, got {cc_basis!r}")
-    return grouped + peng
+        kind, phase = "z", cmath.phase(v[1] / v[0])
+    t = np.array([1.0, cmath.exp(1j * phase)])
+    return kind, phase, t @ _HADAMARD if kind == "x" else t
 
 
-def _peng_fragments(
-    pauli: str, kind: str, meas_phases: tuple, prep_phases: tuple
-) -> list:
-    """Four fixed-preparation fragments for one Pauli: measure either outcome,
-    always prepare eigenstate ``mu``.
+def insert_wire_cut(d: ZXDiagram, deco) -> list:
+    """Cut ``d.cut_edge = (source, sink)`` with the single-qubit decomposition
+    ``deco``: one ``(term, sign, diagram)`` per outcome, each term's
+    quasiprobability weight being ``term.q * sign``.
 
-    The fragment weight is the channel coefficient ``+-1/2`` times the
-    eigenvalue ``(-1)^outcome`` of the observed measurement result (the sign
-    the sampling protocol tracks classically).
+    Every term must have one factor whose branches each hold one rank-one
+    Kraus operator ``K = |s><e|`` (as in :func:`~qcut.cuts.wire_cut_ncc` and
+    :func:`~qcut.cuts.wire_cut_cc`).  In ``diagram`` the cut edge is replaced
+    by the arity-1 spider ``<e|`` on ``source`` and ``|s>`` on ``sink``, with
+    the scalar that makes the pair contract to ``K`` exactly.
     """
-    out = []
-    for mu, (prep_phase, q) in enumerate(
-        ((prep_phases[0], 0.5), (prep_phases[1], -0.5))
-    ):
-        for outcome, meas_phase in enumerate(meas_phases):
-            out.append(
-                CutFragment(
-                    f"{pauli}{mu}:a{outcome}",
-                    q * (1 if outcome == 0 else -1),
-                    kind,
-                    meas_phase,
-                    kind,
-                    prep_phase,
-                )
-            )
-    return out
-
-
-def insert_cut_fragment(d: ZXDiagram, edge: tuple, fragment: CutFragment) -> ZXDiagram:
-    """Replace ``edge = (source, sink)`` by the fragment's disconnected
-    measure/prepare spider pair; the measure spider attaches to ``source``."""
-    u, v = edge
-    idx = next(
-        (k for k, e in enumerate(d.edges) if e == (u, v) or e == (v, u)), None
-    )
+    if d.cut_edge is None:
+        raise ZXError("diagram has no cut_edge to insert a wire cut at")
+    u, v = d.cut_edge
+    idx = next((n for n, e in enumerate(d.edges) if e in ((u, v), (v, u))), None)
     if idx is None:
-        raise ZXError(f"edge {edge} not found in diagram")
-    out = d.copy()
-    out.cut_edge = None
-    del out.edges[idx]
-    meas = out._add_node(fragment.measure_kind, float(fragment.measure_phase))
-    prep = out._add_node(fragment.prepare_kind, float(fragment.prepare_phase))
-    out.add_edge(u, meas)
-    out.add_edge(prep, v)
-    out.multiply_scalar(fragment.scalar)
+        raise ZXError(f"cut_edge {d.cut_edge} is not an edge of the diagram")
+    out = []
+    for term in deco.terms:
+        branches = term.factors[0].branches
+        if len(term.factors) != 1 or any(np.shape(k) != (1, 2, 2) for _, k in branches):
+            raise ZXError(f"term {term.label!r}: a wire cut needs one single-qubit "
+                          "factor with one Kraus operator per branch")
+        for sign, (k,) in branches:
+            i, j = np.unravel_index(np.argmax(np.abs(k)), k.shape)
+            (m_kind, m_phase, m_t), (p_kind, p_phase, p_t) = map(_arity1_spider, (k[i], k[:, j]))
+            pair = np.outer(p_t, m_t)
+            scale = np.vdot(pair, k) / np.vdot(pair, pair)
+            if not max_abs_diff(scale * pair, k) <= RULE_ATOL:
+                raise ZXError(f"term {term.label!r}: Kraus operator is not |s><e| "
+                              "with s and e spider states")
+            cut = d.copy()
+            cut.cut_edge = None
+            del cut.edges[idx]
+            cut.add_edge(u, cut._add_node(m_kind, m_phase))
+            cut.add_edge(cut._add_node(p_kind, p_phase), v)
+            cut.multiply_scalar(scale)
+            out.append((term, sign, cut))
     return out
 
 
@@ -635,7 +584,8 @@ BUILTIN_RULES = {
 # ---------------------------------------------------------------------------
 # Text diagram format (one statement per line)
 #
-#   node <name> input|output|z|x|h [phase-or-label]
+#   node <name> input|output
+#   node <name> z|x|h [phase-or-label]
 #   edge <name> <name>
 #   scalar <complex>
 #
@@ -696,10 +646,13 @@ def parse_diagram(text: str) -> ZXDiagram:
             if parts[0] == "node":
                 if len(parts) < 3:
                     raise ZXError("node needs a name and a kind")
-                _, name, kind = parts[:3]
+                _, name, kind, *args = parts
                 if name in names:
                     raise ZXError(f"duplicate node name {name!r}")
-                arg = parts[3] if len(parts) > 3 else None
+                extra = args[0 if kind in ("input", "output") else 1:]
+                if extra:
+                    raise ZXError(f"unexpected {' '.join(extra)!r} after {kind} node {name!r}")
+                arg = args[0] if args else None
                 if kind == "input":
                     names[name] = d.add_input()
                 elif kind == "output":

@@ -11,7 +11,6 @@ from qcut.channels import (
     e_v_mx_map,
     e_v_mz_map,
     grouped_pauli_map,
-    mcz_mx_map,
     pauli_measure_prepare,
     rzz_my_map,
     sequence_unitary,
@@ -221,8 +220,8 @@ RZV_FEEDBACK = tuple(
 @pytest.mark.parametrize(
     "ch, joint, basis, feedback",
     [
-        (mcz_mx_map(1), gates.mcz(2), "X", None),
-        (mcz_mx_map(3), gates.mcz(4), "X", None),
+        (e_v_mx_map(gates.mcz(1)), gates.mcz(2), "X", None),
+        (e_v_mx_map(gates.mcz(3)), gates.mcz(4), "X", None),
         (rzz_my_map(0.7), gates.rzz(0.7), "Y", None),
         (e_v_mx_map(SEQUENCE_V), last_controlled_sequence(SEQUENCE, 2, 0), "X", None),
         (e_v_mz_map(SEQUENCE_V), last_controlled_sequence(SEQUENCE, 2, 0), "Z", None),
@@ -248,7 +247,7 @@ def test_kraus_branches_match_ancilla_dilation(ch, joint, basis, feedback):
 def test_mcz_mx_map_ptm():
     # [DERIVED] on one system qubit the X-measured controlled-Z circuit acts
     # as (rho -> Z-diagonal part with sign): signed sum equals the signed-Z map
-    ch = mcz_mx_map(1)
+    ch = e_v_mx_map(gates.mcz(1))
     m = ch.to_superoperator().matrix
     assert np.allclose(m, ANTIDIAG_IZ, atol=1e-12)
     assert ch.signs == (1, -1)
@@ -256,7 +255,7 @@ def test_mcz_mx_map_ptm():
 
 
 def test_mcz_mx_map_branches_are_probabilities():
-    ch = mcz_mx_map(2)
+    ch = e_v_mx_map(gates.mcz(2))
     rho = random_density(2, 2)
     mats = rho.mat[None]
     probs = [

@@ -798,17 +798,28 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, flag):
         ("scalar 1/0", None, "line 6:"),
         ("scalar 1e999", None, "line 6:"),
         ("node s h nan", None, "line 2:"),
+        ("node s z pi/2 junk more", None, "line 2:"),
+        ("node s x 0 1", None, "line 2:"),
+        ("node s h -1 2", None, "line 2:"),
+        ("node in input 0.5", None, "line 1:"),
+        ("node out output x", None, "line 3:"),
         (None, ["--builtin", "rzz", "--theta", "abc"], "--theta"),
         (None, ["--builtin", "rzz", "--theta", "nan"], "--theta"),
+        (None, ["--builtin", "rzz", "--theta", ""], "--theta"),
     ],
     ids=["angle-text", "angle-divisor-text", "angle-zero-divisor", "scalar-zero-divisor",
-         "scalar-overflow", "hbox-nan", "theta-text", "theta-nan"],
+         "scalar-overflow", "hbox-nan", "spider-extra-tokens", "x-extra-token",
+         "hbox-extra-token", "input-argument", "output-argument", "theta-text", "theta-nan",
+         "theta-empty"],
 )
 def test_zx_check_rejects_bad_numbers(tmp_path, capsys, line, argv_tail, expected):
     if line is not None:
         lines = ["node in input", "node s z 0", "node out output", "edge in s", "edge s out"]
-        if line.startswith("node s"):
-            lines[1] = line
+        # a node line replaces the node of the same name, any other is appended
+        heads = [" ".join(text.split()[:2]) for text in lines[:3]]
+        head = " ".join(line.split()[:2])
+        if head in heads:
+            lines[heads.index(head)] = line
         else:
             lines.append(line)
         path = tmp_path / "bad.zx"

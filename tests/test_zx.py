@@ -1,9 +1,18 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcut import gates, zx
+from qcut.channels import GeneralizedMap, UnitaryChannel
+from qcut.cuts import (
+    Decomposition,
+    DecompositionTerm,
+    mcz_decomposition,
+    wire_cut_cc,
+    wire_cut_ncc,
+)
 from qcut.linalg import SizeCapError
 from qcut.zx import (
     BUILTIN_RULES,
@@ -13,7 +22,7 @@ from qcut.zx import (
     cnot_diagram,
     contract,
     hbox_tensor,
-    insert_cut_fragment,
+    insert_wire_cut,
     mcp_diagram,
     mcz_diagram,
     parse_angle,
@@ -22,7 +31,6 @@ from qcut.zx import (
     split_mcz_three_hboxes,
     state_diagram,
     verify_rule,
-    wire_cut_fragments,
     wire_diagram,
 )
 from oracles import (
@@ -302,34 +310,84 @@ def test_mcz_three_hbox_split():
         split = split_mcz_three_hboxes(n, m)
         report = verify_rule(mcz_diagram(n), split)
         assert report["equal"], (n, m, report["max_abs_deviation"])
-        assert split.cut_edge is not None
 
 
 # ---------------------------------------------------------------------------
-# wire-cut fragments
+# wire cuts
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("basis", ["Y", "X", "Z"])
+def _wire_cut(basis: str) -> Decomposition:
+    return wire_cut_ncc() if basis == "ncc" else wire_cut_cc(basis)
+
+
+@pytest.mark.parametrize("basis", ["Y", "X", "Z", "ncc"])
 def test_wire_cut_fragments_resolve_identity(basis):
-    # [KNOWN] summing weight * (fragment inserted on a bare wire), with each
-    # fragment conjugate-paired on bra/ket sides, reproduces the identity
-    # channel; gamma = 3 with classical communication.
-    frags = wire_cut_fragments(basis)
-    assert len(frags) == 10
-    total = np.zeros((4, 4))
-    base = wire_diagram(1)
-    edge = base.edges[0]
-    for frag in frags:
-        ket = contract(insert_cut_fragment(base, edge, frag))
-        mat = np.real(np.einsum("ab,cd->acbd", ket, ket.conj()).reshape(4, 4))
-        total = total + frag.weight * mat
-    ident = np.eye(4)
-    assert np.max(np.abs(total - ident)) < 1e-10
-    # each measurement outcome of a q-term appears as its own fragment, so
-    # gamma = sum |q| = sum |weight| / 2
-    assert sum(abs(f.weight) for f in frags) / 2 == pytest.approx(3.0)
-    assert sum(f.needs_cc for f in frags) == 2
+    # [KNOWN] each outcome's spider pair contracts to its branch's rank-one
+    # Kraus operator, and summing weight * (pair (x) conj(pair)) over the
+    # outcomes reproduces the identity channel
+    deco = _wire_cut(basis)
+    outcomes = insert_wire_cut(wire_diagram(1), deco)
+    kraus = [k for t in deco.terms for _, (k,) in t.factors[0].branches]
+    assert len(outcomes) == len(kraus)
+    total = np.zeros((4, 4), dtype=complex)
+    for (term, sign, d), k in zip(outcomes, kraus):
+        pair = contract(d)
+        assert np.max(np.abs(pair - k)) <= 1e-15, term.label
+        total += term.q * sign * np.kron(pair, pair.conj())
+    assert np.max(np.abs(total - np.eye(4))) < 1e-10
+    # each outcome of a term is its own diagram, so gamma = sum |w| / 2
+    assert sum(abs(t.q * sign) for t, sign, _ in outcomes) / 2 == deco.one_norm()
+    assert sum(t.needs_cc for t, _, _ in outcomes) == 2 * sum(t.needs_cc for t in deco.terms)
+
+
+def _cut_gates():
+    for n in range(2, 6):
+        for m in range(1, n):
+            yield f"mcz[{n},{m}]", split_mcz_three_hboxes(n, m), gates.mcz(n)
+    for theta in (0.3, 1.234):
+        yield f"rzz[{theta}]", rzz_diagram(theta), gates.rzz(theta)
+
+
+@pytest.mark.parametrize("basis", ["Y", "X", "Z", "ncc"])
+def test_wire_cut_at_cut_edge_cuts_the_gate(basis):
+    # [DERIVED] the paper's construction: a wire cut inserted at cut_edge
+    # cuts the whole gate.  Every outcome contracts to a diagonal m, and
+    # sum w m conj(m)^T equals u conj(u)^T for the gate's diagonal u.
+    deco = _wire_cut(basis)
+    for label, d, gate in _cut_gates():
+        u = np.diag(gate.mat)
+        total = np.zeros((len(u), len(u)), dtype=complex)
+        for term, sign, cut in insert_wire_cut(d, deco):
+            mat = contract(cut)
+            m = np.diag(mat)
+            assert np.array_equal(mat, np.diag(m)), (label, term.label)
+            total += term.q * sign * np.outer(m, m.conj())
+        assert np.max(np.abs(total - np.outer(u, u.conj()))) <= 1e-12, label
+
+
+def _one_factor_cut(factor) -> Decomposition:
+    return Decomposition("cut", (1,), [DecompositionTerm(1.0, [factor], "F")], gates.identity(1))
+
+
+@pytest.mark.parametrize(
+    "d,deco,match",
+    [
+        (split_mcz_three_hboxes(2, 1), mcz_decomposition(1, 1), "one single-qubit factor"),
+        (mcz_diagram(2), wire_cut_cc("Y"), "no cut_edge"),
+        (split_mcz_three_hboxes(2, 1), _one_factor_cut(UnitaryChannel(gates.identity(1))),
+         r"not \|s><e\|"),
+        # measure Z and prepare cos(0.3)|0> + sin(0.3)|1>, which no spider is
+        (split_mcz_three_hboxes(2, 1), _one_factor_cut(GeneralizedMap(
+            [(1, [np.outer([np.cos(0.3), np.sin(0.3)], e)]) for e in np.eye(2)])),
+         r"not \|s><e\|"),
+        (dataclasses.replace(wire_diagram(1), cut_edge=(0, 7)), wire_cut_cc("Y"), "not an edge"),
+    ],
+    ids=["two-factors", "no-cut-edge", "unitary", "non-spider-state", "missing-edge"],
+)
+def test_insert_wire_cut_refuses(d, deco, match):
+    with pytest.raises(ZXError, match=match):
+        insert_wire_cut(d, deco)
 
 
 # ---------------------------------------------------------------------------
