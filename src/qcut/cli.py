@@ -367,6 +367,9 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"config: invalid JSON ({exc})") from None
     spec = build_experiment(config, seed=args.seed)
     n_batches = int(config.get("n_batches", 0))
+    csv_path = args.batch_csv or config.get("batch_csv")
+    if csv_path and not n_batches:
+        raise ConfigError("batch_csv: set n_batches > 0 in the config")
     report = sampling.run(spec, n_batches=n_batches)
     print(
         f"estimate = {_fmt(report.estimate)} +/- {_fmt(report.standard_error)}  "
@@ -380,10 +383,7 @@ def cmd_sample(args) -> int:
         ) + "\n"
         _write_text(out_path, payload)
         print(f"report written to {out_path}")
-    csv_path = args.batch_csv or config.get("batch_csv")
     if csv_path:
-        if not report.batch_means:
-            raise ConfigError("batch_csv: set n_batches > 0 in the config")
         rows = [[k, _fmt(mean)] for k, mean in enumerate(report.batch_means)]
         _write_text(csv_path, _csv_text([["batch_index", "partial_mean"], *rows]))
         print(f"batch means written to {csv_path}")
@@ -467,7 +467,8 @@ def _zx_rules(n, m, theta):
 
 #: ``zx-check --builtin`` name -> (check, the flags it reads); a check yields
 #: ``(label, max|delta|)`` pairs from ``--n`` and ``--m`` (None when not
-#: given, else >= 1) and the angle; ``all`` runs them in this order
+#: given, else >= 1) and the angle; ``all`` runs them in this order and reads
+#: every flag one of them reads
 _ZX_BUILTINS = {
     "cnot-variants": (_zx_cnot_variants, ()),
     "states": (_zx_states, ()),
@@ -479,19 +480,20 @@ _ZX_BUILTINS = {
 }
 
 
-def _zx_builtin(args) -> int:
+def _zx_builtin(args, given: dict) -> int:
     name = args.builtin
-    if name != "all":
-        if name not in _ZX_BUILTINS:
-            raise ConfigError(f"zx-check: unknown builtin {name!r}")
-        given = {"--n": args.n, "--m": args.m, "--theta": args.theta}
-        _reject_unread(given, _ZX_BUILTINS[name][1], f"zx-check --builtin {name}")
+    if name not in (*_ZX_BUILTINS, "all"):
+        raise ConfigError(f"zx-check: unknown builtin {name!r}")
+    if args.files:
+        raise ConfigError("zx-check: pass --builtin NAME or diagram files, not both")
+    checks = _ZX_BUILTINS.values() if name == "all" else [_ZX_BUILTINS[name]]
+    read = {flag for _, flags in checks for flag in flags}
+    _reject_unread(given, read, f"zx-check --builtin {name}")
     theta = _parse_theta(args.theta, "--theta") if args.theta is not None else np.pi / 2
     for flag, value in (("--n", args.n), ("--m", args.m)):
         if value is not None:
             _check_int(value, flag, 1, MAX_QUBITS)
     failures = 0
-    checks = _ZX_BUILTINS.values() if name == "all" else [_ZX_BUILTINS[name]]
     for check, _ in checks:
         for label, dev in check(args.n, args.m, theta):
             ok = dev <= zx.RULE_ATOL
@@ -501,10 +503,14 @@ def _zx_builtin(args) -> int:
 
 
 def cmd_zx_check(args) -> int:
+    given = {"--n": args.n, "--m": args.m, "--theta": args.theta,
+             "--up-to-scalar": args.up_to_scalar or None}
     if args.builtin:
-        return _zx_builtin(args)
-    if not args.files:
-        raise ConfigError("zx-check: pass --builtin NAME or one/two diagram files")
+        return _zx_builtin(args, given)
+    if not 1 <= len(args.files) <= 2:
+        raise ConfigError("zx-check: pass --builtin NAME or one or two diagram files")
+    read = ("--up-to-scalar",) if len(args.files) == 2 else ()
+    _reject_unread(given, read, "zx-check" + " FILE" * len(args.files))
     diagrams = [zx.parse_diagram(_read_text(path)) for path in args.files]
     if len(diagrams) == 1:
         mat = zx.contract(diagrams[0])
@@ -512,18 +518,16 @@ def cmd_zx_check(args) -> int:
         for row in mat:
             print("  ".join(f"{v.real:+.12g}{v.imag:+.12g}j" for v in row))
         return 0
-    if len(diagrams) == 2:
-        rep = zx.verify_rule(diagrams[0], diagrams[1], up_to_scalar=args.up_to_scalar)
-        print(f"max|delta| = {_fmt(rep['max_abs_deviation'])}")
-        if args.up_to_scalar:
-            ratio = rep["scalar_ratio"]
-            print(
-                f"scalar ratio = {ratio.real:+.12g}{ratio.imag:+.12g}j, "
-                f"residual = {_fmt(rep['scalar_residual'])}"
-            )
-            return 0 if rep["equal_up_to_scalar"] else 1
-        return 0 if rep["equal"] else 1
-    raise ConfigError("zx-check: at most two diagram files")
+    rep = zx.verify_rule(*diagrams, up_to_scalar=args.up_to_scalar)
+    print(f"max|delta| = {_fmt(rep['max_abs_deviation'])}")
+    if args.up_to_scalar:
+        ratio = rep["scalar_ratio"]
+        print(
+            f"scalar ratio = {ratio.real:+.12g}{ratio.imag:+.12g}j, "
+            f"residual = {_fmt(rep['scalar_residual'])}"
+        )
+        return 0 if rep["equal_up_to_scalar"] else 1
+    return 0 if rep["equal"] else 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ Built-in decompositions:
 * :func:`wire_cut_cc` -- single-qubit identity with one grouped
   measure-and-reprepare term (classical communication), ``gamma = 3``;
 * :func:`mcz_decomposition` -- multi-controlled Z across an (m, m') split,
-  ``gamma = 3`` for any split;
+  ``gamma = 3`` for any split: the CZ cut lifted through each register's AND;
 * :func:`rzz_decomposition_a` / :func:`rzz_decomposition_b` -- two-qubit ZZ
   rotation, ``gamma = 3`` resp. ``gamma = 1 + 2|sin(theta)|``;
 * :func:`multi_z_rotation_decomposition` -- ``exp(-i theta/2 Z^n)``: the
-  two-qubit cut between local CNOT ladders, built as parity-lifted diagonals;
+  ``R_ZZ`` cut lifted through each register's parity, as local CNOT ladders
+  would fold it;
 * :func:`controlled_sequence_decomposition` -- a sequence of single-qubit
   controlled unitaries sharing one control, ``gamma = 3``.
 """
@@ -162,7 +163,7 @@ class Decomposition:
         operators."""
         return ptm_of_kraus(*self.kraus())
 
-    def verify(self, atol: float = ATOL_RECONSTRUCT) -> dict:
+    def verify(self) -> dict:
         """Compare the reconstruction with the target PTM entry by entry.
 
         ``max_abs_deviation`` is the largest ``|delta|`` and ``worst_entry``
@@ -186,7 +187,7 @@ class Decomposition:
             "sum_q": self.sum_q(),
             "max_abs_deviation": deviation,
             "worst_entry": [pauli_label(row, n), pauli_label(col, n)],
-            "passed": bool(deviation <= atol),
+            "passed": bool(deviation <= ATOL_RECONSTRUCT),
         }
 
     def __repr__(self):
@@ -239,44 +240,67 @@ def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# MCZ gate cut
+# Two-qubit cuts lifted to registers, and the MCZ gate cut
 # ---------------------------------------------------------------------------
 
 
-def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
-    """Multi-controlled Z on ``m + m'`` qubits cut into local maps; ``gamma = 3``."""
-    if m < 1 or m_prime < 1:
-        raise DimensionError(f"need m, m' >= 1, got ({m}, {m_prime})")
-    n = m + m_prime
+def _lifted(name: str, partition: tuple, bit, terms, target) -> Decomposition:
+    """The two-qubit cut ``terms()`` lifted to the registers of ``partition``,
+    against the gate ``target(n)``; both are built after the size checks.
+
+    On a register of ``size > 1`` qubits each factor ``diag(k)`` becomes
+    ``diag(k[bit(size)])`` for a Boolean function ``bit`` of the basis index,
+    once per distinct factor.  Any nonzero off-diagonal Kraus entry, however
+    small, raises :class:`DimensionError`.
+    """
+    if any(size < 1 for size in partition):
+        raise DimensionError(f"need m, m' >= 1, got {partition}")
+    n = sum(partition)
     check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
-    terms = []
-    for sign in (+1, -1):
-        u = ch.UnitaryChannel(gates.mcp(m, sign * np.pi / 2))
-        v = ch.UnitaryChannel(gates.mcp(m_prime, sign * np.pi / 2))
-        terms.append(
-            DecompositionTerm(
-                0.5, [u, v], f"MCP({sign:+d}pi/2) x MCP({sign:+d}pi/2)"
-            )
-        )
-    ident_m = ch.UnitaryChannel(gates.identity(m))
-    ident_mp = ch.UnitaryChannel(gates.identity(m_prime))
-    mx_m = ch.e_v_mx_map(gates.mcz(m))
-    mx_mp = ch.e_v_mx_map(gates.mcz(m_prime))
-    terms.append(DecompositionTerm(0.5, [mx_m, ident_mp], "E_MCZ-MX x I"))
-    terms.append(
-        DecompositionTerm(
-            -0.5, [mx_m, ch.UnitaryChannel(gates.mcz(m_prime))], "E_MCZ-MX x MCZ"
-        )
-    )
-    terms.append(DecompositionTerm(0.5, [ident_m, mx_mp], "I x E_MCZ-MX"))
-    terms.append(
-        DecompositionTerm(
-            -0.5, [ch.UnitaryChannel(gates.mcz(m)), mx_mp], "MCZ x E_MCZ-MX"
-        )
-    )
-    return Decomposition(
-        f"mcz[{m},{m_prime}]", (m, m_prime), terms, gates.mcz(n)
-    )
+    bits, lifted = {size: bit(size) for size in partition}, {}
+
+    def lift(factor, size):
+        if size > 1 and (factor, size) not in lifted:
+            idx, branches = np.arange(2**size), []
+            for sign, kraus in factor.branches:
+                diag = np.diagonal(kraus, axis1=1, axis2=2)
+                if np.count_nonzero(kraus) != np.count_nonzero(diag):
+                    raise DimensionError("a lifted factor must be exactly diagonal")
+                out = np.zeros((len(kraus), 2**size, 2**size), dtype=complex)
+                out[:, idx, idx] = diag[:, bits[size]]
+                branches.append((sign, out))
+            lifted[factor, size] = ch.GeneralizedMap(branches)
+        return lifted.get((factor, size), factor)
+
+    return Decomposition(name, partition, [
+        DecompositionTerm(t.q, map(lift, t.factors, partition), t.label, t.needs_cc)
+        for t in terms()
+    ], target(n))
+
+
+def _cz_terms() -> list:
+    """The CZ cut of Ufrecht et al. on one-qubit maps, labelled as its MCZ lift."""
+    mx, z = ch.e_v_mx_map(gates.mcz(1)), ch.UnitaryChannel(gates.mcz(1))
+    ident = ch.UnitaryChannel(gates.identity(1))
+    plus, minus = (ch.UnitaryChannel(gates.mcp(1, s * np.pi / 2)) for s in (1, -1))
+    return [
+        DecompositionTerm(0.5, [plus, plus], "MCP(+1pi/2) x MCP(+1pi/2)"),
+        DecompositionTerm(0.5, [minus, minus], "MCP(-1pi/2) x MCP(-1pi/2)"),
+        DecompositionTerm(0.5, [mx, ident], "E_MCZ-MX x I"),
+        DecompositionTerm(-0.5, [mx, z], "E_MCZ-MX x MCZ"),
+        DecompositionTerm(0.5, [ident, mx], "I x E_MCZ-MX"),
+        DecompositionTerm(-0.5, [z, mx], "MCZ x E_MCZ-MX"),
+    ]
+
+
+def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
+    """Multi-controlled Z on ``m + m'`` qubits cut into local maps; ``gamma = 3``.
+
+    The isometries ``|0> -> |0...0>`` and ``|1> -> |1...1>`` on each side
+    turn MCZ into CZ, so the CZ cut's one-qubit maps are lifted by
+    :func:`_lifted` through each register's AND (:func:`~qcut.gates.all_ones`).
+    """
+    return _lifted(f"mcz[{m},{m_prime}]", (m, m_prime), gates.all_ones, _cz_terms, gates.mcz)
 
 
 # ---------------------------------------------------------------------------
@@ -350,27 +374,6 @@ def rzz_decomposition_b(theta: float) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _parity_lift(factors, size: int) -> list:
-    """Lift single-qubit factors with exactly diagonal Kraus operators to a
-    ``size``-qubit register: conjugating ``diag(k)`` on one qubit by a parity
-    ladder gives ``diag(k[parity(x)])``.  Any nonzero off-diagonal entry,
-    however small, raises :class:`DimensionError`.  Size-1 registers keep the
-    factors unchanged."""
-    if size == 1:
-        return list(factors)
-    parity, idx = gates.parity(size), np.arange(2**size)
-
-    def lift(kraus):
-        diag = np.diagonal(kraus, axis1=1, axis2=2)
-        if np.count_nonzero(kraus) != np.count_nonzero(diag):
-            raise DimensionError("a parity-lifted factor must be exactly diagonal")
-        out = np.zeros((len(kraus), 2**size, 2**size), dtype=complex)
-        out[:, idx, idx] = diag[:, parity]
-        return out
-
-    return [ch.GeneralizedMap([(sign, lift(k)) for sign, k in f.branches]) for f in factors]
-
-
 def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomposition:
     """Cut of ``exp(-i theta/2 Z^(m+m'))`` across the (m, m') boundary.
 
@@ -378,20 +381,12 @@ def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomp
     qubit adjacent to the cut, reducing the gate to a two-qubit ZZ rotation;
     every term of the two-qubit protocol runs between them, so
     ``gamma = 1 + 2|sin(theta)|`` is unchanged.  Those terms' factors are
-    diagonal, so each conjugated factor is built by :func:`_parity_lift`,
-    with no ladder matrix.  For ``(1, 1)`` this is the two-qubit cut itself.
+    diagonal, so :func:`_lifted` builds each conjugated factor through the
+    register's parity, with no ladder matrix.
     """
-    if m < 1 or m_prime < 1:
-        raise DimensionError(f"need m, m' >= 1, got ({m}, {m_prime})")
-    n = m + m_prime
-    check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
-    base = rzz_decomposition_b(theta).terms
-    ups = _parity_lift([t.factors[0] for t in base], m)
-    lows = _parity_lift([t.factors[1] for t in base], m_prime)
-    terms = [DecompositionTerm(t.q, [up, low], t.label, t.needs_cc)
-             for t, up, low in zip(base, ups, lows)]
-    name = f"multi_z[{m},{m_prime},{theta:.12g}]"
-    return Decomposition(name, (m, m_prime), terms, gates.multi_z_rotation(n, theta))
+    return _lifted(f"multi_z[{m},{m_prime},{theta:.12g}]", (m, m_prime), gates.parity,
+                   lambda: rzz_decomposition_b(theta).terms,
+                   lambda n: gates.multi_z_rotation(n, theta))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,11 @@ def parity(n: int) -> np.ndarray:
     return _popcount(np.arange(2**n), n) & 1
 
 
+def all_ones(n: int) -> np.ndarray:
+    """Bit AND of every basis index ``x < 2^n``: 1 only at ``x = 2^n - 1``."""
+    return np.arange(1, 2**n + 1) >> n
+
+
 def multi_z_rotation(n: int, theta: float) -> Operator:
     """``exp(-i theta/2 Z^(x)n)``: diagonal with phase set by bit parity."""
     check_dense_bits(2 * n, f"operator on {n} qubits")

@@ -503,73 +503,44 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
     return report
 
 
-def spider_fusion_rule(alpha: float = 0.3, beta: float = 1.1) -> tuple:
+def _chain(nodes, scalar: complex = 1.0) -> ZXDiagram:
+    """One wire: an input, then each ``(kind, param)`` node, then an output."""
+    d = ZXDiagram()
+    path = [d.add_input(), *(getattr(d, f"add_{kind}")(p) for kind, p in nodes), d.add_output()]
+    for a, b in zip(path, path[1:]):
+        d.add_edge(a, b)
+    d.multiply_scalar(scalar)
+    return d
+
+
+def spider_fusion_rule() -> tuple:
     """Two connected Z-spiders fuse into one with the summed phase."""
-    lhs = ZXDiagram()
-    i, o = lhs.add_input(), lhs.add_output()
-    s1, s2 = lhs.add_z(alpha), lhs.add_z(beta)
-    for a, b in ((i, s1), (s1, s2), (s2, o)):
-        lhs.add_edge(a, b)
-    rhs = ZXDiagram()
-    i, o = rhs.add_input(), rhs.add_output()
-    s = rhs.add_z(alpha + beta)
-    rhs.add_edge(i, s)
-    rhs.add_edge(s, o)
-    return lhs, rhs
+    return _chain([("z", 0.3), ("z", 1.1)]), _chain([("z", 0.3 + 1.1)])
 
 
-def color_change_rule(alpha: float = 0.7) -> tuple:
+def color_change_rule() -> tuple:
     """H-boxes on every leg of a Z-spider turn it into an X-spider.
 
     Each arity-2 H-box is ``sqrt(2) H``, so the left side carries a
     compensating scalar ``1/2`` for the two legs.
     """
-    lhs = ZXDiagram()
-    i, o = lhs.add_input(), lhs.add_output()
-    s = lhs.add_z(alpha)
-    h1, h2 = lhs.add_h(), lhs.add_h()
-    for a, b in ((i, h1), (h1, s), (s, h2), (h2, o)):
-        lhs.add_edge(a, b)
-    lhs.multiply_scalar(0.5)
-    rhs = ZXDiagram()
-    i, o = rhs.add_input(), rhs.add_output()
-    s = rhs.add_x(alpha)
-    rhs.add_edge(i, s)
-    rhs.add_edge(s, o)
-    return lhs, rhs
+    return _chain([("h", -1.0), ("z", 0.7), ("h", -1.0)], 0.5), _chain([("x", 0.7)])
 
 
-def hbox_fusion_rule(n: int = 3, m: int = 1) -> tuple:
-    """An n-ary H-box vs. its three-H-box split (scalar 1/2 included)."""
-    return mcz_diagram(n), split_mcz_three_hboxes(n, m)
+def hbox_fusion_rule() -> tuple:
+    """The 3-ary H-box vs. its three-H-box split at m = 1 (scalar 1/2 included)."""
+    return mcz_diagram(3), split_mcz_three_hboxes(3, 1)
 
 
 def identity_removal_rule() -> tuple:
     """A phase-0 arity-2 Z-spider equals the bare wire."""
-    lhs = ZXDiagram()
-    i, o = lhs.add_input(), lhs.add_output()
-    s = lhs.add_z(0.0)
-    lhs.add_edge(i, s)
-    lhs.add_edge(s, o)
-    return lhs, wire_diagram(1)
+    return _chain([("z", 0.0)]), wire_diagram(1)
 
 
-def pi_commutation_rule(alpha: float = 0.9) -> tuple:
-    """Pushing X(pi) through Z(alpha) flips the phase and emits ``e^{i alpha}``."""
-    lhs = ZXDiagram()
-    i, o = lhs.add_input(), lhs.add_output()
-    x = lhs.add_x(math.pi)
-    z = lhs.add_z(alpha)
-    for a, b in ((i, x), (x, z), (z, o)):
-        lhs.add_edge(a, b)
-    rhs = ZXDiagram()
-    i, o = rhs.add_input(), rhs.add_output()
-    z = rhs.add_z(-alpha)
-    x = rhs.add_x(math.pi)
-    for a, b in ((i, z), (z, x), (x, o)):
-        rhs.add_edge(a, b)
-    rhs.multiply_scalar(np.exp(1j * alpha))
-    return lhs, rhs
+def pi_commutation_rule() -> tuple:
+    """Pushing X(pi) through Z(0.9) flips the phase and emits ``e^{0.9 i}``."""
+    return (_chain([("x", math.pi), ("z", 0.9)]),
+            _chain([("z", -0.9), ("x", math.pi)], np.exp(0.9j)))
 
 
 BUILTIN_RULES = {

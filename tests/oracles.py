@@ -5,7 +5,8 @@ operator's matrix by the textbook route, so the tests can check the package
 against them: the measure-and-prepare map from eigendecompositions, Pauli
 coefficients from traces, PTMs from a map's images of the whole Pauli basis,
 single shots drawn one at a time, a term's outcome distribution enumerated
-branch by branch, multi-Z factors conjugated by explicit CNOT ladders, ZX
+branch by branch, multi-Z factors conjugated by explicit CNOT ladders, MCZ
+factors built as register-size gates, ZX
 diagrams glued from small pieces and compared as two dense matrices.
 """
 
@@ -14,7 +15,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from qcut import gates
-from qcut.channels import GeneralizedMap, check_density
+from qcut.channels import GeneralizedMap, UnitaryChannel, check_density, e_v_mx_map
 from qcut.cuts import Decomposition, DecompositionTerm
 from qcut.linalg import (
     ATOL_STRUCT,
@@ -205,6 +206,27 @@ def ladder_conjugated(factor: GeneralizedMap, size: int, wire: int) -> Generaliz
         (sign, [ladder.conj().T @ embed_matrix(k, [wire], size) @ ladder for k in kraus])
         for sign, kraus in factor.branches
     ])
+
+
+def dense_mcz_decomposition(m: int, m_prime: int) -> Decomposition:
+    """The MCZ cut with every register factor built from register-size gates:
+    ``MCP(+-pi/2)``, ``E_MCZ-MX``, ``MCZ`` and the identity on ``m`` or
+    ``m'`` qubits, in the package's term order and labels."""
+    def factors(size):
+        mcp = [UnitaryChannel(gates.mcp(size, sign * np.pi / 2)) for sign in (1, -1)]
+        return (*mcp, e_v_mx_map(gates.mcz(size)), UnitaryChannel(gates.mcz(size)),
+                UnitaryChannel(gates.identity(size)))
+
+    (pu, mu, mxu, zu, iu), (pl, ml, mxl, zl, il) = factors(m), factors(m_prime)
+    terms = [
+        DecompositionTerm(0.5, [pu, pl], "MCP(+1pi/2) x MCP(+1pi/2)"),
+        DecompositionTerm(0.5, [mu, ml], "MCP(-1pi/2) x MCP(-1pi/2)"),
+        DecompositionTerm(0.5, [mxu, il], "E_MCZ-MX x I"),
+        DecompositionTerm(-0.5, [mxu, zl], "E_MCZ-MX x MCZ"),
+        DecompositionTerm(0.5, [iu, mxl], "I x E_MCZ-MX"),
+        DecompositionTerm(-0.5, [zu, mxl], "MCZ x E_MCZ-MX"),
+    ]
+    return Decomposition(f"mcz[{m},{m_prime}]", (m, m_prime), terms, gates.mcz(m + m_prime))
 
 
 def _draw(rng, weights: np.ndarray) -> int:

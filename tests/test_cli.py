@@ -238,6 +238,23 @@ def test_sample_batch_csv(tmp_path, capsys):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("n_batches", [0, None], ids=["zero", "absent"])
+def test_sample_batch_csv_without_batches_refuses_before_sampling(tmp_path, capsys, n_batches,
+                                                                 in_config):
+    csv_path, out = tmp_path / "batches.csv", tmp_path / "report.json"
+    overrides = {} if n_batches is None else {"n_batches": n_batches}
+    if in_config:
+        overrides["batch_csv"] = str(csv_path)
+    config = write_config(tmp_path, **overrides)
+    argv = ["sample", "--config", str(config), "--output", str(out)]
+    assert main(argv + ([] if in_config else ["--batch-csv", str(csv_path)])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: batch_csv: set n_batches > 0 in the config\n"
+    assert captured.out == ""
+    assert not out.exists() and not csv_path.exists()
+
+
 @pytest.mark.parametrize("n_batches", [20, -3, "x", True, 2.5, float("nan")])
 def test_sample_rejects_bad_n_batches(tmp_path, capsys, n_batches):
     config = write_config(tmp_path, shots=10, n_batches=n_batches)
@@ -681,6 +698,29 @@ def test_zx_check_rejects_flags_the_builtin_never_reads(capsys, argv, flags):
     assert main(["zx-check", "--builtin", *argv]) == 2
     out = capsys.readouterr()
     assert out.err == f"error: {flags}: not read by zx-check --builtin {argv[0]}\n"
+    assert out.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["FILE", "--n", "3"], "--n: not read by zx-check FILE"),
+        (["FILE", "--up-to-scalar"], "--up-to-scalar: not read by zx-check FILE"),
+        (["FILE", "FILE", "--m", "2", "--theta", "1"], "--m, --theta: not read by zx-check FILE FILE"),
+        (["--builtin", "rules", "--up-to-scalar"],
+         "--up-to-scalar: not read by zx-check --builtin rules"),
+        (["--builtin", "all", "--up-to-scalar"], "--up-to-scalar: not read by zx-check --builtin all"),
+        (["--builtin", "mcz", "FILE"], "zx-check: pass --builtin NAME or diagram files, not both"),
+    ],
+    ids=["file-n", "file-up-to-scalar", "pair-m-theta", "rules-up-to-scalar",
+         "all-up-to-scalar", "builtin-and-file"],
+)
+def test_zx_check_refuses_flags_and_files_it_never_reads(tmp_path, capsys, argv, err):
+    path = tmp_path / "d.zx"
+    path.write_text("node in input\nnode s z 0\nnode out output\nedge in s\nedge s out\n")
+    assert main(["zx-check", *(str(path) if a == "FILE" else a for a in argv)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {err}\n"
     assert out.out == ""
 
 

@@ -21,7 +21,7 @@ from qcut.cuts import (
     wire_cut_ncc,
 )
 from qcut.linalg import DimensionError, Operator, QcutError, diagonal_qubits, ptm_of_unitary
-from oracles import haar_unitary, ladder_conjugated, ptm_of_map
+from oracles import dense_mcz_decomposition, haar_unitary, ladder_conjugated, ptm_of_map
 
 THETAS = [0.0, np.pi / 6, np.pi / 4, np.pi / 2, -np.pi / 4, 1.234, np.pi]
 X = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
@@ -92,6 +92,23 @@ def test_multi_z_factors_are_ladder_conjugated_kraus_maps():
                         assert np.array_equal(got, want), (m, m_prime, theta, t.label)
 
 
+@pytest.mark.parametrize("bit", [gates.parity, gates.all_ones], ids=["parity", "and"])
+def test_lift_reads_each_register_index_through_its_bit(bit):
+    # a diagonal factor diag(k) on a 3-qubit register is diag(k[bit(3)]);
+    # a factor shared by two terms is lifted once
+    k = np.diag([0.6, 0.8j])
+    shared = qcut.channels.GeneralizedMap([(1, [k]), (-1, [np.diag([0.8, 0.6])])])
+    ident = UnitaryChannel(gates.identity(1))
+    terms = [DecompositionTerm(0.5, [shared, ident], "a"), DecompositionTerm(0.5, [shared, shared], "b")]
+    deco = qcut.cuts._lifted("t", (3, 1), bit, lambda: terms, gates.identity)
+    first, second = (t.factors for t in deco.terms)
+    assert first[0] is second[0] and first[1] is ident and second[1] is shared
+    lifted = first[0].branches[0][1][0]
+    assert np.array_equal(lifted, np.diag(np.diag(k)[bit(3)]))
+    assert bit(3).tolist() == ([0, 1, 1, 0, 1, 0, 0, 1] if bit is gates.parity else [0] * 7 + [1])
+
+
+@pytest.mark.parametrize("bit", [gates.parity, gates.all_ones], ids=["parity", "and"])
 @pytest.mark.parametrize(
     "kraus",
     [
@@ -100,10 +117,11 @@ def test_multi_z_factors_are_ladder_conjugated_kraus_maps():
     ],
     ids=["hadamard", "tiny_off_diagonal"],
 )
-def test_parity_lift_refuses_non_diagonal_factor(kraus):
+def test_lift_refuses_non_diagonal_factor(kraus, bit):
     factor = qcut.channels.GeneralizedMap([(1, [kraus])])
+    terms = [DecompositionTerm(1.0, [factor, factor], "t")]
     with pytest.raises(DimensionError, match="exactly diagonal"):
-        qcut.cuts._parity_lift([factor], 2)
+        qcut.cuts._lifted("t", (2, 2), bit, lambda: terms, gates.mcz)
 
 
 def test_wire_cut_reconstructs_identity_channel():
@@ -129,6 +147,20 @@ def test_mcz_decomposition(m, m_prime):
     assert deco.partition == (m, m_prime)
     target = ptm_of_unitary(gates.mcz(m + m_prime))
     assert deco.reconstruct().max_abs_diff(target) < 1e-9
+
+
+def test_mcz_lift_equals_the_register_size_construction():
+    # each register factor, lifted from one qubit through the register's AND,
+    # is bit-identical to the same map built from register-size gates
+    for n in range(2, 6):
+        for m in range(1, n):
+            deco, oracle = mcz_decomposition(m, n - m), dense_mcz_decomposition(m, n - m)
+            for t, t_old in zip(deco.terms, oracle.terms, strict=True):
+                assert (t.q, t.label, t.needs_cc) == (t_old.q, t_old.label, t_old.needs_cc)
+                for f, f_old in zip(t.factors, t_old.factors, strict=True):
+                    assert f.signs == f_old.signs
+                    for got, want in zip(f.kraus(), f_old.kraus(), strict=True):
+                        assert np.array_equal(got, want), (m, n - m, t.label)
 
 
 def test_mcz_cptp_terms():

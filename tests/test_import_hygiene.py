@@ -1,5 +1,6 @@
 """Every name a ``qcut`` module imports is used in that module, and every
-module-level name it assigns is read somewhere in the package."""
+module-level name it assigns, and every private function or class it
+defines, is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -47,8 +48,9 @@ def test_package_reexports_every_import():
         assert hasattr(qcut, name), name
 
 
-def test_every_module_constant_is_read():
-    # a name counts as read when it is loaded bare or as ``module.name``
+def names_read() -> tuple:
+    """Each module's parsed tree, and every name read anywhere in the package:
+    a name counts as read when it is loaded bare or as ``module.name``."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     reads = {"__all__", "__version__"} | {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -56,6 +58,11 @@ def test_every_module_constant_is_read():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
+    return trees, reads
+
+
+def test_every_module_constant_is_read():
+    trees, reads = names_read()
     unread = [
         f"{module}:{stmt.lineno}:{target.id}"
         for module, tree in sorted(trees.items())
@@ -65,3 +72,16 @@ def test_every_module_constant_is_read():
         if isinstance(target, ast.Name) and target.id not in reads
     ]
     assert not unread, f"module-level names nothing in qcut reads: {unread}"
+
+
+def test_every_private_function_and_class_is_read():
+    # a private helper that only tests call belongs in the tests
+    trees, reads = names_read()
+    unread = [
+        f"{module}:{stmt.lineno}:{stmt.name}"
+        for module, tree in sorted(trees.items())
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and stmt.name not in reads
+    ]
+    assert not unread, f"private functions and classes nothing in qcut reads: {unread}"
