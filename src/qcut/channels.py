@@ -40,6 +40,7 @@ from .linalg import (
     Operator,
     Superoperator,
     _is_power_of_two,
+    check_dense_bits,
     check_unitary,
     embed_matrix,
     ptm_of_kraus,
@@ -234,6 +235,7 @@ def _check_ops(ops: Sequence[tuple], n_targets: int):
 def sequence_unitary(ops: Sequence[tuple], n_targets: int) -> Operator:
     """Product ``V`` of the sequence's unitaries on the target register,
     applied in list order; the sequence is validated here, once."""
+    check_dense_bits(2 * n_targets, f"operator on {n_targets} qubits")
     _check_ops(ops, n_targets)
     full = np.eye(2**n_targets, dtype=complex)
     for targets, u in ops:

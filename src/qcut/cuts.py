@@ -37,6 +37,7 @@ from .linalg import (
     DimensionError,
     Operator,
     Superoperator,
+    abs_argmax,
     check_dense_bits,
     kraus_transform,
     pauli_label,
@@ -170,16 +171,16 @@ class Decomposition:
         the output and input Pauli strings of that entry.  Each PTM entry of
         the difference is a unit phase times one of ``A / d`` from
         :func:`~qcut.linalg.kraus_transform` of the signed Kraus operators
-        with ``(-1, U)`` appended for the target, so no PTM is built.
+        with ``(-1, U)`` appended for the target, so no PTM is built, and
+        the largest is found one slab at a time (:func:`~qcut.linalg.abs_argmax`).
         """
         n = self.n_qubits
         weights, ops = self.kraus()
-        a, diag = kraus_transform(np.append(weights, -1.0),
-                                  np.concatenate([ops, self.target_unitary.mat[None]]))
-        delta = np.abs(a)
-        index = np.unravel_index(np.argmax(delta), delta.shape)
+        slabs, diag = kraus_transform(np.append(weights, -1.0),
+                                      np.concatenate([ops, self.target_unitary.mat[None]]))
+        peak, index = abs_argmax(slabs)
         row, col = transform_entry(index, diag, n)
-        deviation = float(delta[index]) / 2**n
+        deviation = peak / 2**n
         return {
             "name": self.name,
             "n_terms": len(self.terms),
@@ -343,6 +344,24 @@ def rzz_decomposition_a(theta: float) -> Decomposition:
     )
 
 
+def _rzz_b_terms(theta: float) -> list:
+    """The terms of :func:`rzz_decomposition_b` for a checked angle, each map
+    built once."""
+    s = np.sin(theta)
+    ez = ch.signed_z_map()
+    ident = ch.UnitaryChannel(gates.identity(1))
+    flip, plus, minus = (_rz_channel(a) for a in (np.pi, np.pi / 2, -np.pi / 2))
+    raw = [
+        (0.5 * (1 + np.cos(theta)), [ident, ident], "I x I"),
+        (0.5 * (1 - np.cos(theta)), [flip, flip], "RZ(pi) x RZ(pi)"),
+        (0.5 * s, [plus, ez], "RZ(+pi/2) x EbarZ"),
+        (-0.5 * s, [minus, ez], "RZ(-pi/2) x EbarZ"),
+        (0.5 * s, [ez, plus], "EbarZ x RZ(+pi/2)"),
+        (-0.5 * s, [ez, minus], "EbarZ x RZ(-pi/2)"),
+    ]
+    return [DecompositionTerm(q, f, lab) for q, f, lab in raw if q != 0.0]
+
+
 def rzz_decomposition_b(theta: float) -> Decomposition:
     """Ancilla-free cut of ``R_ZZ(theta)``; ``gamma = 1 + 2|sin(theta)|``.
 
@@ -351,22 +370,7 @@ def rzz_decomposition_b(theta: float) -> Decomposition:
     dropped (at ``theta = 0`` only ``I x I`` survives).
     """
     theta = _check_angle(theta)
-    s = np.sin(theta)
-    ez = ch.signed_z_map()
-    ident = ch.UnitaryChannel(gates.identity(1))
-    raw = [
-        (0.5 * (1 + np.cos(theta)), [ident, ident], "I x I"),
-        (0.5 * (1 - np.cos(theta)), [_rz_channel(np.pi), _rz_channel(np.pi)],
-         "RZ(pi) x RZ(pi)"),
-        (0.5 * s, [_rz_channel(np.pi / 2), ez], "RZ(+pi/2) x EbarZ"),
-        (-0.5 * s, [_rz_channel(-np.pi / 2), ez], "RZ(-pi/2) x EbarZ"),
-        (0.5 * s, [ez, _rz_channel(np.pi / 2)], "EbarZ x RZ(+pi/2)"),
-        (-0.5 * s, [ez, _rz_channel(-np.pi / 2)], "EbarZ x RZ(-pi/2)"),
-    ]
-    terms = [DecompositionTerm(q, f, lab) for q, f, lab in raw if q != 0.0]
-    return Decomposition(
-        f"rzz_b[{theta:.12g}]", (1, 1), terms, gates.rzz(theta)
-    )
+    return Decomposition(f"rzz_b[{theta:.12g}]", (1, 1), _rzz_b_terms(theta), gates.rzz(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +389,7 @@ def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomp
     register's parity, with no ladder matrix.
     """
     return _lifted(f"multi_z[{m},{m_prime},{theta:.12g}]", (m, m_prime), gates.parity,
-                   lambda: rzz_decomposition_b(theta).terms,
+                   lambda: _rzz_b_terms(_check_angle(theta)),
                    lambda n: gates.multi_z_rotation(n, theta))
 
 

@@ -71,6 +71,7 @@ def cnot() -> Operator:
 
 def controlled(u: Operator) -> Operator:
     """Add one control qubit (high-order factor) to ``u``."""
+    check_dense_bits(2 * (u.n_qubits + 1), f"operator on {u.n_qubits + 1} qubits")
     d = u.dim
     out = np.eye(2 * d, dtype=complex)
     out[d:, d:] = u.mat

@@ -17,6 +17,17 @@ instead of ``d^4``: with no such qubit it is the dense array, and with every
 qubit diagonal the map acts entrywise, ``E(rho) = S * rho`` with a Schur
 multiplier ``S``, and ``A`` is the ``d x d`` transform of ``S``.
 
+No call holds all of ``A``.  No transform mixes the output X part ``x'_T``,
+so the kernel computes the shared part once (the diagonal split, the ket
+gather and the Hadamard matrices) and then yields ``A`` in slabs: runs of
+consecutive ``x'_T`` rows, as many as keep one slab's bra gather and two
+transform arrays within the one byte budget :data:`_SLAB_BYTES` (1 MiB), and
+at least one, so a small ``A`` comes out as one slab.  At its peak
+``Decomposition.verify``, which keeps a running maximum over the slabs
+(:func:`abs_argmax`), holds the Kraus gathers and one slab;
+:func:`ptm_of_kraus`, which phases and scatters each slab as it comes, holds
+the PTM, the Kraus gathers and one slab.
+
 Everything here is desk-scale by design: :func:`check_dense` caps every dense
 array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
 """
@@ -298,10 +309,15 @@ def diagonal_qubits(kraus: np.ndarray) -> tuple:
     return tuple(q for q in range(n) if not flipped >> (n - 1 - q) & 1)
 
 
+#: bytes one slab of :func:`kraus_transform` may hold: its bra gather and two
+#: transform arrays (a slab always holds at least one ``x'_T`` row)
+_SLAB_BYTES = 2**20
+
+
 def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
-    """``(A, D)``: the Walsh-Hadamard array of ``E(rho) = sum_k w_k K_k rho
-    K_k^dag`` and the qubits ``D`` on which every ``K_k`` is exactly diagonal
-    (:func:`diagonal_qubits`).
+    """``(slabs, D)``: the Walsh-Hadamard array ``A`` of ``E(rho) = sum_k w_k
+    K_k rho K_k^dag``, streamed in slabs, and the qubits ``D`` on which every
+    ``K_k`` is exactly diagonal (:func:`diagonal_qubits`).
 
     With the qubits of ``D`` first and the rest ``T`` after, ``K_k = sum_s
     |s><s| (x) K_k^(s)``.  For ``P = i^{|x & z|} X^x Z^z``, the PTM entry of
@@ -319,6 +335,13 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     ``d_D^2 d_T^4`` entries: ``D = ()`` gives the dense ``d^4`` array, and
     ``D`` = every qubit the ``d x d`` transform of the Schur multiplier
     ``G[t, s] = S[t, s]`` of ``E(rho) = S * rho``.
+
+    No transform mixes ``x'_T``, so ``slabs`` yields ``(start, A[..., start:
+    start + k, :])``, a new array, for consecutive runs of ``k`` values of
+    ``x'_T``: as many as keep the slab's bra gather and two transform arrays
+    within :data:`_SLAB_BYTES`, and at least one, so a small ``A`` is one
+    slab.  The size checks and the work every slab shares (the diagonal
+    split, the ket gather and the Hadamard matrices) run before this returns.
     """
     kraus = np.asarray(kraus, dtype=complex)
     m, d, _ = kraus.shape
@@ -333,21 +356,49 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     perm = kraus.reshape((m,) + (2,) * (2 * n)).transpose(axes).reshape(m, d_d, d_t, d_d, d_t)
     blocks = np.diagonal(perm, axis1=1, axis2=3).transpose(3, 1, 2, 0)  # [s, a, a', k]
     i_d, i_t = np.arange(d_d), np.arange(d_t)
-    xor = i_t[:, None] ^ i_t
+    xor, xor_d = i_t[:, None] ^ i_t, i_d[:, None] ^ i_d
     # one gemm per (c, b): rows (s, x'), columns (t, x), the Kraus index k innermost
-    bra = (np.conj(blocks) * weights)[i_d[:, None], xor[:, None, None, :], i_t[:, None, None]]
+    bra = np.conj(blocks) * weights
     ket = blocks[i_d[:, None], i_t[:, None, None, None], xor[:, None, :]]
-    w = bra.reshape(d_t, d_t, -1, m) @ ket.reshape(d_t, d_t, -1, m).swapaxes(2, 3)
-    del bra, ket
-    if d_t > 1:  # H is real: apply it to the (real, imag) pairs as real gemms
-        h = _hadamard(d_t)
-        w = h @ w.reshape(d_t, -1).view(float)  # [z', (b, s, x', t, x)]
-        w = (h @ w.reshape(d_t, d_t, -1)).view(complex)  # [z', z, (s, x', t, x)]
-    if diag:
-        # [x_D, b, z', z, x', x] = F[t = b ^ x_D, s = b], then H over b
-        w = w.reshape(d_t, d_t, d_d, d_t, d_d, d_t)[:, :, i_d, :, i_d[:, None] ^ i_d, :]
-        w = (_hadamard(d_d) @ w.reshape(d_d, d_d, -1).view(float)).view(complex)
-    return w.reshape(d_d, d_d, d_t, d_t, d_t, d_t), diag
+    ket = ket.reshape(d_t, d_t, -1, m).swapaxes(2, 3)
+    h_t, h_d = _hadamard(d_t), _hadamard(d_d)
+    row_bytes = 16 * (m * d_d * d_t**2 + 2 * d_d**2 * d_t**3)  # per x' row
+    step = min(d_t, max(1, _SLAB_BYTES // row_bytes))
+
+    def slabs():
+        for start in range(0, d_t, step):
+            k = min(step, d_t - start)
+            rows = bra[i_d[:, None], xor[:, None, None, start:start + k], i_t[:, None, None]]
+            w = rows.reshape(d_t, d_t, -1, m) @ ket  # [c, b, (s, x'), (t, x)]
+            del rows
+            if d_t > 1:  # H is real: apply it to the (real, imag) pairs as real gemms
+                w = h_t @ w.reshape(d_t, -1).view(float)  # [z', (b, s, x', t, x)]
+                w = (h_t @ w.reshape(d_t, d_t, -1)).view(complex)  # [z', z, (s, x', t, x)]
+            if diag:
+                # [x_D, b, z', z, x', x] = F[t = b ^ x_D, s = b], then H over b
+                w = w.reshape(d_t, d_t, d_d, k, d_d, d_t)[:, :, i_d, :, xor_d, :]
+                w = (h_d @ w.reshape(d_d, d_d, -1).view(float)).view(complex)
+            yield start, w.reshape(d_d, d_d, d_t, d_t, k, d_t)
+
+    return slabs(), diag
+
+
+def abs_argmax(slabs) -> tuple:
+    """``(value, index)`` of the largest ``|A|`` over :func:`kraus_transform`'s
+    slabs, taken one slab at a time: the entry ``np.argmax`` of the whole
+    ``|A|`` finds, the first maximum in C order or the first NaN, whatever
+    the slab order."""
+    peak = index = None
+    for start, a in slabs:
+        delta = np.abs(a)
+        at = np.unravel_index(np.argmax(delta), delta.shape)
+        value = delta[at]
+        at = (*at[:4], at[4] + start, at[5])
+        # a NaN beats any number, and a tie of either goes to the earlier entry
+        if (index is None or value > peak or (value == peak and at < index)
+                or np.isnan(value) and (at < index or not np.isnan(peak))):
+            peak, index = value, at
+    return float(peak), index
 
 
 def transform_entry(index, diag: tuple, n: int) -> tuple:
@@ -362,30 +413,34 @@ def transform_entry(index, diag: tuple, n: int) -> tuple:
 
 def ptm_of_kraus(weights: np.ndarray, kraus: np.ndarray) -> Superoperator:
     """PTM of ``rho -> sum_k w_k K_k rho K_k^dag`` for weights ``w_k`` and a
-    ``(k, d, d)`` stack of operators: :func:`kraus_transform`'s array,
-    phased and scattered into a zero ``4^n x 4^n`` matrix."""
+    ``(k, d, d)`` stack of operators: each slab of :func:`kraus_transform`'s
+    array, phased and scattered into a zero ``4^n x 4^n`` matrix as it comes."""
     d = np.shape(kraus)[-1]
     n = d.bit_length() - 1
     check_dense_bits(4 * n, f"superoperator on {n} qubits")
-    a, diag = kraus_transform(weights, kraus)
-    d_d, d_t = a.shape[0], a.shape[2]
+    slabs, diag = kraus_transform(weights, kraus)
     n_t = n - len(diag)
-    x_d, zd_out, zd_in, zt_out, zt_in, xt_out, xt_in = np.indices(
-        (d_d,) * 3 + (d_t,) * 4, sparse=True)
-    x_out, z_out = x_d << n_t | xt_out, zd_out << n_t | zt_out
-    x_in, z_in = x_d << n_t | xt_in, zd_in << n_t | zt_in
+    d_d, d_t = 2 ** len(diag), 2**n_t
     # [x, z] tables in the kernel's qubit order: Y count |x & z| and basis index
     idx = np.arange(d)
     overlap, count = idx[:, None] & idx, _popcount(idx, n)
     y_phase = _I_POWERS[count[overlap] % 4]
-    i_d = np.arange(d_d)
-    w = a[:, i_d[:, None] ^ i_d] if diag else a[:, None]  # no copy of a dense array
     # rows also take (-1)^{|z'_D & x_D|}
-    w *= (y_phase * _I_POWERS[2 * count[overlap >> n_t] % 4])[x_out, z_out]
-    w *= y_phase[x_in, z_in] / d
+    row_phase = y_phase * _I_POWERS[2 * count[overlap >> n_t] % 4]
     p = pauli_index(idx[:, None], idx, n, diag)
+    i_d = np.arange(d_d)
+    xor_d = i_d[:, None] ^ i_d
+    x_d, zd_out, zd_in, zt_out, zt_in, xt_out, xt_in = np.indices(
+        (d_d,) * 3 + (d_t,) * 4, sparse=True)
+    z_out, x_in, z_in = zd_out << n_t | zt_out, x_d << n_t | xt_in, zd_in << n_t | zt_in
+    col_phase, cols = y_phase[x_in, z_in] / d, p[x_in, z_in]
     out = np.zeros((d * d, d * d), dtype=complex)
-    out[p[x_out, z_out], p[x_in, z_in]] = w
+    for start, a in slabs:
+        x_out = x_d << n_t | xt_out[..., start:start + a.shape[4], :]
+        w = a[:, xor_d] if diag else a[:, None]  # no copy of a dense slab
+        w *= row_phase[x_out, z_out]
+        w *= col_phase
+        out[p[x_out, z_out], cols] = w
     return Superoperator(n, out)
 
 
@@ -423,6 +478,7 @@ PAULI_EIGENKETS = {
 
 def embed_matrix(a: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
     """Embed an operator acting on ``qubits`` into the full ``n``-qubit space."""
+    check_dense_bits(2 * n, f"operator on {n} qubits")
     qubits = list(qubits)
     k = len(qubits)
     if a.shape != (2**k, 2**k):

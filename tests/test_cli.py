@@ -396,11 +396,13 @@ def no_ptm(monkeypatch):
 
     monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", refuse)
     monkeypatch.setattr(qcut.cuts.DecompositionTerm, "to_superoperator", refuse)
-    # the PTM builder and the one kernel under it, which verify() also calls
+    # the PTM builder, the one slab-streamed kernel under it and the slab
+    # reduction verify() also calls
     for module in (qcut.channels, qcut.cuts, qcut.linalg):
         monkeypatch.setattr(module, "ptm_of_kraus", refuse)
     for module in (qcut.cuts, qcut.linalg):
         monkeypatch.setattr(module, "kraus_transform", refuse)
+        monkeypatch.setattr(module, "abs_argmax", refuse)
 
 
 @pytest.mark.parametrize(

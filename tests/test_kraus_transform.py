@@ -3,16 +3,26 @@
 Stacks are diagonal on a chosen qubit set D, so the kernel splits D off; the
 maximum of ``|A| / d`` must equal the largest dense PTM entry, ``worst_entry``
 must land on a maximal entry, and ``ptm_of_kraus`` must rebuild the dense PTM.
+The kernel streams ``A`` in slabs along ``x'_T``: joined, they must be the
+whole array, and the largest entry found slab by slab must be the one
+``np.argmax`` finds in the whole array, ties included.
 """
 
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from qcut import cuts, gates
+from qcut import cuts, gates, linalg
+from qcut.channels import UnitaryChannel
 from qcut.linalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    Operator,
     SizeCapError,
+    abs_argmax,
     diagonal_qubits,
     kraus_transform,
     ptm_of_kraus,
@@ -44,17 +54,33 @@ def dense_ptm(weights, kraus) -> np.ndarray:
     ).matrix
 
 
+def whole_transform(weights, kraus) -> tuple:
+    """``(A, D)``: the kernel's slabs joined along ``x'_T``, each checked to
+    start where the one before it ended."""
+    slabs, diag = kraus_transform(weights, kraus)
+    parts = []
+    for start, slab in slabs:
+        assert start == sum(part.shape[4] for part in parts)
+        parts.append(slab)
+    return np.concatenate(parts, axis=4), diag
+
+
+def whole_argmax(a) -> tuple:
+    """Index of the entry ``np.argmax`` finds in the whole ``|A|``."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(a)), a.shape))
+
+
 def check_against_oracle(weights, kraus, diag):
     d = kraus.shape[-1]
     n = d.bit_length() - 1
     dense = dense_ptm(weights, kraus)
-    a, found = kraus_transform(weights, kraus)
+    a, found = whole_transform(weights, kraus)
     assert found == tuple(diag)
     d_d = 2 ** len(diag)
     assert a.shape == (d_d, d_d) + (d // d_d,) * 4
-    delta = np.abs(a)
-    index = np.unravel_index(np.argmax(delta), delta.shape)
-    assert abs(delta[index] / d - np.abs(dense).max()) <= 1e-12
+    peak, index = abs_argmax(kraus_transform(weights, kraus)[0])
+    assert index == whole_argmax(a) and peak == np.abs(a[index])
+    assert abs(peak / d - np.abs(dense).max()) <= 1e-12
     row, col = transform_entry(index, found, n)
     assert abs(abs(dense[row, col]) - np.abs(dense).max()) <= 1e-12
     assert np.max(np.abs(ptm_of_kraus(weights, kraus).matrix - dense)) <= 1e-12
@@ -101,10 +127,23 @@ def test_kernel_cap_counts_its_own_arrays(n, diag):
     assert peak < 2**20
 
 
+def test_dense_ptm_holds_the_ptm_and_one_slab():
+    # n = 5, dense: the whole array A and the PTM are 16 MiB each; the slabs
+    # stream A through one 1 MiB budget into the PTM
+    u = haar_unitary(np.random.default_rng(5), 32).mat[None]
+    tracemalloc.start()
+    try:
+        ptm_of_kraus(np.ones(1), u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20 + 4 * 2**20
+
+
 def test_all_diagonal_stack_runs_far_past_the_dense_ptm_cap():
     # 9 qubits: a dense PTM would need 2^36 entries, the kernel's array 2^18
     weights, kraus = random_stack(np.random.default_rng(9), 9, range(9), m=2)
-    a, diag = kraus_transform(weights, kraus)
+    a, diag = whole_transform(weights, kraus)
     assert diag == tuple(range(9)) and a.shape == (512, 512, 1, 1, 1, 1)
     diags = np.diagonal(kraus, axis1=1, axis2=2)
     s = (diags.T * weights) @ diags.conj()
@@ -121,6 +160,56 @@ def test_random_stacks_match_dense_oracle(n, mask, m, seed):
     diag = tuple(q for q in range(n) if mask >> q & 1)
     weights, kraus = random_stack(np.random.default_rng(seed), n, diag, m)
     check_against_oracle(weights, kraus, diag)
+
+
+@hypothesis.settings(max_examples=12, deadline=None, database=None)
+@hypothesis.given(
+    diag=st.sampled_from([(), (0,), (2,), (4,)]), m=st.integers(1, 3),
+    budget=st.one_of(st.just(linalg._SLAB_BYTES), st.integers(1, 2**23)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_slabs_match_dense_oracle(diag, m, budget, seed):
+    # n = 5 spans 16 or 32 one-row slabs at the default budget; a drawn
+    # budget gives slabs of several rows, most with a shorter last slab
+    weights, kraus = random_stack(np.random.default_rng(seed), 5, diag, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_SLAB_BYTES", budget)
+        check_against_oracle(weights, kraus, diag)
+
+
+def test_slab_argmax_takes_the_first_maximum_in_c_order():
+    # x' = 0 holds a maximum at z' = 1; x' = 1 holds an earlier one, at z' = 0
+    a = np.zeros((1, 1, 2, 1, 3, 1))
+    a[0, 0, 1, 0, 0, 0] = a[0, 0, 0, 0, 1, 0] = a[0, 0, 1, 0, 2, 0] = -2.0
+    for step in (1, 2, 3):
+        slabs = [(s, a[..., s:s + step, :]) for s in range(0, 3, step)]
+        assert abs_argmax(slabs) == (2.0, (0, 0, 0, 0, 1, 0))
+    a[0, 0, 1, 0, 2, 0] = a[0, 0, 1, 0, 1, 0] = np.nan  # the first NaN wins
+    slabs = [(s, a[..., s:s + 1, :]) for s in range(3)]
+    peak, index = abs_argmax(slabs)
+    assert np.isnan(peak) and index == whole_argmax(a) == (0, 0, 1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("paulis,diag", [((PAULI_Y,) * 5, ()),
+                                         ((PAULI_X, PAULI_Y, PAULI_Z, PAULI_X, PAULI_Y), (2,))],
+                         ids=["YYYYY", "XYZXY"])
+def test_verify_breaks_exact_ties_as_whole_array_argmax(paulis, diag):
+    # |A| of a Pauli gate against the identity is 0 or 2d on hundreds of
+    # entries; the first slab to hold one is not the slab of the first in C order
+    deco = cuts.Decomposition("pauli", (5,), [
+        cuts.DecompositionTerm(1.0, [UnitaryChannel(Operator(reduce(np.kron, paulis)))], "P")
+    ], gates.identity(5))
+    weights, ops = deco.kraus()
+    a, found = whole_transform(np.append(weights, -1.0), np.concatenate([ops, np.eye(32)[None]]))
+    assert found == diag
+    index = whole_argmax(a)
+    slabs = kraus_transform(np.append(weights, -1.0), np.concatenate([ops, np.eye(32)[None]]))[0]
+    first_slab = next(start for start, slab in slabs if np.abs(slab).max() == np.abs(a).max())
+    assert first_slab < index[4]
+    row, col = transform_entry(index, diag, 5)
+    report = deco.verify()
+    assert report["max_abs_deviation"] == 2.0
+    assert report["worst_entry"] == [linalg.pauli_label(row, 5), linalg.pauli_label(col, 5)]
 
 
 @st.composite

@@ -1,9 +1,10 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qcut import cuts, gates, linalg, zx
+from qcut import channels, cuts, gates, linalg, zx
 from qcut.linalg import (
     MAX_DENSE_ENTRIES,
     DimensionError,
@@ -300,7 +301,8 @@ def test_ptm_of_schur_matches_dense_for_any_multiplier(n):
     kraus[:, np.arange(d), np.arange(d)] = diags
     dense = ptm_of_map(lambda mats: s * mats, n).matrix
     assert np.max(np.abs(ptm_of_kraus(weights, kraus).matrix - dense)) <= 1e-12
-    assert kraus_transform(weights, kraus)[0].shape == (d, d, 1, 1, 1, 1)
+    # every qubit diagonal: A is d x d, one slab
+    assert [a.shape for _, a in kraus_transform(weights, kraus)[0]] == [(d, d, 1, 1, 1, 1)]
 
 
 def test_pauli_index_and_label():
@@ -397,10 +399,16 @@ def test_parallel_spiders_fuse_to_a_scalar():
         (Operator.diagonal, (np.broadcast_to(np.complex128(1), (2**14,)),)),
         (gates.multi_z_rotation, (14, 0.5)),
         (gates.basis_state, ("0" * 14,)),
+        # a stand-in 13-qubit operator, whose controlled form has 14 qubits
+        (gates.controlled, (SimpleNamespace(
+            n_qubits=13, dim=2**13, mat=np.broadcast_to(np.complex128(0), (2**13, 2**13))),)),
+        (channels.sequence_unitary, ([((0,), gates.hadamard())], 14)),
+        (linalg.embed_matrix, (linalg.PAULI_X, [0], 14)),
     ],
     ids=["ptm_of_unitary", "ptm_of_kraus", "mcz", "multi_z", "controlled_sequence",
          "zx_open_legs", "zx_node_degree", "operator", "gate_identity", "gate_mcz",
-         "gate_mcp", "operator_diagonal", "gate_multi_z", "basis_state"],
+         "gate_mcp", "operator_diagonal", "gate_multi_z", "basis_state", "gate_controlled",
+         "sequence_unitary", "embed_matrix"],
 )
 def test_size_cap_refuses_before_allocating(function, args):
     # each request needs at least 2^28 entries (4 GiB); the cap must refuse it
