@@ -21,10 +21,14 @@ signs and the PTM are all derived from the branches, which come from:
   ``{|m_s>}``, and an optional outcome-dependent feedback unitary ``F_s``
   follows.  Outcome ``s`` is the branch with the one Kraus operator
   ``F_s (<m_s|0> U_0 + <m_s|1> U_1) / sqrt(2)``.
+
+The rank-one maps take no caller input: each is a process-wide read-only
+constant, built and checked once.  The other factories build a new map per call.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -181,6 +185,7 @@ def _rank_one_map(terms: Sequence[tuple]) -> GeneralizedMap:
     return GeneralizedMap([(a, [np.outer(s, e.conj())]) for a, e, s in terms])
 
 
+@cache
 def pauli_measure_prepare(p: str, mu: int) -> GeneralizedMap:
     """Measure in the eigenbasis of Pauli ``p`` and always prepare eigenstate
     ``mu``, with the eigenvalue signs attached to the measurement branches."""
@@ -190,6 +195,7 @@ def pauli_measure_prepare(p: str, mu: int) -> GeneralizedMap:
     return _rank_one_map([(*PAULI_EIGENKETS[(p, nu)], prep) for nu in (0, 1)])
 
 
+@cache
 def grouped_pauli_map(p: str) -> GeneralizedMap:
     """Measure Pauli ``p`` and re-prepare the observed eigenstate (CPTP)."""
     if p not in MEASUREMENT_KETS:
@@ -197,6 +203,7 @@ def grouped_pauli_map(p: str) -> GeneralizedMap:
     return _rank_one_map([(1, ket, ket) for ket in MEASUREMENT_KETS[p]])
 
 
+@cache
 def signed_z_map() -> GeneralizedMap:
     """Measure Z, re-prepare the observed state, and flip the sign on outcome 1."""
     return _rank_one_map([(1, KET_0, KET_0), (-1, KET_1, KET_1)])
@@ -236,6 +243,7 @@ def sequence_unitary(ops: Sequence[tuple], n_targets: int) -> Operator:
     """Product ``V`` of the sequence's unitaries on the target register,
     applied in list order; the sequence is validated here, once."""
     check_dense_bits(2 * n_targets, f"operator on {n_targets} qubits")
+    ops = tuple(ops)  # read twice: validated, then multiplied
     _check_ops(ops, n_targets)
     full = np.eye(2**n_targets, dtype=complex)
     for targets, u in ops:

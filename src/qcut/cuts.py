@@ -21,12 +21,16 @@ Built-in decompositions:
   would fold it;
 * :func:`controlled_sequence_decomposition` -- a sequence of single-qubit
   controlled unitaries sharing one control, ``gamma = 3``.
+
+Every map that takes no input from a caller (the wire cuts', the CZ cut's
+and the ``R_ZZ`` cuts' angle-free maps, and their register lifts) is a
+process-wide read-only constant, built and checked once; terms are built per call.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .linalg import (
     Superoperator,
     abs_argmax,
     check_dense_bits,
+    check_integer,
     kraus_transform,
     pauli_label,
     ptm_of_kraus,
@@ -64,6 +69,8 @@ class DecompositionTerm:
         self.factors = tuple(factors)
         self.label = str(label)
         self.needs_cc = bool(needs_cc)
+        if not math.isfinite(self.q):
+            raise DimensionError(f"term {label!r} has a non-finite coefficient {q!r}")
         if not self.factors:
             raise DimensionError(f"term {label!r} has no factors")
 
@@ -103,7 +110,7 @@ class Decomposition:
 
     def __init__(self, name: str, partition, terms, target_unitary: Operator):
         self.name = str(name)
-        self.partition = tuple(int(s) for s in partition)
+        self.partition = tuple(check_integer(s, "register size", 1) for s in partition)
         self.terms = tuple(terms)
         if not isinstance(target_unitary, Operator):
             raise DimensionError(
@@ -112,8 +119,6 @@ class Decomposition:
         self.target_unitary = target_unitary
         if not self.terms:
             raise DimensionError("decomposition needs at least one term")
-        if any(s < 1 for s in self.partition):
-            raise DimensionError(f"register sizes must be >= 1, got {self.partition}")
         n = sum(self.partition)
         if target_unitary.n_qubits != n:
             raise DimensionError(
@@ -245,53 +250,56 @@ def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _lift(factor: ch.GeneralizedMap, size: int, bit) -> ch.GeneralizedMap:
+    """``factor`` on a register of ``size > 1`` qubits: each Kraus operator
+    ``diag(k)`` becomes ``diag(k[bit(size)])``.  Built once per process per
+    map, size and Boolean function: never pass it a map built from a caller's input."""
+    idx, branches = np.arange(2**size), []
+    for sign, kraus in factor.branches:
+        diag = np.diagonal(kraus, axis1=1, axis2=2)
+        if np.count_nonzero(kraus) != np.count_nonzero(diag):
+            raise DimensionError("a lifted factor must be exactly diagonal")
+        out = np.zeros((len(kraus), 2**size, 2**size), dtype=complex)
+        out[:, idx, idx] = diag[:, bit(size)]
+        branches.append((sign, out))
+    return ch.GeneralizedMap(branches)
+
+
 def _lifted(name: str, partition: tuple, bit, terms, target) -> Decomposition:
     """The two-qubit cut ``terms()`` lifted to the registers of ``partition``,
     against the gate ``target(n)``; both are built after the size checks.
 
-    On a register of ``size > 1`` qubits each factor ``diag(k)`` becomes
-    ``diag(k[bit(size)])`` for a Boolean function ``bit`` of the basis index,
-    once per distinct factor.  Any nonzero off-diagonal Kraus entry, however
-    small, raises :class:`DimensionError`.
+    On a register of ``size > 1`` qubits each factor is :func:`_lift`-ed
+    through a Boolean function ``bit`` of the basis index, a constant checked
+    at first build: any nonzero off-diagonal Kraus entry, however small,
+    raises :class:`DimensionError`.
     """
-    if any(size < 1 for size in partition):
-        raise DimensionError(f"need m, m' >= 1, got {partition}")
+    partition = tuple(check_integer(size, "register size", 1) for size in partition)
     n = sum(partition)
     check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
-    bits, lifted = {size: bit(size) for size in partition}, {}
-
-    def lift(factor, size):
-        if size > 1 and (factor, size) not in lifted:
-            idx, branches = np.arange(2**size), []
-            for sign, kraus in factor.branches:
-                diag = np.diagonal(kraus, axis1=1, axis2=2)
-                if np.count_nonzero(kraus) != np.count_nonzero(diag):
-                    raise DimensionError("a lifted factor must be exactly diagonal")
-                out = np.zeros((len(kraus), 2**size, 2**size), dtype=complex)
-                out[:, idx, idx] = diag[:, bits[size]]
-                branches.append((sign, out))
-            lifted[factor, size] = ch.GeneralizedMap(branches)
-        return lifted.get((factor, size), factor)
-
     return Decomposition(name, partition, [
-        DecompositionTerm(t.q, map(lift, t.factors, partition), t.label, t.needs_cc)
+        DecompositionTerm(t.q, [f if size == 1 else _lift(f, size, bit)
+                                for f, size in zip(t.factors, partition)], t.label, t.needs_cc)
         for t in terms()
     ], target(n))
 
 
-def _cz_terms() -> list:
-    """The CZ cut of Ufrecht et al. on one-qubit maps, labelled as its MCZ lift."""
+@cache
+def _cz_terms() -> tuple:
+    """The CZ cut of Ufrecht et al. on one-qubit maps, labelled as its MCZ
+    lift; built once per process."""
     mx, z = ch.e_v_mx_map(gates.mcz(1)), ch.UnitaryChannel(gates.mcz(1))
-    ident = ch.UnitaryChannel(gates.identity(1))
+    ident = _fixed_channels()[0]
     plus, minus = (ch.UnitaryChannel(gates.mcp(1, s * np.pi / 2)) for s in (1, -1))
-    return [
+    return (
         DecompositionTerm(0.5, [plus, plus], "MCP(+1pi/2) x MCP(+1pi/2)"),
         DecompositionTerm(0.5, [minus, minus], "MCP(-1pi/2) x MCP(-1pi/2)"),
         DecompositionTerm(0.5, [mx, ident], "E_MCZ-MX x I"),
         DecompositionTerm(-0.5, [mx, z], "E_MCZ-MX x MCZ"),
         DecompositionTerm(0.5, [ident, mx], "I x E_MCZ-MX"),
         DecompositionTerm(-0.5, [z, mx], "MCZ x E_MCZ-MX"),
-    ]
+    )
 
 
 def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
@@ -320,6 +328,13 @@ def _rz_channel(theta: float) -> ch.UnitaryChannel:
     return ch.UnitaryChannel(gates.rz(theta))
 
 
+@cache
+def _fixed_channels() -> tuple:
+    """The identity, ``R_Z(pi)`` and ``R_Z(+-pi/2)`` channels, built once per process."""
+    return (ch.UnitaryChannel(gates.identity(1)),
+            *(_rz_channel(a) for a in (np.pi, np.pi / 2, -np.pi / 2)))
+
+
 def rzz_decomposition_a(theta: float) -> Decomposition:
     """Ancilla-based cut of ``R_ZZ(theta)``; ``gamma = 3`` for every angle.
 
@@ -328,13 +343,12 @@ def rzz_decomposition_a(theta: float) -> Decomposition:
     theta = _check_angle(theta)
     my = ch.rzz_my_map(theta)
     ez = ch.signed_z_map()
-    ident = ch.UnitaryChannel(gates.identity(1))
+    ident, flip, plus, minus = _fixed_channels()
     raw = [
         (0.5 * (1 + np.cos(theta)), [ident, ident], "I x I"),
-        (0.5 * (1 - np.cos(theta)), [_rz_channel(np.pi), _rz_channel(np.pi)],
-         "RZ(pi) x RZ(pi)"),
-        (0.5, [_rz_channel(np.pi / 2), my], "RZ(+pi/2) x E_RZZ-MY"),
-        (-0.5, [_rz_channel(-np.pi / 2), my], "RZ(-pi/2) x E_RZZ-MY"),
+        (0.5 * (1 - np.cos(theta)), [flip, flip], "RZ(pi) x RZ(pi)"),
+        (0.5, [plus, my], "RZ(+pi/2) x E_RZZ-MY"),
+        (-0.5, [minus, my], "RZ(-pi/2) x E_RZZ-MY"),
         (0.5, [ez, _rz_channel(theta)], "EbarZ x RZ(+theta)"),
         (-0.5, [ez, _rz_channel(-theta)], "EbarZ x RZ(-theta)"),
     ]
@@ -345,12 +359,11 @@ def rzz_decomposition_a(theta: float) -> Decomposition:
 
 
 def _rzz_b_terms(theta: float) -> list:
-    """The terms of :func:`rzz_decomposition_b` for a checked angle, each map
-    built once."""
+    """The terms of :func:`rzz_decomposition_b` for a checked angle; its maps
+    are angle-independent, each built once per process."""
     s = np.sin(theta)
     ez = ch.signed_z_map()
-    ident = ch.UnitaryChannel(gates.identity(1))
-    flip, plus, minus = (_rz_channel(a) for a in (np.pi, np.pi / 2, -np.pi / 2))
+    ident, flip, plus, minus = _fixed_channels()
     raw = [
         (0.5 * (1 + np.cos(theta)), [ident, ident], "I x I"),
         (0.5 * (1 - np.cos(theta)), [flip, flip], "RZ(pi) x RZ(pi)"),
@@ -408,18 +421,18 @@ def controlled_sequence_decomposition(ops, n_targets: int) -> Decomposition:
     internal to the joint map, so no term is flagged as needing communication
     across the cut.
     """
-    n = 1 + n_targets
+    ops, n = tuple(ops), 1 + n_targets  # an iterator is read once
     check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
     v = ch.sequence_unitary(ops, n_targets)
     mx = ch.e_v_mx_map(v)
     mz = ch.e_v_mz_map(v)
-    ident = ch.UnitaryChannel(gates.identity(1))
+    ident, flip, _, _ = _fixed_channels()
     terms = [
         DecompositionTerm(1.0, [ch.e_rzv_map(v)], "E_RZV"),
         DecompositionTerm(0.5, [ident, mx], "I x E_V-MX"),
-        DecompositionTerm(-0.5, [_rz_channel(np.pi), mx], "RZ(pi) x E_V-MX"),
+        DecompositionTerm(-0.5, [flip, mx], "RZ(pi) x E_V-MX"),
         DecompositionTerm(1.0, [ch.signed_z_map(), mz], "EbarZ x E_V-MZ"),
     ]
     return Decomposition(
-        f"controlled_sequence[M={len(tuple(ops))}]", (1, n_targets), terms, gates.controlled(v)
+        f"controlled_sequence[M={len(ops)}]", (1, n_targets), terms, gates.controlled(v)
     )

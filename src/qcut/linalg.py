@@ -34,8 +34,10 @@ array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +75,14 @@ def check_dense_bits(bits: int, what: str):
     the cap's so that a huge ``bits`` is refused without computing the power."""
     if bits > _CAP_BITS:
         raise SizeCapError(f"{what} needs 2^{bits} dense entries, over the cap of 2^{_CAP_BITS}")
+
+
+def check_integer(value, what: str, lo: int) -> int:
+    """``int(value)`` for a real, finite, integral, non-Boolean ``value >= lo``."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value == int(value) and value >= lo):
+        raise DimensionError(f"{what} must be an integer >= {lo}, got {value!r}")
+    return int(value)
 
 
 def _is_power_of_two(d: int) -> bool:
@@ -267,11 +277,14 @@ def _popcount(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@cache
 def _hadamard(d: int) -> np.ndarray:
-    """``H[z, c] = (-1)^{|z & c|}`` on ``d = 2^n`` indices, by Sylvester's doubling."""
+    """``H[z, c] = (-1)^{|z & c|}`` on ``d = 2^n`` indices, by Sylvester's
+    doubling: one read-only table per ``d``, built once per process."""
     h = np.ones((1, 1))
     while len(h) < d:
         h = np.concatenate([np.concatenate([h, h], 1), np.concatenate([h, -h], 1)])
+    h.setflags(write=False)
     return h
 
 

@@ -29,8 +29,6 @@ builds a Pauli transfer matrix.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -38,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import check_density
-from .linalg import ATOL_STRUCT, DimensionError, check_dense
+from .linalg import ATOL_STRUCT, DimensionError, check_dense, check_integer
 from .cuts import Decomposition, DecompositionTerm
 
 #: slack on the |eigenvalue| <= 1 observable bound
@@ -74,16 +72,7 @@ class ExperimentSpec:
         object.__setattr__(self, "observable", tuple(self.observable))
         if self.shots < 1:
             raise DimensionError(f"shots must be >= 1, got {self.shots}")
-        seed = self.seed
-        if not (
-            isinstance(seed, numbers.Real)
-            and not isinstance(seed, bool)
-            and math.isfinite(seed)
-            and seed == int(seed)
-            and seed >= 0
-        ):
-            raise DimensionError(f"seed must be a non-negative integer, got {seed!r}")
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", 0))
         for label, ops in (
             ("initial_state", self.initial_state),
             ("observable", self.observable),

@@ -233,7 +233,7 @@ def test_sample_batch_csv(tmp_path, capsys):
     assert main(
         ["sample", "--config", str(config), "--batch-csv", str(csv_path)]
     ) == 0
-    rows = list(csv.reader(csv_path.open()))
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
     assert rows[0] == ["batch_index", "partial_mean"]
     assert len(rows) == 5
 
@@ -592,7 +592,7 @@ def test_sample_controlled_sequence_config(tmp_path):
 def test_norms_csv_schema(tmp_path):
     out = tmp_path / "norms.csv"
     assert main(["norms", "--csv", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["name", "parameters", "gamma", "terms", "needs_cc"]
     assert all(len(r) == 5 for r in rows)
     by_name = {}
@@ -606,7 +606,7 @@ def test_norms_csv_schema(tmp_path):
 def test_norms_csv_writes_full_catalog(tmp_path, no_ptm):
     out = tmp_path / "norms.csv"
     assert main(["norms", "--csv", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     names = [r[0] for r in rows[1:]]
     # 1 + 3 wire cuts, 5 MCZ splits, 6 + 6 ZZ angles, multi_z, one sequence
     assert len(rows) == 1 + 23

@@ -305,6 +305,39 @@ def test_decomposition_partition_alignment():
         )
 
 
+@pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+def test_term_refuses_non_finite_coefficient(q):
+    with pytest.raises(DimensionError, match="term 'bad' has a non-finite coefficient"):
+        DecompositionTerm(q, [UnitaryChannel(gates.identity(1))], "bad")
+
+
+@pytest.mark.parametrize("size", [1.7, True, np.nan, np.inf, "1", None, 0, -1])
+def test_decomposition_refuses_non_integral_register_sizes(size):
+    # the rule ExperimentSpec applies to its seed: a real, finite, integral,
+    # non-Boolean number; an integral float is taken as its integer
+    term = DecompositionTerm(1.0, [UnitaryChannel(gates.identity(2))], "joint")
+    with pytest.raises(DimensionError, match="register size must be an integer >= 1"):
+        Decomposition("bad", (size, 1), [term], gates.identity(2))
+    deco = Decomposition("ok", (1.0, np.int64(1)), [term], gates.identity(2))
+    assert deco.partition == (1, 1) and all(type(s) is int for s in deco.partition)
+
+
+@pytest.mark.parametrize("split", [(1.7, 1), (True, 2), (2, 0)])
+def test_lifted_cuts_refuse_non_integral_register_sizes(split):
+    for build in (mcz_decomposition, lambda m, mp: multi_z_rotation_decomposition(m, mp, 0.3)):
+        with pytest.raises(DimensionError, match="register size must be an integer >= 1"):
+            build(*split)
+
+
+def test_controlled_sequence_reads_an_iterator_once():
+    ops = [((0,), X), ((1,), phase_gate(0.4)), ((0, 1), gates.cnot())]
+    listed = controlled_sequence_decomposition(ops, 2)
+    streamed = controlled_sequence_decomposition(iter(ops), 2)
+    assert streamed.name == listed.name == "controlled_sequence[M=3]"
+    assert np.array_equal(streamed.target_unitary.mat, listed.target_unitary.mat)
+    assert streamed.verify()["passed"]
+
+
 def test_verify_builds_target_ptm_once(monkeypatch):
     # a Hadamard makes the decomposition non-diagonal; verify() still compares
     # through the signed Kraus operators and never needs the target's PTM

@@ -1,0 +1,157 @@
+"""The maps that take no input from a caller are built once per process and
+shared read-only: the same maps as a cold build, a bounded cache, arrays that
+refuse writes, and no map construction on a repeated build."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from qcut import channels, cli, cuts, gates, linalg
+from qcut.cuts import (
+    DecompositionTerm,
+    controlled_sequence_decomposition,
+    mcz_decomposition,
+    multi_z_rotation_decomposition,
+    rzz_decomposition_a,
+)
+from oracles import haar_unitary
+
+
+def package_caches() -> list:
+    """Every function-level cache in the loaded qcut modules."""
+    found = {
+        id(obj): obj
+        for name, module in list(sys.modules.items())
+        if name == "qcut" or name.startswith("qcut.")
+        for obj in vars(module).values()
+        if callable(getattr(obj, "cache_clear", None))
+    }
+    return list(found.values())
+
+
+def clear_caches():
+    for cached in package_caches():
+        cached.cache_clear()
+
+
+def cache_size() -> int:
+    return sum(cached.cache_info().currsize for cached in package_caches())
+
+
+def assert_same_maps(got, want):
+    assert (got.name, got.partition) == (want.name, want.partition)
+    for t, t_want in zip(got.terms, want.terms, strict=True):
+        assert (t.q, t.label, t.needs_cc) == (t_want.q, t_want.label, t_want.needs_cc), got.name
+        for f, f_want in zip(t.factors, t_want.factors, strict=True):
+            assert f.signs == f_want.signs, (got.name, t.label)
+            for a, b in zip(f.kraus(), f_want.kraus(), strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b), (got.name, t.label)
+
+
+def cold_suite() -> list:
+    """``verify --all``'s decompositions, each built right after every cache
+    is cleared, so none reuses a map another one built."""
+    suite, built = cli._verification_suite(), []
+    while True:
+        clear_caches()
+        deco = next(suite, None)
+        if deco is None:
+            return built
+        built.append(deco)
+
+
+def warm_multi_z_first():
+    # every multi_z split up to five qubits, before any MCZ split is built
+    for n in range(2, 6):
+        for m in range(1, n):
+            multi_z_rotation_decomposition(m, n - m, 0.9)
+
+
+@pytest.mark.parametrize("warm_up", [lambda: None, warm_multi_z_first],
+                         ids=["mcz_first", "multi_z_first"])
+def test_warm_caches_build_the_maps_of_a_cold_build(warm_up):
+    cold = cold_suite()
+    clear_caches()
+    warm_up()
+    warm = list(cli._verification_suite())
+    assert len(warm) == len(cold) == 31
+    for got, want in zip(warm, cold, strict=True):
+        assert_same_maps(got, want)
+
+
+@pytest.mark.parametrize("order", [(gates.all_ones, gates.parity), (gates.parity, gates.all_ones)],
+                         ids=["and_first", "parity_first"])
+def test_lift_of_one_map_keeps_and_and_parity_apart(order):
+    # the same map lifted to the same size through both Boolean functions:
+    # each lift is diag(k[bit(2)]), built here without any cache
+    clear_caches()
+    ez = channels.signed_z_map()
+    for bit in order:
+        deco = cuts._lifted("t", (2, 2), bit, lambda: [DecompositionTerm(1.0, [ez, ez], "t")],
+                            gates.identity)
+        for lifted in deco.terms[0].factors:
+            assert lifted.signs == ez.signs
+            for (_, kraus), (_, base) in zip(lifted.branches, ez.branches, strict=True):
+                want = np.array([np.diag(np.diag(k)[bit(2)]) for k in base])
+                assert np.array_equal(kraus, want), bit.__name__
+    assert gates.all_ones(2).tolist() != gates.parity(2).tolist()
+
+
+def test_caller_inputs_leave_the_cache_size_unchanged():
+    rng = np.random.default_rng(23)
+    thetas = rng.uniform(-np.pi, np.pi, 50)
+    rzz_decomposition_a(0.2), multi_z_rotation_decomposition(2, 3, 0.2)
+    controlled_sequence_decomposition([((0,), haar_unitary(rng, 2))], 1)
+    size = cache_size()
+    assert size > 0
+    for theta in thetas:
+        rzz_decomposition_a(theta)
+        multi_z_rotation_decomposition(2, 3, theta)
+    for _ in range(50):
+        controlled_sequence_decomposition([((0,), haar_unitary(rng, 2))], 1)
+    assert cache_size() == size
+
+
+def test_every_cached_map_refuses_writes():
+    clear_caches()
+    first, second = list(cli._verification_suite()), list(cli._verification_suite())
+    shared = {
+        id(f): f
+        for d1, d2 in zip(first, second)
+        for t1, t2 in zip(d1.terms, d2.terms)
+        for f, f2 in zip(t1.factors, t2.factors)
+        if f is f2
+    }
+    # every factor of the wire, MCZ, rzz_b and multi_z families is shared
+    for deco in first:
+        if not deco.name.startswith(("rzz_a", "controlled_sequence")):
+            assert all(id(f) in shared for t in deco.terms for f in t.factors), deco.name
+    for f in shared.values():
+        for array in (*f.kraus(), *(kraus for _, kraus in f.branches)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    for d in (1, 2, 4, 8, 16, 32):
+        table = linalg._hadamard(d)
+        assert linalg._hadamard(d) is table and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2
+
+
+def test_second_mcz_build_constructs_no_map(monkeypatch):
+    mcz_decomposition(2, 3)
+    built = []
+    construct = channels.GeneralizedMap.__init__
+
+    def counting(self, branches):
+        built.append(type(self).__name__)
+        construct(self, branches)
+
+    monkeypatch.setattr(channels.GeneralizedMap, "__init__", counting)
+    deco = mcz_decomposition(2, 3)
+    assert built == []
+    assert deco.verify()["passed"]
+    clear_caches()  # the count sees a cold build
+    mcz_decomposition(2, 3)
+    assert built
