@@ -1,25 +1,25 @@
 """Physical and signed (quasiprobability) maps on small registers.
 
-Every map is one :class:`GeneralizedMap`: a tuple of ``branches``, each a
-sign ``a_b = +-1`` with a stack of Kraus operators ``K_bk``, acting as
+Every map is one :class:`GeneralizedMap`: a read-only stack of Kraus
+operators ``K_k``, each with a sign ``a_k = +-1``, acting as
 
-    rho -> sum_b a_b sum_k K_bk rho K_bk^dag,   sum_b sum_k K_bk^dag K_bk = I.
+    rho -> sum_k a_k K_k rho K_k^dag,   sum_k K_k^dag K_k = I.
 
-Each branch is a completely positive map and the branch probabilities
-``Tr(sum_k K_bk rho K_bk^dag)`` sum to one, so a map is an instrument whose
-outcomes carry signs.  Maps with any ``-1`` sign are not physical channels
-but can still be simulated without extra sampling overhead by tracking the
-signs of measured outcomes; the sampler does exactly that.  The action, the
-signs and the PTM are all derived from the branches, which come from:
+Each operator is one measurement outcome, occurring with probability
+``Tr(K_k rho K_k^dag)``, so a map is an instrument whose outcomes carry
+signs.  Maps with any ``-1`` sign are not physical channels but can still be
+simulated without extra sampling overhead by tracking the signs of measured
+outcomes; the sampler does exactly that.  The action, the signs and the PTM
+are all derived from the one ``(signs, ops)`` pair, which comes from:
 
-* :class:`UnitaryChannel` -- ``rho -> U rho U^dag``: one branch ``[U]``;
+* :class:`UnitaryChannel` -- ``rho -> U rho U^dag``: the one operator ``U``;
 * the rank-one measure-and-prepare maps (:func:`pauli_measure_prepare`,
   :func:`grouped_pauli_map`, :func:`signed_z_map`) -- measure ``|e><e|`` and
-  prepare ``|s>``: one branch ``[|s><e|]`` per outcome;
+  prepare ``|s>``: one operator ``|s><e|`` per outcome;
 * :func:`ancilla_map` -- every one-ancilla map: a ``|+>`` ancilla selects
   the system unitary ``U_0`` or ``U_1``, is measured in a Pauli basis
   ``{|m_s>}``, and an optional outcome-dependent feedback unitary ``F_s``
-  follows.  Outcome ``s`` is the branch with the one Kraus operator
+  follows.  Outcome ``s`` is the operator
   ``F_s (<m_s|0> U_0 + <m_s|1> U_1) / sqrt(2)``.
 
 The rank-one maps take no caller input: each is a process-wide read-only
@@ -29,7 +29,6 @@ constant, built and checked once.  The other factories build a new map per call.
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,12 +55,6 @@ MEASUREMENT_KETS = {
 }
 
 
-def _check_sign(a) -> int:
-    if a not in (1, -1):
-        raise DimensionError(f"signs must be +1 or -1, got {a!r}")
-    return int(a)
-
-
 def check_density(rho: Operator, what: str):
     """Raise unless ``rho`` has unit trace and is Hermitian positive semidefinite."""
     if not abs(rho.trace() - 1) <= ATOL_STRUCT:
@@ -72,57 +65,61 @@ def check_density(rho: Operator, what: str):
 
 
 class GeneralizedMap:
-    """A signed sum of completely positive maps, stored as its branches.
+    """A signed sum of completely positive maps, one per Kraus operator.
 
-    ``branches`` is a tuple of ``(sign, kraus)`` pairs: ``sign`` is ``+1`` or
-    ``-1`` and ``kraus`` a read-only ``(k, d, d)`` stack of Kraus operators,
-    a view of the rows of :meth:`kraus`'s one stack.
-    Construction enforces ``sum_b sum_k K^dag K = I``.
+    ``signs`` holds one ``+1`` or ``-1`` per row of the ``(k, d, d)`` stack
+    ``ops``; the map is ``rho -> sum_k a_k K_k rho K_k^dag``.  Construction
+    copies the stack, enforces ``sum_k K_k^dag K_k = I`` and keeps the pair
+    read-only; the map itself cannot be rebound.
     """
 
-    def __init__(self, branches: Sequence[tuple]):
-        if not branches:
-            raise DimensionError("a map needs at least one branch")
-        signs = [_check_sign(a) for a, _ in branches]
-        stacks = [np.asarray(kraus, dtype=complex) for _, kraus in branches]
-        d = stacks[0].shape[-1]
-        for kraus in stacks:
-            if kraus.ndim != 3 or kraus.shape[1:] != (d, d) or not _is_power_of_two(d):
-                raise DimensionError("Kraus operators must share one register of qubits")
-        # one read-only stack of every operator; each branch is a view of its rows
-        sizes = [len(kraus) for kraus in stacks]
-        weights, ops = np.repeat(np.array(signs, float), sizes), np.concatenate(stacks)
-        for array in (weights, ops):
-            array.setflags(write=False)
-        self._kraus = weights, ops
-        ends = accumulate(sizes)
-        self.branches = tuple((a, ops[end - k:end]) for a, k, end in zip(signs, sizes, ends))
-        # rows of the stacked operators: stacked^dag stacked = sum_b sum_k K^dag K
+    __slots__ = ("_kraus", "n_qubits")
+
+    def __init__(self, signs: Sequence, ops):
+        try:
+            ops = np.array(ops, dtype=complex)
+        except (TypeError, ValueError):  # a ragged stack
+            ops = np.empty(0)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not _is_power_of_two(ops.shape[2]):
+            raise DimensionError("Kraus operators must form one (k, d, d) stack on qubits")
+        signs = tuple(signs)
+        if not all(a in (1, -1) for a in signs):
+            raise DimensionError(f"signs must be +1 or -1, got {signs}")
+        if not len(ops) == len(signs) > 0:
+            raise DimensionError(f"{len(signs)} signs for {len(ops)} Kraus operators")
+        weights, d = np.array(signs, dtype=float), ops.shape[2]
+        # rows of the stacked operators: stacked^dag stacked = sum_k K^dag K
         stacked = ops.reshape(-1, d)
         dev = np.abs(stacked.conj().T @ stacked - np.eye(d)).max()
         if not dev <= ATOL_STRUCT:
             raise DimensionError(
                 f"Kraus operators must satisfy sum K^dag K = I, deviation {dev:.3e}"
             )
-        self.n_qubits = d.bit_length() - 1
+        for array in (weights, ops):
+            array.setflags(write=False)
+        object.__setattr__(self, "_kraus", (weights, ops))
+        object.__setattr__(self, "n_qubits", d.bit_length() - 1)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        """``sum_b a_b sum_k K A K^dag`` for a batch ``A`` of shape (B, d, d)."""
+        """``sum_k a_k K_k A K_k^dag`` for a batch ``A`` of shape (B, d, d)."""
         out = np.zeros(mats.shape, dtype=complex)
-        for sign, kraus in self.branches:
+        for sign, k in zip(*self._kraus):
             accumulate = np.add if sign > 0 else np.subtract
-            for k in kraus:
-                accumulate(out, k @ mats @ k.conj().T, out=out)
+            accumulate(out, k @ mats @ k.conj().T, out=out)
         return out
 
     @property
     def signs(self) -> tuple:
-        return tuple(a for a, _ in self.branches)
+        return tuple(int(a) for a in self._kraus[0])
 
     def kraus(self) -> tuple:
-        """``(weights, ops)``: every Kraus operator of every branch in one
-        read-only ``(k, d, d)`` stack, weighted by its branch's sign; built
-        once, at construction."""
+        """``(signs, ops)``: the read-only sign vector and ``(k, d, d)`` stack
+        the map was built from, as :func:`~qcut.linalg.ptm_of_kraus` takes them."""
         return self._kraus
 
     def to_superoperator(self) -> Superoperator:
@@ -130,21 +127,20 @@ class GeneralizedMap:
 
     def is_cptp(self) -> bool:
         """True iff every sign is +1 (completeness is enforced at construction)."""
-        return all(a == 1 for a in self.signs)
+        return bool((self._kraus[0] == 1).all())
 
     def __repr__(self):
-        return (
-            f"{type(self).__name__}(n={self.n_qubits}, branches={len(self.branches)}, "
-            f"signs={self.signs})"
-        )
+        return f"{type(self).__name__}(n={self.n_qubits}, signs={self.signs})"
 
 
 class UnitaryChannel(GeneralizedMap):
-    """``rho -> U rho U^dag``: one branch holding ``U``, so the completeness
-    check is the unitarity check."""
+    """``rho -> U rho U^dag``: the one operator ``U`` with sign ``+1``, so the
+    completeness check is the unitarity check."""
+
+    __slots__ = ()
 
     def __init__(self, u: Operator):
-        super().__init__([(1, u.mat[None])])
+        super().__init__([1], u.mat[None])
 
 
 def ancilla_map(
@@ -155,8 +151,8 @@ def ancilla_map(
     feedback: Optional[tuple] = None,
 ) -> GeneralizedMap:
     """A ``|+>`` ancilla selects ``u0`` or ``u1`` on the system and is then
-    measured in Pauli ``basis``; outcome ``s`` is the branch ``signs[s]`` with
-    the one Kraus operator ``F_s (<m_s|0> u0 + <m_s|1> u1) / sqrt(2)``.
+    measured in Pauli ``basis``; outcome ``s`` is the Kraus operator
+    ``F_s (<m_s|0> u0 + <m_s|1> u1) / sqrt(2)`` with sign ``signs[s]``.
 
     ``feedback``, when given, holds one system unitary ``F_s`` per outcome,
     applied after the ancilla measurement (classically controlled feedback).
@@ -167,11 +163,11 @@ def ancilla_map(
         raise DimensionError("u0 and u1 must act on one register")
     check_unitary(u0.mat, "u0")
     check_unitary(u1.mat, "u1")
-    branches = []
-    for s, (sign, m) in enumerate(zip(signs, MEASUREMENT_KETS[basis], strict=True)):
+    ops = []
+    for s, m in enumerate(MEASUREMENT_KETS[basis]):
         k = (np.conj(m[0]) * u0.mat + np.conj(m[1]) * u1.mat) / np.sqrt(2)
-        branches.append((sign, [k if feedback is None else feedback[s].mat @ k]))
-    return GeneralizedMap(branches)
+        ops.append(k if feedback is None else feedback[s].mat @ k)
+    return GeneralizedMap(signs, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +177,14 @@ def ancilla_map(
 
 def _rank_one_map(terms: Sequence[tuple]) -> GeneralizedMap:
     """Measure ``|e><e|`` and prepare ``|s>``: term ``(a, e, s)`` of kets is
-    the branch ``a`` with the one Kraus operator ``|s><e|``."""
-    return GeneralizedMap([(a, [np.outer(s, e.conj())]) for a, e, s in terms])
+    the Kraus operator ``|s><e|`` with sign ``a``."""
+    return GeneralizedMap([a for a, _, _ in terms], [np.outer(s, e.conj()) for _, e, s in terms])
 
 
 @cache
 def pauli_measure_prepare(p: str, mu: int) -> GeneralizedMap:
     """Measure in the eigenbasis of Pauli ``p`` and always prepare eigenstate
-    ``mu``, with the eigenvalue signs attached to the measurement branches."""
+    ``mu``, with the eigenvalue signs attached to the measurement outcomes."""
     if (p, mu) not in PAULI_EIGENKETS:
         raise DimensionError(f"no eigenbasis entry for ({p!r}, {mu!r})")
     _, prep = PAULI_EIGENKETS[(p, mu)]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cuts, gates, sampling, zx
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, Operator, PauliString, QcutError
-from .linalg import MAX_DENSE_ENTRIES, SizeCapError, check_unitary, max_abs_diff
+from .linalg import MAX_DENSE_ENTRIES, SizeCapError, check_integer, check_unitary, max_abs_diff
 from .zx import parse_angle
 
 
@@ -69,19 +69,11 @@ def _require_fields(obj, where: str, required, optional=()):
 
 
 def _check_int(value, where: str, lo: int, hi=None) -> int:
-    """An integer config value in ``lo..hi`` (no upper bound when ``hi`` is
-    None).  Integral floats are accepted; bools, strings and any other float
-    are not."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-        or value < lo
-        or (hi is not None and value > hi)
-    ):
-        span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
-        raise ConfigError(f"{where}: must be an integer {span}, got {value!r}")
-    return int(value)
+    """:func:`~qcut.linalg.check_integer` of a config value, refused as a usage error."""
+    try:
+        return check_integer(value, f"{where}:", lo, hi)
+    except QcutError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _read_text(path) -> str:

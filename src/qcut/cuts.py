@@ -255,20 +255,19 @@ def _lift(factor: ch.GeneralizedMap, size: int, bit) -> ch.GeneralizedMap:
     """``factor`` on a register of ``size > 1`` qubits: each Kraus operator
     ``diag(k)`` becomes ``diag(k[bit(size)])``.  Built once per process per
     map, size and Boolean function: never pass it a map built from a caller's input."""
-    idx, branches = np.arange(2**size), []
-    for sign, kraus in factor.branches:
-        diag = np.diagonal(kraus, axis1=1, axis2=2)
-        if np.count_nonzero(kraus) != np.count_nonzero(diag):
-            raise DimensionError("a lifted factor must be exactly diagonal")
-        out = np.zeros((len(kraus), 2**size, 2**size), dtype=complex)
-        out[:, idx, idx] = diag[:, bit(size)]
-        branches.append((sign, out))
-    return ch.GeneralizedMap(branches)
+    signs, kraus = factor.kraus()
+    diag = np.diagonal(kraus, axis1=1, axis2=2)
+    if np.count_nonzero(kraus) != np.count_nonzero(diag):
+        raise DimensionError("a lifted factor must be exactly diagonal")
+    idx, out = np.arange(2**size), np.zeros((len(kraus), 2**size, 2**size), dtype=complex)
+    out[:, idx, idx] = diag[:, bit(size)]
+    return ch.GeneralizedMap(signs, out)
 
 
 def _lifted(name: str, partition: tuple, bit, terms, target) -> Decomposition:
     """The two-qubit cut ``terms()`` lifted to the registers of ``partition``,
-    against the gate ``target(n)``; both are built after the size checks.
+    against the gate ``target(n)``; both are built, and ``name`` formatted
+    with the register sizes, after the size checks.
 
     On a register of ``size > 1`` qubits each factor is :func:`_lift`-ed
     through a Boolean function ``bit`` of the basis index, a constant checked
@@ -278,7 +277,7 @@ def _lifted(name: str, partition: tuple, bit, terms, target) -> Decomposition:
     partition = tuple(check_integer(size, "register size", 1) for size in partition)
     n = sum(partition)
     check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
-    return Decomposition(name, partition, [
+    return Decomposition(name.format(*partition), partition, [
         DecompositionTerm(t.q, [f if size == 1 else _lift(f, size, bit)
                                 for f, size in zip(t.factors, partition)], t.label, t.needs_cc)
         for t in terms()
@@ -309,7 +308,7 @@ def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
     turn MCZ into CZ, so the CZ cut's one-qubit maps are lifted by
     :func:`_lifted` through each register's AND (:func:`~qcut.gates.all_ones`).
     """
-    return _lifted(f"mcz[{m},{m_prime}]", (m, m_prime), gates.all_ones, _cz_terms, gates.mcz)
+    return _lifted("mcz[{},{}]", (m, m_prime), gates.all_ones, _cz_terms, gates.mcz)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +400,9 @@ def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomp
     diagonal, so :func:`_lifted` builds each conjugated factor through the
     register's parity, with no ladder matrix.
     """
-    return _lifted(f"multi_z[{m},{m_prime},{theta:.12g}]", (m, m_prime), gates.parity,
-                   lambda: _rzz_b_terms(_check_angle(theta)),
-                   lambda n: gates.multi_z_rotation(n, theta))
+    theta = _check_angle(theta)
+    return _lifted(f"multi_z[{{}},{{}},{theta:.12g}]", (m, m_prime), gates.parity,
+                   lambda: _rzz_b_terms(theta), lambda n: gates.multi_z_rotation(n, theta))
 
 
 # ---------------------------------------------------------------------------

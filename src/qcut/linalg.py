@@ -34,7 +34,6 @@ array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -77,11 +76,17 @@ def check_dense_bits(bits: int, what: str):
         raise SizeCapError(f"{what} needs 2^{bits} dense entries, over the cap of 2^{_CAP_BITS}")
 
 
-def check_integer(value, what: str, lo: int) -> int:
-    """``int(value)`` for a real, finite, integral, non-Boolean ``value >= lo``."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value == int(value) and value >= lo):
-        raise DimensionError(f"{what} must be an integer >= {lo}, got {value!r}")
+def check_integer(value, what: str, lo: int, hi=None) -> int:
+    """``int(value)`` for a real, integral, non-Boolean ``value`` in ``lo..hi``
+    (unbounded above when ``hi`` is None), judged without a float conversion."""
+    try:  # int() of inf or NaN raises
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and value == int(value))
+    except (OverflowError, ValueError):
+        ok = False
+    if not (ok and value >= lo and (hi is None or value <= hi)):
+        span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        raise DimensionError(f"{what} must be an integer {span}, got {value!r}")
     return int(value)
 
 

@@ -2,11 +2,10 @@
 
 The estimator follows the standard sign-tracking protocol: a term ``nu`` is
 drawn with probability ``p_nu = |q_nu| / gamma``, each of its maps is
-executed as an instrument (branch ``b`` with Kraus operators ``K`` occurs
-with probability ``Tr(sum_k K rho K^dag)``, and its ``+-1`` sign is recorded
-classically), the observable eigenvalue ``lambda`` is sampled projectively,
-and the shot contributes
-``y = gamma * sign(q_nu) * (product of branch signs) * lambda``.
+executed as an instrument (Kraus operator ``K_k`` occurs with probability
+``Tr(K_k rho K_k^dag)``, and its ``+-1`` sign is recorded classically), the
+observable eigenvalue ``lambda`` is sampled projectively, and the shot
+contributes ``y = gamma * sign(q_nu) * (product of outcome signs) * lambda``.
 The mean of ``y`` is an unbiased estimate of ``<O>`` with single-shot
 variance at most ``gamma^2 - <O>^2``.
 
@@ -172,10 +171,9 @@ def term_value_distributions(
 ) -> list:
     """Per-block distributions ``(values, probs)`` of ``sign * lambda`` for one term.
 
-    With ``obs = V diag(lambda) V^dag`` and ``rho_V = V^dag rho V``, branch
-    ``b`` followed by outcome ``lambda_a`` has probability
-    ``P_b[a] = sum_k (M_k rho_V M_k^dag)_aa`` over the branch's Kraus
-    operators ``M_k = V^dag K_k V``: one batched product per factor.
+    With ``obs = V diag(lambda) V^dag`` and ``rho_V = V^dag rho V``, Kraus operator
+    ``k`` then outcome ``lambda_a`` has probability ``(M_k rho_V M_k^dag)_aa``
+    with ``M_k = V^dag K_k V``: one batched product per factor.
     ``blocks`` is as in :func:`_block`; :func:`run` passes one dict per call,
     so each span is diagonalized once per call.
     """
@@ -183,14 +181,10 @@ def term_value_distributions(
     out = []
     for factor, span in _term_blocks(spec, term):
         _, _, lam, vecs, rho_v = _block(spec, span, blocks)
-        weights, kraus = factor.kraus()
+        signs, kraus = factor.kraus()
         m = vecs.conj().T @ kraus @ vecs
         probs = np.maximum(np.einsum("kab,kab->ka", m @ rho_v, m.conj()).real, 0.0)
-        # first row of each non-empty branch; a branch's rows add up
-        starts = np.cumsum([0] + [len(k) for _, k in factor.branches if len(k)])[:-1]
-        if len(m) > len(starts):
-            probs = np.add.reduceat(probs, starts)
-        values = np.multiply.outer(weights[starts], lam)
+        values = np.multiply.outer(signs, lam)
         keep = probs > PROB_FLOOR
         probs = probs[keep]
         out.append((values[keep], probs / probs.sum()))

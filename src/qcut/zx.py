@@ -429,8 +429,8 @@ def insert_wire_cut(d: ZXDiagram, deco) -> list:
     ``deco``: one ``(term, sign, diagram)`` per outcome, each term's
     quasiprobability weight being ``term.q * sign``.
 
-    Every term must have one factor whose branches each hold one rank-one
-    Kraus operator ``K = |s><e|`` (as in :func:`~qcut.cuts.wire_cut_ncc` and
+    Every term must have one factor whose Kraus operators are each rank one,
+    ``K = |s><e|`` (as in :func:`~qcut.cuts.wire_cut_ncc` and
     :func:`~qcut.cuts.wire_cut_cc`).  In ``diagram`` the cut edge is replaced
     by the arity-1 spider ``<e|`` on ``source`` and ``|s>`` on ``sink``, with
     the scalar that makes the pair contract to ``K`` exactly.
@@ -443,11 +443,10 @@ def insert_wire_cut(d: ZXDiagram, deco) -> list:
         raise ZXError(f"cut_edge {d.cut_edge} is not an edge of the diagram")
     out = []
     for term in deco.terms:
-        branches = term.factors[0].branches
-        if len(term.factors) != 1 or any(np.shape(k) != (1, 2, 2) for _, k in branches):
-            raise ZXError(f"term {term.label!r}: a wire cut needs one single-qubit "
-                          "factor with one Kraus operator per branch")
-        for sign, (k,) in branches:
+        factor = term.factors[0]
+        if len(term.factors) != 1 or factor.n_qubits != 1:
+            raise ZXError(f"term {term.label!r}: a wire cut needs one single-qubit factor")
+        for sign, k in zip(factor.signs, factor.kraus()[1]):
             i, j = np.unravel_index(np.argmax(np.abs(k)), k.shape)
             (m_kind, m_phase, m_t), (p_kind, p_phase, p_t) = map(_arity1_spider, (k[i], k[:, j]))
             pair = np.outer(p_t, m_t)

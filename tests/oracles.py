@@ -1,11 +1,11 @@
 """Reference helpers that only the tests use.
 
-They recompute what the package derives from a map's branches or an
+They recompute what the package derives from a map's Kraus stack or an
 operator's matrix by the textbook route, so the tests can check the package
 against them: the measure-and-prepare map from eigendecompositions, Pauli
 coefficients from traces, PTMs from a map's images of the whole Pauli basis,
 single shots drawn one at a time, a term's outcome distribution enumerated
-branch by branch, multi-Z factors conjugated by explicit CNOT ladders, MCZ
+outcome by outcome, multi-Z factors conjugated by explicit CNOT ladders, MCZ
 factors built as register-size gates, ZX
 diagrams glued from small pieces and compared as two dense matrices.
 """
@@ -163,14 +163,14 @@ def devectorize(coeffs: np.ndarray) -> Operator:
 
 def measure_prepare_map(terms) -> GeneralizedMap:
     """``rho -> sum_v a_v Tr(E_v rho) rho_v`` for terms ``(a_v, E_v, rho_v)``:
-    branch ``v`` holds ``sqrt(mu_i lambda_j) |s_j><e_i|`` from the
-    eigendecompositions ``E_v = sum_i mu_i |e_i><e_i|`` and
-    ``rho_v = sum_j lambda_j |s_j><s_j|``, dropping weights below
-    ``KRAUS_FLOOR``."""
+    term ``v`` gives the operators ``sqrt(mu_i lambda_j) |s_j><e_i|``, each
+    with sign ``a_v``, from the eigendecompositions
+    ``E_v = sum_i mu_i |e_i><e_i|`` and ``rho_v = sum_j lambda_j |s_j><s_j|``,
+    dropping weights below ``KRAUS_FLOOR``."""
     if not terms:
         raise DimensionError("measure-and-prepare map needs at least one term")
     d = terms[0][1].dim
-    branches = []
+    signs, ops = [], []
     for a, e, rho in terms:
         if e.dim != d or rho.dim != d:
             raise DimensionError("POVM elements and states must share one register")
@@ -183,8 +183,10 @@ def measure_prepare_map(terms) -> GeneralizedMap:
         # kraus[i, j] = sqrt(mu_i lambda_j) |s_j><e_i|
         kraus = np.einsum("ij,aj,bi->ijab", np.sqrt(np.abs(weights)), state_vecs,
                           effect_vecs.conj())
-        branches.append((a, kraus[weights > KRAUS_FLOOR]))
-    return GeneralizedMap(branches)
+        kept = kraus[weights > KRAUS_FLOOR]
+        signs += [a] * len(kept)
+        ops += list(kept)
+    return GeneralizedMap(signs, ops)
 
 
 def cnot_on(n: int, control: int, target: int) -> Operator:
@@ -202,10 +204,10 @@ def ladder_conjugated(factor: GeneralizedMap, size: int, wire: int) -> Generaliz
     for q in range(size):
         if q != wire:
             ladder = cnot_on(size, q, wire).mat @ ladder
-    return GeneralizedMap([
-        (sign, [ladder.conj().T @ embed_matrix(k, [wire], size) @ ladder for k in kraus])
-        for sign, kraus in factor.branches
-    ])
+    signs, kraus = factor.kraus()
+    return GeneralizedMap(
+        signs, [ladder.conj().T @ embed_matrix(k, [wire], size) @ ladder for k in kraus]
+    )
 
 
 def dense_mcz_decomposition(m: int, m_prime: int) -> Decomposition:
@@ -252,25 +254,25 @@ def term_blocks(term, spec) -> list:
     return blocks
 
 
-def branch_probabilities(factor: GeneralizedMap, rho: np.ndarray) -> list:
-    """``Tr(sum_k K rho K^dag)`` and the post-state, per branch of ``factor``."""
-    posts = [np.einsum("kab,bc,kdc->ad", kraus, rho, kraus.conj())
-             for _, kraus in factor.branches]
+def outcome_probabilities(factor: GeneralizedMap, rho: np.ndarray) -> list:
+    """``Tr(K rho K^dag)`` and the post-state ``K rho K^dag``, per Kraus
+    operator ``K`` of ``factor``."""
+    posts = [k @ rho @ k.conj().T for k in factor.kraus()[1]]
     return [(max(np.trace(post).real, 0.0), post) for post in posts]
 
 
-def branch_value_distributions(term, spec) -> list:
+def outcome_value_distributions(term, spec) -> list:
     """Per-block ``(values, probs)`` of ``sign * lambda`` for one term,
-    enumerated branch by branch: a branch's probability is the trace of its
-    post-state, and the observable is measured on the normalized post-state
-    in its own eigenbasis.  Branches and outcomes with probability at most
+    enumerated outcome by outcome: an outcome's probability is the trace of
+    its post-state, and the observable is measured on the normalized
+    post-state in its own eigenbasis.  Outcomes with probability at most
     ``PROB_FLOOR`` are dropped, and the kept probabilities renormalized."""
     out = []
     for factor, rho, obs in term_blocks(term, spec):
         lam, vecs = np.linalg.eigh(obs)
         values, probs = [], []
-        branches = zip(factor.branches, branch_probabilities(factor, rho))
-        for (sign, _), (p, post) in branches:
+        outcomes = zip(factor.signs, outcome_probabilities(factor, rho))
+        for sign, (p, post) in outcomes:
             if p > PROB_FLOOR:
                 p_lam = np.einsum("ai,ab,bi->i", vecs.conj(), post / p, vecs).real
                 p_lam = np.clip(p_lam, 0.0, None)
@@ -284,34 +286,34 @@ def branch_value_distributions(term, spec) -> list:
 
 def execute_term(term, spec, rng) -> tuple:
     """Physically simulate one shot of one term: sample each factor's
-    measurement branch, then the observable eigenvalue per block.
+    measurement outcome, then the observable eigenvalue per block.
 
     Each factor acts on the Kronecker product of the registers it covers.
-    Branch ``b`` occurs with probability ``Tr(sum_k K rho K^dag)`` over its
-    Kraus stack and leaves that (unnormalized) post-state; the observable
-    block is then measured in its own eigenbasis.  Returns ``(sign, lam)``
-    with ``sign`` the product of branch signs and ``lam`` the product of
-    sampled per-block eigenvalues.
+    Kraus operator ``K`` occurs with probability ``Tr(K rho K^dag)`` and
+    leaves that (unnormalized) post-state; the observable block is then
+    measured in its own eigenbasis.  Returns ``(sign, lam)`` with ``sign``
+    the product of outcome signs and ``lam`` the product of sampled
+    per-block eigenvalues.
     """
     sign = 1
     lam_total = 1.0
     for factor, rho, obs in term_blocks(term, spec):
-        branches = branch_probabilities(factor, rho)
-        b = _draw(rng, [p for p, _ in branches])
-        sign *= factor.branches[b][0]
+        outcomes = outcome_probabilities(factor, rho)
+        b = _draw(rng, [p for p, _ in outcomes])
+        sign *= factor.signs[b]
         lam, vecs = np.linalg.eigh(obs)
-        p_lam = np.einsum("ai,ab,bi->i", vecs.conj(), branches[b][1], vecs).real
+        p_lam = np.einsum("ai,ab,bi->i", vecs.conj(), outcomes[b][1], vecs).real
         lam_total *= float(lam[_draw(rng, np.clip(p_lam, 0.0, None))])
     return sign, lam_total
 
 
 def unsigned(deco: Decomposition) -> Decomposition:
-    """``deco`` with every branch sign of every factor set to ``+1``: the
+    """``deco`` with every outcome sign of every factor set to ``+1``: the
     estimator that drops the classically tracked signs."""
     terms = [
         DecompositionTerm(
             t.q,
-            [GeneralizedMap([(1, kraus) for _, kraus in f.branches]) for f in t.factors],
+            [GeneralizedMap([1] * len(f.signs), f.kraus()[1]) for f in t.factors],
             t.label,
             t.needs_cc,
         )

@@ -137,16 +137,15 @@ def _rank_one_cases():
 
 @pytest.mark.parametrize("build, terms", list(_rank_one_cases()))
 def test_rank_one_maps_match_measure_prepare(build, terms):
-    # the named maps take |s><e| from the eigenkets directly; branch by branch
-    # they must act as the measure-and-prepare map of the projectors
+    # the named maps take |s><e| from the eigenkets directly; outcome by
+    # outcome they must act as the measure-and-prepare map of the projectors
     ch, ref = build(), measure_prepare_map(terms)
     assert ch.signs == ref.signs
     rng = np.random.default_rng(3)
     mats = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
-    for (_, kraus), (_, ref_kraus) in zip(ch.branches, ref.branches):
-        assert len(kraus) == 1
-        images = sum(k @ mats @ k.conj().T for k in kraus)
-        expected = sum(k @ mats @ k.conj().T for k in ref_kraus)
+    for k, ref_k in zip(ch.kraus()[1], ref.kraus()[1], strict=True):
+        images = k @ mats @ k.conj().T
+        expected = ref_k @ mats @ ref_k.conj().T
         assert np.max(np.abs(images - expected)) <= 1e-12
 
 
@@ -159,15 +158,15 @@ def test_cptp_diagnostics_cross_check():
 
 
 # ---------------------------------------------------------------------------
-# Signed Kraus branches
+# Signed Kraus stacks
 # ---------------------------------------------------------------------------
 
 
 def test_signed_kraus_completeness_enforced():
     p0 = gates.basis_state("0")
     with pytest.raises(QcutError):
-        GeneralizedMap([(1.0, [p0.mat])])
-    ch = GeneralizedMap([(1.0, [p0.mat]), (-1.0, [gates.basis_state("1").mat])])
+        GeneralizedMap([1.0], [p0.mat])
+    ch = GeneralizedMap([1.0, -1.0], [p0.mat, gates.basis_state("1").mat])
     m = ch.to_superoperator().matrix
     assert np.allclose(m, ANTIDIAG_IZ, atol=1e-12)
     assert not ch.is_cptp()
@@ -230,15 +229,14 @@ RZV_FEEDBACK = tuple(
     ids=["mcz_mx_1", "mcz_mx_3", "rzz_my", "e_v_mx", "e_v_mz", "e_rzv"],
 )
 def test_kraus_branches_match_ancilla_dilation(ch, joint, basis, feedback):
-    # each branch sum_k K rho K^dag equals the dilated circuit's outcome
+    # each outcome's K rho K^dag equals the dilated circuit's outcome
     # branch on random inputs
     d = 2**ch.n_qubits
     rng = np.random.default_rng(9)
     mats = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
     dilated = [dilation_branch(joint, basis, feedback, mats, k) for k in (0, 1)]
-    assert len(ch.branches) == 2
-    for (_, kraus), expected in zip(ch.branches, dilated):
-        images = sum(k @ mats @ k.conj().T for k in kraus)
+    for k, expected in zip(ch.kraus()[1], dilated, strict=True):
+        images = k @ mats @ k.conj().T
         assert np.max(np.abs(images - expected)) <= 1e-12
     signed = sum(s * branch for s, branch in zip(ch.signs, dilated))
     assert np.max(np.abs(ch.apply_batch(mats) - signed)) <= 1e-12
@@ -264,10 +262,8 @@ def test_mcz_mx_map_branches_are_probabilities():
     ]
     assert all(p >= -1e-12 for p in probs)
     assert sum(probs) == pytest.approx(1.0)
-    for p, (_, kraus) in zip(probs, ch.branches):
-        assert np.real(np.trace(sum(k @ rho.mat @ k.conj().T for k in kraus))) == (
-            pytest.approx(p, abs=1e-12)
-        )
+    for p, k in zip(probs, ch.kraus()[1], strict=True):
+        assert np.real(np.trace(k @ rho.mat @ k.conj().T)) == pytest.approx(p, abs=1e-12)
 
 
 def test_rzz_my_map_equals_scaled_signed_z():
@@ -305,33 +301,33 @@ def test_ancilla_circuit_identity_recovery():
 
 
 # ---------------------------------------------------------------------------
-# One branch representation
+# One signed Kraus stack
 # ---------------------------------------------------------------------------
 
 
 def test_branches_define_action_signs_and_ptm():
-    # a hand-built two-branch instrument: amplitude damping with the decay
-    # branch carrying a -1 sign
+    # a hand-built two-outcome instrument: amplitude damping with the decay
+    # outcome carrying a -1 sign
     g = 0.3
     k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]])
     k1 = np.array([[0, np.sqrt(g)], [0, 0]])
-    ch = GeneralizedMap([(1, [k0]), (-1, [k1])])
+    ch = GeneralizedMap([1, -1], [k0, k1])
     assert ch.n_qubits == 1 and ch.signs == (1, -1) and not ch.is_cptp()
     rho = random_density(1, 4)
     expected = k0 @ rho.mat @ k0.conj().T - k1 @ rho.mat @ k1.conj().T
     assert np.allclose(apply_map(ch, rho).mat, expected, atol=1e-12)
     assert np.array_equal(ch.to_superoperator().matrix, ch.to_superoperator().matrix)
     assert cptp_diagnostics(ch)["consistent"]
-    assert all(not kraus.flags.writeable for _, kraus in ch.branches)
+    assert all(not array.flags.writeable for array in ch.kraus())
 
 
 def test_signed_multi_kraus_ptm_matches_dense():
-    # two branches of two Kraus operators each on two qubits, signs (+1, -1):
+    # four Kraus operators on two qubits, signs (+1, +1, -1, -1):
     # sqrt(p_k) U_k for Haar unitaries U_k, so completeness holds
     rng = np.random.default_rng(8)
     p = np.array([0.1, 0.2, 0.3, 0.4])
     ops = [np.sqrt(pk) * haar_unitary(rng, 4).mat for pk in p]
-    ch = GeneralizedMap([(1, ops[:2]), (-1, ops[2:])])
+    ch = GeneralizedMap([1, 1, -1, -1], ops)
     dense = ptm_of_map(ch.apply_batch, 2).matrix
     assert np.max(np.abs(ch.to_superoperator().matrix - dense)) <= 1e-12
     weights, kraus = ch.kraus()
@@ -340,30 +336,66 @@ def test_signed_multi_kraus_ptm_matches_dense():
 
 def test_measure_prepare_branches_are_rank_one_kraus():
     # E = |0><0| and rho = |+><+| are rank one, so the zero-weight
-    # eigen-components get no operator and each branch has one
+    # eigen-components get no operator and each effect has one
     plus = projector(KET_PLUS)
     ch = measure_prepare_map(
         [(1, gates.basis_state("0"), plus), (-1, gates.basis_state("1"), plus)]
     )
-    assert [len(kraus) for _, kraus in ch.branches] == [1, 1]
+    assert ch.kraus()[1].shape == (2, 2, 2)
     assert ch.signs == (1, -1)
 
 
 @pytest.mark.parametrize(
-    "branches",
+    "signs,ops",
     [
-        [],
-        [(1, [np.eye(2) / 2])],  # incomplete
-        [(1, [np.eye(2)]), (1, [np.eye(4)])],  # two registers
-        [(0, [np.eye(2)])],  # sign not +-1
-        [(1, [np.eye(3)])],  # not a qubit register
-        [(1, [np.array([[np.nan, 0], [0, 1]])])],  # NaN passes no comparison
+        ([], []),
+        ([], np.zeros((0, 2, 2))),  # a (0, d, d) stack
+        ([1], [np.eye(2) / 2]),  # incomplete
+        ([1, 1], [np.eye(2), np.eye(4)]),  # two registers: a ragged stack
+        ([1], [[1.0, 0.0], [0.0, 1.0, 0.0]]),  # ragged rows
+        ([1], np.eye(2)),  # one matrix, not a stack
+        ([1, -1], [np.eye(2)]),  # more signs than operators
+        ([1], [np.eye(2) / np.sqrt(2)] * 2),  # fewer signs than operators
+        ([0], [np.eye(2)]),  # sign not +-1
+        ([np.nan], [np.eye(2)]),
+        ([1], [np.eye(3)]),  # not a qubit register
+        ([1], [np.array([[np.nan, 0], [0, 1]])]),  # NaN passes no comparison
     ],
-    ids=["empty", "incomplete", "mixed", "sign", "qutrit", "nan"],
+    ids=["empty", "empty-stack", "incomplete", "mixed", "ragged", "flat", "extra-sign",
+         "missing-sign", "sign", "nan-sign", "qutrit", "nan"],
 )
-def test_generalized_map_validation(branches):
+def test_generalized_map_validation(signs, ops):
     with pytest.raises(DimensionError):
-        GeneralizedMap(branches)
+        GeneralizedMap(signs, ops)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [signed_z_map, lambda: UnitaryChannel(gates.cnot()), lambda: rzz_my_map(0.4),
+     lambda: mcz_decomposition(2, 1).terms[2].factors[0]],
+    ids=["signed_z", "unitary", "rzz_my", "lifted"],
+)
+def test_generalized_map_cannot_be_rebound(build):
+    # a stray assignment must not change a map, least of all a shared constant
+    ch = build()
+    signs, ops = ch.kraus()
+    for attr in ("branches", "_kraus", "n_qubits", "signs", "kraus", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ch, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(ch, attr)
+    for array in (signs, ops):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert ch.kraus() is ch.kraus() and build().signs == ch.signs
+
+
+def test_generalized_map_copies_its_stack():
+    # the caller's array stays the caller's: writing to it changes no map
+    ops = np.array([np.eye(2)])
+    ch = GeneralizedMap(np.array([1.0]), ops)
+    ops[0, 0, 0] = 5
+    assert ch.kraus()[1][0, 0, 0] == 1 and ops.flags.writeable
 
 
 def test_ancilla_circuit_rejects_non_unitary_joint():
@@ -406,7 +438,7 @@ def test_schur_form_matches_dense_ptm(ch):
         (lambda: grouped_pauli_map("Y"), ()),
         # diagonal on the control and on the untouched second target
         (lambda: e_rzv_map(sequence_unitary([((0,), X)], 2)), (0, 2)),
-        (lambda: GeneralizedMap([(1, [np.array([[1.0, 1e-300], [0.0, 1.0]])])]), ()),
+        (lambda: GeneralizedMap([1], [np.array([[1.0, 1e-300], [0.0, 1.0]])]), ()),
     ],
     ids=["E_X0", "E_I1", "grouped_Y", "e_rzv", "tiny_off_diagonal"],
 )

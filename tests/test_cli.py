@@ -347,6 +347,18 @@ def test_sample_rejects_negative_seed_flag(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: seed:")
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_sample_takes_a_seed_beyond_float_range(tmp_path, capsys, where):
+    # an int seed is judged exactly, never converted to float
+    seed = 10**400
+    config = write_config(tmp_path, **({"seed": seed} if where == "config" else {}))
+    out = tmp_path / "report.json"
+    flag = ["--seed", str(seed)] if where == "flag" else []
+    assert main(["sample", "--config", str(config), "--output", str(out), *flag]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["seed"] == seed
+
+
 def test_sample_accepts_integral_float_fields(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     exact = {"name": "mcz", "m": 2, "m_prime": 1}

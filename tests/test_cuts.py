@@ -20,7 +20,9 @@ from qcut.cuts import (
     wire_cut_cc,
     wire_cut_ncc,
 )
-from qcut.linalg import DimensionError, Operator, QcutError, diagonal_qubits, ptm_of_unitary
+from qcut.linalg import (
+    DimensionError, Operator, QcutError, SizeCapError, diagonal_qubits, ptm_of_unitary,
+)
 from oracles import dense_mcz_decomposition, haar_unitary, ladder_conjugated, ptm_of_map
 
 THETAS = [0.0, np.pi / 6, np.pi / 4, np.pi / 2, -np.pi / 4, 1.234, np.pi]
@@ -68,14 +70,14 @@ def test_wire_cut_cc_rejects_bad_basis(basis):
 
 def test_multi_z_factors_are_ladder_conjugated_kraus_maps():
     # each register-local factor keeps the sign pattern of its two-qubit
-    # counterpart; a signed-Z factor becomes two one-operator branches
+    # counterpart; a signed-Z factor becomes two signed operators
     base = rzz_decomposition_b(0.8)
     deco = multi_z_rotation_decomposition(3, 2, 0.8)
     for t_base, t in zip(base.terms, deco.terms):
         for f_base, f, size in zip(t_base.factors, t.factors, (3, 2)):
             assert f.n_qubits == size
             assert f.signs == f_base.signs
-            assert [len(k) for _, k in f.branches] == [len(k) for _, k in f_base.branches]
+            assert f.kraus()[1].shape == (len(f_base.signs), 2**size, 2**size)
     # the parity lift is bit-identical to conjugating by explicit CNOT
     # ladders that fold each register's parity onto the qubit next to the cut
     for m, m_prime in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 1)]:
@@ -97,14 +99,14 @@ def test_lift_reads_each_register_index_through_its_bit(bit):
     # a diagonal factor diag(k) on a 3-qubit register is diag(k[bit(3)]);
     # a factor shared by two terms is lifted once
     k = np.diag([0.6, 0.8j])
-    shared = qcut.channels.GeneralizedMap([(1, [k]), (-1, [np.diag([0.8, 0.6])])])
+    shared = qcut.channels.GeneralizedMap([1, -1], [k, np.diag([0.8, 0.6])])
     ident = UnitaryChannel(gates.identity(1))
     terms = [DecompositionTerm(0.5, [shared, ident], "a"), DecompositionTerm(0.5, [shared, shared], "b")]
     deco = qcut.cuts._lifted("t", (3, 1), bit, lambda: terms, gates.identity)
     first, second = (t.factors for t in deco.terms)
     assert first[0] is second[0] and first[1] is ident and second[1] is shared
-    lifted = first[0].branches[0][1][0]
-    assert np.array_equal(lifted, np.diag(np.diag(k)[bit(3)]))
+    signs, (lifted, _) = first[0].kraus()
+    assert np.array_equal(lifted, np.diag(np.diag(k)[bit(3)])) and signs.tolist() == [1, -1]
     assert bit(3).tolist() == ([0, 1, 1, 0, 1, 0, 0, 1] if bit is gates.parity else [0] * 7 + [1])
 
 
@@ -118,7 +120,7 @@ def test_lift_reads_each_register_index_through_its_bit(bit):
     ids=["hadamard", "tiny_off_diagonal"],
 )
 def test_lift_refuses_non_diagonal_factor(kraus, bit):
-    factor = qcut.channels.GeneralizedMap([(1, [kraus])])
+    factor = qcut.channels.GeneralizedMap([1], [kraus])
     terms = [DecompositionTerm(1.0, [factor, factor], "t")]
     with pytest.raises(DimensionError, match="exactly diagonal"):
         qcut.cuts._lifted("t", (2, 2), bit, lambda: terms, gates.mcz)
@@ -320,6 +322,25 @@ def test_decomposition_refuses_non_integral_register_sizes(size):
         Decomposition("bad", (size, 1), [term], gates.identity(2))
     deco = Decomposition("ok", (1.0, np.int64(1)), [term], gates.identity(2))
     assert deco.partition == (1, 1) and all(type(s) is int for s in deco.partition)
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [(mcz_decomposition, "mcz[2,1]"),
+     (lambda m, mp: multi_z_rotation_decomposition(m, mp, 0.5), "multi_z[2,1,0.5]")],
+    ids=["mcz", "multi_z"],
+)
+@pytest.mark.parametrize("split", [(2, 1), (2.0, 1), (np.int64(2), 1.0)], ids=str)
+def test_lifted_cut_names_read_the_checked_register_sizes(build, name, split):
+    # two equal decompositions carry one name, however the sizes were passed
+    deco = build(*split)
+    assert deco.name == name and deco.partition == (2, 1)
+
+
+def test_lifted_cuts_refuse_sizes_beyond_float_range():
+    for build in (mcz_decomposition, lambda m, mp: multi_z_rotation_decomposition(m, mp, 0.3)):
+        with pytest.raises(SizeCapError):
+            build(10**400, 1)
 
 
 @pytest.mark.parametrize("split", [(1.7, 1), (True, 2), (2, 0)])

@@ -14,6 +14,7 @@ from qcut.linalg import (
     SizeCapError,
     embed_matrix,
     check_dense,
+    check_integer,
     check_unitary,
     kraus_transform,
     max_abs_diff,
@@ -465,3 +466,36 @@ def test_check_dense_boundary():
     with pytest.raises(SizeCapError, match="a 14-qubit operator needs 2\\^28"):
         check_dense(4 * MAX_DENSE_ENTRIES, "a 14-qubit operator")
 
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [(10**400, 10**400), (3, 3), (3.0, 3), (np.int64(3), 3), (np.float64(3.0), 3)],
+    ids=["beyond-float", "int", "float", "np-int", "np-float"],
+)
+def test_check_integer_takes_any_integral_value(value, expected):
+    got = check_integer(value, "n", 0)
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "value,hi,message",
+    [
+        (10**400, 26, f"n must be an integer in 1..26, got {10**400}"),
+        (-(10**400), None, f"n must be an integer >= 1, got {-(10**400)}"),
+        (1e300, 26, "n must be an integer in 1..26, got 1e+300"),
+        (float("inf"), None, "n must be an integer >= 1, got inf"),
+        (float("-inf"), None, "n must be an integer >= 1, got -inf"),
+        (float("nan"), None, "n must be an integer >= 1, got nan"),
+        (1.5, None, "n must be an integer >= 1, got 1.5"),
+        (True, None, "n must be an integer >= 1, got True"),
+        ("3", None, "n must be an integer >= 1, got '3'"),
+        (0, 26, "n must be an integer in 1..26, got 0"),
+        (27, 26, "n must be an integer in 1..26, got 27"),
+    ],
+)
+def test_check_integer_refuses_with_one_message(value, hi, message):
+    # a refusal is always a DimensionError, never an OverflowError or ValueError
+    with pytest.raises(DimensionError) as info:
+        check_integer(value, "n", 1, hi)
+    assert str(info.value) == message

@@ -37,12 +37,12 @@ from qcut.sampling import (
     term_value_distributions,
 )
 from oracles import (
-    branch_probabilities,
-    branch_value_distributions,
     devectorize,
     execute_term,
     haar_unitary,
     measure_prepare_map,
+    outcome_probabilities,
+    outcome_value_distributions,
     term_blocks,
     unsigned,
     vectorize,
@@ -185,7 +185,7 @@ def test_report_to_dict_is_json_plain():
 
 def test_multi_z_large_register_samples_within_5_sigma():
     # the ladder-conjugated signed-Z factors are signed Kraus maps; each
-    # branch is sampled with p = tr(K rho K^dag) like any other instrument
+    # outcome is sampled with p = tr(K rho K^dag) like any other instrument
     deco = multi_z_rotation_decomposition(2, 2, 0.8)
     assert deco.verify()["passed"]
     spec = spec_for(deco, "plus", "XXXI", shots=1_000_000, seed=3)
@@ -381,10 +381,10 @@ def pauli_spec(deco, seed):
     return ExperimentSpec(deco, tuple(states), tuple(observables), shots=1, seed=seed)
 
 
-def assert_matches_branch_reference(spec):
+def assert_matches_outcome_reference(spec):
     for term in spec.decomposition.terms:
         batched = term_value_distributions(spec, term)
-        reference = branch_value_distributions(term, spec)
+        reference = outcome_value_distributions(term, spec)
         assert len(batched) == len(reference)
         for (values, probs), (ref_values, ref_probs) in zip(batched, reference):
             assert values.shape == ref_values.shape
@@ -407,8 +407,8 @@ BENCHMARK_FAMILIES = [
 
 @pytest.mark.parametrize("deco", BENCHMARK_FAMILIES, ids=lambda d: d.name)
 def test_batched_enumeration_matches_branch_reference(deco):
-    # values bit-equal (same eigh, same branch order), probabilities to 1e-14
-    assert_matches_branch_reference(pauli_spec(deco, seed=len(deco.terms)))
+    # values bit-equal (same eigh, same outcome order), probabilities to 1e-14
+    assert_matches_outcome_reference(pauli_spec(deco, seed=len(deco.terms)))
 
 
 @pytest.mark.parametrize(
@@ -424,14 +424,14 @@ def test_batched_enumeration_matches_branch_reference(deco):
 )
 def test_batched_enumeration_drops_the_branches_the_reference_drops(deco, bits, obs):
     spec = spec_for(deco, bits, obs, shots=1)
-    # the case exercises the floor: some branch of some factor never occurs
+    # the case exercises the floor: some outcome of some factor never occurs
     assert any(
         p <= PROB_FLOOR
         for term in deco.terms
         for factor, rho, _ in term_blocks(term, spec)
-        for p, _ in branch_probabilities(factor, rho)
+        for p, _ in outcome_probabilities(factor, rho)
     )
-    assert_matches_branch_reference(spec)
+    assert_matches_outcome_reference(spec)
 
 
 @pytest.mark.parametrize(
@@ -446,12 +446,12 @@ def test_batched_enumeration_drops_the_branches_the_reference_drops(deco, bits, 
     ids=lambda d: d.name,
 )
 def test_batched_enumeration_matches_reference_on_non_pauli_observables(deco):
-    assert_matches_branch_reference(random_spec(deco, seed=11))
+    assert_matches_outcome_reference(random_spec(deco, seed=11))
 
 
 def test_batched_enumeration_sums_multi_kraus_and_skips_empty_branches():
     # a measure-and-prepare map that prepares mixed states has two Kraus
-    # operators per branch; a zero effect leaves a branch with none
+    # operators per effect, each its own signed outcome; a zero effect has none
     rng = np.random.default_rng(4)
     u = haar_unitary(rng, 2).mat
     mixed = [Operator(np.diag([0.7, 0.3]).astype(complex)),
@@ -459,13 +459,25 @@ def test_batched_enumeration_sums_multi_kraus_and_skips_empty_branches():
     zero = Operator(np.zeros((2, 2), dtype=complex))
     effects = [Operator(np.diag([1.0, 0.0]).astype(complex)),
                Operator(np.diag([0.0, 1.0]).astype(complex))]
-    factor = measure_prepare_map(
-        [(1, effects[0], mixed[0]), (-1, zero, mixed[0]), (-1, effects[1], mixed[1])]
-    )
-    assert [len(k) for _, k in factor.branches] == [2, 0, 2]
+    terms = [(1, effects[0], mixed[0]), (-1, zero, mixed[0]), (-1, effects[1], mixed[1])]
+    factor = measure_prepare_map(terms)
+    assert factor.signs == (1, 1, -1, -1)
     deco = Decomposition("mp", (1,), [DecompositionTerm(1.0, [factor], "mp")],
                          gates.identity(1))
-    assert_matches_branch_reference(random_spec(deco, seed=2))
+    spec = random_spec(deco, seed=2)
+    assert_matches_outcome_reference(spec)
+    # one outcome per operator leaves the law of sign * lambda what one outcome
+    # per effect gives: Tr(E rho) rho_v, measured in the observable's eigenbasis
+    ((_, rho, obs),) = term_blocks(deco.terms[0], spec)
+    lam, vecs = np.linalg.eigh(obs)
+    law = {}
+    for a, e, prep in terms:
+        post = np.trace(e.mat @ rho) * prep.mat
+        for v, q in zip(a * lam, np.einsum("ai,ab,bi->i", vecs.conj(), post, vecs).real):
+            law[v] = law.get(v, 0.0) + q
+    values, probs = term_support(spec, deco.terms[0])
+    assert values.tolist() == sorted(v for v, q in law.items() if q > PROB_FLOOR)
+    assert np.max(np.abs(probs - [law[v] for v in values.tolist()])) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -92,9 +92,8 @@ def test_lift_of_one_map_keeps_and_and_parity_apart(order):
                             gates.identity)
         for lifted in deco.terms[0].factors:
             assert lifted.signs == ez.signs
-            for (_, kraus), (_, base) in zip(lifted.branches, ez.branches, strict=True):
-                want = np.array([np.diag(np.diag(k)[bit(2)]) for k in base])
-                assert np.array_equal(kraus, want), bit.__name__
+            for kraus, base in zip(lifted.kraus()[1], ez.kraus()[1], strict=True):
+                assert np.array_equal(kraus, np.diag(np.diag(base)[bit(2)])), bit.__name__
     assert gates.all_ones(2).tolist() != gates.parity(2).tolist()
 
 
@@ -128,10 +127,14 @@ def test_every_cached_map_refuses_writes():
         if not deco.name.startswith(("rzz_a", "controlled_sequence")):
             assert all(id(f) in shared for t in deco.terms for f in t.factors), deco.name
     for f in shared.values():
-        for array in (*f.kraus(), *(kraus for _, kraus in f.branches)):
+        for array in f.kraus():
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+        with pytest.raises(AttributeError):
+            f.branches = f.kraus()
+        with pytest.raises(AttributeError):
+            f._kraus = f.kraus()
     for d in (1, 2, 4, 8, 16, 32):
         table = linalg._hadamard(d)
         assert linalg._hadamard(d) is table and not table.flags.writeable
@@ -144,9 +147,9 @@ def test_second_mcz_build_constructs_no_map(monkeypatch):
     built = []
     construct = channels.GeneralizedMap.__init__
 
-    def counting(self, branches):
+    def counting(self, signs, ops):
         built.append(type(self).__name__)
-        construct(self, branches)
+        construct(self, signs, ops)
 
     monkeypatch.setattr(channels.GeneralizedMap, "__init__", counting)
     deco = mcz_decomposition(2, 3)

@@ -323,12 +323,12 @@ def _wire_cut(basis: str) -> Decomposition:
 
 @pytest.mark.parametrize("basis", ["Y", "X", "Z", "ncc"])
 def test_wire_cut_fragments_resolve_identity(basis):
-    # [KNOWN] each outcome's spider pair contracts to its branch's rank-one
+    # [KNOWN] each outcome's spider pair contracts to its rank-one
     # Kraus operator, and summing weight * (pair (x) conj(pair)) over the
     # outcomes reproduces the identity channel
     deco = _wire_cut(basis)
     outcomes = insert_wire_cut(wire_diagram(1), deco)
-    kraus = [k for t in deco.terms for _, (k,) in t.factors[0].branches]
+    kraus = [k for t in deco.terms for k in t.factors[0].kraus()[1]]
     assert len(outcomes) == len(kraus)
     total = np.zeros((4, 4), dtype=complex)
     for (term, sign, d), k in zip(outcomes, kraus):
@@ -379,7 +379,7 @@ def _one_factor_cut(factor) -> Decomposition:
          r"not \|s><e\|"),
         # measure Z and prepare cos(0.3)|0> + sin(0.3)|1>, which no spider is
         (split_mcz_three_hboxes(2, 1), _one_factor_cut(GeneralizedMap(
-            [(1, [np.outer([np.cos(0.3), np.sin(0.3)], e)]) for e in np.eye(2)])),
+            [1, 1], [np.outer([np.cos(0.3), np.sin(0.3)], e) for e in np.eye(2)])),
          r"not \|s><e\|"),
         (dataclasses.replace(wire_diagram(1), cut_edge=(0, 7)), wire_cut_cc("Y"), "not an edge"),
     ],
