@@ -317,10 +317,13 @@ def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
 
 
 def _check_angle(theta) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta):
+    try:
+        value = float(theta)
+    except OverflowError:  # an integer beyond float range
+        value = math.inf
+    if not math.isfinite(value):
         raise DimensionError(f"rotation angle must be finite, got {theta!r}")
-    return theta
+    return value
 
 
 def _rz_channel(theta: float) -> ch.UnitaryChannel:

@@ -18,15 +18,15 @@ qubit diagonal the map acts entrywise, ``E(rho) = S * rho`` with a Schur
 multiplier ``S``, and ``A`` is the ``d x d`` transform of ``S``.
 
 No call holds all of ``A``.  No transform mixes the output X part ``x'_T``,
-so the kernel computes the shared part once (the diagonal split, the ket
-gather and the Hadamard matrices) and then yields ``A`` in slabs: runs of
-consecutive ``x'_T`` rows, as many as keep one slab's bra gather and two
-transform arrays within the one byte budget :data:`_SLAB_BYTES` (1 MiB), and
-at least one, so a small ``A`` comes out as one slab.  At its peak
-``Decomposition.verify``, which keeps a running maximum over the slabs
-(:func:`abs_argmax`), holds the Kraus gathers and one slab;
-:func:`ptm_of_kraus`, which phases and scatters each slab as it comes, holds
-the PTM, the Kraus gathers and one slab.
+so the kernel computes the shared part once (the diagonal split, the bra and
+ket arrays, one index table and the Hadamard matrices) and then yields ``A``
+in slabs: runs of consecutive ``x'_T`` rows, a power of two of them, as many
+as keep one slab's bra gather, index table and two transform arrays within
+the one byte budget :data:`_SLAB_BYTES` (1 MiB), and at least one, so a small
+``A`` comes out as one slab.  At its peak ``Decomposition.verify``, which
+keeps a running maximum over the slabs (:func:`abs_argmax`), holds the Kraus
+gathers and one slab; :func:`ptm_of_kraus`, which phases and scatters each
+slab as it comes, holds the PTM, the Kraus gathers and one slab.
 
 Everything here is desk-scale by design: :func:`check_dense` caps every dense
 array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
@@ -327,8 +327,21 @@ def diagonal_qubits(kraus: np.ndarray) -> tuple:
     return tuple(q for q in range(n) if not flipped >> (n - 1 - q) & 1)
 
 
-#: bytes one slab of :func:`kraus_transform` may hold: its bra gather and two
-#: transform arrays (a slab always holds at least one ``x'_T`` row)
+@cache
+def _xor_gather(d_t: int, r: int) -> np.ndarray:
+    """Flat indices ``(b r + j) d_t + (b ^ x)`` over ``(b, j, x)``: taken
+    along the last axis of ``W[c, (b, j, e)]``, ``j`` in ``range(r)``, they
+    give ``W[c, b, j, b ^ x]``.  One read-only table per ``(d_t, r)``, built
+    once per process."""
+    b, j, x = np.ogrid[:d_t, :r, :d_t]
+    table = ((b * r + j) * d_t + (b ^ x)).ravel()
+    table.setflags(write=False)
+    return table
+
+
+#: bytes one slab of :func:`kraus_transform` may hold: its bra gather, its
+#: index table and two transform arrays (a slab always holds at least one
+#: ``x'_T`` row)
 _SLAB_BYTES = 2**20
 
 
@@ -354,12 +367,21 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     ``D`` = every qubit the ``d x d`` transform of the Schur multiplier
     ``G[t, s] = S[t, s]`` of ``E(rho) = S * rho``.
 
+    For each ``c`` one gemm over the Kraus index gives
+
+        W_c[(b, s, x'), (t, e)] = sum_k w_k conj(K_k^(s)[c ^ x', b]) K_k^(t)[c, e],
+
+    and one ``np.take`` through a cached index table (:func:`_xor_gather`)
+    reads ``G[t, s, c, b, x', x] = W_c[(b, s, x'), (t, b ^ x)]``.
+
     No transform mixes ``x'_T``, so ``slabs`` yields ``(start, A[..., start:
     start + k, :])``, a new array, for consecutive runs of ``k`` values of
-    ``x'_T``: as many as keep the slab's bra gather and two transform arrays
-    within :data:`_SLAB_BYTES`, and at least one, so a small ``A`` is one
-    slab.  The size checks and the work every slab shares (the diagonal
-    split, the ket gather and the Hadamard matrices) run before this returns.
+    ``x'_T``: ``k`` is the largest power of two that keeps the slab's bra
+    gather, index table and two transform arrays within :data:`_SLAB_BYTES`,
+    and at least one, at most ``d_T``, so every slab has the same shape and a
+    small ``A`` is one slab.  The size checks and the work every slab shares
+    (the diagonal split, the bra and ket arrays, the index table and the
+    Hadamard matrices) run before this returns.
     """
     kraus = np.asarray(kraus, dtype=complex)
     m, d, _ = kraus.shape
@@ -367,7 +389,7 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     diag = diagonal_qubits(kraus)
     d_d = 2 ** len(diag)
     d_t = d // d_d
-    check_dense(m * d_d * d_t**3, f"Kraus gathers on {n} qubits")
+    check_dense(m * d_d * d_t**2, f"Kraus gathers on {n} qubits")
     check_dense(d_d**2 * d_t**4, f"Pauli transfer array on {n} qubits")
     order = [*diag, *(q for q in range(n) if q not in diag)]
     axes = [0, *(1 + q for q in order), *(1 + n + q for q in order)]
@@ -375,28 +397,30 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     blocks = np.diagonal(perm, axis1=1, axis2=3).transpose(3, 1, 2, 0)  # [s, a, a', k]
     i_d, i_t = np.arange(d_d), np.arange(d_t)
     xor, xor_d = i_t[:, None] ^ i_t, i_d[:, None] ^ i_d
-    # one gemm per (c, b): rows (s, x'), columns (t, x), the Kraus index k innermost
+    # one gemm per c: rows (b, s, x'), columns (t, e), the Kraus index k between
     bra = np.conj(blocks) * weights
-    ket = blocks[i_d[:, None], i_t[:, None, None, None], xor[:, None, :]]
-    ket = ket.reshape(d_t, d_t, -1, m).swapaxes(2, 3)
+    ket = blocks.transpose(1, 3, 0, 2).reshape(d_t, m, d_d * d_t)  # [c, k, (t, e)]
     h_t, h_d = _hadamard(d_t), _hadamard(d_d)
-    row_bytes = 16 * (m * d_d * d_t**2 + 2 * d_d**2 * d_t**3)  # per x' row
-    step = min(d_t, max(1, _SLAB_BYTES // row_bytes))
+    # per x' row: the bra gather, two transform arrays and the index table
+    row_bytes = 16 * (m * d_d * d_t**2 + 2 * d_d**2 * d_t**3) + 8 * d_d**2 * d_t**2
+    # a power of two divides d_t, so every slab has one shape and one table
+    step = min(d_t, 1 << max(0, (_SLAB_BYTES // row_bytes).bit_length() - 1))
+    gather = _xor_gather(d_t, d_d**2 * step)
 
     def slabs():
         for start in range(0, d_t, step):
-            k = min(step, d_t - start)
-            rows = bra[i_d[:, None], xor[:, None, None, start:start + k], i_t[:, None, None]]
-            w = rows.reshape(d_t, d_t, -1, m) @ ket  # [c, b, (s, x'), (t, x)]
+            rows = bra[i_d[:, None], xor[:, None, None, start:start + step], i_t[:, None, None]]
+            w = rows.reshape(d_t, -1, m) @ ket  # [c, (b, s, x'), (t, e)]
             del rows
+            w = w.reshape(d_t, -1).take(gather, axis=1)  # [c, (b, s, x', t, x)], e = b ^ x
             if d_t > 1:  # H is real: apply it to the (real, imag) pairs as real gemms
                 w = h_t @ w.reshape(d_t, -1).view(float)  # [z', (b, s, x', t, x)]
                 w = (h_t @ w.reshape(d_t, d_t, -1)).view(complex)  # [z', z, (s, x', t, x)]
             if diag:
                 # [x_D, b, z', z, x', x] = F[t = b ^ x_D, s = b], then H over b
-                w = w.reshape(d_t, d_t, d_d, k, d_d, d_t)[:, :, i_d, :, xor_d, :]
+                w = w.reshape(d_t, d_t, d_d, step, d_d, d_t)[:, :, i_d, :, xor_d, :]
                 w = (h_d @ w.reshape(d_d, d_d, -1).view(float)).view(complex)
-            yield start, w.reshape(d_d, d_d, d_t, d_t, k, d_t)
+            yield start, w.reshape(d_d, d_d, d_t, d_t, step, d_t)
 
     return slabs(), diag
 

@@ -409,7 +409,7 @@ def test_diagonal_verify_builds_no_dense_ptm(monkeypatch):
 def test_controlled_sequence_verify_splits_off_the_control():
     # 4 targets: the kernel's whole array would have 2^2 * 16^4 entries,
     # 4 MiB, and one dense 4^5 x 4^5 complex PTM is 16 MiB; verify() holds the
-    # Kraus gathers (1.4 MiB) and one slab of at most 1 MiB
+    # Kraus gathers (under 0.4 MiB) and one slab of at most 1 MiB
     deco = _haar_sequence(4, 64)
     assert deco.verify()["passed"]
     assert _traced_peak(deco.verify) < 3 * 2**20
@@ -533,7 +533,11 @@ def test_kraus_verify_matches_dense(build, flip):
     assert abs(delta[_pauli_position(out), _pauli_position(inp)] - delta.max()) <= 1e-12
 
 
-@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("theta", [
+    np.inf, -np.inf, np.nan,
+    # float() of an integer beyond float range raises OverflowError
+    pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400"),
+])
 @pytest.mark.parametrize(
     "build",
     [
@@ -544,7 +548,7 @@ def test_kraus_verify_matches_dense(build, flip):
     ids=["rzz_a", "rzz_b", "multi_z"],
 )
 def test_non_finite_angle_rejected(build, theta):
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=f"rotation angle must be finite, got {theta!r}"):
         build(theta)
 
 

@@ -170,11 +170,52 @@ def test_random_stacks_match_dense_oracle(n, mask, m, seed):
 )
 def test_streamed_slabs_match_dense_oracle(diag, m, budget, seed):
     # n = 5 spans 16 or 32 one-row slabs at the default budget; a drawn
-    # budget gives slabs of several rows, most with a shorter last slab
+    # budget gives slabs of several rows, a power of two of them, all alike
     weights, kraus = random_stack(np.random.default_rng(seed), 5, diag, m)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_SLAB_BYTES", budget)
         check_against_oracle(weights, kraus, diag)
+        shapes = {a.shape for _, a in kraus_transform(weights, kraus)[0]}
+    (shape,) = shapes
+    assert shape[4] & (shape[4] - 1) == 0
+
+
+def test_index_tables_stay_one_per_power_of_two_rows():
+    # every budget the drawn-budget test can draw: the n = 5 kernels share
+    # one table per (d_T, rows per slab), at most log2(d_T) + 1 per d_T
+    linalg._xor_gather.cache_clear()
+    budgets = sorted({int(1.1**i) for i in range(175)} | {linalg._SLAB_BYTES, 2**23})
+    for diag in [(), (0,), (2,), (4,)]:
+        for m in (1, 3):
+            weights, kraus = random_stack(np.random.default_rng(m), 5, diag, m)
+            for budget in budgets:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(linalg, "_SLAB_BYTES", budget)
+                    kraus_transform(weights, kraus)  # builds its table before returning
+    # d_T = 32 (D empty) and d_T = 16 (one diagonal qubit): 6 + 5 powers of two
+    assert 0 < linalg._xor_gather.cache_info().currsize <= 6 + 5
+
+
+def test_kernel_setup_holds_no_ket_gather():
+    # a 4-target controlled sequence and its target: 11 operators, d_D = 2,
+    # d_T = 16; a gather of K_k^(t)[c, b ^ x] over every (c, b) would be
+    # 11 * 2 * 16^3 entries, 1.4 MiB, and the set-up holds far less
+    rng = np.random.default_rng(4)
+    deco = cuts.controlled_sequence_decomposition(
+        [((t,), haar_unitary(rng, 2)) for t in range(4)], 4)
+    weights, ops = deco.kraus()
+    weights = np.append(weights, -1.0)
+    kraus = np.concatenate([ops, deco.target_unitary.mat[None]])
+    assert kraus.shape == (11, 32, 32) and diagonal_qubits(kraus) == (0,)
+    assert 16 * 11 * 2 * 16**3 > 2**20
+    tracemalloc.start()
+    try:
+        slabs, _ = kraus_transform(weights, kraus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+    assert sum(1 for _ in slabs) == 16
 
 
 def test_slab_argmax_takes_the_first_maximum_in_c_order():

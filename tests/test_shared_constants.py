@@ -140,6 +140,16 @@ def test_every_cached_map_refuses_writes():
         assert linalg._hadamard(d) is table and not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 2
+    # the kernel's index tables: a 4-target controlled sequence's verify()
+    # builds the one for d_T = 16 and one x' row of 2 x 2 blocks
+    controlled_sequence_decomposition([((t,), gates.hadamard()) for t in range(4)], 4).verify()
+    assert linalg._xor_gather.cache_info().currsize == 1
+    for d_t, rows in ((16, 4), (1, 1), (8, 32)):
+        table = linalg._xor_gather(d_t, rows)
+        assert linalg._xor_gather(d_t, rows) is table and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    assert linalg._xor_gather.cache_info().currsize == 3
 
 
 def test_second_mcz_build_constructs_no_map(monkeypatch):

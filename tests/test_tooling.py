@@ -1,13 +1,33 @@
-"""The benchmark's tracer (``perfbench/tracing.py``) patches qcut's functions
-and methods by name.  A name it targets that ``src/`` no longer defines on
-that owner would break a traced run, so every target must still resolve."""
+"""The tools around the package: the benchmark's tracer
+(``perfbench/tracing.py``) patches qcut's functions and methods by name, so
+every name it targets must still resolve on its owner, and the repository's
+pytest configuration must report a failing property test as a failure."""
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import qcut
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, max_examples=20)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
 
 
 def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
@@ -24,3 +44,18 @@ def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
         (qcut.cuts, "ptm_of_unitary"),
     ]:
         assert (owner, attr) in targets, (owner.__name__, attr)
+
+
+def test_failing_property_test_is_reported_as_a_failure(tmp_path):
+    # a failing example makes Hypothesis import libcst, whose deprecation
+    # warning the config's "error" filter would raise inside pytest's report
+    # hook: an INTERNALERROR, exit 3, and every later result lost
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout, run.stdout
