@@ -405,15 +405,15 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     row_bytes = 16 * (m * d_d * d_t**2 + 2 * d_d**2 * d_t**3) + 8 * d_d**2 * d_t**2
     # a power of two divides d_t, so every slab has one shape and one table
     step = min(d_t, 1 << max(0, (_SLAB_BYTES // row_bytes).bit_length() - 1))
-    gather = _xor_gather(d_t, d_d**2 * step)
+    gather = _xor_gather(d_t, d_d**2 * step) if d_t > 1 else None  # d_T = 1: x = b = e = 0
 
     def slabs():
         for start in range(0, d_t, step):
             rows = bra[i_d[:, None], xor[:, None, None, start:start + step], i_t[:, None, None]]
             w = rows.reshape(d_t, -1, m) @ ket  # [c, (b, s, x'), (t, e)]
             del rows
-            w = w.reshape(d_t, -1).take(gather, axis=1)  # [c, (b, s, x', t, x)], e = b ^ x
             if d_t > 1:  # H is real: apply it to the (real, imag) pairs as real gemms
+                w = w.reshape(d_t, -1).take(gather, axis=1)  # [c, (b, s, x', t, x)], e = b ^ x
                 w = h_t @ w.reshape(d_t, -1).view(float)  # [z', (b, s, x', t, x)]
                 w = (h_t @ w.reshape(d_t, d_t, -1)).view(complex)  # [z', z, (s, x', t, x)]
             if diag:
