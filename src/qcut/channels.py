@@ -46,7 +46,6 @@ from .linalg import (
     check_dense_bits,
     check_unitary,
     embed_matrix,
-    ptm_of_kraus,
 )
 
 #: Pauli -> (+1 eigenket, -1 eigenket)
@@ -119,11 +118,11 @@ class GeneralizedMap:
 
     def kraus(self) -> tuple:
         """``(signs, ops)``: the read-only sign vector and ``(k, d, d)`` stack
-        the map was built from, as :func:`~qcut.linalg.ptm_of_kraus` takes them."""
+        the map was built from, as :class:`~qcut.linalg.Superoperator` takes them."""
         return self._kraus
 
     def to_superoperator(self) -> Superoperator:
-        return ptm_of_kraus(*self.kraus())
+        return Superoperator(*self.kraus())
 
     def is_cptp(self) -> bool:
         """True iff every sign is +1 (completeness is enforced at construction)."""

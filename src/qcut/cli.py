@@ -445,8 +445,12 @@ def _zx_rzz(n, m, theta):
     yield f"rzz[{_fmt(theta)}]", dev
 
 
+#: ``--n`` of ``zx-check --builtin mcz-fusion`` when it is not given
+_FUSION_N = 4
+
+
 def _zx_mcz_fusion(n, m, theta):
-    n = n or 4
+    n = n or _FUSION_N
     m = m or n // 2
     rep = zx.verify_rule(zx.mcz_diagram(n), zx.split_mcz_three_hboxes(n, m))
     yield f"mcz-fusion[n={n},m={m}]", rep["max_abs_deviation"]
@@ -485,6 +489,11 @@ def _zx_builtin(args, given: dict) -> int:
     for flag, value in (("--n", args.n), ("--m", args.m)):
         if value is not None:
             _check_int(value, flag, 1, MAX_QUBITS)
+    # mcz-fusion, the one check that reads --m, splits --n qubits as 1 <= m < n
+    if any(check is _zx_mcz_fusion for check, _ in checks):
+        n = _check_int(args.n or _FUSION_N, "--n", 2, MAX_QUBITS)
+        if args.m is not None:
+            _check_int(args.m, "--m", 1, n - 1)
     failures = 0
     for check, _ in checks:
         for label, dev in check(args.n, args.m, theta):

@@ -41,14 +41,10 @@ from .linalg import (
     DimensionError,
     Operator,
     Superoperator,
-    abs_argmax,
     check_dense_bits,
     check_integer,
-    kraus_transform,
     pauli_label,
-    ptm_of_kraus,
     ptm_of_unitary,
-    transform_entry,
 )
 
 #: reconstruction tolerance: sum of term PTMs vs. the target channel
@@ -93,8 +89,8 @@ class DecompositionTerm:
         return weights, ops
 
     def to_superoperator(self) -> Superoperator:
-        """Unweighted PTM of the term's tensor-product map."""
-        return ptm_of_kraus(*self.kraus())
+        """The term's unweighted tensor-product map."""
+        return Superoperator(*self.kraus())
 
     def __repr__(self):
         return f"DecompositionTerm(q={self.q:+.6g}, label={self.label!r})"
@@ -103,9 +99,10 @@ class DecompositionTerm:
 class Decomposition:
     """A named quasiprobability decomposition with its target gate.
 
-    The target is kept as its unitary; its dense PTM (:attr:`target`) is
-    built on first use, so building and sampling a decomposition never pays
-    for a ``4^n x 4^n`` matrix, and verifying one never reads it.
+    The target is kept as its unitary.  :attr:`target` and :meth:`reconstruct`
+    return signed Kraus sums (:class:`~qcut.linalg.Superoperator`) whose
+    ``4^n x 4^n`` PTM is built only when ``.matrix`` is read; building,
+    sampling and verifying a decomposition read none.
     """
 
     def __init__(self, name: str, partition, terms, target_unitary: Operator):
@@ -140,7 +137,7 @@ class Decomposition:
 
     @cached_property
     def target(self) -> Superoperator:
-        """PTM of the target gate, built the first time it is read."""
+        """The target gate's channel, checked the first time it is read."""
         return ptm_of_unitary(self.target_unitary)
 
     @property
@@ -165,27 +162,16 @@ class Decomposition:
                 np.concatenate([ops for _, _, ops in parts]))
 
     def reconstruct(self) -> Superoperator:
-        """Dense PTM of ``sum_nu q_nu F_nu``, built once from its signed Kraus
-        operators."""
-        return ptm_of_kraus(*self.kraus())
+        """The map ``sum_nu q_nu F_nu``."""
+        return Superoperator(*self.kraus())
 
     def verify(self) -> dict:
-        """Compare the reconstruction with the target PTM entry by entry.
-
+        """Compare the reconstruction with the target PTM entry by entry:
         ``max_abs_deviation`` is the largest ``|delta|`` and ``worst_entry``
-        the output and input Pauli strings of that entry.  Each PTM entry of
-        the difference is a unit phase times one of ``A / d`` from
-        :func:`~qcut.linalg.kraus_transform` of the signed Kraus operators
-        with ``(-1, U)`` appended for the target, so no PTM is built, and
-        the largest is found one slab at a time (:func:`~qcut.linalg.abs_argmax`).
-        """
+        the output and input Pauli strings of that entry."""
         n = self.n_qubits
-        weights, ops = self.kraus()
-        slabs, diag = kraus_transform(np.append(weights, -1.0),
-                                      np.concatenate([ops, self.target_unitary.mat[None]]))
-        peak, index = abs_argmax(slabs)
-        row, col = transform_entry(index, diag, n)
-        deviation = peak / 2**n
+        deviation, row, col = Superoperator(*self.kraus()).compare(
+            Superoperator(np.ones(1), self.target_unitary.mat[None]))
         return {
             "name": self.name,
             "n_terms": len(self.terms),

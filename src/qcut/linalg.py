@@ -1,32 +1,21 @@
 """Dense complex linear algebra for small multi-qubit systems.
 
-Operators are stored as dense ``2^n x 2^n`` complex matrices, superoperators
-as ``4^n x 4^n`` matrices in the normalized Pauli basis (Pauli transfer
-matrices, PTMs).  The Pauli basis ordering is lexicographic over ``(I, X, Y,
-Z)`` per qubit with qubit 0 as the most significant index, matching the
-standard Kronecker-product convention, so PTMs of tensor-product maps are
-Kronecker products of the factor PTMs with no permutation bookkeeping.
+Operators are dense ``2^n x 2^n`` complex matrices.  A :class:`Superoperator`
+is a signed Kraus sum ``rho -> sum_k w_k K_k rho K_k^dag``, held as its
+weights and ``(k, d, d)`` operator stack; its Pauli transfer matrix (PTM),
+the ``4^n x 4^n`` matrix in the normalized Pauli basis, is built only when
+read.  The basis is ordered lexicographically over ``(I, X, Y, Z)`` per qubit
+with qubit 0 as the most significant index, so PTMs of tensor-product maps
+are Kronecker products of the factor PTMs.
 
-Indexed by X and Z part, ``P = i^{|x & z|} X^x Z^z``, every PTM entry of
-``rho -> sum_k w_k K_k rho K_k^dag`` is a unit phase times one entry of a
-Walsh-Hadamard array ``A / d`` (:func:`kraus_transform`), which
-:func:`ptm_of_kraus`, the dense PTM builder, phases and scatters.  The kernel
-first splits off the qubits ``D`` on which every ``K_k`` is exactly diagonal.
-The map keeps the X part on ``D``, so ``A`` has ``d_D^2 d_T^4`` entries
-instead of ``d^4``: with no such qubit it is the dense array, and with every
-qubit diagonal the map acts entrywise, ``E(rho) = S * rho`` with a Schur
-multiplier ``S``, and ``A`` is the ``d x d`` transform of ``S``.
-
-No call holds all of ``A``.  No transform mixes the output X part ``x'_T``,
-so the kernel computes the shared part once (the diagonal split, the bra and
-ket arrays, one index table and the Hadamard matrices) and then yields ``A``
-in slabs: runs of consecutive ``x'_T`` rows, a power of two of them, as many
-as keep one slab's bra gather, index table and two transform arrays within
-the one byte budget :data:`_SLAB_BYTES` (1 MiB), and at least one, so a small
-``A`` comes out as one slab.  At its peak ``Decomposition.verify``, which
-keeps a running maximum over the slabs (:func:`abs_argmax`), holds the Kraus
-gathers and one slab; :func:`ptm_of_kraus`, which phases and scatters each
-slab as it comes, holds the PTM, the Kraus gathers and one slab.
+Indexed by X and Z part, ``P = i^{|x & z|} X^x Z^z``, every PTM entry is a
+unit phase times one entry of a Walsh-Hadamard array ``A / d`` that
+:func:`kraus_transform` yields in slabs of about :data:`_SLAB_BYTES`, after
+splitting off the qubits on which every ``K_k`` is exactly diagonal.  Two
+maps are compared (:meth:`Superoperator.compare`) through the slabs of their
+difference, holding the Kraus gathers and one slab at a time;
+:func:`ptm_of_kraus`, the one dense builder, phases and scatters each slab
+into the PTM.
 
 Everything here is desk-scale by design: :func:`check_dense` caps every dense
 array at :data:`MAX_DENSE_ENTRIES` complex entries before it is allocated.
@@ -36,7 +25,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -206,27 +195,45 @@ def check_unitary(mat: np.ndarray, what: str):
         raise DimensionError(f"{what} is not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
-@dataclass(frozen=True)
 class Superoperator:
-    """A linear map on operators, stored as its PTM in the normalized Pauli basis."""
+    """The map ``rho -> sum_k w_k K_k rho K_k^dag`` on ``n`` qubits: read-only
+    views of its weights and ``(k, d, d)`` Kraus stack, and its PTM
+    :attr:`matrix`, built by :func:`ptm_of_kraus` the first time it is read."""
 
-    n: int
-    matrix: np.ndarray
+    def __init__(self, weights, kraus):
+        weights, kraus = np.asarray(weights).view(), np.asarray(kraus).view()
+        if not (kraus.ndim == 3 and weights.shape == kraus.shape[:1]
+                and kraus.shape[1] == kraus.shape[2] and _is_power_of_two(kraus.shape[2])):
+            raise DimensionError(f"need k weights for a (k, d, d) stack on qubits, "
+                                 f"got {weights.shape} and {kraus.shape}")
+        weights.setflags(write=False)
+        kraus.setflags(write=False)
+        vars(self).update(weights=weights, kraus=kraus)
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (4**self.n, 4**self.n):
-            raise DimensionError(
-                f"superoperator for n={self.n} must be {4**self.n} x {4**self.n}, "
-                f"got {mat.shape}"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+    def __setattr__(self, name, value):
+        raise AttributeError("Superoperator is immutable")
 
-    def max_abs_diff(self, other: "Superoperator") -> float:
+    @property
+    def n(self) -> int:
+        return self.kraus.shape[2].bit_length() - 1
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return ptm_of_kraus(self.weights, self.kraus)
+
+    def compare(self, other: "Superoperator") -> tuple:
+        """``(max |delta|, row, col)`` over the PTM entries of ``self - other``:
+        :func:`abs_argmax` of :func:`kraus_transform`'s slabs of both stacks,
+        ``other``'s weights negated, so no PTM is built."""
         if self.n != other.n:
             raise DimensionError(f"qubit count mismatch: {self.n} vs {other.n}")
-        return max_abs_diff(self.matrix, other.matrix)
+        slabs, diag = kraus_transform(np.concatenate([self.weights, -other.weights]),
+                                      np.concatenate([self.kraus, other.kraus]))
+        peak, index = abs_argmax(slabs)
+        return (peak / 2**self.n, *transform_entry(index, diag, self.n))
+
+    def max_abs_diff(self, other: "Superoperator") -> float:
+        return self.compare(other)[0]
 
 
 #: bytes of the scratch buffer :func:`max_abs_diff` reuses for each block of rows
@@ -262,11 +269,11 @@ def max_abs_diff(a, b) -> float:
 
 
 def ptm_of_unitary(u: Operator) -> Superoperator:
-    """PTM of the channel ``rho -> U rho U^dag``: :func:`ptm_of_kraus` of ``U``."""
+    """The channel ``rho -> U rho U^dag`` of a unitary whose PTM fits the cap."""
     n = u.n_qubits
     check_dense_bits(4 * n, f"superoperator on {n} qubits")  # before the d x d unitarity products
     check_unitary(u.mat, "input")
-    return ptm_of_kraus(np.ones(1), u.mat[None])
+    return Superoperator(np.ones(1), u.mat[None])
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +382,10 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     reads ``G[t, s, c, b, x', x] = W_c[(b, s, x'), (t, b ^ x)]``.
 
     No transform mixes ``x'_T``, so ``slabs`` yields ``(start, A[..., start:
-    start + k, :])``, a new array, for consecutive runs of ``k`` values of
-    ``x'_T``: ``k`` is the largest power of two that keeps the slab's bra
-    gather, index table and two transform arrays within :data:`_SLAB_BYTES`,
-    and at least one, at most ``d_T``, so every slab has the same shape and a
-    small ``A`` is one slab.  The size checks and the work every slab shares
-    (the diagonal split, the bra and ket arrays, the index table and the
-    Hadamard matrices) run before this returns.
+    start + k, :])``, a new array, for runs of ``k`` values of ``x'_T``: the
+    largest power of two, at least one and at most ``d_T``, whose bra gather,
+    index table and two transform arrays fit :data:`_SLAB_BYTES`.  The size
+    checks and the work all slabs share run before this returns.
     """
     kraus = np.asarray(kraus, dtype=complex)
     m, d, _ = kraus.shape
@@ -453,10 +457,10 @@ def transform_entry(index, diag: tuple, n: int) -> tuple:
             pauli_index(x_d << n_t | x_in, u << n_t | z_in, n, diag))
 
 
-def ptm_of_kraus(weights: np.ndarray, kraus: np.ndarray) -> Superoperator:
-    """PTM of ``rho -> sum_k w_k K_k rho K_k^dag`` for weights ``w_k`` and a
-    ``(k, d, d)`` stack of operators: each slab of :func:`kraus_transform`'s
-    array, phased and scattered into a zero ``4^n x 4^n`` matrix as it comes."""
+def ptm_of_kraus(weights: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """Read-only PTM of ``rho -> sum_k w_k K_k rho K_k^dag``: each slab of
+    :func:`kraus_transform`'s array, phased and scattered into a zero
+    ``4^n x 4^n`` matrix as it comes."""
     d = np.shape(kraus)[-1]
     n = d.bit_length() - 1
     check_dense_bits(4 * n, f"superoperator on {n} qubits")
@@ -483,7 +487,8 @@ def ptm_of_kraus(weights: np.ndarray, kraus: np.ndarray) -> Superoperator:
         w *= row_phase[x_out, z_out]
         w *= col_phase
         out[p[x_out, z_out], cols] = w
-    return Superoperator(n, out)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

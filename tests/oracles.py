@@ -26,7 +26,6 @@ from qcut.linalg import (
     PAULI_Z,
     DimensionError,
     Operator,
-    Superoperator,
     check_dense,
     embed_matrix,
     max_abs_diff,
@@ -130,8 +129,8 @@ def pauli_basis_matrices(n: int) -> np.ndarray:
     return _basis_cached(n)
 
 
-def ptm_of_map(apply_batch, n: int) -> Superoperator:
-    """PTM of an arbitrary linear map given its batched action on matrices.
+def ptm_of_map(apply_batch, n: int) -> np.ndarray:
+    """Read-only PTM of an arbitrary linear map given its batched action on matrices.
 
     ``apply_batch`` maps a read-only array of shape (B, 2^n, 2^n) to the
     array of images, same shape.
@@ -139,7 +138,9 @@ def ptm_of_map(apply_batch, n: int) -> Superoperator:
     check_dense(16**n, f"superoperator on {n} qubits")
     images = apply_batch(pauli_basis_matrices(n))
     coeffs = _pauli_coeffs_batch(images)
-    return Superoperator(n, coeffs.T.copy())
+    ptm = coeffs.T.copy()
+    ptm.setflags(write=False)
+    return ptm
 
 
 def haar_unitary(rng, d: int) -> Operator:

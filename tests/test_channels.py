@@ -328,7 +328,7 @@ def test_signed_multi_kraus_ptm_matches_dense():
     p = np.array([0.1, 0.2, 0.3, 0.4])
     ops = [np.sqrt(pk) * haar_unitary(rng, 4).mat for pk in p]
     ch = GeneralizedMap([1, 1, -1, -1], ops)
-    dense = ptm_of_map(ch.apply_batch, 2).matrix
+    dense = ptm_of_map(ch.apply_batch, 2)
     assert np.max(np.abs(ch.to_superoperator().matrix - dense)) <= 1e-12
     weights, kraus = ch.kraus()
     assert weights.tolist() == [1, 1, -1, -1] and kraus.shape == (4, 4, 4)
@@ -426,8 +426,8 @@ def _diagonal_family_factors():
 def test_schur_form_matches_dense_ptm(ch):
     # every Kraus operator is diagonal: the kernel takes its Schur-form case
     assert diagonal_qubits(ch.kraus()[1]) == tuple(range(ch.n_qubits))
-    dense = ptm_of_map(ch.apply_batch, ch.n_qubits).matrix
-    assert np.max(np.abs(ptm_of_kraus(*ch.kraus()).matrix - dense)) <= 1e-12
+    dense = ptm_of_map(ch.apply_batch, ch.n_qubits)
+    assert np.max(np.abs(ptm_of_kraus(*ch.kraus()) - dense)) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,14 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcut.channels
 import qcut.cuts
 import qcut.cli
 import qcut.linalg
+import qcut.zx
 from qcut.cli import build_decomposition, build_experiment, main
 
 
@@ -409,12 +411,9 @@ def no_ptm(monkeypatch):
     monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", refuse)
     monkeypatch.setattr(qcut.cuts.DecompositionTerm, "to_superoperator", refuse)
     # the PTM builder, the one slab-streamed kernel under it and the slab
-    # reduction verify() also calls
-    for module in (qcut.channels, qcut.cuts, qcut.linalg):
-        monkeypatch.setattr(module, "ptm_of_kraus", refuse)
-    for module in (qcut.cuts, qcut.linalg):
-        monkeypatch.setattr(module, "kraus_transform", refuse)
-        monkeypatch.setattr(module, "abs_argmax", refuse)
+    # reduction Superoperator.compare also calls, all looked up in linalg
+    for name in ("ptm_of_kraus", "kraus_transform", "abs_argmax"):
+        monkeypatch.setattr(qcut.linalg, name, refuse)
 
 
 @pytest.mark.parametrize(
@@ -688,8 +687,14 @@ def test_zx_check_parse_error_exits_2(tmp_path, capsys):
         (["--builtin", "mcz-fusion", "--n", "0"], "--n"),
         (["--builtin", "mcz-fusion", "--m", "0"], "--m"),
         (["--builtin", "all", "--n", "-1"], "--n"),
+        # mcz-fusion splits n qubits as 1 <= m < n, checked before any check runs
+        (["--builtin", "mcz-fusion", "--n", "3", "--m", "3"], "--m"),
+        (["--builtin", "mcz-fusion", "--m", "4"], "--m"),
+        (["--builtin", "mcz-fusion", "--n", "1"], "--n"),
+        (["--builtin", "all", "--n", "1"], "--n"),
     ],
-    ids=["mcz-n0", "mcp-n0", "fusion-n0", "fusion-m0", "all-n-1"],
+    ids=["mcz-n0", "mcp-n0", "fusion-n0", "fusion-m0", "all-n-1", "fusion-m-eq-n",
+         "fusion-m-over-default-n", "fusion-n1", "all-n1"],
 )
 def test_zx_check_rejects_non_positive_sizes(capsys, argv, flag):
     assert main(["zx-check", *argv]) == 2
@@ -928,3 +933,12 @@ def test_build_experiment_shape_checks(tmp_path):
     }
     with pytest.raises(ConfigError):
         build_experiment(config)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at-tolerance", "one-ulp-above"])
+def test_zx_check_passes_at_exactly_the_tolerance(monkeypatch, capsys, above):
+    deviation = qcut.zx.RULE_ATOL if not above else np.nextafter(qcut.zx.RULE_ATOL, 1.0)
+    monkeypatch.setattr(qcut.cli, "max_abs_diff", lambda a, b: deviation)
+    assert main(["zx-check", "--builtin", "rzz", "--theta", "0.5"]) == int(above)
+    verdict = "FAIL" if above else "PASS"
+    assert capsys.readouterr().out == f"rzz[0.5]: {verdict}  max|delta| = {deviation:.12g}\n"

@@ -51,7 +51,7 @@ def dense_ptm(weights, kraus) -> np.ndarray:
     n = kraus.shape[-1].bit_length() - 1
     return ptm_of_map(
         lambda mats: sum(w * k @ mats @ k.conj().T for w, k in zip(weights, kraus)), n
-    ).matrix
+    )
 
 
 def whole_transform(weights, kraus) -> tuple:
@@ -83,7 +83,7 @@ def check_against_oracle(weights, kraus, diag):
     assert abs(peak / d - np.abs(dense).max()) <= 1e-12
     row, col = transform_entry(index, found, n)
     assert abs(abs(dense[row, col]) - np.abs(dense).max()) <= 1e-12
-    assert np.max(np.abs(ptm_of_kraus(weights, kraus).matrix - dense)) <= 1e-12
+    assert np.max(np.abs(ptm_of_kraus(weights, kraus) - dense)) <= 1e-12
 
 
 def _diagonal_sets():
@@ -125,6 +125,48 @@ def test_kernel_cap_counts_its_own_arrays(n, diag):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_kraus_gather_check_refuses_on_its_own():
+    # n = 8, qubit 0 diagonal: m d_D d_T^2 = 2^12 * 2 * 2^14 = 2^27 gathered
+    # entries, over the cap, checked before the 2^30-entry array; a zero-stride
+    # view gives the 4096 operators without their memory
+    op = np.kron(np.diag([1, -1]), np.ones((128, 128))).astype(complex)
+    kraus = np.broadcast_to(op, (4096, 256, 256))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="Kraus gathers on 8 qubits needs 2\\^27 "):
+            kraus_transform(np.ones(4096), kraus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+
+
+# bytes per x'_T row that kraus_transform documents: its bra gather
+# (m d_D d_T^2 complex entries), two transform arrays (d_D^2 d_T^3 complex
+# entries each) and its index table (d_D^2 d_T^2 int64 entries)
+@pytest.mark.parametrize(
+    "n,diag,m,row_bytes",
+    [
+        (4, (), 2, 141312),  # 16 (2 * 16^2 + 2 * 16^3) + 8 * 16^2
+        (4, (1,), 3, 73728),  # 16 (3 * 2 * 8^2 + 2 * 2^2 * 8^3) + 8 * 2^2 * 8^2
+        (5, (0, 3), 1, 274432),  # 16 (4 * 8^2 + 2 * 4^2 * 8^3) + 8 * 4^2 * 8^2
+    ],
+    ids=["n4-D_-m2", "n4-D1-m3", "n5-D03-m1"],
+)
+@pytest.mark.parametrize("budget_rows,short,rows", [(4, 0, 4), (4, 1, 2), (2, 0, 2), (1, 1, 1)])
+def test_slab_rows_follow_the_documented_row_bytes(n, diag, m, row_bytes, budget_rows, short,
+                                                   rows):
+    # a budget of exactly 4 rows gives 4-row slabs and one byte less gives 2,
+    # so a row size off by one byte either way fails; below one row gives one
+    weights, kraus = random_stack(np.random.default_rng(n), n, diag, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_SLAB_BYTES", budget_rows * row_bytes - short)
+        slabs, found = kraus_transform(weights, kraus)
+        shapes = [a.shape for _, a in slabs]
+    assert found == diag
+    assert shapes == [shapes[0]] * (2 ** (n - len(diag)) // rows) and shapes[0][4] == rows
 
 
 def test_dense_ptm_holds_the_ptm_and_one_slab():

@@ -7,11 +7,13 @@ import pytest
 from qcut import channels, cuts, gates, linalg, zx
 from qcut.linalg import (
     MAX_DENSE_ENTRIES,
+    PAULI_X,
     DimensionError,
     Operator,
     PauliString,
     QcutError,
     SizeCapError,
+    Superoperator,
     embed_matrix,
     check_dense,
     check_integer,
@@ -257,7 +259,7 @@ def test_ptm_of_unitary_matches_dense_on_haar_unitaries(n):
     # a Haar unitary is non-diagonal and has Y components at every position,
     # so every phase and sign of the kernel is exercised
     u = haar_unitary(np.random.default_rng(40 + n), 2**n).mat
-    dense = ptm_of_map(lambda mats: u @ mats @ u.conj().T, n).matrix
+    dense = ptm_of_map(lambda mats: u @ mats @ u.conj().T, n)
     assert np.max(np.abs(ptm_of_unitary(Operator(u)).matrix - dense)) <= 1e-12
 
 
@@ -271,9 +273,9 @@ def test_ptm_of_kraus_matches_dense_for_any_operators(n):
     weights = np.array([0.7, -1.3, 0.25])
     dense = ptm_of_map(
         lambda mats: sum(w * k @ mats @ k.conj().T for w, k in zip(weights, kraus)), n
-    ).matrix
+    )
     scale = np.abs(dense).max()
-    assert np.max(np.abs(ptm_of_kraus(weights, kraus).matrix - dense)) <= 1e-12 * scale
+    assert np.max(np.abs(ptm_of_kraus(weights, kraus) - dense)) <= 1e-12 * scale
 
 
 def _diagonal_targets():
@@ -286,7 +288,7 @@ def _diagonal_targets():
 @pytest.mark.parametrize("u", list(_diagonal_targets()))
 def test_ptm_of_unitary_schur_path_matches_dense(u):
     dense = ptm_of_map(lambda mats: u.mat @ mats @ u.mat.conj().T, u.n_qubits)
-    assert np.max(np.abs(ptm_of_unitary(u).matrix - dense.matrix)) <= 1e-12
+    assert np.max(np.abs(ptm_of_unitary(u).matrix - dense)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -300,8 +302,8 @@ def test_ptm_of_schur_matches_dense_for_any_multiplier(n):
     s = (diags.T * weights) @ diags.conj()
     kraus = np.zeros((d, d, d), dtype=complex)
     kraus[:, np.arange(d), np.arange(d)] = diags
-    dense = ptm_of_map(lambda mats: s * mats, n).matrix
-    assert np.max(np.abs(ptm_of_kraus(weights, kraus).matrix - dense)) <= 1e-12
+    dense = ptm_of_map(lambda mats: s * mats, n)
+    assert np.max(np.abs(ptm_of_kraus(weights, kraus) - dense)) <= 1e-12
     # every qubit diagonal: A is d x d, one slab
     assert [a.shape for _, a in kraus_transform(weights, kraus)[0]] == [(d, d, 1, 1, 1, 1)]
 
@@ -318,9 +320,9 @@ def test_pauli_index_and_label():
 
 def test_ptm_of_map_identity_channel():
     m = ptm_of_map(lambda mats: mats, 2)
-    assert np.max(np.abs(m.matrix - np.eye(16))) < 1e-12
-    assert np.allclose(m.matrix[0], np.eye(16)[0], atol=1e-10)  # trace preserving
-    assert np.max(np.abs(m.matrix.imag)) <= 1e-10
+    assert np.max(np.abs(m - np.eye(16))) < 1e-12
+    assert np.allclose(m[0], np.eye(16)[0], atol=1e-10)  # trace preserving
+    assert np.max(np.abs(m.imag)) <= 1e-10
 
 
 def test_ptm_nonunitary_rejected():
@@ -331,6 +333,73 @@ def test_ptm_nonunitary_rejected():
 def test_superop_size_cap():
     with pytest.raises(SizeCapError):
         ptm_of_kraus(np.ones(1), np.broadcast_to(np.complex128(0), (1, 2**8, 2**8)))
+
+
+def _random_superoperator(rng, n: int, m: int = 3, weights=None) -> Superoperator:
+    d = 2**n
+    kraus = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    return Superoperator(rng.normal(size=m) if weights is None else weights, kraus / d)
+
+
+def test_superoperator_matrix_is_read_only_and_built_once():
+    sup = _random_superoperator(np.random.default_rng(1), 2)
+    first = sup.matrix
+    assert first is sup.matrix and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    assert np.array_equal(first, ptm_of_kraus(sup.weights, sup.kraus))
+    with pytest.raises(AttributeError):
+        sup.matrix = np.zeros((16, 16))
+
+
+def test_superoperator_holds_read_only_views_of_the_callers_stack():
+    weights, kraus = np.array([0.5, -0.5]), np.stack([np.eye(2), PAULI_X]).astype(complex)
+    sup = Superoperator(weights, kraus)
+    assert sup.n == 1
+    assert np.shares_memory(sup.kraus, kraus) and np.shares_memory(sup.weights, weights)
+    assert not (sup.weights.flags.writeable or sup.kraus.flags.writeable)
+    assert weights.flags.writeable and kraus.flags.writeable  # the caller's own arrays
+
+
+@pytest.mark.parametrize(
+    "weights,kraus",
+    [(np.ones(2), np.zeros((1, 2, 2))), (np.ones(1), np.zeros((1, 2, 4))),
+     (np.ones(1), np.zeros((1, 3, 3))), (np.ones(1), np.zeros((2, 2)))],
+    ids=["weight-count", "not-square", "not-qubits", "not-a-stack"],
+)
+def test_superoperator_rejects_a_malformed_stack(weights, kraus):
+    with pytest.raises(DimensionError, match="k weights"):
+        Superoperator(weights, kraus)
+
+
+def test_compare_refuses_maps_on_different_qubit_counts():
+    rng = np.random.default_rng(2)
+    one, two = _random_superoperator(rng, 1), _random_superoperator(rng, 2)
+    with pytest.raises(DimensionError, match="qubit count mismatch: 1 vs 2"):
+        one.compare(two)
+    with pytest.raises(DimensionError):
+        two.max_abs_diff(one)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compare_of_a_map_with_itself_is_zero_and_with_its_double_is_not(n):
+    sup = _random_superoperator(np.random.default_rng(n), n)
+    assert sup.compare(sup)[0] <= 1e-15
+    double = Superoperator(2 * sup.weights, sup.kraus)
+    peak = np.abs(sup.matrix).max()
+    assert peak > 1e-3 and abs(double.max_abs_diff(sup) - peak) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compare_finds_the_largest_dense_difference(n):
+    # complex weights too: the Schur multipliers of diagonal maps need them
+    rng = np.random.default_rng(10 + n)
+    a = _random_superoperator(rng, n)
+    b = _random_superoperator(rng, n, m=2, weights=rng.normal(size=2) + 1j * rng.normal(size=2))
+    delta = np.abs(a.matrix - b.matrix)
+    value, row, col = a.compare(b)
+    assert abs(value - delta.max()) <= 1e-12 and abs(delta[row, col] - delta.max()) <= 1e-12
+    assert a.max_abs_diff(b) == value
 
 
 def test_pauli_eigenbasis_table():

@@ -4,6 +4,7 @@ every name it targets must still resolve on its owner, and the repository's
 pytest configuration must report a failing property test as a failure."""
 
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +60,16 @@ def test_failing_property_test_is_reported_as_a_failure(tmp_path):
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout, run.stdout
+
+
+def test_verify_report_is_the_same_at_one_and_two_blas_threads():
+    # the kernel's gemms may split their sums by thread count; the report
+    # must not depend on it
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-m", "qcut.cli", "verify", "--all"], env=env,
+                             cwd=ROOT, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr.decode()
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] and b"PASS" in outputs[0]

@@ -425,3 +425,11 @@ def test_parse_diagram_errors_are_line_anchored():
         parse_diagram("edge a b\n")
     with pytest.raises(ZXError, match="line 1"):
         parse_diagram("frobnicate\n")
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at-tolerance", "one-ulp-above"])
+def test_verify_rule_is_equal_at_exactly_the_tolerance(monkeypatch, above):
+    deviation = zx.RULE_ATOL if not above else np.nextafter(zx.RULE_ATOL, 1.0)
+    monkeypatch.setattr(zx, "max_abs_diff", lambda a, b: deviation)
+    report = zx.verify_rule(*BUILTIN_RULES["spider-fusion"]())
+    assert report["max_abs_deviation"] == deviation and report["equal"] is not above
