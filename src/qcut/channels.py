@@ -1,7 +1,8 @@
 """Physical and signed (quasiprobability) maps on small registers.
 
-Every map is one :class:`GeneralizedMap`: a read-only stack of Kraus
-operators ``K_k``, each with a sign ``a_k = +-1``, acting as
+Every map is one :class:`GeneralizedMap`: a :class:`~qcut.linalg.Superoperator`
+whose read-only stack ``ops`` of Kraus operators ``K_k`` has one sign
+``a_k = +-1`` per operator as its ``weights``, acting as
 
     rho -> sum_k a_k K_k rho K_k^dag,   sum_k K_k^dag K_k = I.
 
@@ -10,7 +11,7 @@ Each operator is one measurement outcome, occurring with probability
 signs.  Maps with any ``-1`` sign are not physical channels but can still be
 simulated without extra sampling overhead by tracking the signs of measured
 outcomes; the sampler does exactly that.  The action, the signs and the PTM
-are all derived from the one ``(signs, ops)`` pair, which comes from:
+are all derived from the one stack and its signs, which come from:
 
 * :class:`UnitaryChannel` -- ``rho -> U rho U^dag``: the one operator ``U``;
 * the rank-one measure-and-prepare maps (:func:`pauli_measure_prepare`,
@@ -63,16 +64,14 @@ def check_density(rho: Operator, what: str):
         raise DimensionError(f"{what} must be Hermitian positive semidefinite")
 
 
-class GeneralizedMap:
+class GeneralizedMap(Superoperator):
     """A signed sum of completely positive maps, one per Kraus operator.
 
     ``signs`` holds one ``+1`` or ``-1`` per row of the ``(k, d, d)`` stack
-    ``ops``; the map is ``rho -> sum_k a_k K_k rho K_k^dag``.  Construction
-    copies the stack, enforces ``sum_k K_k^dag K_k = I`` and keeps the pair
-    read-only; the map itself cannot be rebound.
+    ``ops``; the map is the :class:`~qcut.linalg.Superoperator`
+    ``rho -> sum_k a_k K_k rho K_k^dag`` with the signs as its weights.
+    Construction copies the stack and enforces ``sum_k K_k^dag K_k = I``.
     """
-
-    __slots__ = ("_kraus", "n_qubits")
 
     def __init__(self, signs: Sequence, ops):
         try:
@@ -86,47 +85,20 @@ class GeneralizedMap:
             raise DimensionError(f"signs must be +1 or -1, got {signs}")
         if not len(ops) == len(signs) > 0:
             raise DimensionError(f"{len(signs)} signs for {len(ops)} Kraus operators")
-        weights, d = np.array(signs, dtype=float), ops.shape[2]
         # rows of the stacked operators: stacked^dag stacked = sum_k K^dag K
-        stacked = ops.reshape(-1, d)
-        dev = np.abs(stacked.conj().T @ stacked - np.eye(d)).max()
-        if not dev <= ATOL_STRUCT:
-            raise DimensionError(
-                f"Kraus operators must satisfy sum K^dag K = I, deviation {dev:.3e}"
-            )
-        for array in (weights, ops):
-            array.setflags(write=False)
-        object.__setattr__(self, "_kraus", (weights, ops))
-        object.__setattr__(self, "n_qubits", d.bit_length() - 1)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        """``sum_k a_k K_k A K_k^dag`` for a batch ``A`` of shape (B, d, d)."""
-        out = np.zeros(mats.shape, dtype=complex)
-        for sign, k in zip(*self._kraus):
-            accumulate = np.add if sign > 0 else np.subtract
-            accumulate(out, k @ mats @ k.conj().T, out=out)
-        return out
+        check_unitary(ops.reshape(-1, ops.shape[2]), "Kraus stack (sum K^dag K = I)")
+        super().__init__(np.array(signs, dtype=float), ops)
 
     @property
     def signs(self) -> tuple:
-        return tuple(int(a) for a in self._kraus[0])
-
-    def kraus(self) -> tuple:
-        """``(signs, ops)``: the read-only sign vector and ``(k, d, d)`` stack
-        the map was built from, as :class:`~qcut.linalg.Superoperator` takes them."""
-        return self._kraus
+        return tuple(int(a) for a in self.weights)
 
     def to_superoperator(self) -> Superoperator:
-        return Superoperator(*self.kraus())
+        return self
 
     def is_cptp(self) -> bool:
         """True iff every sign is +1 (completeness is enforced at construction)."""
-        return bool((self._kraus[0] == 1).all())
+        return bool((self.weights == 1).all())
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n_qubits}, signs={self.signs})"
@@ -135,8 +107,6 @@ class GeneralizedMap:
 class UnitaryChannel(GeneralizedMap):
     """``rho -> U rho U^dag``: the one operator ``U`` with sign ``+1``, so the
     completeness check is the unitarity check."""
-
-    __slots__ = ()
 
     def __init__(self, u: Operator):
         super().__init__([1], u.mat[None])

@@ -20,15 +20,13 @@ import numpy as np
 from . import cuts, gates, sampling, zx
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, Operator, PauliString, QcutError
 from .linalg import MAX_DENSE_ENTRIES, SizeCapError, check_integer, check_unitary, max_abs_diff
+from .sampling import MAX_SHOTS
 from .zx import parse_angle
 
 
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
-
-#: the sampler draws shot counts as int64
-MAX_SHOTS = np.iinfo(np.int64).max
 
 #: the largest register size a request may name: on more qubits not even a
 #: state vector (2^n entries) fits under the dense-size cap

@@ -54,8 +54,9 @@ ATOL_RECONSTRUCT = 1e-9
 class DecompositionTerm:
     """One weighted product term ``q * (F_1 (x) F_2 (x) ...)``.
 
-    ``factors`` act on contiguous qubit blocks, high-order first; each factor
-    must cover a whole number of the parent decomposition's registers.
+    ``factors``, each a :class:`~qcut.channels.GeneralizedMap`, act on
+    contiguous qubit blocks, high-order first; each must cover a whole number
+    of the parent decomposition's registers.
     ``needs_cc`` marks terms whose execution needs a measurement outcome
     communicated across the cut.
     """
@@ -69,6 +70,9 @@ class DecompositionTerm:
             raise DimensionError(f"term {label!r} has a non-finite coefficient {q!r}")
         if not self.factors:
             raise DimensionError(f"term {label!r} has no factors")
+        bare = [type(f).__name__ for f in self.factors if not isinstance(f, ch.GeneralizedMap)]
+        if bare:  # the sampler draws each factor's outcomes with their +-1 signs
+            raise DimensionError(f"term {label!r} has a {bare[0]} factor, not a GeneralizedMap")
 
     @property
     def n_qubits(self) -> int:
@@ -77,20 +81,20 @@ class DecompositionTerm:
     def is_cptp(self) -> bool:
         return all(f.is_cptp() for f in self.factors)
 
-    def kraus(self) -> tuple:
+    def _product(self) -> tuple:
         """``(weights, ops)`` of the term's product map: ``K_1 (x) K_2 (x) ...``
         for each choice of one Kraus operator per factor, signs multiplied."""
-        weights, ops = self.factors[0].kraus()
-        for f_weights, f_ops in (f.kraus() for f in self.factors[1:]):
-            m, d = len(weights) * len(f_weights), ops.shape[1] * f_ops.shape[1]
-            weights = np.outer(weights, f_weights).ravel()
-            ops = ops[:, None, :, None, :, None] * f_ops[None, :, None, :, None, :]
+        weights, ops = self.factors[0].weights, self.factors[0].ops
+        for f in self.factors[1:]:
+            m, d = len(weights) * len(f.weights), ops.shape[1] * f.ops.shape[1]
+            weights = np.outer(weights, f.weights).ravel()
+            ops = ops[:, None, :, None, :, None] * f.ops[None, :, None, :, None, :]
             ops = ops.reshape(m, d, d)  # [(i, j), (a, c), (b, d)]
         return weights, ops
 
     def to_superoperator(self) -> Superoperator:
         """The term's unweighted tensor-product map."""
-        return Superoperator(*self.kraus())
+        return Superoperator(*self._product())
 
     def __repr__(self):
         return f"DecompositionTerm(q={self.q:+.6g}, label={self.label!r})"
@@ -100,8 +104,8 @@ class Decomposition:
     """A named quasiprobability decomposition with its target gate.
 
     The target is kept as its unitary.  :attr:`target` and :meth:`reconstruct`
-    return signed Kraus sums (:class:`~qcut.linalg.Superoperator`) whose
-    ``4^n x 4^n`` PTM is built only when ``.matrix`` is read; building,
+    each return one signed Kraus sum (:class:`~qcut.linalg.Superoperator`)
+    whose ``4^n x 4^n`` PTM is built only when ``.matrix`` is read; building,
     sampling and verifying a decomposition read none.
     """
 
@@ -154,23 +158,23 @@ class Decomposition:
         gamma = self.one_norm()
         return np.array([abs(t.q) / gamma for t in self.terms])
 
-    def kraus(self) -> tuple:
-        """``(weights, ops)`` of ``sum_nu q_nu F_nu``: every term's product
-        Kraus operators, weighted by ``q_nu`` times their signs."""
-        parts = [(t.q, *t.kraus()) for t in self.terms]
-        return (np.concatenate([q * weights for q, weights, _ in parts]),
-                np.concatenate([ops for _, _, ops in parts]))
+    def _sum(self) -> Superoperator:
+        """``sum_nu q_nu F_nu``: every term's product Kraus operators,
+        weighted by ``q_nu`` times their signs."""
+        parts = [(t.q, *t._product()) for t in self.terms]
+        return Superoperator(np.concatenate([q * weights for q, weights, _ in parts]),
+                             np.concatenate([ops for _, _, ops in parts]))
 
     def reconstruct(self) -> Superoperator:
         """The map ``sum_nu q_nu F_nu``."""
-        return Superoperator(*self.kraus())
+        return self._sum()
 
     def verify(self) -> dict:
         """Compare the reconstruction with the target PTM entry by entry:
         ``max_abs_deviation`` is the largest ``|delta|`` and ``worst_entry``
         the output and input Pauli strings of that entry."""
         n = self.n_qubits
-        deviation, row, col = Superoperator(*self.kraus()).compare(
+        deviation, row, col = self._sum().compare(
             Superoperator(np.ones(1), self.target_unitary.mat[None]))
         return {
             "name": self.name,
@@ -241,13 +245,12 @@ def _lift(factor: ch.GeneralizedMap, size: int, bit) -> ch.GeneralizedMap:
     """``factor`` on a register of ``size > 1`` qubits: each Kraus operator
     ``diag(k)`` becomes ``diag(k[bit(size)])``.  Built once per process per
     map, size and Boolean function: never pass it a map built from a caller's input."""
-    signs, kraus = factor.kraus()
-    diag = np.diagonal(kraus, axis1=1, axis2=2)
-    if np.count_nonzero(kraus) != np.count_nonzero(diag):
+    diag = np.diagonal(factor.ops, axis1=1, axis2=2)
+    if np.count_nonzero(factor.ops) != np.count_nonzero(diag):
         raise DimensionError("a lifted factor must be exactly diagonal")
-    idx, out = np.arange(2**size), np.zeros((len(kraus), 2**size, 2**size), dtype=complex)
+    idx, out = np.arange(2**size), np.zeros((len(diag), 2**size, 2**size), dtype=complex)
     out[:, idx, idx] = diag[:, bit(size)]
-    return ch.GeneralizedMap(signs, out)
+    return ch.GeneralizedMap(factor.signs, out)
 
 
 def _lifted(name: str, partition: tuple, bit, terms, target) -> Decomposition:
@@ -409,6 +412,7 @@ def controlled_sequence_decomposition(ops, n_targets: int) -> Decomposition:
     internal to the joint map, so no term is flagged as needing communication
     across the cut.
     """
+    n_targets = check_integer(n_targets, "n_targets", 1)
     ops, n = tuple(ops), 1 + n_targets  # an iterator is read once
     check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
     v = ch.sequence_unitary(ops, n_targets)

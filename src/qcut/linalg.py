@@ -2,11 +2,11 @@
 
 Operators are dense ``2^n x 2^n`` complex matrices.  A :class:`Superoperator`
 is a signed Kraus sum ``rho -> sum_k w_k K_k rho K_k^dag``, held as its
-weights and ``(k, d, d)`` operator stack; its Pauli transfer matrix (PTM),
-the ``4^n x 4^n`` matrix in the normalized Pauli basis, is built only when
-read.  The basis is ordered lexicographically over ``(I, X, Y, Z)`` per qubit
-with qubit 0 as the most significant index, so PTMs of tensor-product maps
-are Kronecker products of the factor PTMs.
+``weights`` and ``(k, d, d)`` operator stack ``ops``; its Pauli transfer
+matrix (PTM), the ``4^n x 4^n`` matrix in the normalized Pauli basis, is
+built only when read.  The basis is ordered lexicographically over
+``(I, X, Y, Z)`` per qubit with qubit 0 as the most significant index, so
+PTMs of tensor-product maps are Kronecker products of the factor PTMs.
 
 Indexed by X and Z part, ``P = i^{|x & z|} X^x Z^z``, every PTM entry is a
 unit phase times one entry of a Walsh-Hadamard array ``A / d`` that
@@ -188,49 +188,56 @@ class PauliString:
 
 
 def check_unitary(mat: np.ndarray, what: str):
-    """Raise :class:`DimensionError` unless ``U^dag U = I`` to ``ATOL_STRUCT``
-    (a matrix with a NaN entry fails)."""
-    dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+    """Raise :class:`DimensionError` unless ``A^dag A = I`` to ``ATOL_STRUCT``
+    (a matrix with a NaN entry fails): unitarity for a square ``A``, and for
+    a tall ``A``, such as a Kraus stack's rows, the isometry condition."""
+    dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
     if not dev <= ATOL_STRUCT:
         raise DimensionError(f"{what} is not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
 class Superoperator:
-    """The map ``rho -> sum_k w_k K_k rho K_k^dag`` on ``n`` qubits: read-only
-    views of its weights and ``(k, d, d)`` Kraus stack, and its PTM
-    :attr:`matrix`, built by :func:`ptm_of_kraus` the first time it is read."""
+    """The map ``rho -> sum_k w_k K_k rho K_k^dag`` on ``n_qubits`` qubits:
+    read-only views of its ``weights`` and ``(k, d, d)`` Kraus stack ``ops``,
+    and its PTM :attr:`matrix`, built by :func:`ptm_of_kraus` the first time
+    it is read.  No attribute can be rebound or deleted."""
 
-    def __init__(self, weights, kraus):
-        weights, kraus = np.asarray(weights).view(), np.asarray(kraus).view()
-        if not (kraus.ndim == 3 and weights.shape == kraus.shape[:1]
-                and kraus.shape[1] == kraus.shape[2] and _is_power_of_two(kraus.shape[2])):
+    def __init__(self, weights, ops):
+        weights, ops = np.asarray(weights).view(), np.asarray(ops).view()
+        if not (ops.ndim == 3 and weights.shape == ops.shape[:1]
+                and ops.shape[1] == ops.shape[2] and _is_power_of_two(ops.shape[2])):
             raise DimensionError(f"need k weights for a (k, d, d) stack on qubits, "
-                                 f"got {weights.shape} and {kraus.shape}")
+                                 f"got {weights.shape} and {ops.shape}")
         weights.setflags(write=False)
-        kraus.setflags(write=False)
-        vars(self).update(weights=weights, kraus=kraus)
+        ops.setflags(write=False)
+        vars(self).update(weights=weights, ops=ops, n_qubits=ops.shape[2].bit_length() - 1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Superoperator is immutable")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @property
-    def n(self) -> int:
-        return self.kraus.shape[2].bit_length() - 1
+    __delattr__ = __setattr__
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return ptm_of_kraus(self.weights, self.kraus)
+        return ptm_of_kraus(self.weights, self.ops)
+
+    def apply_batch(self, mats: np.ndarray) -> np.ndarray:
+        """``sum_k w_k K_k A K_k^dag`` for a batch ``A`` of shape (B, d, d)."""
+        out = np.zeros(mats.shape, dtype=complex)
+        for w, k in zip(self.weights, self.ops):
+            out += w * (k @ mats @ k.conj().T)
+        return out
 
     def compare(self, other: "Superoperator") -> tuple:
         """``(max |delta|, row, col)`` over the PTM entries of ``self - other``:
         :func:`abs_argmax` of :func:`kraus_transform`'s slabs of both stacks,
         ``other``'s weights negated, so no PTM is built."""
-        if self.n != other.n:
-            raise DimensionError(f"qubit count mismatch: {self.n} vs {other.n}")
+        if self.n_qubits != other.n_qubits:
+            raise DimensionError(f"qubit count mismatch: {self.n_qubits} vs {other.n_qubits}")
         slabs, diag = kraus_transform(np.concatenate([self.weights, -other.weights]),
-                                      np.concatenate([self.kraus, other.kraus]))
+                                      np.concatenate([self.ops, other.ops]))
         peak, index = abs_argmax(slabs)
-        return (peak / 2**self.n, *transform_entry(index, diag, self.n))
+        return (peak / 2**self.n_qubits, *transform_entry(index, diag, self.n_qubits))
 
     def max_abs_diff(self, other: "Superoperator") -> float:
         return self.compare(other)[0]

@@ -44,6 +44,9 @@ EIGENVALUE_SLACK = 1e-12
 #: probabilities this close to 0 are treated as exactly 0 (rounding guard)
 PROB_FLOOR = 1e-14
 
+#: the most shots one experiment may take: the sampler draws shot counts as int64
+MAX_SHOTS = np.iinfo(np.int64).max
+
 #: batches per count draw in :func:`run`: arrays of BATCH_CHUNK x (terms + support)
 BATCH_CHUNK = 1024
 
@@ -69,8 +72,7 @@ class ExperimentSpec:
         part = self.decomposition.partition
         object.__setattr__(self, "initial_state", tuple(self.initial_state))
         object.__setattr__(self, "observable", tuple(self.observable))
-        if self.shots < 1:
-            raise DimensionError(f"shots must be >= 1, got {self.shots}")
+        object.__setattr__(self, "shots", check_integer(self.shots, "shots", 1, MAX_SHOTS))
         object.__setattr__(self, "seed", check_integer(self.seed, "seed", 0))
         for label, ops in (
             ("initial_state", self.initial_state),
@@ -181,10 +183,9 @@ def term_value_distributions(
     out = []
     for factor, span in _term_blocks(spec, term):
         _, _, lam, vecs, rho_v = _block(spec, span, blocks)
-        signs, kraus = factor.kraus()
-        m = vecs.conj().T @ kraus @ vecs
+        m = vecs.conj().T @ factor.ops @ vecs
         probs = np.maximum(np.einsum("kab,kab->ka", m @ rho_v, m.conj()).real, 0.0)
-        values = np.multiply.outer(signs, lam)
+        values = np.multiply.outer(factor.weights, lam)
         keep = probs > PROB_FLOOR
         probs = probs[keep]
         out.append((values[keep], probs / probs.sum()))
@@ -241,8 +242,7 @@ def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
     batch sizes as in ``np.array_split``; it must not exceed ``shots``.
     """
     shots = spec.shots
-    if not 0 <= n_batches <= shots:
-        raise DimensionError(f"n_batches must be in 0..{shots}, got {n_batches}")
+    n_batches = check_integer(n_batches, "n_batches", 0, shots)
     deco = spec.decomposition
     gamma = deco.one_norm()
     rng = np.random.Generator(np.random.Philox(spec.seed))

@@ -446,7 +446,7 @@ def insert_wire_cut(d: ZXDiagram, deco) -> list:
         factor = term.factors[0]
         if len(term.factors) != 1 or factor.n_qubits != 1:
             raise ZXError(f"term {term.label!r}: a wire cut needs one single-qubit factor")
-        for sign, k in zip(factor.signs, factor.kraus()[1]):
+        for sign, k in zip(factor.signs, factor.ops):
             i, j = np.unravel_index(np.argmax(np.abs(k)), k.shape)
             (m_kind, m_phase, m_t), (p_kind, p_phase, p_t) = map(_arity1_spider, (k[i], k[:, j]))
             pair = np.outer(p_t, m_t)

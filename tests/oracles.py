@@ -205,9 +205,9 @@ def ladder_conjugated(factor: GeneralizedMap, size: int, wire: int) -> Generaliz
     for q in range(size):
         if q != wire:
             ladder = cnot_on(size, q, wire).mat @ ladder
-    signs, kraus = factor.kraus()
     return GeneralizedMap(
-        signs, [ladder.conj().T @ embed_matrix(k, [wire], size) @ ladder for k in kraus]
+        factor.signs,
+        [ladder.conj().T @ embed_matrix(k, [wire], size) @ ladder for k in factor.ops],
     )
 
 
@@ -258,7 +258,7 @@ def term_blocks(term, spec) -> list:
 def outcome_probabilities(factor: GeneralizedMap, rho: np.ndarray) -> list:
     """``Tr(K rho K^dag)`` and the post-state ``K rho K^dag``, per Kraus
     operator ``K`` of ``factor``."""
-    posts = [k @ rho @ k.conj().T for k in factor.kraus()[1]]
+    posts = [k @ rho @ k.conj().T for k in factor.ops]
     return [(max(np.trace(post).real, 0.0), post) for post in posts]
 
 
@@ -314,7 +314,7 @@ def unsigned(deco: Decomposition) -> Decomposition:
     terms = [
         DecompositionTerm(
             t.q,
-            [GeneralizedMap([1] * len(f.signs), f.kraus()[1]) for f in t.factors],
+            [GeneralizedMap([1] * len(f.signs), f.ops) for f in t.factors],
             t.label,
             t.needs_cc,
         )

@@ -18,9 +18,11 @@ from qcut.channels import (
 )
 from qcut.linalg import (
     KET_PLUS,
+    PAULI_Z,
     DimensionError,
     Operator,
     QcutError,
+    Superoperator,
     diagonal_qubits,
     embed_matrix,
     ptm_of_kraus,
@@ -143,7 +145,7 @@ def test_rank_one_maps_match_measure_prepare(build, terms):
     assert ch.signs == ref.signs
     rng = np.random.default_rng(3)
     mats = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
-    for k, ref_k in zip(ch.kraus()[1], ref.kraus()[1], strict=True):
+    for k, ref_k in zip(ch.ops, ref.ops, strict=True):
         images = k @ mats @ k.conj().T
         expected = ref_k @ mats @ ref_k.conj().T
         assert np.max(np.abs(images - expected)) <= 1e-12
@@ -235,7 +237,7 @@ def test_kraus_branches_match_ancilla_dilation(ch, joint, basis, feedback):
     rng = np.random.default_rng(9)
     mats = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
     dilated = [dilation_branch(joint, basis, feedback, mats, k) for k in (0, 1)]
-    for k, expected in zip(ch.kraus()[1], dilated, strict=True):
+    for k, expected in zip(ch.ops, dilated, strict=True):
         images = k @ mats @ k.conj().T
         assert np.max(np.abs(images - expected)) <= 1e-12
     signed = sum(s * branch for s, branch in zip(ch.signs, dilated))
@@ -262,7 +264,7 @@ def test_mcz_mx_map_branches_are_probabilities():
     ]
     assert all(p >= -1e-12 for p in probs)
     assert sum(probs) == pytest.approx(1.0)
-    for p, k in zip(probs, ch.kraus()[1], strict=True):
+    for p, k in zip(probs, ch.ops, strict=True):
         assert np.real(np.trace(k @ rho.mat @ k.conj().T)) == pytest.approx(p, abs=1e-12)
 
 
@@ -318,7 +320,7 @@ def test_branches_define_action_signs_and_ptm():
     assert np.allclose(apply_map(ch, rho).mat, expected, atol=1e-12)
     assert np.array_equal(ch.to_superoperator().matrix, ch.to_superoperator().matrix)
     assert cptp_diagnostics(ch)["consistent"]
-    assert all(not array.flags.writeable for array in ch.kraus())
+    assert all(not array.flags.writeable for array in (ch.weights, ch.ops))
 
 
 def test_signed_multi_kraus_ptm_matches_dense():
@@ -330,7 +332,7 @@ def test_signed_multi_kraus_ptm_matches_dense():
     ch = GeneralizedMap([1, 1, -1, -1], ops)
     dense = ptm_of_map(ch.apply_batch, 2)
     assert np.max(np.abs(ch.to_superoperator().matrix - dense)) <= 1e-12
-    weights, kraus = ch.kraus()
+    weights, kraus = ch.weights, ch.ops
     assert weights.tolist() == [1, 1, -1, -1] and kraus.shape == (4, 4, 4)
 
 
@@ -341,7 +343,7 @@ def test_measure_prepare_branches_are_rank_one_kraus():
     ch = measure_prepare_map(
         [(1, gates.basis_state("0"), plus), (-1, gates.basis_state("1"), plus)]
     )
-    assert ch.kraus()[1].shape == (2, 2, 2)
+    assert ch.ops.shape == (2, 2, 2)
     assert ch.signs == (1, -1)
 
 
@@ -372,22 +374,26 @@ def test_generalized_map_validation(signs, ops):
 @pytest.mark.parametrize(
     "build",
     [signed_z_map, lambda: UnitaryChannel(gates.cnot()), lambda: rzz_my_map(0.4),
-     lambda: mcz_decomposition(2, 1).terms[2].factors[0]],
-    ids=["signed_z", "unitary", "rzz_my", "lifted"],
+     lambda: mcz_decomposition(2, 1).terms[2].factors[0],
+     lambda: Superoperator(np.array([0.5, -0.5]), np.array([np.eye(2), PAULI_Z])),
+     lambda: mcz_decomposition(2, 1).reconstruct()],
+    ids=["signed_z", "unitary", "rzz_my", "lifted", "superoperator", "reconstruct"],
 )
 def test_generalized_map_cannot_be_rebound(build):
     # a stray assignment must not change a map, least of all a shared constant
     ch = build()
-    signs, ops = ch.kraus()
-    for attr in ("branches", "_kraus", "n_qubits", "signs", "kraus", "extra"):
+    weights, ops, ptm = ch.weights, ch.ops, ch.matrix
+    state = dict(vars(ch))
+    for attr in ("weights", "ops", "n_qubits", "matrix", "signs", "extra"):
         with pytest.raises(AttributeError):
             setattr(ch, attr, None)
         with pytest.raises(AttributeError):
             delattr(ch, attr)
-    for array in (signs, ops):
+    for array in (weights, ops, ptm):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    assert ch.kraus() is ch.kraus() and build().signs == ch.signs
+    assert vars(ch) == state and ch.weights is weights and ch.ops is ops and ch.matrix is ptm
+    assert np.array_equal(build().weights, weights) and np.array_equal(build().ops, ops)
 
 
 def test_generalized_map_copies_its_stack():
@@ -395,7 +401,7 @@ def test_generalized_map_copies_its_stack():
     ops = np.array([np.eye(2)])
     ch = GeneralizedMap(np.array([1.0]), ops)
     ops[0, 0, 0] = 5
-    assert ch.kraus()[1][0, 0, 0] == 1 and ops.flags.writeable
+    assert ch.ops[0, 0, 0] == 1 and ops.flags.writeable
 
 
 def test_ancilla_circuit_rejects_non_unitary_joint():
@@ -425,9 +431,9 @@ def _diagonal_family_factors():
 @pytest.mark.parametrize("ch", list(_diagonal_family_factors()))
 def test_schur_form_matches_dense_ptm(ch):
     # every Kraus operator is diagonal: the kernel takes its Schur-form case
-    assert diagonal_qubits(ch.kraus()[1]) == tuple(range(ch.n_qubits))
+    assert diagonal_qubits(ch.ops) == tuple(range(ch.n_qubits))
     dense = ptm_of_map(ch.apply_batch, ch.n_qubits)
-    assert np.max(np.abs(ptm_of_kraus(*ch.kraus()) - dense)) <= 1e-12
+    assert np.max(np.abs(ptm_of_kraus(ch.weights, ch.ops) - dense)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -443,4 +449,4 @@ def test_schur_form_matches_dense_ptm(ch):
     ids=["E_X0", "E_I1", "grouped_Y", "e_rzv", "tiny_off_diagonal"],
 )
 def test_schur_form_needs_exactly_diagonal_kraus(build, diag):
-    assert diagonal_qubits(build().kraus()[1]) == diag
+    assert diagonal_qubits(build().ops) == diag

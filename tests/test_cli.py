@@ -402,18 +402,34 @@ def test_sample_rejects_non_finite_theta(tmp_path, capsys, theta, decomposition,
 
 
 @pytest.fixture
-def no_ptm(monkeypatch):
-    """Make every PTM builder the package uses raise."""
+def no_dense_ptm(monkeypatch):
+    """Make the dense PTM builder, and every call that returns a map for one,
+    raise: the calls a traced run counts in ``linalg.ptm_bytes``."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a PTM was built")
 
     monkeypatch.setattr(qcut.cuts, "ptm_of_unitary", refuse)
+    monkeypatch.setattr(qcut.cuts.Decomposition, "reconstruct", refuse)
     monkeypatch.setattr(qcut.cuts.DecompositionTerm, "to_superoperator", refuse)
-    # the PTM builder, the one slab-streamed kernel under it and the slab
-    # reduction Superoperator.compare also calls, all looked up in linalg
-    for name in ("ptm_of_kraus", "kraus_transform", "abs_argmax"):
-        monkeypatch.setattr(qcut.linalg, name, refuse)
+    monkeypatch.setattr(qcut.channels.GeneralizedMap, "to_superoperator", refuse)
+    monkeypatch.setattr(qcut.linalg, "ptm_of_kraus", refuse)
+    return refuse
+
+
+@pytest.fixture
+def no_ptm(monkeypatch, no_dense_ptm):
+    """Make every PTM builder the package uses raise, down to the slab-streamed
+    kernel under ``ptm_of_kraus`` and the slab reduction
+    ``Superoperator.compare`` also calls, both looked up in linalg."""
+    for name in ("kraus_transform", "abs_argmax"):
+        monkeypatch.setattr(qcut.linalg, name, no_dense_ptm)
+
+
+def test_verify_all_builds_no_dense_ptm(no_dense_ptm, capsys):
+    # verify() compares each reconstruction with its target slab by slab
+    assert main(["verify", "--all"]) == 0
+    assert capsys.readouterr().out.endswith("\n31/31 decompositions verified\n")
 
 
 @pytest.mark.parametrize(

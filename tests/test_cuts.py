@@ -21,7 +21,8 @@ from qcut.cuts import (
     wire_cut_ncc,
 )
 from qcut.linalg import (
-    DimensionError, Operator, QcutError, SizeCapError, diagonal_qubits, ptm_of_unitary,
+    DimensionError, Operator, QcutError, SizeCapError, Superoperator, diagonal_qubits,
+    ptm_of_unitary,
 )
 from oracles import dense_mcz_decomposition, haar_unitary, ladder_conjugated, ptm_of_map
 
@@ -77,7 +78,7 @@ def test_multi_z_factors_are_ladder_conjugated_kraus_maps():
         for f_base, f, size in zip(t_base.factors, t.factors, (3, 2)):
             assert f.n_qubits == size
             assert f.signs == f_base.signs
-            assert f.kraus()[1].shape == (len(f_base.signs), 2**size, 2**size)
+            assert f.ops.shape == (len(f_base.signs), 2**size, 2**size)
     # the parity lift is bit-identical to conjugating by explicit CNOT
     # ladders that fold each register's parity onto the qubit next to the cut
     for m, m_prime in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 1)]:
@@ -90,7 +91,7 @@ def test_multi_z_factors_are_ladder_conjugated_kraus_maps():
                 for f_base, f, (size, wire) in zip(t_base.factors, t.factors, wires):
                     oracle = ladder_conjugated(f_base, size, wire)
                     assert f.signs == oracle.signs
-                    for got, want in zip(f.kraus(), oracle.kraus()):
+                    for got, want in zip((f.weights, f.ops), (oracle.weights, oracle.ops)):
                         assert np.array_equal(got, want), (m, m_prime, theta, t.label)
 
 
@@ -105,7 +106,7 @@ def test_lift_reads_each_register_index_through_its_bit(bit):
     deco = qcut.cuts._lifted("t", (3, 1), bit, lambda: terms, gates.identity)
     first, second = (t.factors for t in deco.terms)
     assert first[0] is second[0] and first[1] is ident and second[1] is shared
-    signs, (lifted, _) = first[0].kraus()
+    signs, (lifted, _) = first[0].weights, first[0].ops
     assert np.array_equal(lifted, np.diag(np.diag(k)[bit(3)])) and signs.tolist() == [1, -1]
     assert bit(3).tolist() == ([0, 1, 1, 0, 1, 0, 0, 1] if bit is gates.parity else [0] * 7 + [1])
 
@@ -161,7 +162,7 @@ def test_mcz_lift_equals_the_register_size_construction():
                 assert (t.q, t.label, t.needs_cc) == (t_old.q, t_old.label, t_old.needs_cc)
                 for f, f_old in zip(t.factors, t_old.factors, strict=True):
                     assert f.signs == f_old.signs
-                    for got, want in zip(f.kraus(), f_old.kraus(), strict=True):
+                    for got, want in zip((f.weights, f.ops), (f_old.weights, f_old.ops), strict=True):
                         assert np.array_equal(got, want), (m, n - m, t.label)
 
 
@@ -313,6 +314,29 @@ def test_term_refuses_non_finite_coefficient(q):
         DecompositionTerm(q, [UnitaryChannel(gates.identity(1))], "bad")
 
 
+def test_term_product_is_the_kronecker_product_of_its_factors():
+    # two factors with two outcomes each and different sign patterns: a
+    # product that paired the signs and operators in different orders would
+    # give another map
+    factors = [qcut.channels.signed_z_map(), qcut.channels.grouped_pauli_map("X")]
+    sup = DecompositionTerm(0.5, factors, "t").to_superoperator()
+    dense = reduce(np.kron, [ptm_of_map(f.apply_batch, f.n_qubits) for f in factors])
+    assert sup.ops.shape == (4, 4, 4) and sup.weights.tolist() == [1, 1, -1, -1]
+    assert np.max(np.abs(sup.matrix - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [Superoperator(np.ones(1), np.eye(2)[None]), gates.identity(1)],
+    ids=["superoperator", "operator"],
+)
+def test_term_refuses_a_factor_that_is_not_a_generalized_map(factor):
+    # a bare Superoperator reconstructs like a map, but its weights are not
+    # +-1 outcome signs, so the sampler would draw its terms wrongly
+    with pytest.raises(DimensionError, match="term 'bare' has a (Superoperator|Operator) factor"):
+        DecompositionTerm(1.0, [UnitaryChannel(gates.identity(1)), factor], "bare")
+
+
 @pytest.mark.parametrize("size", [1.7, True, np.nan, np.inf, "1", None, 0, -1])
 def test_decomposition_refuses_non_integral_register_sizes(size):
     # the rule ExperimentSpec applies to its seed: a real, finite, integral,
@@ -320,6 +344,8 @@ def test_decomposition_refuses_non_integral_register_sizes(size):
     term = DecompositionTerm(1.0, [UnitaryChannel(gates.identity(2))], "joint")
     with pytest.raises(DimensionError, match="register size must be an integer >= 1"):
         Decomposition("bad", (size, 1), [term], gates.identity(2))
+    with pytest.raises(DimensionError, match="n_targets must be an integer >= 1"):
+        controlled_sequence_decomposition([((0,), X)], size)
     deco = Decomposition("ok", (1.0, np.int64(1)), [term], gates.identity(2))
     assert deco.partition == (1, 1) and all(type(s) is int for s in deco.partition)
 
@@ -451,7 +477,7 @@ def _splits():
 @pytest.mark.parametrize("build", list(_splits()))
 def test_schur_reconstruct_matches_dense(build):
     deco = build()
-    assert diagonal_qubits(deco.kraus()[1]) == tuple(range(deco.n_qubits))
+    assert diagonal_qubits(deco.reconstruct().ops) == tuple(range(deco.n_qubits))
     reference = dense_reconstruct(deco)
     assert np.max(np.abs(deco.reconstruct().matrix - reference)) <= 1e-12
     report = deco.verify()
@@ -461,11 +487,11 @@ def test_schur_reconstruct_matches_dense(build):
 
 def test_wire_cuts_and_sequences_have_no_schur_form():
     for deco in (wire_cut_ncc(), wire_cut_cc("X")):
-        assert diagonal_qubits(deco.kraus()[1]) == ()
+        assert diagonal_qubits(deco.reconstruct().ops) == ()
     # a controlled sequence is diagonal on the shared control and on the
     # targets it leaves alone (here the second, qubit 2)
     deco = controlled_sequence_decomposition([((0,), X)], 2)
-    assert diagonal_qubits(deco.kraus()[1]) == (0, 2)
+    assert diagonal_qubits(deco.reconstruct().ops) == (0, 2)
 
 
 def _flip_q(deco, index):
@@ -518,7 +544,7 @@ def _non_diagonal():
 @pytest.mark.parametrize("build", list(_non_diagonal()))
 def test_kraus_verify_matches_dense(build, flip):
     deco = build()
-    assert diagonal_qubits(deco.kraus()[1]) != tuple(range(deco.n_qubits))
+    assert diagonal_qubits(deco.reconstruct().ops) != tuple(range(deco.n_qubits))
     if flip:
         deco = _flip_q(deco, 1)
     reference = dense_reconstruct(deco)

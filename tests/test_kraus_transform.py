@@ -245,7 +245,8 @@ def test_kernel_setup_holds_no_ket_gather():
     rng = np.random.default_rng(4)
     deco = cuts.controlled_sequence_decomposition(
         [((t,), haar_unitary(rng, 2)) for t in range(4)], 4)
-    weights, ops = deco.kraus()
+    rebuilt = deco.reconstruct()
+    weights, ops = rebuilt.weights, rebuilt.ops
     weights = np.append(weights, -1.0)
     kraus = np.concatenate([ops, deco.target_unitary.mat[None]])
     assert kraus.shape == (11, 32, 32) and diagonal_qubits(kraus) == (0,)
@@ -282,7 +283,8 @@ def test_verify_breaks_exact_ties_as_whole_array_argmax(paulis, diag):
     deco = cuts.Decomposition("pauli", (5,), [
         cuts.DecompositionTerm(1.0, [UnitaryChannel(Operator(reduce(np.kron, paulis)))], "P")
     ], gates.identity(5))
-    weights, ops = deco.kraus()
+    rebuilt = deco.reconstruct()
+    weights, ops = rebuilt.weights, rebuilt.ops
     a, found = whole_transform(np.append(weights, -1.0), np.concatenate([ops, np.eye(32)[None]]))
     assert found == diag
     index = whole_argmax(a)
@@ -316,10 +318,10 @@ def test_random_controlled_sequences_verify(case):
     assert report["passed"], report
     assert abs(deco.one_norm() - 3.0) <= 1e-12
     # block-diagonal on the shared control
-    assert diagonal_qubits(deco.kraus()[1])[:1] == (0,)
+    assert diagonal_qubits(deco.reconstruct().ops)[:1] == (0,)
 
 
 def test_sequence_of_a_controlled_gate_on_every_target_has_control_only():
     ops = [((t,), gates.hadamard()) for t in range(3)]
     deco = cuts.controlled_sequence_decomposition(ops, 3)
-    assert diagonal_qubits(deco.kraus()[1]) == (0,)
+    assert diagonal_qubits(deco.reconstruct().ops) == (0,)

@@ -347,7 +347,7 @@ def test_superoperator_matrix_is_read_only_and_built_once():
     assert first is sup.matrix and not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 1.0
-    assert np.array_equal(first, ptm_of_kraus(sup.weights, sup.kraus))
+    assert np.array_equal(first, ptm_of_kraus(sup.weights, sup.ops))
     with pytest.raises(AttributeError):
         sup.matrix = np.zeros((16, 16))
 
@@ -355,9 +355,9 @@ def test_superoperator_matrix_is_read_only_and_built_once():
 def test_superoperator_holds_read_only_views_of_the_callers_stack():
     weights, kraus = np.array([0.5, -0.5]), np.stack([np.eye(2), PAULI_X]).astype(complex)
     sup = Superoperator(weights, kraus)
-    assert sup.n == 1
-    assert np.shares_memory(sup.kraus, kraus) and np.shares_memory(sup.weights, weights)
-    assert not (sup.weights.flags.writeable or sup.kraus.flags.writeable)
+    assert sup.n_qubits == 1
+    assert np.shares_memory(sup.ops, kraus) and np.shares_memory(sup.weights, weights)
+    assert not (sup.weights.flags.writeable or sup.ops.flags.writeable)
     assert weights.flags.writeable and kraus.flags.writeable  # the caller's own arrays
 
 
@@ -385,7 +385,7 @@ def test_compare_refuses_maps_on_different_qubit_counts():
 def test_compare_of_a_map_with_itself_is_zero_and_with_its_double_is_not(n):
     sup = _random_superoperator(np.random.default_rng(n), n)
     assert sup.compare(sup)[0] <= 1e-15
-    double = Superoperator(2 * sup.weights, sup.kraus)
+    double = Superoperator(2 * sup.weights, sup.ops)
     peak = np.abs(sup.matrix).max()
     assert peak > 1e-3 and abs(double.max_abs_diff(sup) - peak) <= 1e-12
 

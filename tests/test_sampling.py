@@ -29,6 +29,7 @@ from qcut.linalg import (
 )
 from qcut.sampling import (
     BATCH_CHUNK,
+    MAX_SHOTS,
     PROB_FLOOR,
     ExperimentSpec,
     exact_expectation,
@@ -222,6 +223,27 @@ def test_spec_validation():
 def test_spec_rejects_bad_seed(seed):
     with pytest.raises(DimensionError, match="seed"):
         spec_for(wire_cut_cc(), "0", "Z", shots=10, seed=seed)
+
+
+@pytest.mark.parametrize("shots", [0, 1.5, True, float("nan"), float("inf"), MAX_SHOTS + 1,
+                                   2**70, "7"])
+def test_spec_rejects_bad_shots(shots):
+    with pytest.raises(DimensionError, match=f"shots must be an integer in 1..{MAX_SHOTS}, got"):
+        spec_for(wire_cut_cc(), "0", "Z", shots=shots, seed=0)
+
+
+@pytest.mark.parametrize("n_batches", [-1, 11, 1.5, True, float("nan"), "2", None])
+def test_run_rejects_bad_n_batches(n_batches):
+    spec = spec_for(wire_cut_cc(), "0", "Z", shots=10, seed=0)
+    with pytest.raises(DimensionError, match="n_batches must be an integer in 0..10, got"):
+        run(spec, n_batches=n_batches)
+
+
+def test_integral_shots_and_batches_are_taken_as_ints():
+    assert spec_for(wire_cut_cc(), "0", "Z", shots=MAX_SHOTS, seed=0).shots == MAX_SHOTS
+    report = run(spec_for(wire_cut_cc(), "0", "Z", shots=100.0, seed=7), n_batches=np.int64(4))
+    assert type(report.shots) is int and len(report.batch_means) == 4
+    assert report == run(spec_for(wire_cut_cc(), "0", "Z", shots=100, seed=7), n_batches=4)
 
 
 @pytest.mark.parametrize("seed", [7, np.int64(7), np.uint32(7), 7.0])

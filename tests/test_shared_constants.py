@@ -45,7 +45,7 @@ def assert_same_maps(got, want):
         assert (t.q, t.label, t.needs_cc) == (t_want.q, t_want.label, t_want.needs_cc), got.name
         for f, f_want in zip(t.factors, t_want.factors, strict=True):
             assert f.signs == f_want.signs, (got.name, t.label)
-            for a, b in zip(f.kraus(), f_want.kraus(), strict=True):
+            for a, b in zip((f.weights, f.ops), (f_want.weights, f_want.ops), strict=True):
                 assert a.shape == b.shape and np.array_equal(a, b), (got.name, t.label)
 
 
@@ -92,7 +92,7 @@ def test_lift_of_one_map_keeps_and_and_parity_apart(order):
                             gates.identity)
         for lifted in deco.terms[0].factors:
             assert lifted.signs == ez.signs
-            for kraus, base in zip(lifted.kraus()[1], ez.kraus()[1], strict=True):
+            for kraus, base in zip(lifted.ops, ez.ops, strict=True):
                 assert np.array_equal(kraus, np.diag(np.diag(base)[bit(2)])), bit.__name__
     assert gates.all_ones(2).tolist() != gates.parity(2).tolist()
 
@@ -127,14 +127,14 @@ def test_every_cached_map_refuses_writes():
         if not deco.name.startswith(("rzz_a", "controlled_sequence")):
             assert all(id(f) in shared for t in deco.terms for f in t.factors), deco.name
     for f in shared.values():
-        for array in f.kraus():
+        for array in (f.weights, f.ops):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         with pytest.raises(AttributeError):
-            f.branches = f.kraus()
+            f.weights = f.ops
         with pytest.raises(AttributeError):
-            f._kraus = f.kraus()
+            f.ops = f.weights
     for d in (1, 2, 4, 8, 16, 32):
         table = linalg._hadamard(d)
         assert linalg._hadamard(d) is table and not table.flags.writeable

@@ -1,10 +1,13 @@
 """The tools around the package: the benchmark's tracer
 (``perfbench/tracing.py``) patches qcut's functions and methods by name, so
-every name it targets must still resolve on its owner, and the repository's
-pytest configuration must report a failing property test as a failure."""
+every name it targets must still resolve on its owner, the repository's
+pytest configuration must report a failing property test as a failure, and
+the CLI's ``norms`` and ``verify --all`` reports must match the snapshots
+committed under ``tests/data``."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ import qcut
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+DATA = ROOT / "tests" / "data"
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
@@ -73,3 +77,24 @@ def test_verify_report_is_the_same_at_one_and_two_blas_threads():
         assert run.returncode == 0, run.stderr.decode()
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1] and b"PASS" in outputs[0]
+
+
+def _cli_stdout(*args) -> str:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-m", "qcut.cli", *args], env=env, cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_norms_report_matches_its_snapshot():
+    assert _cli_stdout("norms") == (DATA / "norms.csv").read_text()
+
+
+def test_verify_report_matches_its_snapshot():
+    # every byte but the rounding-level max|delta|, whose last digits may
+    # follow the BLAS build; the PASS verdicts and the summary stay pinned
+    def mask(report):
+        return re.sub(r"max\|delta\| = \S+", "max|delta| = *", report)
+
+    assert mask(_cli_stdout("verify", "--all")) == mask((DATA / "verify_all.txt").read_text())

@@ -328,7 +328,7 @@ def test_wire_cut_fragments_resolve_identity(basis):
     # outcomes reproduces the identity channel
     deco = _wire_cut(basis)
     outcomes = insert_wire_cut(wire_diagram(1), deco)
-    kraus = [k for t in deco.terms for k in t.factors[0].kraus()[1]]
+    kraus = [k for t in deco.terms for k in t.factors[0].ops]
     assert len(outcomes) == len(kraus)
     total = np.zeros((4, 4), dtype=complex)
     for (term, sign, d), k in zip(outcomes, kraus):
