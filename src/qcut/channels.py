@@ -43,10 +43,10 @@ from .linalg import (
     PAULI_EIGENKETS,
     Operator,
     Superoperator,
-    _is_power_of_two,
     check_dense_bits,
     check_unitary,
     embed_matrix,
+    read_only,
 )
 
 #: Pauli -> (+1 eigenket, -1 eigenket)
@@ -70,24 +70,19 @@ class GeneralizedMap(Superoperator):
     ``signs`` holds one ``+1`` or ``-1`` per row of the ``(k, d, d)`` stack
     ``ops``; the map is the :class:`~qcut.linalg.Superoperator`
     ``rho -> sum_k a_k K_k rho K_k^dag`` with the signs as its weights.
-    Construction copies the stack and enforces ``sum_k K_k^dag K_k = I``.
+    :class:`~qcut.linalg.Superoperator` checks the stack's shape, count and
+    type; construction then copies the stack as complex, checks the signs
+    and enforces ``sum_k K_k^dag K_k = I``.
     """
 
     def __init__(self, signs: Sequence, ops):
-        try:
-            ops = np.array(ops, dtype=complex)
-        except (TypeError, ValueError):  # a ragged stack
-            ops = np.empty(0)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not _is_power_of_two(ops.shape[2]):
-            raise DimensionError("Kraus operators must form one (k, d, d) stack on qubits")
-        signs = tuple(signs)
-        if not all(a in (1, -1) for a in signs):
-            raise DimensionError(f"signs must be +1 or -1, got {signs}")
-        if not len(ops) == len(signs) > 0:
-            raise DimensionError(f"{len(signs)} signs for {len(ops)} Kraus operators")
+        super().__init__(signs, ops)
+        if not ((self.weights == 1) | (self.weights == -1)).all():
+            raise DimensionError(f"signs must be +1 or -1, got {tuple(self.weights.tolist())}")
+        ops = np.array(self.ops, dtype=complex)
         # rows of the stacked operators: stacked^dag stacked = sum_k K^dag K
         check_unitary(ops.reshape(-1, ops.shape[2]), "Kraus stack (sum K^dag K = I)")
-        super().__init__(np.array(signs, dtype=float), ops)
+        vars(self).update(weights=read_only(self.weights.real.astype(float)), ops=read_only(ops))
 
     @property
     def signs(self) -> tuple:

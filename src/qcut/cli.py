@@ -154,11 +154,15 @@ def _parse_controlled_ops(value, where: str, parsed: dict) -> list:
 
 
 def _parse_matrix(data, where: str) -> Operator:
-    """A square matrix of finite numbers or ``[re, im]`` pairs."""
+    """A square matrix of finite numbers or ``[re, im]`` pairs of them; a
+    Boolean or a string is not a number."""
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
     def cell(v):
-        if isinstance(v, (int, float)):
+        if number(v):
             return complex(v)
-        if isinstance(v, (list, tuple)) and len(v) == 2:
+        if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(number, v)):
             return complex(float(v[0]), float(v[1]))
         # not a ConfigError: the handler below adds ``where`` once
         raise QcutError("matrix entries must be numbers or [re, im]")

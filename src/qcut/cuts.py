@@ -39,6 +39,7 @@ from . import gates
 from .linalg import (
     PAULI_EIGENKETS,
     DimensionError,
+    Immutable,
     Operator,
     Superoperator,
     check_dense_bits,
@@ -51,21 +52,20 @@ from .linalg import (
 ATOL_RECONSTRUCT = 1e-9
 
 
-class DecompositionTerm:
+class DecompositionTerm(Immutable):
     """One weighted product term ``q * (F_1 (x) F_2 (x) ...)``.
 
     ``factors``, each a :class:`~qcut.channels.GeneralizedMap`, act on
     contiguous qubit blocks, high-order first; each must cover a whole number
-    of the parent decomposition's registers.
+    of the parent decomposition's registers (:meth:`Decomposition.spans`).
     ``needs_cc`` marks terms whose execution needs a measurement outcome
-    communicated across the cut.
+    communicated across the cut.  Immutable after construction: terms are
+    shared between the decompositions built from one cached cut.
     """
 
     def __init__(self, q: float, factors, label: str, needs_cc: bool = False):
-        self.q = float(q)
-        self.factors = tuple(factors)
-        self.label = str(label)
-        self.needs_cc = bool(needs_cc)
+        vars(self).update(q=float(q), factors=tuple(factors), label=str(label),
+                          needs_cc=bool(needs_cc))
         if not math.isfinite(self.q):
             raise DimensionError(f"term {label!r} has a non-finite coefficient {q!r}")
         if not self.factors:
@@ -100,24 +100,24 @@ class DecompositionTerm:
         return f"DecompositionTerm(q={self.q:+.6g}, label={self.label!r})"
 
 
-class Decomposition:
+class Decomposition(Immutable):
     """A named quasiprobability decomposition with its target gate.
 
     The target is kept as its unitary.  :attr:`target` and :meth:`reconstruct`
     each return one signed Kraus sum (:class:`~qcut.linalg.Superoperator`)
     whose ``4^n x 4^n`` PTM is built only when ``.matrix`` is read; building,
-    sampling and verifying a decomposition read none.
+    sampling and verifying a decomposition read none.  Immutable after
+    construction; :attr:`target` is cached on first read.
     """
 
     def __init__(self, name: str, partition, terms, target_unitary: Operator):
-        self.name = str(name)
-        self.partition = tuple(check_integer(s, "register size", 1) for s in partition)
-        self.terms = tuple(terms)
+        vars(self).update(
+            name=str(name), terms=tuple(terms), target_unitary=target_unitary,
+            partition=tuple(check_integer(s, "register size", 1) for s in partition))
         if not isinstance(target_unitary, Operator):
             raise DimensionError(
                 f"target_unitary must be an Operator, got {type(target_unitary).__name__}"
             )
-        self.target_unitary = target_unitary
         if not self.terms:
             raise DimensionError("decomposition needs at least one term")
         n = sum(self.partition)
@@ -125,19 +125,26 @@ class Decomposition:
             raise DimensionError(
                 f"target acts on {target_unitary.n_qubits} qubits, partition covers {n}"
             )
-        boundaries = set(np.cumsum(self.partition).tolist())
         for t in self.terms:
             if t.n_qubits != n:
                 raise DimensionError(
                     f"term {t.label!r} covers {t.n_qubits} qubits, expected {n}"
                 )
-            edge = 0
-            for f in t.factors:
-                edge += f.n_qubits
-                if edge != n and edge not in boundaries:
-                    raise DimensionError(
-                        f"term {t.label!r} splits a register at qubit {edge}"
-                    )
+            self.spans(t)
+
+    def spans(self, term: DecompositionTerm) -> list:
+        """``(factor, (first, stop))`` per factor of ``term``: the factor acts
+        on registers ``first .. stop - 1`` of the partition.  A factor that
+        ends inside a register, or covers none, raises :class:`DimensionError`."""
+        out, stop, covered, edge = [], 0, 0, 0
+        for factor in term.factors:
+            first, edge = stop, edge + factor.n_qubits
+            while covered < edge and stop < len(self.partition):
+                covered, stop = covered + self.partition[stop], stop + 1
+            if covered != edge or stop == first:
+                raise DimensionError(f"term {term.label!r} splits a register at qubit {edge}")
+            out.append((factor, (first, stop)))
+        return out
 
     @cached_property
     def target(self) -> Superoperator:

@@ -10,7 +10,7 @@ PTMs of tensor-product maps are Kronecker products of the factor PTMs.
 
 Indexed by X and Z part, ``P = i^{|x & z|} X^x Z^z``, every PTM entry is a
 unit phase times one entry of a Walsh-Hadamard array ``A / d`` that
-:func:`kraus_transform` yields in slabs of about :data:`_SLAB_BYTES`, after
+:func:`kraus_transform` yields in slabs of about :data:`_SCRATCH_BYTES`, after
 splitting off the qubits on which every ``K_k`` is exactly diagonal.  Two
 maps are compared (:meth:`Superoperator.compare`) through the slabs of their
 difference, holding the Kraus gathers and one slab at a time;
@@ -83,7 +83,30 @@ def _is_power_of_two(d: int) -> bool:
     return d > 0 and (d & (d - 1)) == 0
 
 
-class Operator:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` with its write flag cleared."""
+    a.setflags(write=False)
+    return a
+
+
+#: bytes of working set one block of a blocked computation may hold: a slab
+#: of :func:`kraus_transform` or the scratch buffer of :func:`max_abs_diff`
+_SCRATCH_BYTES = 2**20
+
+
+class Immutable:
+    """Refuses assignment and deletion of every attribute: a constructor
+    stores its attributes through ``vars(self)`` or ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Operator(Immutable):
     """Dense complex operator on ``n`` qubits.
 
     Immutable after construction; every entry must be finite.
@@ -102,8 +125,7 @@ class Operator:
         arr = np.array(mat, dtype=complex)
         if not np.isfinite(arr).all():
             raise DimensionError("operator entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
+        object.__setattr__(self, "mat", read_only(arr))
 
     @classmethod
     def diagonal(cls, values) -> "Operator":
@@ -124,13 +146,9 @@ class Operator:
             raise DimensionError("operator entries must be finite")
         arr = np.zeros((d, d), dtype=complex)
         np.fill_diagonal(arr, vec)
-        arr.setflags(write=False)
         op = object.__new__(cls)
-        object.__setattr__(op, "mat", arr)
+        object.__setattr__(op, "mat", read_only(arr))
         return op
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Operator is immutable")
 
     @property
     def dim(self) -> int:
@@ -158,10 +176,10 @@ class Operator:
 
 
 # single-qubit Paulis
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_I = read_only(np.eye(2, dtype=complex))
+PAULI_X = read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = read_only(np.array([[1, 0], [0, -1]], dtype=complex))
 PAULI_LETTERS = "IXYZ"
 _PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
@@ -196,26 +214,30 @@ def check_unitary(mat: np.ndarray, what: str):
         raise DimensionError(f"{what} is not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
-class Superoperator:
+class Superoperator(Immutable):
     """The map ``rho -> sum_k w_k K_k rho K_k^dag`` on ``n_qubits`` qubits:
     read-only views of its ``weights`` and ``(k, d, d)`` Kraus stack ``ops``,
     and its PTM :attr:`matrix`, built by :func:`ptm_of_kraus` the first time
-    it is read.  No attribute can be rebound or deleted."""
+    it is read.  No attribute can be rebound or deleted.
+
+    The one check of a signed stack: ``k >= 1`` numeric (integer, real or
+    complex, not Boolean) weights for ``k`` numeric ``d x d`` operators with
+    ``d`` a power of two; anything else, a ragged stack included, raises
+    :class:`DimensionError` naming what was given."""
 
     def __init__(self, weights, ops):
-        weights, ops = np.asarray(weights).view(), np.asarray(ops).view()
-        if not (ops.ndim == 3 and weights.shape == ops.shape[:1]
-                and ops.shape[1] == ops.shape[2] and _is_power_of_two(ops.shape[2])):
-            raise DimensionError(f"need k weights for a (k, d, d) stack on qubits, "
-                                 f"got {weights.shape} and {ops.shape}")
-        weights.setflags(write=False)
-        ops.setflags(write=False)
-        vars(self).update(weights=weights, ops=ops, n_qubits=ops.shape[2].bit_length() - 1)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
+        try:
+            weights, ops = np.asarray(weights).view(), np.asarray(ops).view()
+        except ValueError:  # a ragged stack
+            raise DimensionError("need k weights for a (k, d, d) stack: ragged input") from None
+        if not (weights.dtype.kind in "ifc" and ops.dtype.kind in "ifc" and ops.ndim == 3
+                and weights.shape == ops.shape[:1] != (0,) and ops.shape[1] == ops.shape[2]
+                and _is_power_of_two(ops.shape[2])):
+            given = f"{weights.dtype} {weights.shape} and {ops.dtype} {ops.shape}"
+            raise DimensionError(f"need k weights for a (k, d, d) stack of numbers on qubits, "
+                                 f"got {given}")
+        vars(self).update(weights=read_only(weights), ops=read_only(ops),
+                          n_qubits=ops.shape[2].bit_length() - 1)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -243,15 +265,12 @@ class Superoperator:
         return self.compare(other)[0]
 
 
-#: bytes of the scratch buffer :func:`max_abs_diff` reuses for each block of rows
-_DIFF_SCRATCH_BYTES = 2**20
-
-
 def max_abs_diff(a, b) -> float:
     """``max |a - b|`` over two equal-shape arrays: the float that
     ``np.max(np.abs(a - b))`` returns, NaN included, but taken one block of
-    leading rows at a time through one fixed scratch buffer, so no full-size
-    temporary is allocated."""
+    leading rows at a time through one scratch buffer of about
+    :data:`_SCRATCH_BYTES` (at least one row), so no full-size temporary is
+    allocated."""
     if np.shape(a) != np.shape(b):
         raise DimensionError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
     a, b = np.atleast_1d(np.asarray(a)), np.atleast_1d(np.asarray(b))
@@ -260,7 +279,7 @@ def max_abs_diff(a, b) -> float:
     diff_type = np.result_type(a, b)
     abs_type = np.empty(0, diff_type).real.dtype
     row_bytes = a[0].size * (diff_type.itemsize + abs_type.itemsize)
-    step = min(len(a), max(1, _DIFF_SCRATCH_BYTES // row_bytes))  # rows per block
+    step = min(len(a), max(1, _SCRATCH_BYTES // row_bytes))  # rows per block
     scratch = np.empty(step * row_bytes, np.uint8)
     split = step * a[0].size * diff_type.itemsize
     diff = scratch[:split].view(diff_type).reshape((step,) + a.shape[1:])
@@ -303,12 +322,11 @@ def _hadamard(d: int) -> np.ndarray:
     h = np.ones((1, 1))
     while len(h) < d:
         h = np.concatenate([np.concatenate([h, h], 1), np.concatenate([h, -h], 1)])
-    h.setflags(write=False)
-    return h
+    return read_only(h)
 
 
 #: ``i^k`` for ``k mod 4``
-_I_POWERS = np.array([1, 1j, -1, -1j])
+_I_POWERS = read_only(np.array([1, 1j, -1, -1j]))
 
 
 def pauli_index(x, z, n: int, lead: tuple = ()):
@@ -348,15 +366,7 @@ def _xor_gather(d_t: int, r: int) -> np.ndarray:
     give ``W[c, b, j, b ^ x]``.  One read-only table per ``(d_t, r)``, built
     once per process."""
     b, j, x = np.ogrid[:d_t, :r, :d_t]
-    table = ((b * r + j) * d_t + (b ^ x)).ravel()
-    table.setflags(write=False)
-    return table
-
-
-#: bytes one slab of :func:`kraus_transform` may hold: its bra gather, its
-#: index table and two transform arrays (a slab always holds at least one
-#: ``x'_T`` row)
-_SLAB_BYTES = 2**20
+    return read_only(((b * r + j) * d_t + (b ^ x)).ravel())
 
 
 def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
@@ -391,7 +401,7 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     No transform mixes ``x'_T``, so ``slabs`` yields ``(start, A[..., start:
     start + k, :])``, a new array, for runs of ``k`` values of ``x'_T``: the
     largest power of two, at least one and at most ``d_T``, whose bra gather,
-    index table and two transform arrays fit :data:`_SLAB_BYTES`.  The size
+    index table and two transform arrays fit :data:`_SCRATCH_BYTES`.  The size
     checks and the work all slabs share run before this returns.
     """
     kraus = np.asarray(kraus, dtype=complex)
@@ -415,7 +425,7 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     # per x' row: the bra gather, two transform arrays and the index table
     row_bytes = 16 * (m * d_d * d_t**2 + 2 * d_d**2 * d_t**3) + 8 * d_d**2 * d_t**2
     # a power of two divides d_t, so every slab has one shape and one table
-    step = min(d_t, 1 << max(0, (_SLAB_BYTES // row_bytes).bit_length() - 1))
+    step = min(d_t, 1 << max(0, (_SCRATCH_BYTES // row_bytes).bit_length() - 1))
     gather = _xor_gather(d_t, d_d**2 * step) if d_t > 1 else None  # d_T = 1: x = b = e = 0
 
     def slabs():
@@ -494,20 +504,19 @@ def ptm_of_kraus(weights: np.ndarray, kraus: np.ndarray) -> np.ndarray:
         w *= row_phase[x_out, z_out]
         w *= col_phase
         out[p[x_out, z_out], cols] = w
-    out.setflags(write=False)
-    return out
+    return read_only(out)
 
 
 # ---------------------------------------------------------------------------
 # Pauli eigenbasis (single-qubit stabilizer states)
 # ---------------------------------------------------------------------------
 
-KET_0 = np.array([1, 0], dtype=complex)
-KET_1 = np.array([0, 1], dtype=complex)
-KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
-KET_PLUS_I = np.array([1, 1j], dtype=complex) / np.sqrt(2)
-KET_MINUS_I = np.array([1, -1j], dtype=complex) / np.sqrt(2)
+KET_0 = read_only(np.array([1, 0], dtype=complex))
+KET_1 = read_only(np.array([0, 1], dtype=complex))
+KET_PLUS = read_only(np.array([1, 1], dtype=complex) / np.sqrt(2))
+KET_MINUS = read_only(np.array([1, -1], dtype=complex) / np.sqrt(2))
+KET_PLUS_I = read_only(np.array([1, 1j], dtype=complex) / np.sqrt(2))
+KET_MINUS_I = read_only(np.array([1, -1j], dtype=complex) / np.sqrt(2))
 
 
 #: (P, mu) -> (sign, eigenket).  For X, Y, Z these are the +1/-1 eigenstate

@@ -21,14 +21,15 @@ shot count.  Shots are i.i.d., so this is exactly the distribution of the
 shot-by-shot protocol.
 
 The exact value a report is compared with (:func:`exact_expectation`) is the
-cut channel's expectation, computed per term and per register block from the
-same block states and observables the sampler uses.  Nothing in this module
+cut channel's expectation, computed per term and per register block (the
+registers each factor covers, :meth:`~qcut.cuts.Decomposition.spans`) from
+the same block states and observables the sampler uses.  Nothing in this module
 builds a Pauli transfer matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Optional
 
@@ -121,43 +122,19 @@ class SamplingReport:
     z_score: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "standard_error": self.standard_error,
-            "shots": self.shots,
-            "gamma": self.gamma,
-            "exact_value": self.exact_value,
-            "per_term_shots": list(self.per_term_shots),
-            "seed": self.seed,
-            "single_shot_variance": self.single_shot_variance,
-            "variance_bound": self.variance_bound,
-            "batch_means": list(self.batch_means),
-            "per_term_means": list(self.per_term_means),
-            "z_score": self.z_score,
-        }
+        """Every field by name, tuples as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 # ---------------------------------------------------------------------------
-# Term-block plumbing
+# Register blocks
 # ---------------------------------------------------------------------------
-
-
-def _term_blocks(spec: ExperimentSpec, term: DecompositionTerm) -> list:
-    """``(factor, span)`` per factor of ``term``: ``span`` is the
-    ``(first, stop)`` range of the registers the factor acts on."""
-    part = spec.decomposition.partition
-    blocks, stop = [], 0
-    for factor in term.factors:
-        first, width = stop, 0
-        while width < factor.n_qubits:
-            width += part[stop]
-            stop += 1
-        blocks.append((factor, (first, stop)))
-    return blocks
 
 
 def _block(spec: ExperimentSpec, span: tuple, blocks: dict) -> tuple:
-    """``(rho, obs, lambda, V, V^dag rho V)`` of the registers in ``span``, with
+    """``(rho, obs, lambda, V, V^dag rho V)`` of the registers in ``span``
+    (a ``(first, stop)`` range of :meth:`~qcut.cuts.Decomposition.spans`), with
     ``obs = V diag(lambda) V^dag``; computed once per span and ``blocks`` dict."""
     if span not in blocks:
         regs = range(*span)
@@ -181,7 +158,7 @@ def term_value_distributions(
     """
     blocks = {} if blocks is None else blocks
     out = []
-    for factor, span in _term_blocks(spec, term):
+    for factor, span in spec.decomposition.spans(term):
         _, _, lam, vecs, rho_v = _block(spec, span, blocks)
         m = vecs.conj().T @ factor.ops @ vecs
         probs = np.maximum(np.einsum("kab,kab->ka", m @ rho_v, m.conj()).real, 0.0)
@@ -227,7 +204,7 @@ def exact_expectation(spec: ExperimentSpec, blocks: Optional[dict] = None) -> fl
     total, blocks = 0.0, {} if blocks is None else blocks
     for term in spec.decomposition.terms:
         value = term.q
-        for factor, span in _term_blocks(spec, term):
+        for factor, span in spec.decomposition.spans(term):
             rho, obs = _block(spec, span, blocks)[:2]
             image = factor.apply_batch(rho[None, :, :])[0]
             value *= np.einsum("ij,ji->", obs, image)

@@ -33,17 +33,17 @@ import heapq
 import itertools
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .linalg import QcutError, check_dense_bits, max_abs_diff
+from .linalg import QcutError, check_dense_bits, max_abs_diff, read_only
 
 #: matrix equality tolerance for rule certification
 RULE_ATOL = 1e-10
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+_HADAMARD = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
 
 
 class ZXError(QcutError):
@@ -112,15 +112,8 @@ class ZXDiagram:
         self.scalar *= s
 
     def copy(self) -> "ZXDiagram":
-        return ZXDiagram(
-            nodes=dict(self.nodes),
-            edges=list(self.edges),
-            inputs=list(self.inputs),
-            outputs=list(self.outputs),
-            scalar=self.scalar,
-            cut_edge=self.cut_edge,
-            _next_id=self._next_id,
-        )
+        return replace(self, nodes=dict(self.nodes), edges=list(self.edges),
+                       inputs=list(self.inputs), outputs=list(self.outputs))
 
     def __repr__(self):
         return (
@@ -256,6 +249,15 @@ def _contract_compact(d: ZXDiagram) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _qubit_wire(d: ZXDiagram) -> int:
+    """Add an input, an output and a phase-0 Z spider wired between them, in
+    that order; returns the spider."""
+    i, o, s = d.add_input(), d.add_output(), d.add_z()
+    d.add_edge(i, s)
+    d.add_edge(s, o)
+    return s
+
+
 def wire_diagram(n: int = 1) -> ZXDiagram:
     """``n`` parallel bare wires (the identity); ``cut_edge`` is the first."""
     d = ZXDiagram()
@@ -339,12 +341,7 @@ def mcp_diagram(n: int, theta: float) -> ZXDiagram:
     d = ZXDiagram()
     h = d.add_h(np.exp(1j * theta))
     for _ in range(n):
-        i = d.add_input()
-        o = d.add_output()
-        s = d.add_z()
-        d.add_edge(i, s)
-        d.add_edge(s, o)
-        d.add_edge(s, h)
+        d.add_edge(_qubit_wire(d), h)
     return d
 
 
@@ -368,12 +365,7 @@ def split_mcz_three_hboxes(n: int, m: int) -> ZXDiagram:
     h_mid = d.add_h()
     h_down = d.add_h()
     for q in range(n):
-        i = d.add_input()
-        o = d.add_output()
-        s = d.add_z()
-        d.add_edge(i, s)
-        d.add_edge(s, o)
-        d.add_edge(s, h_up if q < m else h_down)
+        d.add_edge(_qubit_wire(d), h_up if q < m else h_down)
     d.add_edge(h_up, h_mid)
     d.add_edge(h_mid, h_down)
     d.multiply_scalar(0.5)
@@ -392,14 +384,7 @@ def rzz_diagram(theta: float) -> ZXDiagram:
     gadget = d.add_x()
     phase = d.add_z(theta)
     d.add_edge(gadget, phase)
-    spiders = []
-    for _ in range(2):
-        i = d.add_input()
-        o = d.add_output()
-        s = d.add_z()
-        d.add_edge(i, s)
-        d.add_edge(s, o)
-        spiders.append(s)
+    spiders = [_qubit_wire(d) for _ in range(2)]
     d.add_edge(spiders[0], gadget)
     d.add_edge(gadget, spiders[1])
     d.multiply_scalar(np.sqrt(2.0) * np.exp(-1j * theta / 2))
@@ -475,7 +460,9 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
     both sides; every dense entry outside it is 0 on both sides.
 
     With ``up_to_scalar`` the report includes the least-squares complex ratio
-    ``c`` minimizing ``|rhs - c * lhs|`` and the residual after rescaling.
+    ``c`` minimizing ``|rhs - c * lhs|`` and the residual after rescaling.  A
+    side whose entries are all within ``RULE_ATOL`` of 0 is a zero side: its
+    ratio is 0, and it equals only another zero side up to a scalar.
     """
     if len(lhs.inputs) != len(rhs.inputs) or len(lhs.outputs) != len(rhs.outputs):
         raise ZXError(
@@ -493,12 +480,13 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
         "equal": deviation <= RULE_ATOL,
     }
     if up_to_scalar:
-        norm = np.vdot(a, a)
-        ratio = complex(np.vdot(a, b) / norm) if abs(norm) > 0 else complex("nan")
+        zero_a, zero_b = (bool(np.abs(x).max() <= RULE_ATOL) for x in (a, b))
+        with np.errstate(invalid="ignore"):  # a NaN entry makes the ratio NaN
+            ratio = 0j if zero_a else complex(np.vdot(a, b) / np.vdot(a, a))
         residual = max_abs_diff(b, ratio * a)
         report["scalar_ratio"] = ratio
         report["scalar_residual"] = residual
-        report["equal_up_to_scalar"] = residual <= RULE_ATOL
+        report["equal_up_to_scalar"] = residual <= RULE_ATOL and zero_a == zero_b
     return report
 
 

@@ -232,10 +232,9 @@ def dense_mcz_decomposition(m: int, m_prime: int) -> Decomposition:
     return Decomposition(f"mcz[{m},{m_prime}]", (m, m_prime), terms, gates.mcz(m + m_prime))
 
 
-def _draw(rng, weights: np.ndarray) -> int:
+def _draw(rng, cumulative: np.ndarray) -> int:
     """Index ``i`` with probability ``weights[i] / sum(weights)``, from one
-    uniform draw."""
-    cumulative = np.cumsum(weights)
+    uniform draw, given ``cumulative = np.cumsum(weights)``."""
     return int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
 
 
@@ -285,26 +284,39 @@ def outcome_value_distributions(term, spec) -> list:
     return out
 
 
-def execute_term(term, spec, rng) -> tuple:
-    """Physically simulate one shot of one term: sample each factor's
-    measurement outcome, then the observable eigenvalue per block.
+@lru_cache(maxsize=256)
+def prepared_term(term, spec) -> tuple:
+    """What every shot of :func:`execute_term` reads, per block of ``term``:
+    ``(signs, outcome_cdf, lam, lam_cdfs)``.  Each factor acts on the
+    Kronecker product of the registers it covers; Kraus operator ``K``
+    occurs with probability ``Tr(K rho K^dag)`` (``outcome_cdf`` is their
+    running sum) and leaves that unnormalized post-state, in which the
+    observable's eigenvalue ``lam[a]`` has weight ``<v_a|post|v_a>``
+    (``lam_cdfs[k]`` is their running sum for outcome ``k``).  Built once
+    per ``(term, spec)``."""
+    blocks = []
+    for factor, rho, obs in term_blocks(term, spec):
+        outcomes = outcome_probabilities(factor, rho)
+        lam, vecs = np.linalg.eigh(obs)
+        lam_cdfs = tuple(np.cumsum(np.clip(np.einsum("ai,ab,bi->i", vecs.conj(), post, vecs).real,
+                                           0.0, None)) for _, post in outcomes)
+        blocks.append((factor.signs, np.cumsum([p for p, _ in outcomes]), lam, lam_cdfs))
+    return tuple(blocks)
 
-    Each factor acts on the Kronecker product of the registers it covers.
-    Kraus operator ``K`` occurs with probability ``Tr(K rho K^dag)`` and
-    leaves that (unnormalized) post-state; the observable block is then
-    measured in its own eigenbasis.  Returns ``(sign, lam)`` with ``sign``
-    the product of outcome signs and ``lam`` the product of sampled
-    per-block eigenvalues.
+
+def execute_term(term, spec, rng) -> tuple:
+    """Physically simulate one shot of one term from :func:`prepared_term`:
+    sample each factor's measurement outcome, then the observable
+    eigenvalue of its block in the outcome's post-state.  Returns
+    ``(sign, lam)`` with ``sign`` the product of outcome signs and ``lam``
+    the product of sampled per-block eigenvalues.
     """
     sign = 1
     lam_total = 1.0
-    for factor, rho, obs in term_blocks(term, spec):
-        outcomes = outcome_probabilities(factor, rho)
-        b = _draw(rng, [p for p, _ in outcomes])
-        sign *= factor.signs[b]
-        lam, vecs = np.linalg.eigh(obs)
-        p_lam = np.einsum("ai,ab,bi->i", vecs.conj(), outcomes[b][1], vecs).real
-        lam_total *= float(lam[_draw(rng, np.clip(p_lam, 0.0, None))])
+    for signs, outcome_cdf, lam, lam_cdfs in prepared_term(term, spec):
+        b = _draw(rng, outcome_cdf)
+        sign *= signs[b]
+        lam_total *= float(lam[_draw(rng, lam_cdfs[b])])
     return sign, lam_total
 
 
@@ -396,10 +408,16 @@ def dense_verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False
         "equal": deviation <= RULE_ATOL,
     }
     if up_to_scalar:
+        # a side with every entry within RULE_ATOL of 0 has ratio 0 and
+        # equals only another such side
+        zero_a, zero_b = (np.max(np.abs(x)) <= RULE_ATOL for x in (a, b))
         norm = np.vdot(a, a)
-        ratio = complex(np.vdot(a, b) / norm) if abs(norm) > 0 else complex("nan")
+        if zero_a:
+            ratio = 0j
+        else:
+            ratio = complex(np.vdot(a, b) / norm) if abs(norm) > 0 else complex("nan")
         residual = max_abs_diff(b, ratio * a)
         report["scalar_ratio"] = ratio
         report["scalar_residual"] = residual
-        report["equal_up_to_scalar"] = residual <= RULE_ATOL
+        report["equal_up_to_scalar"] = bool(residual <= RULE_ATOL and zero_a == zero_b)
     return report

@@ -507,11 +507,26 @@ PLUS = [[0.5, 0.5], [0.5, 0.5]]
           "initial_state": "plus"}, "decomposition.cc_basis"),
         ({"decomposition": {"name": "wire_cc", "cc_basis": ""}, "observable": "Z",
           "initial_state": "plus"}, "decomposition.cc_basis"),
+        # a cell is a JSON number, not a Boolean or a string, alone or as both
+        # halves of an [re, im] pair
+        ({"decomposition": op_with(gate="matrix", matrix=[[["1", "0"], 0], [0, 1]])},
+         "decomposition.controlled_ops[0]"),
+        ({"decomposition": op_with(gate="matrix", matrix=[[[True, False], 0], [0, 1]])},
+         "decomposition.controlled_ops[0]"),
+        ({"decomposition": op_with(gate="matrix", matrix=[[True, 0], [0, 1]])},
+         "decomposition.controlled_ops[0]"),
+        ({"decomposition": op_with(gate="matrix", matrix=[[[1, False], 0], [0, 1]])},
+         "decomposition.controlled_ops[0]"),
+        ({"initial_state": [PLUS, [[["1", "0"], 0], [0, 0]]]}, "initial_state[1]"),
+        ({"initial_state": [[[[True, False], 0], [0, 0]], PLUS]}, "initial_state[0]"),
+        ({"initial_state": [PLUS, [[True, 0], [0, 0]]]}, "initial_state[1]"),
     ],
     ids=[
         "op-nan", "op-inf", "op-nan-imaginary", "op-not-unitary",
         "state-nan", "state-not-square", "cc_basis-int", "cc_basis-W",
         "cc_basis-XY", "cc_basis-empty",
+        "op-string-pair", "op-boolean-pair", "op-boolean", "op-boolean-half",
+        "state-string-pair", "state-boolean-pair", "state-boolean",
     ],
 )
 def test_sample_rejects_bad_matrices_and_cc_basis(tmp_path, capsys, overrides, field):
@@ -677,6 +692,28 @@ def test_zx_check_file_pair(tmp_path, capsys):
         "node in input\nnode a z pi/2\nnode out output\nedge in a\nedge a out\n"
     )
     assert main(["zx-check", str(lhs), str(rhs)]) == 1
+
+
+ZERO_WIRE = "node in input\nnode s z 0\nnode out output\nedge in s\nedge s out\nscalar 0\n"
+WIRE = "node in input\nnode s z 0\nnode out output\nedge in s\nedge s out\n"
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,code",
+    [(ZERO_WIRE, WIRE, 1), (WIRE, ZERO_WIRE, 1), (ZERO_WIRE, ZERO_WIRE, 0)],
+    ids=["zero-lhs", "zero-rhs", "zero-both"],
+)
+def test_zx_check_zero_diagram_equals_only_zero_up_to_a_scalar(tmp_path, capsys, lhs, rhs, code):
+    paths = [tmp_path / "lhs.zx", tmp_path / "rhs.zx"]
+    for path, text in zip(paths, (lhs, rhs)):
+        path.write_text(text)
+    assert main(["zx-check", *map(str, paths), "--up-to-scalar"]) == code
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower()
+    assert "scalar ratio = +0+0j" in out
+    rep = qcut.zx.verify_rule(*(qcut.zx.parse_diagram(t) for t in (lhs, rhs)), up_to_scalar=True)
+    assert not any(np.isnan(v) for v in rep.values() if isinstance(v, (float, complex)))
+    assert rep["equal_up_to_scalar"] is (code == 0)
 
 
 def test_zx_check_single_file_contracts(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qcut.channels
+import qcut.cli
 import qcut.cuts
 import qcut.linalg
 from qcut import gates
@@ -348,6 +349,51 @@ def test_decomposition_refuses_non_integral_register_sizes(size):
         controlled_sequence_decomposition([((0,), X)], size)
     deco = Decomposition("ok", (1.0, np.int64(1)), [term], gates.identity(2))
     assert deco.partition == (1, 1) and all(type(s) is int for s in deco.partition)
+
+
+def _identity_map(n: int) -> UnitaryChannel:
+    return UnitaryChannel(gates.identity(n))
+
+
+@pytest.mark.parametrize(
+    "partition,widths,spans",
+    [((1, 1, 1), (2, 1), [(0, 2), (2, 3)]),
+     ((1, 1, 1), (1, 2), [(0, 1), (1, 3)]),
+     ((2, 1), (2, 1), [(0, 1), (1, 2)]),
+     ((2, 3), (5,), [(0, 2)]),
+     ((1, 2, 1), (1, 2, 1), [(0, 1), (1, 2), (2, 3)])],
+    ids=str,
+)
+def test_spans_name_the_registers_each_factor_covers(partition, widths, spans):
+    term = DecompositionTerm(1.0, [_identity_map(w) for w in widths], "t")
+    deco = Decomposition("d", partition, [term], gates.identity(sum(partition)))
+    got = deco.spans(term)
+    assert [span for _, span in got] == spans
+    assert [factor for factor, _ in got] == list(term.factors)
+
+
+def test_spans_of_every_builder_match_its_partition():
+    # each built-in term puts one factor on each register, or one on all
+    for deco in qcut.cli._verification_suite():
+        for t in deco.terms:
+            spans = [span for _, span in deco.spans(t)]
+            k = len(deco.partition)
+            assert spans in ([(r, r + 1) for r in range(k)], [(0, k)]), (deco.name, t.label)
+
+
+@pytest.mark.parametrize(
+    "partition,widths,edge",
+    [((2, 1), (1, 2), 1), ((1, 2), (2, 1), 2), ((2, 2), (3, 1), 3), ((3,), (1, 2), 1),
+     ((1, 1), (0, 2), 0), ((1, 1), (1, 0, 1), 1)],
+    ids=str,
+)
+def test_decomposition_refuses_a_factor_that_ends_inside_a_register(partition, widths, edge):
+    # also a factor on no qubit: it covers no register of its own
+    factors = [qcut.channels.GeneralizedMap([1], np.ones((1, 1, 1))) if w == 0
+               else _identity_map(w) for w in widths]
+    term = DecompositionTerm(1.0, factors, "split")
+    with pytest.raises(DimensionError, match=f"term 'split' splits a register at qubit {edge}$"):
+        Decomposition("d", partition, [term], gates.identity(sum(partition)))
 
 
 @pytest.mark.parametrize(

@@ -162,7 +162,7 @@ def test_slab_rows_follow_the_documented_row_bytes(n, diag, m, row_bytes, budget
     # so a row size off by one byte either way fails; below one row gives one
     weights, kraus = random_stack(np.random.default_rng(n), n, diag, m)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_SLAB_BYTES", budget_rows * row_bytes - short)
+        patch.setattr(linalg, "_SCRATCH_BYTES", budget_rows * row_bytes - short)
         slabs, found = kraus_transform(weights, kraus)
         shapes = [a.shape for _, a in slabs]
     assert found == diag
@@ -207,7 +207,7 @@ def test_random_stacks_match_dense_oracle(n, mask, m, seed):
 @hypothesis.settings(max_examples=12, deadline=None, database=None)
 @hypothesis.given(
     diag=st.sampled_from([(), (0,), (2,), (4,)]), m=st.integers(1, 3),
-    budget=st.one_of(st.just(linalg._SLAB_BYTES), st.integers(1, 2**23)),
+    budget=st.one_of(st.just(linalg._SCRATCH_BYTES), st.integers(1, 2**23)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_streamed_slabs_match_dense_oracle(diag, m, budget, seed):
@@ -215,7 +215,7 @@ def test_streamed_slabs_match_dense_oracle(diag, m, budget, seed):
     # budget gives slabs of several rows, a power of two of them, all alike
     weights, kraus = random_stack(np.random.default_rng(seed), 5, diag, m)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_SLAB_BYTES", budget)
+        patch.setattr(linalg, "_SCRATCH_BYTES", budget)
         check_against_oracle(weights, kraus, diag)
         shapes = {a.shape for _, a in kraus_transform(weights, kraus)[0]}
     (shape,) = shapes
@@ -226,13 +226,13 @@ def test_index_tables_stay_one_per_power_of_two_rows():
     # every budget the drawn-budget test can draw: the n = 5 kernels share
     # one table per (d_T, rows per slab), at most log2(d_T) + 1 per d_T
     linalg._xor_gather.cache_clear()
-    budgets = sorted({int(1.1**i) for i in range(175)} | {linalg._SLAB_BYTES, 2**23})
+    budgets = sorted({int(1.1**i) for i in range(175)} | {linalg._SCRATCH_BYTES, 2**23})
     for diag in [(), (0,), (2,), (4,)]:
         for m in (1, 3):
             weights, kraus = random_stack(np.random.default_rng(m), 5, diag, m)
             for budget in budgets:
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(linalg, "_SLAB_BYTES", budget)
+                    patch.setattr(linalg, "_SCRATCH_BYTES", budget)
                     kraus_transform(weights, kraus)  # builds its table before returning
     # d_T = 32 (D empty) and d_T = 16 (one diagonal qubit): 6 + 5 powers of two
     assert 0 < linalg._xor_gather.cache_info().currsize <= 6 + 5

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -129,7 +130,7 @@ def _random_complex(rng, shape):
 
 def _block_rows(cols: int) -> int:
     """Rows of ``cols`` complex entries in one block of ``max_abs_diff``."""
-    return linalg._DIFF_SCRATCH_BYTES // (cols * (16 + 8))
+    return linalg._SCRATCH_BYTES // (cols * (16 + 8))
 
 
 @pytest.mark.parametrize(
@@ -370,6 +371,46 @@ def test_superoperator_holds_read_only_views_of_the_callers_stack():
 def test_superoperator_rejects_a_malformed_stack(weights, kraus):
     with pytest.raises(DimensionError, match="k weights"):
         Superoperator(weights, kraus)
+
+
+@pytest.mark.parametrize(
+    "weights,kraus,given",
+    [(["a"], np.eye(2)[None], "<U1 (1,)"),
+     (np.ones(1), np.full((1, 2, 2), "0"), "<U1 (1, 2, 2)"),
+     (np.array([None]), np.eye(2)[None], "object (1,)"),
+     (np.ones(1), np.eye(2)[None].astype(object), "object (1, 2, 2)"),
+     ([True], np.eye(2)[None], "bool (1,)"),
+     (np.ones(1), np.eye(2, dtype=bool)[None], "bool (1, 2, 2)"),
+     (np.ones(1, dtype=np.uint8), np.eye(2)[None], "uint8 (1,)"),
+     (np.ones(0), np.zeros((0, 2, 2)), "float64 (0,)")],
+    ids=["string-weights", "string-stack", "object-weights", "object-stack",
+         "boolean-weights", "boolean-stack", "unsigned-weights", "empty"],
+)
+def test_superoperator_refuses_a_stack_that_is_not_numbers(weights, kraus, given):
+    # refused when built, not later in compare() or .matrix
+    with pytest.raises(DimensionError, match=f"k weights.*got .*{re.escape(given)}"):
+        Superoperator(weights, kraus)
+
+
+@pytest.mark.parametrize(
+    "weights,kraus",
+    [([1, 1], [np.eye(2), np.eye(4)]), ([1], [[[1.0, 0.0], [0.0, 1.0, 0.0]]])],
+    ids=["two-sizes", "ragged-rows"],
+)
+def test_superoperator_refuses_a_ragged_stack(weights, kraus):
+    with pytest.raises(DimensionError, match="k weights.*ragged"):
+        Superoperator(weights, kraus)
+
+
+@pytest.mark.parametrize(
+    "weights,kraus",
+    [(np.array([1, -1]), np.stack([np.eye(2), PAULI_X]).real.astype(int)),
+     (np.array([0.5 + 1j]), np.eye(4, dtype=np.float32)[None])],
+    ids=["integers", "complex-weights-float32-stack"],
+)
+def test_superoperator_takes_integer_real_and_complex_stacks(weights, kraus):
+    sup = Superoperator(weights, kraus)
+    assert sup.compare(sup)[0] == 0.0 and sup.matrix.shape == (4**sup.n_qubits,) * 2
 
 
 def test_compare_refuses_maps_on_different_qubit_counts():

@@ -44,6 +44,7 @@ from oracles import (
     measure_prepare_map,
     outcome_probabilities,
     outcome_value_distributions,
+    prepared_term,
     term_blocks,
     unsigned,
     vectorize,
@@ -180,8 +181,17 @@ def test_batch_count_is_capped_before_allocating():
 
 def test_report_to_dict_is_json_plain():
     spec = spec_for(wire_cut_ncc(), "0", "Z", shots=1000, seed=1)
-    payload = json.dumps(run(spec, n_batches=2).to_dict(), sort_keys=True)
+    report = run(spec, n_batches=2)
+    payload = json.dumps(report.to_dict(), sort_keys=True)
     assert "estimate" in payload
+    # one key per field, in field order, each tuple as a list
+    got = report.to_dict()
+    assert list(got) == [f.name for f in dataclasses.fields(report)]
+    for name, value in got.items():
+        field = getattr(report, name)
+        assert value == (list(field) if isinstance(field, tuple) else field), name
+        assert not isinstance(value, tuple), name
+    assert len(got["batch_means"]) == 2 and len(got["per_term_means"]) == len(report.per_term_shots)
 
 
 def test_multi_z_large_register_samples_within_5_sigma():
@@ -335,6 +345,35 @@ def dense_exact(spec):
 def _random_sequence(seed, n_targets):
     rng = np.random.default_rng(seed)
     return [((t,), haar_unitary(rng, 2)) for t in range(n_targets)]
+
+
+@pytest.mark.parametrize(
+    "deco",
+    [wire_cut_ncc(), mcz_decomposition(2, 1), rzz_decomposition_b(np.pi / 2),
+     multi_z_rotation_decomposition(2, 2, 0.8),
+     controlled_sequence_decomposition(_random_sequence(5, 2), 2)],
+    ids=lambda d: d.name,
+)
+def test_prepared_oracle_draws_the_enumerated_outcome_law(deco):
+    # the law execute_term draws from, read off its prepared tables: outcome
+    # k with its share of the outcome weights, then eigenvalue a with its
+    # share of the post-state's weights
+    spec = random_spec(deco, seed=11)
+    for term in deco.terms:
+        prepared = prepared_term(term, spec)
+        assert prepared_term(term, spec) is prepared
+        reference = outcome_value_distributions(term, spec)
+        assert len(prepared) == len(reference)
+        for (signs, outcome_cdf, lam, lam_cdfs), (values, probs) in zip(prepared, reference):
+            law = {}
+            outcome_p = np.diff(outcome_cdf, prepend=0.0) / outcome_cdf[-1]
+            for sign, p, cdf in zip(signs, outcome_p, lam_cdfs):
+                if p > PROB_FLOOR:
+                    for v, q in zip(sign * lam, p * np.diff(cdf, prepend=0.0) / cdf[-1]):
+                        law[v] = law.get(v, 0.0) + q
+            for v, q in zip(values.tolist(), probs.tolist()):
+                law[v] = law.get(v, 0.0) - q
+            assert max(abs(q) for q in law.values()) <= 1e-12, term.label
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcut import channels, cli, cuts, gates, linalg
+from qcut import channels, cli, cuts, gates, linalg, zx
 from qcut.cuts import (
     DecompositionTerm,
     controlled_sequence_decomposition,
@@ -168,3 +168,50 @@ def test_second_mcz_build_constructs_no_map(monkeypatch):
     clear_caches()  # the count sees a cold build
     mcz_decomposition(2, 3)
     assert built
+
+
+def test_terms_and_decompositions_refuse_assignment_and_deletion():
+    # the CZ cut's terms are shared by every MCZ build: a stray assignment
+    # would change every later decomposition in the process
+    shared = cuts._cz_terms()
+    deco = mcz_decomposition(2, 1)
+    for obj, attrs in ((shared[0], ("q", "factors", "label", "needs_cc", "extra")),
+                       (deco, ("name", "partition", "terms", "target_unitary", "extra"))):
+        state = dict(vars(obj))
+        for attr in attrs:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(obj, attr, 0.9)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(obj, attr)
+        assert vars(obj) == state
+    assert shared[0].q == 0.5 and cuts._cz_terms() is shared
+    report = mcz_decomposition(2, 1).verify()
+    assert report["passed"] and report["one_norm"] == 3.0
+    # the target stays a cached property of an immutable decomposition
+    assert deco.target is deco.target and "target" in vars(deco)
+
+
+def test_operators_refuse_deletion():
+    for op in (gates.hadamard(), *(entry for entry, _ in cli._GATES.values() if entry)):
+        mat = op.mat
+        with pytest.raises(AttributeError, match="immutable"):
+            del op.mat
+        with pytest.raises(AttributeError, match="immutable"):
+            op.mat = None
+        assert op.mat is mat
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["linalg.PAULI_I", "linalg.PAULI_X", "linalg.PAULI_Y", "linalg.PAULI_Z",
+     "linalg.KET_0", "linalg.KET_1", "linalg.KET_PLUS", "linalg.KET_MINUS",
+     "linalg.KET_PLUS_I", "linalg.KET_MINUS_I", "linalg._I_POWERS", "zx._HADAMARD"],
+)
+def test_module_arrays_are_read_only(name):
+    module, attr = name.split(".")
+    array = getattr({"linalg": linalg, "zx": zx}[module], attr)
+    before = array.copy()
+    assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 7
+    assert np.array_equal(array, before)

@@ -2,7 +2,8 @@
 (``perfbench/tracing.py``) patches qcut's functions and methods by name, so
 every name it targets must still resolve on its owner, the repository's
 pytest configuration must report a failing property test as a failure, and
-the CLI's ``norms`` and ``verify --all`` reports must match the snapshots
+the CLI's ``norms``, ``verify --all`` and ``zx-check --builtin all`` reports
+and the example config's ``sample`` report must match the snapshots
 committed under ``tests/data``."""
 
 import importlib
@@ -98,3 +99,15 @@ def test_verify_report_matches_its_snapshot():
         return re.sub(r"max\|delta\| = \S+", "max|delta| = *", report)
 
     assert mask(_cli_stdout("verify", "--all")) == mask((DATA / "verify_all.txt").read_text())
+
+
+def test_zx_check_report_matches_its_snapshot():
+    assert _cli_stdout("zx-check", "--builtin", "all") == (DATA / "zx_check_all.txt").read_text()
+
+
+def test_example_sample_report_matches_its_snapshot(tmp_path):
+    # the JSON report of configs/rzz_b_example.json at seed 7, byte for byte
+    report = tmp_path / "report.json"
+    _cli_stdout("sample", "--config", str(ROOT / "configs" / "rzz_b_example.json"),
+                "--seed", "7", "--output", str(report))
+    assert report.read_bytes() == (DATA / "rzz_b_example_seed7.json").read_bytes()

@@ -38,6 +38,7 @@ from oracles import (
     compose,
     cup_diagram,
     degree,
+    dense_verify_rule,
     effect_diagram,
     swap_diagram,
     tensor,
@@ -297,6 +298,52 @@ def test_verify_rule_caps_the_shared_indices_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("zero_side", ["lhs", "rhs", "both"])
+def test_verify_rule_calls_a_zero_side_equal_only_to_zero_up_to_a_scalar(zero_side):
+    zero = wire_diagram(1)
+    zero.multiply_scalar(0.0)
+    small = wire_diagram(1)
+    small.multiply_scalar(1e-11)  # within RULE_ATOL of 0: also a zero side
+    for z in (zero, small):
+        lhs, rhs = {"lhs": (z, wire_diagram(1)), "rhs": (wire_diagram(1), z),
+                    "both": (z, zero)}[zero_side]
+        report = verify_rule(lhs, rhs, up_to_scalar=True)
+        assert report["equal_up_to_scalar"] is (zero_side == "both")
+        assert not any(np.isnan(report[k]) for k in
+                       ("max_abs_deviation", "scalar_ratio", "scalar_residual"))
+        if zero_side != "rhs":
+            assert report["scalar_ratio"] == 0
+        assert report == dense_verify_rule(lhs, rhs, up_to_scalar=True)
+
+
+def test_builders_wire_each_qubit_through_one_spider_in_a_fixed_order():
+    # input, output, then the phase-0 Z spider between them: node ids (and so
+    # the contraction order and every printed deviation) depend on this order
+    d = mcp_diagram(2, 0.5)
+    assert [d.nodes[k][0] for k in sorted(d.nodes)] == ["h", "b", "b", "z", "b", "b", "z"]
+    assert d.edges == [(1, 3), (3, 2), (3, 0), (4, 6), (6, 5), (6, 0)]
+    assert (d.inputs, d.outputs) == ([1, 4], [2, 5])
+    split = split_mcz_three_hboxes(3, 1)
+    assert split.edges[:3] == [(3, 5), (5, 4), (5, 0)] and split.edges[-2:] == [(0, 1), (1, 2)]
+    rzz = rzz_diagram(0.7)
+    assert rzz.edges == [(0, 1), (2, 4), (4, 3), (5, 7), (7, 6), (4, 0), (0, 7)]
+    assert rzz.cut_edge == (0, 7)
+
+
+def test_copy_keeps_every_field_and_shares_no_container():
+    d = split_mcz_three_hboxes(3, 1)
+    d.multiply_scalar(0.5j)
+    c = d.copy()
+    assert c == d
+    for f in dataclasses.fields(d):
+        value = getattr(d, f.name)
+        if isinstance(value, (dict, list)):
+            assert getattr(c, f.name) is not value, f.name
+    sizes = [len(d.nodes), len(d.edges), len(d.inputs), len(d.outputs)]
+    c.add_edge(c.add_input(), 0)
+    assert c != d and [len(d.nodes), len(d.edges), len(d.inputs), len(d.outputs)] == sizes
 
 
 def test_verify_rule_rejects_shape_mismatch():
