@@ -68,21 +68,24 @@ class GeneralizedMap(Superoperator):
     """A signed sum of completely positive maps, one per Kraus operator.
 
     ``signs`` holds one ``+1`` or ``-1`` per row of the ``(k, d, d)`` stack
-    ``ops``; the map is the :class:`~qcut.linalg.Superoperator`
-    ``rho -> sum_k a_k K_k rho K_k^dag`` with the signs as its weights.
-    :class:`~qcut.linalg.Superoperator` checks the stack's shape, count and
-    type; construction then copies the stack as complex, checks the signs
-    and enforces ``sum_k K_k^dag K_k = I``.
+    ``ops`` or its ``(k, d)`` diagonals; the map is the
+    :class:`~qcut.linalg.Superoperator` ``rho -> sum_k a_k K_k rho K_k^dag``
+    with the signs as its weights.  :class:`~qcut.linalg.Superoperator`
+    checks the stack's shape, count and type; construction then copies the
+    stack as complex, checks the signs and enforces ``sum_k K_k^dag K_k = I``
+    (``sum_k |d_k|^2 = 1`` on diagonals).
     """
 
     def __init__(self, signs: Sequence, ops):
         super().__init__(signs, ops)
         if not ((self.weights == 1) | (self.weights == -1)).all():
             raise DimensionError(f"signs must be +1 or -1, got {tuple(self.weights.tolist())}")
-        ops = np.array(self.ops, dtype=complex)
+        stack = "ops" if "ops" in vars(self) else "diagonals"
+        rows = read_only(np.array(getattr(self, stack), dtype=complex))
+        vars(self).update({"weights": read_only(self.weights.real.astype(float)), stack: rows})
         # rows of the stacked operators: stacked^dag stacked = sum_k K^dag K
-        check_unitary(ops.reshape(-1, ops.shape[2]), "Kraus stack (sum K^dag K = I)")
-        vars(self).update(weights=read_only(self.weights.real.astype(float)), ops=read_only(ops))
+        check_unitary(rows.reshape(-1, rows.shape[-1]), "Kraus stack (sum K^dag K = I)",
+                      vars(self).get("diagonals"))
 
     @property
     def signs(self) -> tuple:

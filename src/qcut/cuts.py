@@ -23,8 +23,8 @@ Built-in decompositions:
   controlled unitaries sharing one control, ``gamma = 3``.
 
 Every map that takes no input from a caller (the wire cuts', the CZ cut's
-and the ``R_ZZ`` cuts' angle-free maps, and their register lifts) is a
-process-wide read-only constant, built and checked once; terms are built per call.
+and the ``R_ZZ`` cuts' angle-free maps, and their register lifts, held as
+diagonals) is a process-wide read-only constant, built and checked once; terms are built per call.
 """
 
 from __future__ import annotations
@@ -81,20 +81,23 @@ class DecompositionTerm(Immutable):
     def is_cptp(self) -> bool:
         return all(f.is_cptp() for f in self.factors)
 
-    def _product(self) -> tuple:
+    def _product(self, compact: bool) -> tuple:
         """``(weights, ops)`` of the term's product map: ``K_1 (x) K_2 (x) ...``
-        for each choice of one Kraus operator per factor, signs multiplied."""
-        weights, ops = self.factors[0].weights, self.factors[0].ops
-        for f in self.factors[1:]:
-            m, d = len(weights) * len(f.weights), ops.shape[1] * f.ops.shape[1]
-            weights = np.outer(weights, f.weights).ravel()
-            ops = ops[:, None, :, None, :, None] * f.ops[None, :, None, :, None, :]
-            ops = ops.reshape(m, d, d)  # [(i, j), (a, c), (b, d)]
+        for each choice of one Kraus operator per factor, signs multiplied;
+        their diagonals if ``compact``, which every factor's must allow."""
+        stacks = [f.diagonals if compact else f.ops for f in self.factors]
+        weights, ops = self.factors[0].weights, stacks[0]
+        for f, s in zip(self.factors[1:], stacks[1:]):
+            weights = (weights[:, None] * f.weights).ravel()
+            d = ops.shape[-1] * s.shape[-1]
+            # [(i, j), (a, c)] for diagonals, [(i, j), (a, c), (b, d)] for operators
+            ops = ops[(slice(None), None) * ops.ndim] * s[(None, slice(None)) * s.ndim]
+            ops = ops.reshape(len(weights), *(d,) * (s.ndim - 1))
         return weights, ops
 
     def to_superoperator(self) -> Superoperator:
         """The term's unweighted tensor-product map."""
-        return Superoperator(*self._product())
+        return Superoperator(*self._product(all(f.diagonals is not None for f in self.factors)))
 
     def __repr__(self):
         return f"DecompositionTerm(q={self.q:+.6g}, label={self.label!r})"
@@ -166,9 +169,10 @@ class Decomposition(Immutable):
         return np.array([abs(t.q) / gamma for t in self.terms])
 
     def _sum(self) -> Superoperator:
-        """``sum_nu q_nu F_nu``: every term's product Kraus operators,
-        weighted by ``q_nu`` times their signs."""
-        parts = [(t.q, *t._product()) for t in self.terms]
+        """``sum_nu q_nu F_nu``: every term's product Kraus operators (their
+        diagonals if every factor has them), weighted by ``q_nu`` times their signs."""
+        compact = all(f.diagonals is not None for t in self.terms for f in t.factors)
+        parts = [(t.q, *t._product(compact)) for t in self.terms]
         return Superoperator(np.concatenate([q * weights for q, weights, _ in parts]),
                              np.concatenate([ops for _, _, ops in parts]))
 
@@ -177,9 +181,9 @@ class Decomposition(Immutable):
         return self._sum()
 
     def verify(self) -> dict:
-        """Compare the reconstruction with the target PTM entry by entry:
-        ``max_abs_deviation`` is the largest ``|delta|`` and ``worst_entry``
-        the output and input Pauli strings of that entry."""
+        """Compare the reconstruction with the target PTM entry by entry, from
+        diagonals when all are diagonal: ``max_abs_deviation`` is the largest
+        ``|delta|`` and ``worst_entry`` the output and input Pauli strings of that entry."""
         n = self.n_qubits
         deviation, row, col = self._sum().compare(
             Superoperator(np.ones(1), self.target_unitary.mat[None]))
@@ -250,14 +254,11 @@ def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
 @cache
 def _lift(factor: ch.GeneralizedMap, size: int, bit) -> ch.GeneralizedMap:
     """``factor`` on a register of ``size > 1`` qubits: each Kraus operator
-    ``diag(k)`` becomes ``diag(k[bit(size)])``.  Built once per process per
-    map, size and Boolean function: never pass it a map built from a caller's input."""
-    diag = np.diagonal(factor.ops, axis1=1, axis2=2)
-    if np.count_nonzero(factor.ops) != np.count_nonzero(diag):
+    ``diag(k)`` becomes ``diag(k[bit(size)])``, held as diagonals.  Built once per
+    process per map, size and Boolean function: never pass it a map built from a caller's input."""
+    if factor.diagonals is None:
         raise DimensionError("a lifted factor must be exactly diagonal")
-    idx, out = np.arange(2**size), np.zeros((len(diag), 2**size, 2**size), dtype=complex)
-    out[:, idx, idx] = diag[:, bit(size)]
-    return ch.GeneralizedMap(factor.signs, out)
+    return ch.GeneralizedMap(factor.signs, factor.diagonals[:, bit(size)])
 
 
 def _lifted(name: str, partition: tuple, bit, terms, target) -> Decomposition:

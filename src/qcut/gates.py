@@ -49,12 +49,16 @@ def mcz(n: int) -> Operator:
 
 def mcp(n: int, theta: float) -> Operator:
     """Multi-controlled phase: ``diag(1, ..., 1, e^{i theta})``."""
+    check_dense_bits(2 * n, f"operator on {n} qubits")
+    return Operator.diagonal(mcp_diagonal(n, theta))
+
+
+def mcp_diagonal(n: int, theta: float) -> np.ndarray:
+    """The diagonal ``(1, ..., 1, e^{i theta})`` of :func:`mcp`, ``2^n`` entries."""
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
-    check_dense_bits(2 * n, f"operator on {n} qubits")
-    diag = np.ones(2**n, dtype=complex)
-    diag[-1] = np.exp(1j * theta)
-    return Operator.diagonal(diag)
+    check_dense_bits(n, f"diagonal on {n} qubits")
+    return np.append(np.ones(2**n - 1, dtype=complex), np.exp(1j * theta))
 
 
 def hadamard() -> Operator:

@@ -2,9 +2,10 @@
 
 Operators are dense ``2^n x 2^n`` complex matrices.  A :class:`Superoperator`
 is a signed Kraus sum ``rho -> sum_k w_k K_k rho K_k^dag``, held as its
-``weights`` and ``(k, d, d)`` operator stack ``ops``; its Pauli transfer
-matrix (PTM), the ``4^n x 4^n`` matrix in the normalized Pauli basis, is
-built only when read.  The basis is ordered lexicographically over
+``weights`` and ``(k, d, d)`` operator stack ``ops``, or, when every ``K_k``
+is exactly diagonal, as the ``(k, d)`` stack of their ``diagonals``; its
+Pauli transfer matrix (PTM), the ``4^n x 4^n`` matrix in the normalized Pauli
+basis, is built only when read.  The basis is ordered lexicographically over
 ``(I, X, Y, Z)`` per qubit with qubit 0 as the most significant index, so
 PTMs of tensor-product maps are Kronecker products of the factor PTMs.
 
@@ -205,39 +206,68 @@ class PauliString:
         return Operator(reduce(np.kron, [_PAULIS[letter] for letter in self.letters]))
 
 
-def check_unitary(mat: np.ndarray, what: str):
+def check_unitary(mat: np.ndarray, what: str, diagonals=None):
     """Raise :class:`DimensionError` unless ``A^dag A = I`` to ``ATOL_STRUCT``
     (a matrix with a NaN entry fails): unitarity for a square ``A``, and for
-    a tall ``A``, such as a Kraus stack's rows, the isometry condition."""
-    dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
+    a tall ``A``, such as a Kraus stack's rows, the isometry condition.  When
+    ``A`` is exactly diagonal, or stacks the exactly diagonal operators whose
+    ``(k, d)`` ``diagonals`` are given, ``A^dag A`` is the diagonal matrix
+    ``sum_k |d_k|^2``, judged with no matrix product."""
+    if diagonals is None and mat.shape[0] == mat.shape[1]:
+        diagonals = _exact_diagonals(mat[None])
+    if diagonals is None:
+        dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
+    else:
+        dev = np.abs((diagonals.conj() * diagonals).real.sum(axis=0) - 1).max()
     if not dev <= ATOL_STRUCT:
         raise DimensionError(f"{what} is not unitary: max|U^dag U - I| = {dev:.3e}")
 
 
+def _exact_diagonals(ops: np.ndarray):
+    """A view of a ``(k, d, d)`` stack's diagonals, or None if a nonzero entry
+    lies off them: :func:`diagonal_qubits`'s rule on every qubit."""
+    nonzero, diag = np.count_nonzero(ops), ops.diagonal(0, 1, 2)
+    return diag if nonzero <= diag.size and nonzero == np.count_nonzero(diag) else None
+
+
 class Superoperator(Immutable):
     """The map ``rho -> sum_k w_k K_k rho K_k^dag`` on ``n_qubits`` qubits:
-    read-only views of its ``weights`` and ``(k, d, d)`` Kraus stack ``ops``,
-    and its PTM :attr:`matrix`, built by :func:`ptm_of_kraus` the first time
-    it is read.  No attribute can be rebound or deleted.
+    read-only views of its ``weights`` and ``(k, d, d)`` Kraus stack ``ops``
+    (written out on first read when given as :attr:`diagonals`, the ``(k, d)``
+    diagonals of exactly diagonal operators, else None), and its PTM
+    :attr:`matrix`, built by :func:`ptm_of_kraus` on first read.  No
+    attribute can be rebound or deleted.
 
     The one check of a signed stack: ``k >= 1`` numeric (integer, real or
-    complex, not Boolean) weights for ``k`` numeric ``d x d`` operators with
-    ``d`` a power of two; anything else, a ragged stack included, raises
-    :class:`DimensionError` naming what was given."""
+    complex, not Boolean) weights for ``k`` numeric ``d x d`` operators, or
+    their diagonals, with ``d`` a power of two; anything else, a ragged stack
+    included, raises :class:`DimensionError` naming what was given."""
 
     def __init__(self, weights, ops):
         try:
             weights, ops = np.asarray(weights).view(), np.asarray(ops).view()
         except ValueError:  # a ragged stack
             raise DimensionError("need k weights for a (k, d, d) stack: ragged input") from None
-        if not (weights.dtype.kind in "ifc" and ops.dtype.kind in "ifc" and ops.ndim == 3
-                and weights.shape == ops.shape[:1] != (0,) and ops.shape[1] == ops.shape[2]
-                and _is_power_of_two(ops.shape[2])):
+        if not (weights.dtype.kind in "ifc" and ops.dtype.kind in "ifc" and ops.ndim in (2, 3)
+                and weights.shape == ops.shape[:1] != (0,) and ops.shape[1] == ops.shape[-1]
+                and _is_power_of_two(ops.shape[-1])):
             given = f"{weights.dtype} {weights.shape} and {ops.dtype} {ops.shape}"
             raise DimensionError(f"need k weights for a (k, d, d) stack of numbers on qubits, "
-                                 f"got {given}")
-        vars(self).update(weights=read_only(weights), ops=read_only(ops),
-                          n_qubits=ops.shape[2].bit_length() - 1)
+                                 f"or its (k, d) diagonals, got {given}")
+        vars(self).update({"weights": read_only(weights), "n_qubits": ops.shape[1].bit_length() - 1,
+                           "ops" if ops.ndim == 3 else "diagonals": read_only(ops)})
+
+    @cached_property
+    def diagonals(self):
+        return _exact_diagonals(self.ops)
+
+    @cached_property
+    def ops(self) -> np.ndarray:
+        k, d = self.diagonals.shape
+        check_dense(k * d * d, f"Kraus stack of {k} operators on {self.n_qubits} qubits")
+        out = np.zeros((k, d, d), self.diagonals.dtype)
+        out[:, np.arange(d), np.arange(d)] = self.diagonals
+        return read_only(out)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -253,11 +283,14 @@ class Superoperator(Immutable):
     def compare(self, other: "Superoperator") -> tuple:
         """``(max |delta|, row, col)`` over the PTM entries of ``self - other``:
         :func:`abs_argmax` of :func:`kraus_transform`'s slabs of both stacks,
-        ``other``'s weights negated, so no PTM is built."""
+        ``other``'s weights negated (as diagonals if both have them), so no
+        PTM is built."""
         if self.n_qubits != other.n_qubits:
             raise DimensionError(f"qubit count mismatch: {self.n_qubits} vs {other.n_qubits}")
+        compact = other.diagonals is not None and self.diagonals is not None
+        stacks = [x.diagonals if compact else x.ops for x in (self, other)]
         slabs, diag = kraus_transform(np.concatenate([self.weights, -other.weights]),
-                                      np.concatenate([self.ops, other.ops]))
+                                      np.concatenate(stacks))
         peak, index = abs_argmax(slabs)
         return (peak / 2**self.n_qubits, *transform_entry(index, diag, self.n_qubits))
 
@@ -372,7 +405,8 @@ def _xor_gather(d_t: int, r: int) -> np.ndarray:
 def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     """``(slabs, D)``: the Walsh-Hadamard array ``A`` of ``E(rho) = sum_k w_k
     K_k rho K_k^dag``, streamed in slabs, and the qubits ``D`` on which every
-    ``K_k`` is exactly diagonal (:func:`diagonal_qubits`).
+    ``K_k`` is exactly diagonal (:func:`diagonal_qubits`): every qubit, with
+    no scan, when ``kraus`` holds ``(k, d)`` diagonals, not a ``(k, d, d)`` stack.
 
     With the qubits of ``D`` first and the rest ``T`` after, ``K_k = sum_s
     |s><s| (x) K_k^(s)``.  For ``P = i^{|x & z|} X^x Z^z``, the PTM entry of
@@ -405,17 +439,19 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
     checks and the work all slabs share run before this returns.
     """
     kraus = np.asarray(kraus, dtype=complex)
-    m, d, _ = kraus.shape
+    m, d = kraus.shape[:2]
     n = d.bit_length() - 1
-    diag = diagonal_qubits(kraus)
+    diag = diagonal_qubits(kraus) if kraus.ndim == 3 else tuple(range(n))
     d_d = 2 ** len(diag)
     d_t = d // d_d
     check_dense(m * d_d * d_t**2, f"Kraus gathers on {n} qubits")
     check_dense(d_d**2 * d_t**4, f"Pauli transfer array on {n} qubits")
-    order = [*diag, *(q for q in range(n) if q not in diag)]
-    axes = [0, *(1 + q for q in order), *(1 + n + q for q in order)]
-    perm = kraus.reshape((m,) + (2,) * (2 * n)).transpose(axes).reshape(m, d_d, d_t, d_d, d_t)
-    blocks = np.diagonal(perm, axis1=1, axis2=3).transpose(3, 1, 2, 0)  # [s, a, a', k]
+    if kraus.ndim == 3:  # gather the blocks [k, a, a', s]; diagonals are the blocks
+        order = [*diag, *(q for q in range(n) if q not in diag)]
+        axes = [0, *(1 + q for q in order), *(1 + n + q for q in order)]
+        perm = kraus.reshape((m,) + (2,) * (2 * n)).transpose(axes).reshape(m, d_d, d_t, d_d, d_t)
+        kraus = np.diagonal(perm, axis1=1, axis2=3)
+    blocks = kraus.reshape(m, d_t, d_t, d_d).transpose(3, 1, 2, 0)  # [s, a, a', k]
     i_d, i_t = np.arange(d_d), np.arange(d_t)
     xor, xor_d = i_t[:, None] ^ i_t, i_d[:, None] ^ i_d
     # one gemm per c: rows (b, s, x'), columns (t, e), the Kraus index k between

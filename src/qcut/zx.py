@@ -462,7 +462,8 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
     With ``up_to_scalar`` the report includes the least-squares complex ratio
     ``c`` minimizing ``|rhs - c * lhs|`` and the residual after rescaling.  A
     side whose entries are all within ``RULE_ATOL`` of 0 is a zero side: its
-    ratio is 0, and it equals only another zero side up to a scalar.
+    ratio is 0, and it equals only another zero side up to a scalar;
+    ``zero_side`` names it: ``"lhs"``, ``"rhs"``, ``"both"`` or None.
     """
     if len(lhs.inputs) != len(rhs.inputs) or len(lhs.outputs) != len(rhs.outputs):
         raise ZXError(
@@ -487,6 +488,7 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
         report["scalar_ratio"] = ratio
         report["scalar_residual"] = residual
         report["equal_up_to_scalar"] = residual <= RULE_ATOL and zero_a == zero_b
+        report["zero_side"] = {(1, 0): "lhs", (0, 1): "rhs", (1, 1): "both"}.get((zero_a, zero_b))
     return report
 
 

@@ -420,4 +420,6 @@ def dense_verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False
         report["scalar_ratio"] = ratio
         report["scalar_residual"] = residual
         report["equal_up_to_scalar"] = bool(residual <= RULE_ATOL and zero_a == zero_b)
+        report["zero_side"] = ("both" if zero_a and zero_b else "lhs" if zero_a
+                               else "rhs" if zero_b else None)
     return report

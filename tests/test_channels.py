@@ -404,6 +404,26 @@ def test_generalized_map_copies_its_stack():
     assert ch.ops[0, 0, 0] == 1 and ops.flags.writeable
 
 
+def test_completeness_of_diagonals_is_judged_as_of_the_written_out_stack():
+    # sum_k |d_k|^2 = (1, 0.5): the same verdict and message from the
+    # diagonals, the written-out stack and, with one off-diagonal 1e-300, the
+    # stack's rows through A^dag A
+    diagonals = np.array([[1, 0.5], [0, 0.5]], dtype=complex)
+    written = np.array([np.diag(d) for d in diagonals])
+    tiny = written.copy()
+    tiny[1, 0, 1] = 1e-300
+    for stack in (diagonals, written, tiny):
+        with pytest.raises(DimensionError) as exc:
+            GeneralizedMap([1, -1], stack)
+        assert str(exc.value) == ("Kraus stack (sum K^dag K = I) is not unitary: "
+                                  "max|U^dag U - I| = 5.000e-01")
+    diagonals[1, 1] = np.sqrt(0.75) * 1j
+    ch = GeneralizedMap([1, -1], diagonals)
+    assert ch.signs == (1, -1) and ch.diagonals.dtype == complex
+    assert np.array_equal(ch.ops, [np.diag(d) for d in diagonals])
+    assert ch.compare(GeneralizedMap([1, -1], ch.ops))[0] < 1e-15
+
+
 def test_ancilla_circuit_rejects_non_unitary_joint():
     with pytest.raises(DimensionError, match="not unitary"):
         ancilla_map(gates.identity(1), Operator(np.diag([1, 0.5])), "Z", (1, -1))

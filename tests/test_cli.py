@@ -76,10 +76,10 @@ def test_verify_missing_required_field_exits_2(capsys):
     "argv",
     [
         ["verify", "--deco", "mcz", "--m", "6", "--mprime", "6"],
-        ["zx-check", "--builtin", "mcz", "--n", "15"],
+        "zx-check",
         "sample",
     ],
-    ids=["verify-mcz[6,6]", "zx-check-mcz[15]", "sample-mcz[6,6]"],
+    ids=["verify-mcz[6,6]", "zx-check-wires[14]", "sample-mcz[6,6]"],
 )
 def test_oversize_request_exits_2(tmp_path, capsys, argv):
     if argv == "sample":
@@ -88,6 +88,11 @@ def test_oversize_request_exits_2(tmp_path, capsys, argv):
             observable="X" * 12,
         )
         argv = ["sample", "--config", str(config)]
+    elif argv == "zx-check":  # 14 bare wires contract to a 2^14 x 2^14 matrix
+        path = tmp_path / "wires.zx"
+        path.write_text("".join(f"node i{q} input\nnode o{q} output\nedge i{q} o{q}\n"
+                                for q in range(14)))
+        argv = ["zx-check", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "over the cap of 2^26" in err
@@ -716,6 +721,25 @@ def test_zx_check_zero_diagram_equals_only_zero_up_to_a_scalar(tmp_path, capsys,
     assert rep["equal_up_to_scalar"] is (code == 0)
 
 
+@pytest.mark.parametrize(
+    "lhs,rhs,side",
+    [(ZERO_WIRE, WIRE, "lhs"), (WIRE, ZERO_WIRE, "rhs"), (ZERO_WIRE, ZERO_WIRE, "both"),
+     (WIRE, WIRE, None)],
+    ids=["zero-lhs", "zero-rhs", "zero-both", "no-zero"],
+)
+def test_zx_check_up_to_scalar_names_a_zero_side(tmp_path, capsys, lhs, rhs, side):
+    paths = [tmp_path / "lhs.zx", tmp_path / "rhs.zx"]
+    for path, text in zip(paths, (lhs, rhs)):
+        path.write_text(text)
+    main(["zx-check", *map(str, paths), "--up-to-scalar"])
+    lines = [row for row in capsys.readouterr().out.splitlines() if row.startswith("zero side")]
+    assert lines == ([] if side is None else [
+        f"zero side: {side} (every entry within 1e-10 of 0: "
+        "a zero side equals only another up to a scalar)"])
+    rep = qcut.zx.verify_rule(*(qcut.zx.parse_diagram(t) for t in (lhs, rhs)), up_to_scalar=True)
+    assert rep["zero_side"] == side
+
+
 def test_zx_check_single_file_contracts(tmp_path, capsys):
     path = tmp_path / "d.zx"
     path.write_text(
@@ -802,20 +826,33 @@ def test_zx_check_unknown_builtin_is_named_before_unread_flags(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,err",
+    "argv,line",
     [
-        (["mcz", "--n", "15"], "contraction with 30 open legs needs 2^30"),
-        (["mcp", "--n", "14"], "contraction with 28 open legs needs 2^28"),
-        (["all", "--n", "15"], "contraction with 30 open legs needs 2^30"),
+        (["mcz", "--n", "15"], "mcz[15]: PASS"),
+        (["mcp", "--n", "14"], "mcp[14,1.57079632679]: PASS"),
+        (["all", "--n", "15"], "mcz-fusion[n=15,m=7]: PASS"),
+        # a dense 2^18 x 2^18 contraction is 2^36 entries; the compact check
+        # holds the gate's diagonal and a tensor on the 2^18 shared indices
+        (["mcz", "--n", "18"], "mcz[18]: PASS  max|delta| = 0"),
+        (["mcp", "--n", "18", "--theta", "0.3"], "mcp[18,0.3]: PASS  max|delta| = 0"),
     ],
-    ids=["mcz-n15", "mcp-n14", "all-n15"],
+    ids=["mcz-n15", "mcp-n14", "all-n15", "mcz-n18", "mcp-n18"],
 )
-def test_zx_check_flags_a_builtin_reads_reach_the_check(capsys, argv, err):
+def test_zx_check_flags_a_builtin_reads_reach_the_check(capsys, argv, line):
     # `all` reads every flag; a flag the named check reads goes through to it
-    assert main(["zx-check", "--builtin", *argv]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {err} dense entries, over the cap of 2^26\n"
-    )
+    assert main(["zx-check", "--builtin", *argv]) == 0
+    assert any(row.startswith(line) for row in capsys.readouterr().out.splitlines())
+
+
+def test_zx_check_diagonal_builtins_refuse_legs_that_are_not_pairwise_shared():
+    crossed = qcut.zx.mcz_diagram(2)
+    crossed.outputs.reverse()  # output 0 shares its index with input 1
+    merged = qcut.zx.parse_diagram(  # all four legs on one spider: one index
+        "node i0 input\nnode i1 input\nnode o0 output\nnode o1 output\nnode s z\n"
+        "edge i0 s\nedge i1 s\nedge s o0\nedge s o1\n")
+    for diagram in (crossed, merged):
+        with pytest.raises(qcut.zx.ZXError, match="share its index with its input only"):
+            qcut.cli._zx_diagonal(diagram, qcut.gates.mcp_diagonal(2, np.pi))
 
 
 def test_zx_check_mcz_fusion_runs_past_the_dense_cap(capsys):

@@ -22,6 +22,7 @@ from qcut.linalg import (
     PAULI_Z,
     Operator,
     SizeCapError,
+    Superoperator,
     abs_argmax,
     diagonal_qubits,
     kraus_transform,
@@ -325,3 +326,79 @@ def test_sequence_of_a_controlled_gate_on_every_target_has_control_only():
     ops = [((t,), gates.hadamard()) for t in range(3)]
     deco = cuts.controlled_sequence_decomposition(ops, 3)
     assert diagonal_qubits(deco.reconstruct().ops) == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Exactly diagonal stacks held as their (k, d) diagonals
+# ---------------------------------------------------------------------------
+
+
+def written_out(diagonals: np.ndarray) -> np.ndarray:
+    """The ``(k, d, d)`` stack of zeros with ``diagonals`` on its diagonals."""
+    out = np.zeros(diagonals.shape + diagonals.shape[-1:], diagonals.dtype)
+    for op, diagonal in zip(out, diagonals):
+        np.fill_diagonal(op, diagonal)
+    return out
+
+
+def dense_compare(weights: tuple, stacks: tuple) -> tuple:
+    """``Superoperator.compare`` of two dense stacks, the kernel finding D."""
+    n = stacks[0].shape[-1].bit_length() - 1
+    slabs, diag = kraus_transform(np.concatenate([weights[0], -weights[1]]),
+                                  np.concatenate(stacks))
+    peak, index = abs_argmax(slabs)
+    return (peak / 2**n, *transform_entry(index, diag, n))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(
+    n=st.integers(1, 4), counts=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    tiny=st.sampled_from([None, 0, 1]), seed=st.integers(0, 2**32 - 1),
+)
+def test_compare_from_diagonals_equals_compare_from_dense_stacks(n, counts, tiny, seed):
+    # the same kernel from both forms: value, row and column alike, bit for
+    # bit; one off-diagonal 1e-300 on a side makes that side, and so the
+    # comparison, dense
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    diagonals = [rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d)) for k in counts]
+    weights = [rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.25, 1.5, size=k) for k in counts]
+    dense = [written_out(x) for x in diagonals]
+    if tiny is not None:
+        row, col = rng.choice(d, size=2, replace=False)
+        dense[tiny][rng.integers(counts[tiny]), row, col] = 1e-300
+    maps = [Superoperator(w, s) for w, s in zip(weights, dense)]
+    assert [m.diagonals is None for m in maps] == [tiny == side for side in (0, 1)]
+    compact = [Superoperator(w, x) for w, x in zip(weights, diagonals)]
+    expected = dense_compare(weights, dense)
+    assert maps[0].compare(maps[1]) == expected
+    if tiny is None:
+        assert compact[0].compare(compact[1]) == expected
+    else:  # the diagonal side written out for the dense kernel
+        mixed = [maps[side] if side == tiny else compact[side] for side in (0, 1)]
+        assert mixed[0].compare(mixed[1]) == expected
+
+
+def test_ops_written_from_diagonals_are_read_only_built_once_and_exact():
+    rng = np.random.default_rng(5)
+    diagonals = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    sup = Superoperator(rng.normal(size=3), diagonals)
+    assert np.shares_memory(sup.diagonals, diagonals) and not sup.diagonals.flags.writeable
+    ops = sup.ops
+    assert ops is sup.ops and not ops.flags.writeable
+    with pytest.raises(ValueError):
+        ops[0, 0, 1] = 1.0
+    assert ops.dtype == diagonals.dtype and ops.tobytes() == written_out(diagonals).tobytes()
+    # a dense stack's diagonals: one read-only view, found once
+    dense = Superoperator(sup.weights, written_out(diagonals))
+    assert dense.diagonals is dense.diagonals and not dense.diagonals.flags.writeable
+    assert np.shares_memory(dense.diagonals, dense.ops)
+    assert np.array_equal(dense.diagonals, diagonals)
+
+
+def test_ops_written_from_diagonals_stay_under_the_dense_cap():
+    # 2^14 entries of diagonal are fine; written out they need 2^28
+    sup = Superoperator(np.ones(1), np.broadcast_to(np.complex128(1), (1, 2**14)))
+    assert sup.n_qubits == 14 and sup.diagonals.shape == (1, 2**14)
+    with pytest.raises(SizeCapError, match="needs 2\\^28 dense entries"):
+        sup.ops

@@ -82,6 +82,44 @@ def test_check_unitary_rejects(mat):
     check_unitary(gates.hadamard().mat, "gate")
 
 
+@pytest.mark.parametrize(
+    "diagonal",
+    [[1, 2j], [np.nan, 1], [np.exp(0.3j), 1 + 1e-9], [np.exp(0.3j), -1j], [0, 1]],
+    ids=["scaled", "nan", "just-off", "unitary", "zero-entry"],
+)
+def test_check_unitary_judges_a_diagonal_as_the_matrix_product_does(diagonal):
+    # one off-diagonal 1e-300 sends a matrix down the A^dag A path
+    mat = np.diag(np.array(diagonal, dtype=complex))
+    dense = mat.copy()
+    dense[1, 0] = 1e-300
+    messages = []
+    for m in (mat, dense):
+        try:
+            check_unitary(m, "gate")
+            messages.append(None)
+        except DimensionError as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1]
+    assert (messages[0] is None) is (diagonal == [np.exp(0.3j), -1j])
+
+
+class NoProduct(np.ndarray):
+    """An array that refuses to be a matrix-product operand."""
+
+    def __matmul__(self, other):
+        raise AssertionError("a matrix product was taken")
+
+    __rmatmul__ = __matmul__
+
+
+def test_diagonal_targets_are_checked_with_no_matrix_product():
+    # the check ptm_of_unitary makes of the MCZ and multi-Z targets
+    for deco in (cuts.mcz_decomposition(2, 3), cuts.multi_z_rotation_decomposition(3, 2, 0.7)):
+        check_unitary(deco.target_unitary.mat.view(NoProduct), "target")
+    with pytest.raises(AssertionError, match="matrix product"):
+        check_unitary(gates.hadamard().mat.view(NoProduct), "gate")
+
+
 def _diagonal_cases():
     for theta in (0.0, 0.37, -np.pi, 2.5):
         yield pytest.param(gates.rz(theta), [np.exp(-0.5j * theta), np.exp(0.5j * theta)],
@@ -365,8 +403,10 @@ def test_superoperator_holds_read_only_views_of_the_callers_stack():
 @pytest.mark.parametrize(
     "weights,kraus",
     [(np.ones(2), np.zeros((1, 2, 2))), (np.ones(1), np.zeros((1, 2, 4))),
-     (np.ones(1), np.zeros((1, 3, 3))), (np.ones(1), np.zeros((2, 2)))],
-    ids=["weight-count", "not-square", "not-qubits", "not-a-stack"],
+     (np.ones(1), np.zeros((1, 3, 3))), (np.ones(1), np.zeros((2, 2))),
+     (np.ones(1), np.zeros((1, 3))), (np.ones(1), np.zeros(2))],
+    ids=["weight-count", "not-square", "not-qubits", "not-a-stack", "diagonals-not-qubits",
+         "one-diagonal-unstacked"],
 )
 def test_superoperator_rejects_a_malformed_stack(weights, kraus):
     with pytest.raises(DimensionError, match="k weights"):

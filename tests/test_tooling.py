@@ -7,6 +7,7 @@ and the example config's ``sample`` report must match the snapshots
 committed under ``tests/data``."""
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -86,6 +87,31 @@ def _cli_stdout(*args) -> str:
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+#: run in a fresh interpreter: the CLI as a child, then the child's exit
+#: code, its output and its peak resident set (KiB on Linux) as JSON
+RSS_WRAPPER = """
+import json, resource, subprocess, sys
+run = subprocess.run([sys.executable, "-m", "qcut.cli", *sys.argv[1:]],
+                     capture_output=True, text=True, timeout=300)
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([run.returncode, run.stdout, rss]))
+"""
+
+
+@pytest.mark.parametrize("builtin", ["mcz", "mcp"])
+def test_zx_check_diagonal_builtin_at_18_qubits_stays_small(builtin):
+    # a dense comparison needs 2^36 entries and is refused; the compact one
+    # holds a few 2^18-entry arrays
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", RSS_WRAPPER, "zx-check", "--builtin", builtin,
+                          "--n", "18"], env=env, cwd=ROOT, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    code, stdout, rss_kib = json.loads(run.stdout)
+    assert code == 0 and len(re.findall(r"^\S+: PASS ", stdout, re.M)) == 1, stdout
+    assert rss_kib < 150 * 1024
 
 
 def test_norms_report_matches_its_snapshot():

@@ -311,6 +311,7 @@ def test_verify_rule_calls_a_zero_side_equal_only_to_zero_up_to_a_scalar(zero_si
                     "both": (z, zero)}[zero_side]
         report = verify_rule(lhs, rhs, up_to_scalar=True)
         assert report["equal_up_to_scalar"] is (zero_side == "both")
+        assert report["zero_side"] == zero_side
         assert not any(np.isnan(report[k]) for k in
                        ("max_abs_deviation", "scalar_ratio", "scalar_residual"))
         if zero_side != "rhs":
