@@ -44,6 +44,7 @@ from .linalg import (
     Operator,
     Superoperator,
     check_dense_bits,
+    check_unit_sum,
     check_unitary,
     embed_matrix,
     read_only,
@@ -73,19 +74,20 @@ class GeneralizedMap(Superoperator):
     with the signs as its weights.  :class:`~qcut.linalg.Superoperator`
     checks the stack's shape, count and type; construction then copies the
     stack as complex, checks the signs and enforces ``sum_k K_k^dag K_k = I``
-    (``sum_k |d_k|^2 = 1`` on diagonals).
-    """
+    (``sum_k |d_k|^2 = 1`` on diagonals)."""
 
-    def __init__(self, signs: Sequence, ops):
-        super().__init__(signs, ops)
+    def __init__(self, signs: Sequence, ops=None, *, diagonals=None):
+        super().__init__(signs, ops, diagonals=diagonals)
         if not ((self.weights == 1) | (self.weights == -1)).all():
             raise DimensionError(f"signs must be +1 or -1, got {tuple(self.weights.tolist())}")
-        stack = "ops" if "ops" in vars(self) else "diagonals"
-        rows = read_only(np.array(getattr(self, stack), dtype=complex))
-        vars(self).update({"weights": read_only(self.weights.real.astype(float)), stack: rows})
-        # rows of the stacked operators: stacked^dag stacked = sum_k K^dag K
-        check_unitary(rows.reshape(-1, rows.shape[-1]), "Kraus stack (sum K^dag K = I)",
-                      vars(self).get("diagonals"))
+        form = "ops" if diagonals is None else "diagonals"
+        rows = read_only(np.array(getattr(self, form), dtype=complex))
+        vars(self).update({"weights": read_only(self.weights.real.astype(float)), form: rows})
+        what = "Kraus stack (sum K^dag K = I)"
+        if form == "diagonals":
+            check_unit_sum(rows, what)
+        else:  # rows of the stacked operators: stacked^dag stacked = sum_k K^dag K
+            check_unitary(rows.reshape(-1, rows.shape[-1]), what)
 
     @property
     def signs(self) -> tuple:
@@ -192,13 +194,10 @@ def _check_ops(ops: Sequence[tuple], n_targets: int):
             raise DimensionError(f"duplicate target qubits in {targets}")
         for t in targets:
             if not 0 <= t < n_targets:
-                raise DimensionError(
-                    f"target {t} out of range for {n_targets} target qubits"
-                )
+                raise DimensionError(f"target {t} out of range for {n_targets} target qubits")
         if u.n_qubits != len(targets):
             raise DimensionError(
-                f"unitary on {u.n_qubits} qubits does not match targets {targets}"
-            )
+                f"unitary on {u.n_qubits} qubits does not match targets {targets}")
         check_unitary(u.mat, "controlled-sequence entry")
 
 

@@ -431,25 +431,15 @@ def _zx_states(n, m, theta):
         yield f"state[{kind},{_fmt(phase)}]", max_abs_diff(vec, np.sqrt(2) * ket)
 
 
-def _zx_diagonal(diagram, diagonal: np.ndarray) -> float:
-    """max|delta| of a diagram against a diagonal gate on the indices its
-    inputs and outputs share, as :func:`zx.verify_rule` compares them."""
-    order, result, t = zx._contract_compact(diagram)
-    outs, ins = order[:len(diagram.outputs)], order[len(diagram.outputs):]
-    if outs != ins or len(set(ins)) != len(ins):
-        raise zx.ZXError("a diagonal gate needs each output to share its index with its input only")
-    return max_abs_diff(zx._embed(ins, result, t), diagonal.reshape((2,) * len(ins)))
-
-
 def _zx_mcz(n, m, theta):
     n = n or 3
-    yield f"mcz[{n}]", _zx_diagonal(zx.mcz_diagram(n), gates.mcp_diagonal(n, np.pi))
+    yield f"mcz[{n}]", zx.verify_diagonal(zx.mcz_diagram(n), gates.mcp_diagonal(n, np.pi))
 
 
 def _zx_mcp(n, m, theta):
     n = n or 2
-    yield f"mcp[{n},{_fmt(theta)}]", _zx_diagonal(zx.mcp_diagram(n, theta),
-                                                   gates.mcp_diagonal(n, theta))
+    yield f"mcp[{n},{_fmt(theta)}]", zx.verify_diagonal(zx.mcp_diagram(n, theta),
+                                                        gates.mcp_diagonal(n, theta))
 
 
 def _zx_rzz(n, m, theta):

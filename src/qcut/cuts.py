@@ -81,26 +81,32 @@ class DecompositionTerm(Immutable):
     def is_cptp(self) -> bool:
         return all(f.is_cptp() for f in self.factors)
 
-    def _product(self, compact: bool) -> tuple:
-        """``(weights, ops)`` of the term's product map: ``K_1 (x) K_2 (x) ...``
-        for each choice of one Kraus operator per factor, signs multiplied;
-        their diagonals if ``compact``, which every factor's must allow."""
-        stacks = [f.diagonals if compact else f.ops for f in self.factors]
-        weights, ops = self.factors[0].weights, stacks[0]
-        for f, s in zip(self.factors[1:], stacks[1:]):
-            weights = (weights[:, None] * f.weights).ravel()
-            d = ops.shape[-1] * s.shape[-1]
-            # [(i, j), (a, c)] for diagonals, [(i, j), (a, c), (b, d)] for operators
-            ops = ops[(slice(None), None) * ops.ndim] * s[(None, slice(None)) * s.ndim]
-            ops = ops.reshape(len(weights), *(d,) * (s.ndim - 1))
-        return weights, ops
-
     def to_superoperator(self) -> Superoperator:
         """The term's unweighted tensor-product map."""
-        return Superoperator(*self._product(all(f.diagonals is not None for f in self.factors)))
+        return _product_sum([self], weighted=False)
 
     def __repr__(self):
         return f"DecompositionTerm(q={self.q:+.6g}, label={self.label!r})"
+
+
+def _product_sum(terms, weighted: bool = True) -> Superoperator:
+    """Every term's product Kraus operators ``K_1 (x) K_2 (x) ...``, one per
+    choice of one operator per factor, weighted by their signs times ``q_nu``
+    if ``weighted``: their diagonals if every factor has them."""
+    form = "diagonals" if all(f.diagonals is not None for t in terms for f in t.factors) else "ops"
+    weights, stacks = [], []
+    for t in terms:
+        w, stack = [t.q if weighted else 1.0], None
+        for f in t.factors:
+            s, w = getattr(f, form), [x * a for x in w for a in f.weights.tolist()]
+            if stack is not None:  # [(i, j), (a, c)], or [(i, j), (a, c), (b, d)] for operators
+                d = (stack.shape[-1] * s.shape[-1],) * (s.ndim - 1)
+                s = stack[(slice(None), None) * s.ndim] * s[(None, slice(None)) * s.ndim]
+                s = s.reshape(len(w), *d)
+            stack = s
+        weights += w
+        stacks.append(stack)
+    return Superoperator(np.array(weights), **{form: np.concatenate(stacks)})
 
 
 class Decomposition(Immutable):
@@ -119,20 +125,16 @@ class Decomposition(Immutable):
             partition=tuple(check_integer(s, "register size", 1) for s in partition))
         if not isinstance(target_unitary, Operator):
             raise DimensionError(
-                f"target_unitary must be an Operator, got {type(target_unitary).__name__}"
-            )
+                f"target_unitary must be an Operator, got {type(target_unitary).__name__}")
         if not self.terms:
             raise DimensionError("decomposition needs at least one term")
         n = sum(self.partition)
         if target_unitary.n_qubits != n:
             raise DimensionError(
-                f"target acts on {target_unitary.n_qubits} qubits, partition covers {n}"
-            )
+                f"target acts on {target_unitary.n_qubits} qubits, partition covers {n}")
         for t in self.terms:
             if t.n_qubits != n:
-                raise DimensionError(
-                    f"term {t.label!r} covers {t.n_qubits} qubits, expected {n}"
-                )
+                raise DimensionError(f"term {t.label!r} covers {t.n_qubits} qubits, expected {n}")
             self.spans(t)
 
     def spans(self, term: DecompositionTerm) -> list:
@@ -168,24 +170,16 @@ class Decomposition(Immutable):
         gamma = self.one_norm()
         return np.array([abs(t.q) / gamma for t in self.terms])
 
-    def _sum(self) -> Superoperator:
-        """``sum_nu q_nu F_nu``: every term's product Kraus operators (their
-        diagonals if every factor has them), weighted by ``q_nu`` times their signs."""
-        compact = all(f.diagonals is not None for t in self.terms for f in t.factors)
-        parts = [(t.q, *t._product(compact)) for t in self.terms]
-        return Superoperator(np.concatenate([q * weights for q, weights, _ in parts]),
-                             np.concatenate([ops for _, _, ops in parts]))
-
     def reconstruct(self) -> Superoperator:
-        """The map ``sum_nu q_nu F_nu``."""
-        return self._sum()
+        """The map ``sum_nu q_nu F_nu`` (:func:`_product_sum`)."""
+        return _product_sum(self.terms)
 
     def verify(self) -> dict:
         """Compare the reconstruction with the target PTM entry by entry, from
         diagonals when all are diagonal: ``max_abs_deviation`` is the largest
         ``|delta|`` and ``worst_entry`` the output and input Pauli strings of that entry."""
         n = self.n_qubits
-        deviation, row, col = self._sum().compare(
+        deviation, row, col = _product_sum(self.terms).compare(
             Superoperator(np.ones(1), self.target_unitary.mat[None]))
         return {
             "name": self.name,
@@ -212,13 +206,8 @@ class Decomposition(Immutable):
 def _fixed_preparation_terms(paulis: str) -> list:
     """For each Pauli ``p`` and eigenstate ``mu``: measure ``p`` and always
     prepare ``mu``, with coefficient ``a/2`` for the eigenvalue sign ``a``."""
-    return [
-        DecompositionTerm(
-            PAULI_EIGENKETS[(p, mu)][0] / 2, [ch.pauli_measure_prepare(p, mu)], f"E_{p}{mu}"
-        )
-        for p in paulis
-        for mu in (0, 1)
-    ]
+    return [DecompositionTerm(PAULI_EIGENKETS[(p, mu)][0] / 2, [ch.pauli_measure_prepare(p, mu)],
+                              f"E_{p}{mu}") for p in paulis for mu in (0, 1)]
 
 
 def wire_cut_ncc() -> Decomposition:
@@ -236,14 +225,9 @@ def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
     """
     if cc_basis not in ("X", "Y", "Z"):
         raise DimensionError(f"cc_basis must be X, Y or Z, got {cc_basis!r}")
-    grouped = DecompositionTerm(
-        1.0, [ch.grouped_pauli_map(cc_basis)], f"E_{cc_basis}", needs_cc=True
-    )
-    others = "".join(p for p in "XYZ" if p != cc_basis)
-    return Decomposition(
-        f"wire_cc[{cc_basis}]", (1,), [grouped, *_fixed_preparation_terms(others)],
-        gates.identity(1),
-    )
+    grouped = DecompositionTerm(1.0, [ch.grouped_pauli_map(cc_basis)], f"E_{cc_basis}", True)
+    others = _fixed_preparation_terms("".join(p for p in "XYZ" if p != cc_basis))
+    return Decomposition(f"wire_cc[{cc_basis}]", (1,), [grouped, *others], gates.identity(1))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +242,7 @@ def _lift(factor: ch.GeneralizedMap, size: int, bit) -> ch.GeneralizedMap:
     process per map, size and Boolean function: never pass it a map built from a caller's input."""
     if factor.diagonals is None:
         raise DimensionError("a lifted factor must be exactly diagonal")
-    return ch.GeneralizedMap(factor.signs, factor.diagonals[:, bit(size)])
+    return ch.GeneralizedMap(factor.signs, diagonals=factor.diagonals[:, bit(size)])
 
 
 def _lifted(name: str, partition: tuple, bit, terms, target) -> Decomposition:
@@ -352,9 +336,7 @@ def rzz_decomposition_a(theta: float) -> Decomposition:
         (-0.5, [ez, _rz_channel(-theta)], "EbarZ x RZ(-theta)"),
     ]
     terms = [DecompositionTerm(q, f, lab) for q, f, lab in raw if q != 0.0]
-    return Decomposition(
-        f"rzz_a[{theta:.12g}]", (1, 1), terms, gates.rzz(theta)
-    )
+    return Decomposition(f"rzz_a[{theta:.12g}]", (1, 1), terms, gates.rzz(theta))
 
 
 def _rzz_b_terms(theta: float) -> list:
@@ -433,6 +415,5 @@ def controlled_sequence_decomposition(ops, n_targets: int) -> Decomposition:
         DecompositionTerm(-0.5, [flip, mx], "RZ(pi) x E_V-MX"),
         DecompositionTerm(1.0, [ch.signed_z_map(), mz], "EbarZ x E_V-MZ"),
     ]
-    return Decomposition(
-        f"controlled_sequence[M={len(ops)}]", (1, n_targets), terms, gates.controlled(v)
-    )
+    return Decomposition(f"controlled_sequence[M={len(ops)}]", (1, n_targets), terms,
+                         gates.controlled(v))

@@ -7,9 +7,11 @@ matrix with no dense ``np.diag`` temporary, second copy or full-matrix scan.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from .linalg import DimensionError, Operator, _popcount, check_dense_bits
+from .linalg import DimensionError, Operator, _popcount, check_dense_bits, read_only
 
 
 def identity(n: int = 1) -> Operator:
@@ -26,9 +28,11 @@ def rzz(theta: float) -> Operator:
     return multi_z_rotation(2, theta)
 
 
+@cache
 def parity(n: int) -> np.ndarray:
-    """Bit parity ``|x| mod 2`` of every basis index ``x < 2^n``."""
-    return _popcount(np.arange(2**n), n) & 1
+    """Bit parity ``|x| mod 2`` of every basis index ``x < 2^n``: one
+    read-only table per ``n``, built once per process."""
+    return read_only(_popcount(np.arange(2**n), n) & 1)
 
 
 def all_ones(n: int) -> np.ndarray:
@@ -58,7 +62,9 @@ def mcp_diagonal(n: int, theta: float) -> np.ndarray:
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
     check_dense_bits(n, f"diagonal on {n} qubits")
-    return np.append(np.ones(2**n - 1, dtype=complex), np.exp(1j * theta))
+    diag = np.ones(2**n, dtype=complex)
+    diag[-1] = np.exp(1j * theta)
+    return diag
 
 
 def hadamard() -> Operator:
@@ -66,11 +72,7 @@ def hadamard() -> Operator:
 
 
 def cnot() -> Operator:
-    return Operator(
-        np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    )
+    return Operator(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], complex))
 
 
 def controlled(u: Operator) -> Operator:

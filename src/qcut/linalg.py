@@ -130,12 +130,9 @@ class Operator(Immutable):
 
     @classmethod
     def diagonal(cls, values) -> "Operator":
-        """``diag(values)`` written straight into one zero matrix.
-
-        Checks what ``Operator(np.diag(values))`` would: the length is a power
-        of two, the matrix fits the cap (before it is allocated) and every
-        value is finite; the off-diagonal zeros are finite by construction.
-        """
+        """``diag(values)`` written into one zero matrix after the checks of
+        ``Operator(np.diag(values))``, the cap's before it is allocated; the
+        off-diagonal zeros are finite by construction."""
         vec = np.asarray(values, dtype=complex)
         if vec.ndim != 1:
             raise DimensionError(f"diagonal must be a 1-D vector, got shape {vec.shape}")
@@ -146,7 +143,7 @@ class Operator(Immutable):
         if not np.isfinite(vec).all():
             raise DimensionError("operator entries must be finite")
         arr = np.zeros((d, d), dtype=complex)
-        np.fill_diagonal(arr, vec)
+        arr.reshape(-1)[:: d + 1] = vec
         op = object.__new__(cls)
         object.__setattr__(op, "mat", read_only(arr))
         return op
@@ -206,19 +203,26 @@ class PauliString:
         return Operator(reduce(np.kron, [_PAULIS[letter] for letter in self.letters]))
 
 
-def check_unitary(mat: np.ndarray, what: str, diagonals=None):
+def check_unitary(mat: np.ndarray, what: str):
     """Raise :class:`DimensionError` unless ``A^dag A = I`` to ``ATOL_STRUCT``
     (a matrix with a NaN entry fails): unitarity for a square ``A``, and for
-    a tall ``A``, such as a Kraus stack's rows, the isometry condition.  When
-    ``A`` is exactly diagonal, or stacks the exactly diagonal operators whose
-    ``(k, d)`` ``diagonals`` are given, ``A^dag A`` is the diagonal matrix
-    ``sum_k |d_k|^2``, judged with no matrix product."""
-    if diagonals is None and mat.shape[0] == mat.shape[1]:
-        diagonals = _exact_diagonals(mat[None])
-    if diagonals is None:
-        dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
-    else:
-        dev = np.abs((diagonals.conj() * diagonals).real.sum(axis=0) - 1).max()
+    a tall ``A``, such as a Kraus stack's rows, the isometry condition; an
+    exactly diagonal square ``A`` by :func:`check_unit_sum` of its diagonal."""
+    diag = _exact_diagonals(mat[None]) if mat.shape[0] == mat.shape[1] else None
+    if diag is not None:
+        return check_unit_sum(diag, what)
+    gram = mat.conj().T @ mat
+    gram.reshape(-1)[:: len(gram) + 1] -= 1  # A^dag A - I
+    _refuse_deviation(np.abs(gram).max(), what)
+
+
+def check_unit_sum(diagonals: np.ndarray, what: str):
+    """:func:`check_unitary` of the rows stacking ``diag(d_k)`` for ``(k, d)``
+    diagonals, whose ``A^dag A`` is ``diag(sum_k |d_k|^2)``: no matrix product."""
+    _refuse_deviation(np.abs((diagonals.conj() * diagonals).real.sum(axis=0) - 1).max(), what)
+
+
+def _refuse_deviation(dev, what: str):
     if not dev <= ATOL_STRUCT:
         raise DimensionError(f"{what} is not unitary: max|U^dag U - I| = {dev:.3e}")
 
@@ -243,19 +247,21 @@ class Superoperator(Immutable):
     their diagonals, with ``d`` a power of two; anything else, a ragged stack
     included, raises :class:`DimensionError` naming what was given."""
 
-    def __init__(self, weights, ops):
+    def __init__(self, weights, ops=None, *, diagonals=None):
+        form, stack = ("ops", ops) if diagonals is None else ("diagonals", diagonals)
         try:
-            weights, ops = np.asarray(weights).view(), np.asarray(ops).view()
+            weights, stack = np.asarray(weights).view(), np.asarray(stack).view()
         except ValueError:  # a ragged stack
             raise DimensionError("need k weights for a (k, d, d) stack: ragged input") from None
-        if not (weights.dtype.kind in "ifc" and ops.dtype.kind in "ifc" and ops.ndim in (2, 3)
-                and weights.shape == ops.shape[:1] != (0,) and ops.shape[1] == ops.shape[-1]
-                and _is_power_of_two(ops.shape[-1])):
-            given = f"{weights.dtype} {weights.shape} and {ops.dtype} {ops.shape}"
+        if not ((ops is None or diagonals is None) and weights.dtype.kind in "ifc"
+                and stack.dtype.kind in "ifc" and stack.ndim == (3 if form == "ops" else 2)
+                and weights.shape == stack.shape[:1] != (0,) and stack.shape[1] == stack.shape[-1]
+                and _is_power_of_two(stack.shape[-1])):
+            given = f"{weights.dtype} {weights.shape} and {form} {stack.dtype} {stack.shape}"
             raise DimensionError(f"need k weights for a (k, d, d) stack of numbers on qubits, "
                                  f"or its (k, d) diagonals, got {given}")
-        vars(self).update({"weights": read_only(weights), "n_qubits": ops.shape[1].bit_length() - 1,
-                           "ops" if ops.ndim == 3 else "diagonals": read_only(ops)})
+        vars(self).update({"weights": read_only(weights), form: read_only(stack),
+                           "n_qubits": stack.shape[1].bit_length() - 1})
 
     @cached_property
     def diagonals(self):
@@ -283,11 +289,11 @@ class Superoperator(Immutable):
     def compare(self, other: "Superoperator") -> tuple:
         """``(max |delta|, row, col)`` over the PTM entries of ``self - other``:
         :func:`abs_argmax` of :func:`kraus_transform`'s slabs of both stacks,
-        ``other``'s weights negated (as diagonals if both have them), so no
-        PTM is built."""
+        ``other``'s weights negated, so no PTM is built: as diagonals if
+        ``self`` holds its own, given or found, and ``other`` has them."""
         if self.n_qubits != other.n_qubits:
             raise DimensionError(f"qubit count mismatch: {self.n_qubits} vs {other.n_qubits}")
-        compact = other.diagonals is not None and self.diagonals is not None
+        compact = vars(self).get("diagonals") is not None and other.diagonals is not None
         stacks = [x.diagonals if compact else x.ops for x in (self, other)]
         slabs, diag = kraus_transform(np.concatenate([self.weights, -other.weights]),
                                       np.concatenate(stacks))
@@ -368,6 +374,8 @@ def pauli_index(x, z, n: int, lead: tuple = ()):
     ``z`` is the ``j``-th qubit of the qubits ``lead`` followed by the rest,
     each run in increasing order (so qubit ``j`` when ``lead`` is empty)."""
     order = [*lead, *(q for q in range(n) if q not in lead)]
+    if isinstance(x, int) and order == sorted(order):  # two ints in qubit order: bits as digits
+        return int(f"{x ^ z:b}", 4) + 2 * int(f"{z:b}", 4)
     xz, out = x ^ z, 0
     for j, q in enumerate(order):
         # qubit q's base-4 digit is its letter (I, X, Y, Z) = (x ^ z) + 2 z
@@ -387,7 +395,7 @@ def diagonal_qubits(kraus: np.ndarray) -> tuple:
     diagonal: no nonzero entry, however small, has a row and a column index
     that differ in that qubit's bit."""
     n = np.shape(kraus)[-1].bit_length() - 1
-    rows, cols = np.nonzero(np.any(kraus, axis=0))
+    rows, cols = np.nonzero(kraus.any(axis=0))
     flipped = int(np.bitwise_or.reduce(rows ^ cols, initial=0))
     return tuple(q for q in range(n) if not flipped >> (n - 1 - q) & 1)
 
@@ -450,7 +458,7 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
         order = [*diag, *(q for q in range(n) if q not in diag)]
         axes = [0, *(1 + q for q in order), *(1 + n + q for q in order)]
         perm = kraus.reshape((m,) + (2,) * (2 * n)).transpose(axes).reshape(m, d_d, d_t, d_d, d_t)
-        kraus = np.diagonal(perm, axis1=1, axis2=3)
+        kraus = perm.diagonal(0, 1, 3)
     blocks = kraus.reshape(m, d_t, d_t, d_d).transpose(3, 1, 2, 0)  # [s, a, a', k]
     i_d, i_t = np.arange(d_d), np.arange(d_t)
     xor, xor_d = i_t[:, None] ^ i_t, i_d[:, None] ^ i_d
@@ -466,7 +474,9 @@ def kraus_transform(weights: np.ndarray, kraus: np.ndarray) -> tuple:
 
     def slabs():
         for start in range(0, d_t, step):
-            rows = bra[i_d[:, None], xor[:, None, None, start:start + step], i_t[:, None, None]]
+            # d_T = 1: the rows are bra's, C-contiguous as the gather's, for the same gemm
+            rows = (bra[i_d[:, None], xor[:, None, None, start:start + step], i_t[:, None, None]]
+                    if d_t > 1 else np.ascontiguousarray(bra.reshape(d_d, m)))
             w = rows.reshape(d_t, -1, m) @ ket  # [c, (b, s, x'), (t, e)]
             del rows
             if d_t > 1:  # H is real: apply it to the (real, imag) pairs as real gemms
@@ -490,7 +500,7 @@ def abs_argmax(slabs) -> tuple:
     peak = index = None
     for start, a in slabs:
         delta = np.abs(a)
-        at = np.unravel_index(np.argmax(delta), delta.shape)
+        at = np.unravel_index(delta.argmax(), delta.shape)
         value = delta[at]
         at = (*at[:4], at[4] + start, at[5])
         # a NaN beats any number, and a tie of either goes to the earlier entry

@@ -18,7 +18,8 @@ Contraction never builds a spider densely: all legs of a Z spider share one
 index carrying the weights ``(1, e^{i alpha})``, so cups, caps, bare wires and
 wire crossings are just connectivity, invariant under node relabeling and edge
 reordering.  :func:`contract` writes the result out with every open leg on its
-own index; :func:`verify_rule` compares two diagrams on the indices they share.
+own index; :func:`verify_rule` compares two diagrams on the indices they share,
+and :func:`verify_diagonal` a diagram with a diagonal gate.
 
 :func:`insert_wire_cut` cuts a diagram's ``cut_edge`` with the terms of a
 single-qubit wire-cut decomposition: each rank-one Kraus operator ``|s><e|``
@@ -470,11 +471,7 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
             f"boundary signature mismatch: ({len(lhs.inputs)}, {len(lhs.outputs)}) "
             f"vs ({len(rhs.inputs)}, {len(rhs.outputs)})"
         )
-    sides = [_contract_compact(lhs), _contract_compact(rhs)]
-    shared = list(dict.fromkeys(zip(sides[0][0], sides[1][0])))
-    check_dense_bits(len(shared), f"comparison over {len(shared)} shared open-leg indices")
-    # each side's compact tensor is dropped once it is embedded
-    a, b = (_embed([k[i] for k in shared], *sides.pop(0)[1:]).ravel() for i in (0, 1))
+    a, b = _refine([_contract_compact(lhs), _contract_compact(rhs)])
     deviation = max_abs_diff(a, b)
     report = {
         "max_abs_deviation": deviation,
@@ -490,6 +487,27 @@ def verify_rule(lhs: ZXDiagram, rhs: ZXDiagram, up_to_scalar: bool = False) -> d
         report["equal_up_to_scalar"] = residual <= RULE_ATOL and zero_a == zero_b
         report["zero_side"] = {(1, 0): "lhs", (0, 1): "rhs", (1, 1): "both"}.get((zero_a, zero_b))
     return report
+
+
+def verify_diagonal(d: ZXDiagram, diagonal: np.ndarray) -> float:
+    """``max|delta|`` of ``d`` against the gate ``diag(diagonal)``, compared as
+    by :func:`verify_rule` with output ``i`` of the gate sharing the index of
+    input ``i``; :class:`ZXError` if the common refinement needs more than
+    one index per wire, so no ``4^n`` array is built."""
+    wires = list(range(len(d.inputs)))
+    sides = [_contract_compact(d), (wires * 2, wires, diagonal.reshape((2,) * len(wires)))]
+    if len(d.outputs) != len(wires) or len(set(zip(sides[0][0], sides[1][0]))) > len(wires):
+        raise ZXError("a diagonal gate needs each output to share its index with its input")
+    return max_abs_diff(*_refine(sides))
+
+
+def _refine(sides: list) -> list:
+    """Two compact sides ``(open-leg labels, result labels, tensor)``, each
+    embedded and flattened on the common refinement of their open legs."""
+    shared = list(dict.fromkeys(zip(sides[0][0], sides[1][0])))
+    check_dense_bits(len(shared), f"comparison over {len(shared)} shared open-leg indices")
+    # each side's compact tensor is dropped once it is embedded
+    return [_embed([k[i] for k in shared], *sides.pop(0)[1:]).ravel() for i in (0, 1)]
 
 
 def _chain(nodes, scalar: complex = 1.0) -> ZXDiagram:

@@ -412,13 +412,13 @@ def test_completeness_of_diagonals_is_judged_as_of_the_written_out_stack():
     written = np.array([np.diag(d) for d in diagonals])
     tiny = written.copy()
     tiny[1, 0, 1] = 1e-300
-    for stack in (diagonals, written, tiny):
+    for stack in ({"diagonals": diagonals}, {"ops": written}, {"ops": tiny}):
         with pytest.raises(DimensionError) as exc:
-            GeneralizedMap([1, -1], stack)
+            GeneralizedMap([1, -1], **stack)
         assert str(exc.value) == ("Kraus stack (sum K^dag K = I) is not unitary: "
                                   "max|U^dag U - I| = 5.000e-01")
     diagonals[1, 1] = np.sqrt(0.75) * 1j
-    ch = GeneralizedMap([1, -1], diagonals)
+    ch = GeneralizedMap([1, -1], diagonals=diagonals)
     assert ch.signs == (1, -1) and ch.diagonals.dtype == complex
     assert np.array_equal(ch.ops, [np.diag(d) for d in diagonals])
     assert ch.compare(GeneralizedMap([1, -1], ch.ops))[0] < 1e-15
@@ -470,3 +470,9 @@ def test_schur_form_matches_dense_ptm(ch):
 )
 def test_schur_form_needs_exactly_diagonal_kraus(build, diag):
     assert diagonal_qubits(build().ops) == diag
+
+
+def test_a_dense_map_is_scanned_for_diagonals_only_when_read():
+    ch = GeneralizedMap([1, -1], [np.diag([1, 0.6]), np.diag([0, 0.8])])
+    assert "diagonals" not in vars(ch)
+    assert np.array_equal(ch.diagonals, [[1, 0.6], [0, 0.8]]) and "diagonals" in vars(ch)

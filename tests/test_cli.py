@@ -844,15 +844,20 @@ def test_zx_check_flags_a_builtin_reads_reach_the_check(capsys, argv, line):
     assert any(row.startswith(line) for row in capsys.readouterr().out.splitlines())
 
 
-def test_zx_check_diagonal_builtins_refuse_legs_that_are_not_pairwise_shared():
+def test_zx_check_diagonal_builtins_compare_on_one_index_per_wire():
     crossed = qcut.zx.mcz_diagram(2)
     crossed.outputs.reverse()  # output 0 shares its index with input 1
-    merged = qcut.zx.parse_diagram(  # all four legs on one spider: one index
+    with pytest.raises(qcut.zx.ZXError, match="share its index with its input"):
+        qcut.zx.verify_diagonal(crossed, qcut.gates.mcp_diagonal(2, np.pi))
+    # all four legs on one spider: the refinement still has one index per
+    # wire, and the compact comparison equals the dense one
+    merged = qcut.zx.parse_diagram(
         "node i0 input\nnode i1 input\nnode o0 output\nnode o1 output\nnode s z\n"
         "edge i0 s\nedge i1 s\nedge s o0\nedge s o1\n")
-    for diagram in (crossed, merged):
-        with pytest.raises(qcut.zx.ZXError, match="share its index with its input only"):
-            qcut.cli._zx_diagonal(diagram, qcut.gates.mcp_diagonal(2, np.pi))
+    for diagram in (merged, qcut.zx.mcz_diagram(2)):
+        dense = qcut.linalg.max_abs_diff(qcut.zx.contract(diagram), qcut.gates.mcz(2).mat)
+        assert qcut.zx.verify_diagonal(diagram, qcut.gates.mcp_diagonal(2, np.pi)) == dense
+    assert dense == 0 < qcut.zx.verify_diagonal(merged, qcut.gates.mcp_diagonal(2, np.pi))
 
 
 def test_zx_check_mcz_fusion_runs_past_the_dense_cap(capsys):

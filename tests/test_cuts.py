@@ -110,6 +110,8 @@ def test_lift_reads_each_register_index_through_its_bit(bit):
     signs, (lifted, _) = first[0].weights, first[0].ops
     assert np.array_equal(lifted, np.diag(np.diag(k)[bit(3)])) and signs.tolist() == [1, -1]
     assert bit(3).tolist() == ([0, 1, 1, 0, 1, 0, 0, 1] if bit is gates.parity else [0] * 7 + [1])
+    if bit is gates.parity:  # one read-only table per size
+        assert bit(3) is bit(3) and not bit(3).flags.writeable
 
 
 @pytest.mark.parametrize("bit", [gates.parity, gates.all_ones], ids=["parity", "and"])

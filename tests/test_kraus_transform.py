@@ -369,7 +369,7 @@ def test_compare_from_diagonals_equals_compare_from_dense_stacks(n, counts, tiny
         dense[tiny][rng.integers(counts[tiny]), row, col] = 1e-300
     maps = [Superoperator(w, s) for w, s in zip(weights, dense)]
     assert [m.diagonals is None for m in maps] == [tiny == side for side in (0, 1)]
-    compact = [Superoperator(w, x) for w, x in zip(weights, diagonals)]
+    compact = [Superoperator(w, diagonals=x) for w, x in zip(weights, diagonals)]
     expected = dense_compare(weights, dense)
     assert maps[0].compare(maps[1]) == expected
     if tiny is None:
@@ -382,7 +382,7 @@ def test_compare_from_diagonals_equals_compare_from_dense_stacks(n, counts, tiny
 def test_ops_written_from_diagonals_are_read_only_built_once_and_exact():
     rng = np.random.default_rng(5)
     diagonals = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-    sup = Superoperator(rng.normal(size=3), diagonals)
+    sup = Superoperator(rng.normal(size=3), diagonals=diagonals)
     assert np.shares_memory(sup.diagonals, diagonals) and not sup.diagonals.flags.writeable
     ops = sup.ops
     assert ops is sup.ops and not ops.flags.writeable
@@ -398,7 +398,20 @@ def test_ops_written_from_diagonals_are_read_only_built_once_and_exact():
 
 def test_ops_written_from_diagonals_stay_under_the_dense_cap():
     # 2^14 entries of diagonal are fine; written out they need 2^28
-    sup = Superoperator(np.ones(1), np.broadcast_to(np.complex128(1), (1, 2**14)))
+    sup = Superoperator(np.ones(1), diagonals=np.broadcast_to(np.complex128(1), (1, 2**14)))
     assert sup.n_qubits == 14 and sup.diagonals.shape == (1, 2**14)
     with pytest.raises(SizeCapError, match="needs 2\\^28 dense entries"):
         sup.ops
+
+
+def test_compare_probes_the_other_side_only_when_self_holds_diagonals():
+    # a dense self takes the dense path and scans neither side for diagonals;
+    # a self held as diagonals scans the other side once
+    rng = np.random.default_rng(9)
+    diagonals = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    dense, other = (Superoperator(np.ones(2), written_out(diagonals)) for _ in range(2))
+    expected = dense.compare(other)
+    assert "diagonals" not in vars(dense) and "diagonals" not in vars(other)
+    assert Superoperator(np.ones(2), diagonals=diagonals).compare(other) == expected
+    assert vars(other)["diagonals"] is other.diagonals
+    assert np.array_equal(other.diagonals, diagonals)

@@ -401,16 +401,24 @@ def test_superoperator_holds_read_only_views_of_the_callers_stack():
 
 
 @pytest.mark.parametrize(
-    "weights,kraus",
-    [(np.ones(2), np.zeros((1, 2, 2))), (np.ones(1), np.zeros((1, 2, 4))),
-     (np.ones(1), np.zeros((1, 3, 3))), (np.ones(1), np.zeros((2, 2))),
-     (np.ones(1), np.zeros((1, 3))), (np.ones(1), np.zeros(2))],
-    ids=["weight-count", "not-square", "not-qubits", "not-a-stack", "diagonals-not-qubits",
-         "one-diagonal-unstacked"],
+    "weights,stack",
+    [(np.ones(2), {"ops": np.zeros((1, 2, 2))}), (np.ones(1), {"ops": np.zeros((1, 2, 4))}),
+     (np.ones(1), {"ops": np.zeros((1, 3, 3))}), (np.ones(1), {"ops": np.zeros((2, 2))}),
+     (np.ones(2), {"ops": np.eye(2)}), (np.ones(1), {"diagonals": np.zeros((1, 3))}),
+     (np.ones(1), {"diagonals": np.zeros(2)}), (np.ones(1), {"diagonals": np.eye(2)[None]}),
+     (np.ones(1), {"ops": np.eye(2)[None], "diagonals": np.ones((1, 2))}), (np.ones(1), {})],
+    ids=["weight-count", "not-square", "not-qubits", "not-a-stack", "operator-with-d-weights",
+         "diagonals-not-qubits", "one-diagonal-unstacked", "operators-as-diagonals", "both",
+         "neither"],
 )
-def test_superoperator_rejects_a_malformed_stack(weights, kraus):
+def test_superoperator_rejects_a_malformed_stack(weights, stack):
+    # a (d, d) operator given as the stack is refused, d weights or not:
+    # diagonals are read only when named
     with pytest.raises(DimensionError, match="k weights"):
-        Superoperator(weights, kraus)
+        Superoperator(weights, **stack)
+    if "ops" in stack and "diagonals" not in stack:
+        with pytest.raises(DimensionError, match="k weights"):
+            channels.GeneralizedMap(np.sign(weights), stack["ops"])
 
 
 @pytest.mark.parametrize(
