@@ -355,6 +355,10 @@ def test_pauli_index_and_label():
     idx = np.arange(4)
     labels = {pauli_label(i, 2) for i in pauli_index(idx[:, None], idx[None, :], 2).ravel()}
     assert len(labels) == 16
+    # two ints give the entry the arrays give, in qubit order or not
+    for lead in ((), (0, 1, 2), (2,), (1, 0)):
+        table = pauli_index(np.arange(8)[:, None], np.arange(8), 3, lead).tolist()
+        assert [[pauli_index(x, z, 3, lead) for z in range(8)] for x in range(8)] == table
 
 
 def test_ptm_of_map_identity_channel():
