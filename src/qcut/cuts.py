@@ -22,9 +22,11 @@ Built-in decompositions:
 * :func:`controlled_sequence_decomposition` -- a sequence of single-qubit
   controlled unitaries sharing one control, ``gamma = 3``.
 
-Every map that takes no input from a caller (the wire cuts', the CZ cut's
-and the ``R_ZZ`` cuts' angle-free maps, and their register lifts, held as
-diagonals) is a process-wide read-only constant, built and checked once; terms are built per call.
+Each builder writes its cut as rows ``(q, factors, label[, needs_cc])``,
+and :func:`_cut` alone turns rows into terms.  Every map that takes no
+input from a caller (the wire cuts', the CZ cut's and the ``R_ZZ`` cuts'
+angle-free maps, and their register lifts, held as diagonals) is a
+process-wide read-only constant, built and checked once; terms are built per call.
 """
 
 from __future__ import annotations
@@ -58,9 +60,12 @@ class DecompositionTerm(Immutable):
     ``factors``, each a :class:`~qcut.channels.GeneralizedMap`, act on
     contiguous qubit blocks, high-order first; each must cover a whole number
     of the parent decomposition's registers (:meth:`Decomposition.spans`).
-    ``needs_cc`` marks terms whose execution needs a measurement outcome
-    communicated across the cut.  Immutable after construction: terms are
-    shared between the decompositions built from one cached cut.
+    ``needs_cc`` declares, for wire and gate cuts alike, that running the
+    term needs a measurement outcome sent across the cut; it does not prove
+    that the term is LOCC: ``controlled_sequence``'s ``E_RZV`` is one factor
+    spanning both registers, whose Y-outcome feedback stays inside it, so it
+    is not flagged.  Immutable after construction; its factors may be
+    constants shared by every build.
     """
 
     def __init__(self, q: float, factors, label: str, needs_cc: bool = False):
@@ -198,22 +203,28 @@ class Decomposition(Immutable):
         )
 
 
+def _cut(name: str, partition: tuple, rows, target: Operator) -> Decomposition:
+    """The decomposition with a term per row ``(q, factors, label[, needs_cc])``
+    whose ``q`` is not exactly 0: the one place a builder makes a term."""
+    return Decomposition(name, partition, [DecompositionTerm(*r) for r in rows if r[0]], target)
+
+
 # ---------------------------------------------------------------------------
 # Wire cuts
 # ---------------------------------------------------------------------------
 
 
-def _fixed_preparation_terms(paulis: str) -> list:
+def _fixed_preparation_rows(paulis: str) -> list:
     """For each Pauli ``p`` and eigenstate ``mu``: measure ``p`` and always
     prepare ``mu``, with coefficient ``a/2`` for the eigenvalue sign ``a``."""
-    return [DecompositionTerm(PAULI_EIGENKETS[(p, mu)][0] / 2, [ch.pauli_measure_prepare(p, mu)],
-                              f"E_{p}{mu}") for p in paulis for mu in (0, 1)]
+    return [(PAULI_EIGENKETS[(p, mu)][0] / 2, (ch.pauli_measure_prepare(p, mu),), f"E_{p}{mu}")
+            for p in paulis for mu in (0, 1)]
 
 
 def wire_cut_ncc() -> Decomposition:
     """Single-qubit identity as eight fixed-preparation measure-and-prepare
     maps with coefficients ``a/2``; ``gamma = 4``, no communication."""
-    return Decomposition("wire_ncc", (1,), _fixed_preparation_terms("IXYZ"), gates.identity(1))
+    return _cut("wire_ncc", (1,), _fixed_preparation_rows("IXYZ"), gates.identity(1))
 
 
 def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
@@ -225,9 +236,9 @@ def wire_cut_cc(cc_basis: str = "Y") -> Decomposition:
     """
     if cc_basis not in ("X", "Y", "Z"):
         raise DimensionError(f"cc_basis must be X, Y or Z, got {cc_basis!r}")
-    grouped = DecompositionTerm(1.0, [ch.grouped_pauli_map(cc_basis)], f"E_{cc_basis}", True)
-    others = _fixed_preparation_terms("".join(p for p in "XYZ" if p != cc_basis))
-    return Decomposition(f"wire_cc[{cc_basis}]", (1,), [grouped, *others], gates.identity(1))
+    grouped = (1.0, (ch.grouped_pauli_map(cc_basis),), f"E_{cc_basis}", True)
+    others = _fixed_preparation_rows("".join(p for p in "XYZ" if p != cc_basis))
+    return _cut(f"wire_cc[{cc_basis}]", (1,), [grouped, *others], gates.identity(1))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +256,11 @@ def _lift(factor: ch.GeneralizedMap, size: int, bit) -> ch.GeneralizedMap:
     return ch.GeneralizedMap(factor.signs, diagonals=factor.diagonals[:, bit(size)])
 
 
-def _lifted(name: str, partition: tuple, bit, terms, target) -> Decomposition:
-    """The two-qubit cut ``terms()`` lifted to the registers of ``partition``,
-    against the gate ``target(n)``; both are built, and ``name`` formatted
-    with the register sizes, after the size checks.
+def _lifted(name: str, partition: tuple, bit, rows, target) -> Decomposition:
+    """The two-qubit cut of ``rows`` (as :func:`_cut` reads them) lifted to
+    the registers of ``partition``, against the gate ``target(n)``; the
+    terms and the target are built, and ``name`` formatted with the register
+    sizes, after the size checks.
 
     On a register of ``size > 1`` qubits each factor is :func:`_lift`-ed
     through a Boolean function ``bit`` of the basis index, a constant checked
@@ -258,27 +270,25 @@ def _lifted(name: str, partition: tuple, bit, terms, target) -> Decomposition:
     partition = tuple(check_integer(size, "register size", 1) for size in partition)
     n = sum(partition)
     check_dense_bits(4 * n, f"PTM of a cut on {n} qubits")
-    return Decomposition(name.format(*partition), partition, [
-        DecompositionTerm(t.q, [f if size == 1 else _lift(f, size, bit)
-                                for f, size in zip(t.factors, partition)], t.label, t.needs_cc)
-        for t in terms()
-    ], target(n))
+    return _cut(name.format(*partition), partition, [
+        (q, [f if size == 1 else _lift(f, size, bit) for f, size in zip(fs, partition)], *rest)
+        for q, fs, *rest in rows], target(n))
 
 
 @cache
-def _cz_terms() -> tuple:
+def _cz_rows() -> tuple:
     """The CZ cut of Ufrecht et al. on one-qubit maps, labelled as its MCZ
     lift; built once per process."""
     mx, z = ch.e_v_mx_map(gates.mcz(1)), ch.UnitaryChannel(gates.mcz(1))
     ident = _fixed_channels()[0]
     plus, minus = (ch.UnitaryChannel(gates.mcp(1, s * np.pi / 2)) for s in (1, -1))
     return (
-        DecompositionTerm(0.5, [plus, plus], "MCP(+1pi/2) x MCP(+1pi/2)"),
-        DecompositionTerm(0.5, [minus, minus], "MCP(-1pi/2) x MCP(-1pi/2)"),
-        DecompositionTerm(0.5, [mx, ident], "E_MCZ-MX x I"),
-        DecompositionTerm(-0.5, [mx, z], "E_MCZ-MX x MCZ"),
-        DecompositionTerm(0.5, [ident, mx], "I x E_MCZ-MX"),
-        DecompositionTerm(-0.5, [z, mx], "MCZ x E_MCZ-MX"),
+        (0.5, (plus, plus), "MCP(+1pi/2) x MCP(+1pi/2)"),
+        (0.5, (minus, minus), "MCP(-1pi/2) x MCP(-1pi/2)"),
+        (0.5, (mx, ident), "E_MCZ-MX x I"),
+        (-0.5, (mx, z), "E_MCZ-MX x MCZ"),
+        (0.5, (ident, mx), "I x E_MCZ-MX"),
+        (-0.5, (z, mx), "MCZ x E_MCZ-MX"),
     )
 
 
@@ -289,7 +299,7 @@ def mcz_decomposition(m: int, m_prime: int) -> Decomposition:
     turn MCZ into CZ, so the CZ cut's one-qubit maps are lifted by
     :func:`_lifted` through each register's AND (:func:`~qcut.gates.all_ones`).
     """
-    return _lifted("mcz[{},{}]", (m, m_prime), gates.all_ones, _cz_terms, gates.mcz)
+    return _lifted("mcz[{},{}]", (m, m_prime), gates.all_ones, _cz_rows(), gates.mcz)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +317,19 @@ def _check_angle(theta) -> float:
     return value
 
 
-def _rz_channel(theta: float) -> ch.UnitaryChannel:
-    return ch.UnitaryChannel(gates.rz(theta))
-
-
 @cache
 def _fixed_channels() -> tuple:
     """The identity, ``R_Z(pi)`` and ``R_Z(+-pi/2)`` channels, built once per process."""
     return (ch.UnitaryChannel(gates.identity(1)),
-            *(_rz_channel(a) for a in (np.pi, np.pi / 2, -np.pi / 2)))
+            *(ch.UnitaryChannel(gates.rz(a)) for a in (np.pi, np.pi / 2, -np.pi / 2)))
+
+
+def _rzz_rows(theta: float, rows: list) -> list:
+    """The ``I x I`` and ``RZ(pi) x RZ(pi)`` rows that open both ``R_ZZ``
+    cuts at a checked angle, then ``rows``."""
+    ident, flip, _, _ = _fixed_channels()
+    return [(0.5 * (1 + np.cos(theta)), (ident, ident), "I x I"),
+            (0.5 * (1 - np.cos(theta)), (flip, flip), "RZ(pi) x RZ(pi)"), *rows]
 
 
 def rzz_decomposition_a(theta: float) -> Decomposition:
@@ -326,34 +340,28 @@ def rzz_decomposition_a(theta: float) -> Decomposition:
     theta = _check_angle(theta)
     my = ch.rzz_my_map(theta)
     ez = ch.signed_z_map()
-    ident, flip, plus, minus = _fixed_channels()
-    raw = [
-        (0.5 * (1 + np.cos(theta)), [ident, ident], "I x I"),
-        (0.5 * (1 - np.cos(theta)), [flip, flip], "RZ(pi) x RZ(pi)"),
-        (0.5, [plus, my], "RZ(+pi/2) x E_RZZ-MY"),
-        (-0.5, [minus, my], "RZ(-pi/2) x E_RZZ-MY"),
-        (0.5, [ez, _rz_channel(theta)], "EbarZ x RZ(+theta)"),
-        (-0.5, [ez, _rz_channel(-theta)], "EbarZ x RZ(-theta)"),
-    ]
-    terms = [DecompositionTerm(q, f, lab) for q, f, lab in raw if q != 0.0]
-    return Decomposition(f"rzz_a[{theta:.12g}]", (1, 1), terms, gates.rzz(theta))
+    _, _, plus, minus = _fixed_channels()
+    rows = _rzz_rows(theta, [
+        (0.5, (plus, my), "RZ(+pi/2) x E_RZZ-MY"),
+        (-0.5, (minus, my), "RZ(-pi/2) x E_RZZ-MY"),
+        (0.5, (ez, ch.UnitaryChannel(gates.rz(theta))), "EbarZ x RZ(+theta)"),
+        (-0.5, (ez, ch.UnitaryChannel(gates.rz(-theta))), "EbarZ x RZ(-theta)"),
+    ])
+    return _cut(f"rzz_a[{theta:.12g}]", (1, 1), rows, gates.rzz(theta))
 
 
-def _rzz_b_terms(theta: float) -> list:
-    """The terms of :func:`rzz_decomposition_b` for a checked angle; its maps
+def _rzz_b_rows(theta: float) -> list:
+    """The rows of :func:`rzz_decomposition_b` for a checked angle; its maps
     are angle-independent, each built once per process."""
     s = np.sin(theta)
     ez = ch.signed_z_map()
-    ident, flip, plus, minus = _fixed_channels()
-    raw = [
-        (0.5 * (1 + np.cos(theta)), [ident, ident], "I x I"),
-        (0.5 * (1 - np.cos(theta)), [flip, flip], "RZ(pi) x RZ(pi)"),
-        (0.5 * s, [plus, ez], "RZ(+pi/2) x EbarZ"),
-        (-0.5 * s, [minus, ez], "RZ(-pi/2) x EbarZ"),
-        (0.5 * s, [ez, plus], "EbarZ x RZ(+pi/2)"),
-        (-0.5 * s, [ez, minus], "EbarZ x RZ(-pi/2)"),
-    ]
-    return [DecompositionTerm(q, f, lab) for q, f, lab in raw if q != 0.0]
+    _, _, plus, minus = _fixed_channels()
+    return _rzz_rows(theta, [
+        (0.5 * s, (plus, ez), "RZ(+pi/2) x EbarZ"),
+        (-0.5 * s, (minus, ez), "RZ(-pi/2) x EbarZ"),
+        (0.5 * s, (ez, plus), "EbarZ x RZ(+pi/2)"),
+        (-0.5 * s, (ez, minus), "EbarZ x RZ(-pi/2)"),
+    ])
 
 
 def rzz_decomposition_b(theta: float) -> Decomposition:
@@ -364,7 +372,7 @@ def rzz_decomposition_b(theta: float) -> Decomposition:
     dropped (at ``theta = 0`` only ``I x I`` survives).
     """
     theta = _check_angle(theta)
-    return Decomposition(f"rzz_b[{theta:.12g}]", (1, 1), _rzz_b_terms(theta), gates.rzz(theta))
+    return _cut(f"rzz_b[{theta:.12g}]", (1, 1), _rzz_b_rows(theta), gates.rzz(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +392,7 @@ def multi_z_rotation_decomposition(m: int, m_prime: int, theta: float) -> Decomp
     """
     theta = _check_angle(theta)
     return _lifted(f"multi_z[{{}},{{}},{theta:.12g}]", (m, m_prime), gates.parity,
-                   lambda: _rzz_b_terms(theta), lambda n: gates.multi_z_rotation(n, theta))
+                   _rzz_b_rows(theta), lambda n: gates.multi_z_rotation(n, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +417,10 @@ def controlled_sequence_decomposition(ops, n_targets: int) -> Decomposition:
     mx = ch.e_v_mx_map(v)
     mz = ch.e_v_mz_map(v)
     ident, flip, _, _ = _fixed_channels()
-    terms = [
-        DecompositionTerm(1.0, [ch.e_rzv_map(v)], "E_RZV"),
-        DecompositionTerm(0.5, [ident, mx], "I x E_V-MX"),
-        DecompositionTerm(-0.5, [flip, mx], "RZ(pi) x E_V-MX"),
-        DecompositionTerm(1.0, [ch.signed_z_map(), mz], "EbarZ x E_V-MZ"),
+    rows = [
+        (1.0, (ch.e_rzv_map(v),), "E_RZV"),
+        (0.5, (ident, mx), "I x E_V-MX"),
+        (-0.5, (flip, mx), "RZ(pi) x E_V-MX"),
+        (1.0, (ch.signed_z_map(), mz), "EbarZ x E_V-MZ"),
     ]
-    return Decomposition(f"controlled_sequence[M={len(ops)}]", (1, n_targets), terms,
-                         gates.controlled(v))
+    return _cut(f"controlled_sequence[M={len(ops)}]", (1, n_targets), rows, gates.controlled(v))

@@ -156,16 +156,6 @@ class Operator(Immutable):
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionError(f"dim mismatch: {self.dim} vs {other.dim}")
-        return Operator(self.mat @ other.mat)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.mat * scalar)
-
-    __rmul__ = __mul__
-
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
@@ -195,10 +185,6 @@ class PauliString:
         if bad:
             raise DimensionError(f"invalid Pauli letters: {sorted(bad)}")
 
-    @property
-    def n_qubits(self) -> int:
-        return len(self.letters)
-
     def to_operator(self) -> Operator:
         return Operator(reduce(np.kron, [_PAULIS[letter] for letter in self.letters]))
 
@@ -206,11 +192,7 @@ class PauliString:
 def check_unitary(mat: np.ndarray, what: str):
     """Raise :class:`DimensionError` unless ``A^dag A = I`` to ``ATOL_STRUCT``
     (a matrix with a NaN entry fails): unitarity for a square ``A``, and for
-    a tall ``A``, such as a Kraus stack's rows, the isometry condition; an
-    exactly diagonal square ``A`` by :func:`check_unit_sum` of its diagonal."""
-    diag = _exact_diagonals(mat[None]) if mat.shape[0] == mat.shape[1] else None
-    if diag is not None:
-        return check_unit_sum(diag, what)
+    a tall ``A``, such as a Kraus stack's rows, the isometry condition."""
     gram = mat.conj().T @ mat
     gram.reshape(-1)[:: len(gram) + 1] -= 1  # A^dag A - I
     _refuse_deviation(np.abs(gram).max(), what)
@@ -334,10 +316,16 @@ def max_abs_diff(a, b) -> float:
 
 
 def ptm_of_unitary(u: Operator) -> Superoperator:
-    """The channel ``rho -> U rho U^dag`` of a unitary whose PTM fits the cap."""
+    """The channel ``rho -> U rho U^dag`` of a unitary whose PTM fits the cap.
+    An exactly diagonal ``U``, such as an MCZ or multi-Z target, is checked
+    by :func:`check_unit_sum` of its diagonal, with no ``U^dag U`` product."""
     n = u.n_qubits
     check_dense_bits(4 * n, f"superoperator on {n} qubits")  # before the d x d unitarity products
-    check_unitary(u.mat, "input")
+    diag = _exact_diagonals(u.mat[None])
+    if diag is None:
+        check_unitary(u.mat, "input")
+    else:
+        check_unit_sum(diag, "input")
     return Superoperator(np.ones(1), u.mat[None])
 
 

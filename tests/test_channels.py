@@ -70,7 +70,7 @@ def test_unitary_channel_matches_conjugation():
     ch = UnitaryChannel(gates.cnot())
     rho = random_density(2, 0)
     out = apply_map(ch, rho)
-    expected = gates.cnot() @ rho @ dag(gates.cnot())
+    expected = Operator(gates.cnot().mat @ rho.mat @ dag(gates.cnot()).mat)
     assert close_to(out, expected, atol=1e-12)
     assert ch.is_cptp()
     assert ch.to_superoperator().max_abs_diff(ptm_of_unitary(gates.cnot())) < 1e-12
@@ -87,7 +87,7 @@ def test_measure_prepare_validation():
     with pytest.raises(QcutError):
         measure_prepare_map([(1.0, p0, p0)])  # effects don't sum to identity
     with pytest.raises(QcutError):
-        measure_prepare_map([(1.0, p0, 2.0 * p0), (1.0, p1, p1)])  # not a state
+        measure_prepare_map([(1.0, p0, Operator(2.0 * p0.mat)), (1.0, p1, p1)])  # not a state
     # non-Hermitian effects that sum to I and whose lower triangles look PSD
     e0 = Operator(np.array([[1.0, 0.5], [0.0, 0.0]]))
     e1 = Operator(np.array([[0.0, -0.5], [0.0, 1.0]]))
@@ -280,9 +280,8 @@ def test_controlled_sequence_unitary():
     ops = [((0,), X), ((1,), Operator(np.diag([1.0, np.exp(1j * theta)])))]
     u = gates.controlled(sequence_unitary(ops, 2))
     # control = qubit 0: CNOT(0 -> 1) then controlled-phase(0, 2)
-    expected = cnot_on(3, 0, 1) @ Operator(
-        np.diag([1.0, 1.0, 1.0, 1.0, 1.0, np.exp(1j * theta), 1.0, np.exp(1j * theta)])
-    )
+    expected = Operator(cnot_on(3, 0, 1).mat @ np.diag(
+        [1.0, 1.0, 1.0, 1.0, 1.0, np.exp(1j * theta), 1.0, np.exp(1j * theta)]))
     assert close_to(u, expected, atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+import operator
+import re
 import tracemalloc
 from functools import reduce
 
@@ -103,8 +105,8 @@ def test_lift_reads_each_register_index_through_its_bit(bit):
     k = np.diag([0.6, 0.8j])
     shared = qcut.channels.GeneralizedMap([1, -1], [k, np.diag([0.8, 0.6])])
     ident = UnitaryChannel(gates.identity(1))
-    terms = [DecompositionTerm(0.5, [shared, ident], "a"), DecompositionTerm(0.5, [shared, shared], "b")]
-    deco = qcut.cuts._lifted("t", (3, 1), bit, lambda: terms, gates.identity)
+    rows = [(0.5, [shared, ident], "a"), (0.5, [shared, shared], "b")]
+    deco = qcut.cuts._lifted("t", (3, 1), bit, rows, gates.identity)
     first, second = (t.factors for t in deco.terms)
     assert first[0] is second[0] and first[1] is ident and second[1] is shared
     signs, (lifted, _) = first[0].weights, first[0].ops
@@ -125,9 +127,8 @@ def test_lift_reads_each_register_index_through_its_bit(bit):
 )
 def test_lift_refuses_non_diagonal_factor(kraus, bit):
     factor = qcut.channels.GeneralizedMap([1], [kraus])
-    terms = [DecompositionTerm(1.0, [factor, factor], "t")]
     with pytest.raises(DimensionError, match="exactly diagonal"):
-        qcut.cuts._lifted("t", (2, 2), bit, lambda: terms, gates.mcz)
+        qcut.cuts._lifted("t", (2, 2), bit, [(1.0, [factor, factor], "t")], gates.mcz)
 
 
 def test_wire_cut_reconstructs_identity_channel():
@@ -309,6 +310,65 @@ def test_decomposition_partition_alignment():
             terms=[DecompositionTerm(1.0, [UnitaryChannel(gates.cnot())], "joint")],
             target_unitary=ptm_of_unitary(gates.cnot()),
         )
+
+
+def _ident():
+    return UnitaryChannel(gates.identity(1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Decomposition("d", (1, 1), [DecompositionTerm(1.0, [_ident()], "short")],
+                           gates.cnot()), "term 'short' covers 1 qubits, expected 2"),
+    (lambda: Decomposition("d", (1, 1), [DecompositionTerm(1.0, [_ident()] * 2, "t")],
+                           gates.identity(1)), "target acts on 1 qubits, partition covers 2"),
+    (lambda: Decomposition("d", (1,), [], gates.identity(1)),
+     "decomposition needs at least one term"),
+    (lambda: DecompositionTerm(1.0, [], "empty"), "term 'empty' has no factors"),
+    (lambda: DecompositionTerm(1.0, [gates.identity(1)], "bare"),
+     "term 'bare' has a Operator factor, not a GeneralizedMap"),
+    (lambda: Decomposition("d", (1,), [DecompositionTerm(1.0, [_ident()], "t")],
+                           ptm_of_unitary(gates.identity(1))),
+     "target_unitary must be an Operator, got Superoperator"),
+], ids=["term_width", "target_width", "no_terms", "no_factors", "bare_factor", "target_type"])
+def test_constructors_refuse_each_malformed_input_by_its_message(build, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    wire_cut_ncc, lambda: wire_cut_cc("X"), lambda: mcz_decomposition(2, 3),
+    lambda: rzz_decomposition_a(0.7), lambda: rzz_decomposition_a(0.0),
+    lambda: rzz_decomposition_b(0.0), lambda: multi_z_rotation_decomposition(2, 3, 0.7),
+    lambda: multi_z_rotation_decomposition(2, 1, 0.0),
+    lambda: controlled_sequence_decomposition([((0,), X), ((1,), phase_gate(0.3))], 2),
+], ids=["wire_ncc", "wire_cc", "mcz", "rzz_a", "rzz_a_zero", "rzz_b_zero", "multi_z",
+        "multi_z_zero", "controlled_sequence"])
+def test_each_build_constructs_only_the_terms_it_keeps(build, monkeypatch):
+    # one build path: every term a builder constructs is one of its terms,
+    # lifted cuts and dropped zero-coefficient rows included, cold or warm
+    built, construct = [], DecompositionTerm.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(DecompositionTerm, "__init__", recording)
+    for _ in range(2):
+        built.clear()
+        deco = build()
+        assert len(built) == len(deco.terms) and all(map(operator.is_, built, deco.terms))
+
+
+def test_warm_controlled_sequence_build_scans_no_diagonal(monkeypatch):
+    # unitarity is checked by the A^dag A product alone: no build probes a
+    # matrix for exact diagonality, which only ptm_of_unitary gains from
+    ops = [((0,), gates.hadamard()), ((1,), phase_gate(0.3))]
+    controlled_sequence_decomposition(ops, 2)
+    scans, scan = [], qcut.linalg._exact_diagonals
+    monkeypatch.setattr(qcut.linalg, "_exact_diagonals",
+                        lambda a: scans.append(a.shape) or scan(a))
+    controlled_sequence_decomposition(ops, 2)
+    assert scans == []
 
 
 @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])

@@ -71,6 +71,13 @@ def test_operator_rejects_non_finite_entries(bad):
         Operator([[bad, 0], [0, 1]])
 
 
+def unchecked_operator(mat) -> Operator:
+    """``Operator(mat)`` past its checks, so a NaN entry reaches the unitarity check."""
+    op = object.__new__(Operator)
+    object.__setattr__(op, "mat", np.asarray(mat, dtype=complex))
+    return op
+
+
 @pytest.mark.parametrize(
     "mat",
     [np.diag([1.0, 2.0]), np.array([[np.nan, 0], [0, 1]]), np.zeros((2, 2))],
@@ -80,6 +87,9 @@ def test_check_unitary_rejects(mat):
     with pytest.raises(DimensionError, match="gate is not unitary"):
         check_unitary(mat, "gate")
     check_unitary(gates.hadamard().mat, "gate")
+    # each is exactly diagonal: ptm_of_unitary refuses it from its diagonal
+    with pytest.raises(DimensionError, match="input is not unitary"):
+        ptm_of_unitary(unchecked_operator(mat))
 
 
 @pytest.mark.parametrize(
@@ -88,14 +98,15 @@ def test_check_unitary_rejects(mat):
     ids=["scaled", "nan", "just-off", "unitary", "zero-entry"],
 )
 def test_check_unitary_judges_a_diagonal_as_the_matrix_product_does(diagonal):
-    # one off-diagonal 1e-300 sends a matrix down the A^dag A path
+    # ptm_of_unitary checks an exactly diagonal gate from its diagonal; one
+    # off-diagonal 1e-300 sends it down check_unitary's A^dag A path
     mat = np.diag(np.array(diagonal, dtype=complex))
     dense = mat.copy()
     dense[1, 0] = 1e-300
     messages = []
     for m in (mat, dense):
         try:
-            check_unitary(m, "gate")
+            ptm_of_unitary(unchecked_operator(m))
             messages.append(None)
         except DimensionError as exc:
             messages.append(str(exc))
@@ -103,21 +114,17 @@ def test_check_unitary_judges_a_diagonal_as_the_matrix_product_does(diagonal):
     assert (messages[0] is None) is (diagonal == [np.exp(0.3j), -1j])
 
 
-class NoProduct(np.ndarray):
-    """An array that refuses to be a matrix-product operand."""
-
-    def __matmul__(self, other):
-        raise AssertionError("a matrix product was taken")
-
-    __rmatmul__ = __matmul__
-
-
-def test_diagonal_targets_are_checked_with_no_matrix_product():
-    # the check ptm_of_unitary makes of the MCZ and multi-Z targets
+def test_diagonal_targets_are_checked_with_no_matrix_product(monkeypatch):
+    # the MCZ and multi-Z targets are checked from their diagonals, a
+    # Hadamard by check_unitary's A^dag A product
+    checked, check = [], linalg.check_unitary
+    monkeypatch.setattr(linalg, "check_unitary",
+                        lambda mat, what: checked.append(what) or check(mat, what))
     for deco in (cuts.mcz_decomposition(2, 3), cuts.multi_z_rotation_decomposition(3, 2, 0.7)):
-        check_unitary(deco.target_unitary.mat.view(NoProduct), "target")
-    with pytest.raises(AssertionError, match="matrix product"):
-        check_unitary(gates.hadamard().mat.view(NoProduct), "gate")
+        ptm_of_unitary(deco.target_unitary)
+    assert checked == []
+    ptm_of_unitary(gates.hadamard())
+    assert checked == ["input"]
 
 
 def _diagonal_cases():
@@ -229,7 +236,6 @@ def test_operator_basics():
     h = gates.hadamard()
     assert h.n_qubits == 1
     assert close_to(h, dag(h))
-    assert close_to(h @ h, gates.identity(1))
     # [TRIVIAL] trace of the identity on 2 qubits
     assert gates.identity(2).trace() == pytest.approx(4.0)
 

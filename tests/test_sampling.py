@@ -215,7 +215,7 @@ def test_spec_validation():
         ExperimentSpec(
             decomposition=deco,
             initial_state=(gates.basis_state("0"),),
-            observable=(2.0 * PauliString("Z").to_operator(),),  # eigenvalues > 1
+            observable=(Operator(2.0 * PauliString("Z").to_operator().mat),),  # eigenvalues > 1
             shots=10,
             seed=0,
         )

@@ -9,7 +9,6 @@ import pytest
 
 from qcut import channels, cli, cuts, gates, linalg, zx
 from qcut.cuts import (
-    DecompositionTerm,
     controlled_sequence_decomposition,
     mcz_decomposition,
     multi_z_rotation_decomposition,
@@ -88,8 +87,7 @@ def test_lift_of_one_map_keeps_and_and_parity_apart(order):
     clear_caches()
     ez = channels.signed_z_map()
     for bit in order:
-        deco = cuts._lifted("t", (2, 2), bit, lambda: [DecompositionTerm(1.0, [ez, ez], "t")],
-                            gates.identity)
+        deco = cuts._lifted("t", (2, 2), bit, [(1.0, [ez, ez], "t")], gates.identity)
         for lifted in deco.terms[0].factors:
             assert lifted.signs == ez.signs
             for kraus, base in zip(lifted.ops, ez.ops, strict=True):
@@ -171,11 +169,12 @@ def test_second_mcz_build_constructs_no_map(monkeypatch):
 
 
 def test_terms_and_decompositions_refuse_assignment_and_deletion():
-    # the CZ cut's terms are shared by every MCZ build: a stray assignment
-    # would change every later decomposition in the process
-    shared = cuts._cz_terms()
+    # the CZ cut's rows are one cached table of tuples whose maps every MCZ
+    # build shares: a stray assignment would change every later decomposition
+    rows = cuts._cz_rows()
+    assert all(isinstance(row, tuple) and isinstance(row[1], tuple) for row in rows)
     deco = mcz_decomposition(2, 1)
-    for obj, attrs in ((shared[0], ("q", "factors", "label", "needs_cc", "extra")),
+    for obj, attrs in ((deco.terms[0], ("q", "factors", "label", "needs_cc", "extra")),
                        (deco, ("name", "partition", "terms", "target_unitary", "extra"))):
         state = dict(vars(obj))
         for attr in attrs:
@@ -184,7 +183,7 @@ def test_terms_and_decompositions_refuse_assignment_and_deletion():
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(obj, attr)
         assert vars(obj) == state
-    assert shared[0].q == 0.5 and cuts._cz_terms() is shared
+    assert rows[0][0] == 0.5 and cuts._cz_rows() is rows
     report = mcz_decomposition(2, 1).verify()
     assert report["passed"] and report["one_norm"] == 3.0
     # the target stays a cached property of an immutable decomposition
