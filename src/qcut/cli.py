@@ -443,8 +443,8 @@ def _zx_mcp(n, m, theta):
 
 
 def _zx_rzz(n, m, theta):
-    dev = max_abs_diff(zx.contract(zx.rzz_diagram(theta)), gates.rzz(theta).mat)
-    yield f"rzz[{_fmt(theta)}]", dev
+    yield f"rzz[{_fmt(theta)}]", zx.verify_diagonal(zx.rzz_diagram(theta),
+                                                    gates.rzz(theta).mat.diagonal())
 
 
 #: ``--n`` of ``zx-check --builtin mcz-fusion`` when it is not given

@@ -79,10 +79,6 @@ class DecompositionTerm(Immutable):
         if bare:  # the sampler draws each factor's outcomes with their +-1 signs
             raise DimensionError(f"term {label!r} has a {bare[0]} factor, not a GeneralizedMap")
 
-    @property
-    def n_qubits(self) -> int:
-        return sum(f.n_qubits for f in self.factors)
-
     def is_cptp(self) -> bool:
         return all(f.is_cptp() for f in self.factors)
 
@@ -138,22 +134,24 @@ class Decomposition(Immutable):
             raise DimensionError(
                 f"target acts on {target_unitary.n_qubits} qubits, partition covers {n}")
         for t in self.terms:
-            if t.n_qubits != n:
-                raise DimensionError(f"term {t.label!r} covers {t.n_qubits} qubits, expected {n}")
             self.spans(t)
 
     def spans(self, term: DecompositionTerm) -> list:
         """``(factor, (first, stop))`` per factor of ``term``: the factor acts
         on registers ``first .. stop - 1`` of the partition.  A factor that
-        ends inside a register, or covers none, raises :class:`DimensionError`."""
+        ends inside a register, or covers none, and a term wider or narrower
+        than the partition raise :class:`DimensionError`."""
         out, stop, covered, edge = [], 0, 0, 0
         for factor in term.factors:
             first, edge = stop, edge + factor.n_qubits
             while covered < edge and stop < len(self.partition):
                 covered, stop = covered + self.partition[stop], stop + 1
-            if covered != edge or stop == first:
+            if covered > edge or (covered == edge and stop == first):  # less: too wide, see below
                 raise DimensionError(f"term {term.label!r} splits a register at qubit {edge}")
             out.append((factor, (first, stop)))
+        if edge != self.n_qubits:
+            raise DimensionError(
+                f"term {term.label!r} covers {edge} qubits, expected {self.n_qubits}")
         return out
 
     @cached_property

@@ -14,7 +14,7 @@ import numpy as np
 from .linalg import DimensionError, Operator, _popcount, check_dense_bits, read_only
 
 
-def identity(n: int = 1) -> Operator:
+def identity(n: int) -> Operator:
     check_dense_bits(2 * n, f"operator on {n} qubits")
     return Operator(np.eye(2**n, dtype=complex))
 

@@ -13,7 +13,7 @@ Because every map is a small dense object, the full discrete distribution of
 ``y`` for each term can be enumerated exactly, and the number of shots that
 land on each support value is a sufficient statistic.  The enumeration works
 in the eigenbasis of each block observable, diagonalized once per
-:func:`run` call.  :func:`run` never materializes individual shots: one
+:class:`ExperimentSpec`.  :func:`run` never materializes individual shots: one
 multinomial draw gives the shots of every term in ``BATCH_CHUNK`` batches,
 and one more per drawn term splits them over its support values, so time and
 memory depend on the support size and the number of batches but not on the
@@ -29,7 +29,7 @@ builds a Pauli transfer matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from typing import Optional
 
@@ -60,7 +60,8 @@ class ExperimentSpec:
     ``observable`` is a product observable with per-register eigenvalues in
     ``[-1, 1]``.  Local circuits ``U`` before and after the cut channel are
     folded in by the caller: ``U rho U^dag`` as the state, ``U^dag O U`` as
-    the observable.
+    the observable.  Immutable; the register blocks the sampler reads
+    (:func:`_block`) are cached on it, outside its equality and repr.
     """
 
     decomposition: Decomposition
@@ -68,6 +69,7 @@ class ExperimentSpec:
     observable: tuple
     shots: int
     seed: int
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         part = self.decomposition.partition
@@ -132,34 +134,29 @@ class SamplingReport:
 # ---------------------------------------------------------------------------
 
 
-def _block(spec: ExperimentSpec, span: tuple, blocks: dict) -> tuple:
+def _block(spec: ExperimentSpec, span: tuple) -> tuple:
     """``(rho, obs, lambda, V, V^dag rho V)`` of the registers in ``span``
     (a ``(first, stop)`` range of :meth:`~qcut.cuts.Decomposition.spans`), with
-    ``obs = V diag(lambda) V^dag``; computed once per span and ``blocks`` dict."""
-    if span not in blocks:
+    ``obs = V diag(lambda) V^dag``; computed once per span and spec."""
+    if span not in spec._blocks:
         regs = range(*span)
         rho = reduce(np.kron, [spec.initial_state[r].mat for r in regs])
         obs = reduce(np.kron, [spec.observable[r].mat for r in regs])
         lam, vecs = np.linalg.eigh(obs)
-        blocks[span] = rho, obs, lam, vecs, vecs.conj().T @ rho @ vecs
-    return blocks[span]
+        spec._blocks[span] = rho, obs, lam, vecs, vecs.conj().T @ rho @ vecs
+    return spec._blocks[span]
 
 
-def term_value_distributions(
-    spec: ExperimentSpec, term: DecompositionTerm, blocks: Optional[dict] = None
-) -> list:
+def term_value_distributions(spec: ExperimentSpec, term: DecompositionTerm) -> list:
     """Per-block distributions ``(values, probs)`` of ``sign * lambda`` for one term.
 
     With ``obs = V diag(lambda) V^dag`` and ``rho_V = V^dag rho V``, Kraus operator
     ``k`` then outcome ``lambda_a`` has probability ``(M_k rho_V M_k^dag)_aa``
     with ``M_k = V^dag K_k V``: one batched product per factor.
-    ``blocks`` is as in :func:`_block`; :func:`run` passes one dict per call,
-    so each span is diagonalized once per call.
     """
-    blocks = {} if blocks is None else blocks
     out = []
     for factor, span in spec.decomposition.spans(term):
-        _, _, lam, vecs, rho_v = _block(spec, span, blocks)
+        _, _, lam, vecs, rho_v = _block(spec, span)
         m = vecs.conj().T @ factor.ops @ vecs
         probs = np.maximum(np.einsum("kab,kab->ka", m @ rho_v, m.conj()).real, 0.0)
         values = np.multiply.outer(factor.weights, lam)
@@ -169,16 +166,14 @@ def term_value_distributions(
     return out
 
 
-def term_support(
-    spec: ExperimentSpec, term: DecompositionTerm, blocks: Optional[dict] = None
-) -> tuple:
+def term_support(spec: ExperimentSpec, term: DecompositionTerm) -> tuple:
     """Joint distribution of ``sign * lambda`` over all blocks of one term.
 
     Blocks are independent, so this is the outer product of the block
     distributions with equal values merged.  Returns ``(values, probs)`` with
-    distinct, sorted values.  ``blocks`` is as in :func:`_block`.
+    distinct, sorted values.
     """
-    dists = term_value_distributions(spec, term, blocks)
+    dists = term_value_distributions(spec, term)
     values, inverse = np.unique(
         reduce(np.multiply.outer, [v for v, _ in dists]).ravel(), return_inverse=True
     )
@@ -191,7 +186,7 @@ def term_support(
 # ---------------------------------------------------------------------------
 
 
-def exact_expectation(spec: ExperimentSpec, blocks: Optional[dict] = None) -> float:
+def exact_expectation(spec: ExperimentSpec) -> float:
     """Exact expectation of the cut channel on this experiment.
 
     Computed term by term and block by block as
@@ -199,13 +194,12 @@ def exact_expectation(spec: ExperimentSpec, blocks: Optional[dict] = None) -> fl
     block state, so no PTM is built and the cost stays that of the largest
     block.  This is the value the sampler estimates, which equals the target
     gate's expectation only as far as the decomposition reconstructs it.
-    ``blocks`` is as in :func:`_block`.
     """
-    total, blocks = 0.0, {} if blocks is None else blocks
+    total = 0.0
     for term in spec.decomposition.terms:
         value = term.q
         for factor, span in spec.decomposition.spans(term):
-            rho, obs = _block(spec, span, blocks)[:2]
+            rho, obs = _block(spec, span)[:2]
             image = factor.apply_batch(rho[None, :, :])[0]
             value *= np.einsum("ij,ji->", obs, image)
         total += value
@@ -231,7 +225,7 @@ def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
     sizes = np.full(k, shots // k, dtype=np.int64)
     sizes[: shots % k] += 1
     per_term_shots = np.zeros(len(deco.terms), dtype=np.int64)
-    blocks, supports, counts = {}, {}, {}
+    supports, counts = {}, {}
     batch_sums = np.zeros(k)
     for first in range(0, k, BATCH_CHUNK):
         rows = slice(first, first + BATCH_CHUNK)
@@ -239,7 +233,7 @@ def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
         per_term_shots += term_counts.sum(axis=0)
         for nu in map(int, np.flatnonzero(term_counts.any(axis=0))):
             if nu not in supports:
-                supports[nu] = term_support(spec, deco.terms[nu], blocks)
+                supports[nu] = term_support(spec, deco.terms[nu])
             drawn = rng.multinomial(term_counts[:, nu], supports[nu][1])
             counts[nu] = counts.get(nu, 0) + drawn.sum(axis=0)
             batch_sums[rows] += drawn @ (np.sign(deco.terms[nu].q) * supports[nu][0])
@@ -255,7 +249,7 @@ def run(spec: ExperimentSpec, n_batches: int = 0) -> SamplingReport:
         variance = squares / (shots - 1)
         bound = shots / (shots - 1) * (gamma**2 - estimate**2)
     stderr = float(np.sqrt(variance / shots))
-    exact = exact_expectation(spec, blocks)
+    exact = exact_expectation(spec)
     return SamplingReport(
         estimate=estimate,
         standard_error=stderr,

@@ -1033,7 +1033,7 @@ def test_build_experiment_shape_checks(tmp_path):
 @pytest.mark.parametrize("above", [False, True], ids=["at-tolerance", "one-ulp-above"])
 def test_zx_check_passes_at_exactly_the_tolerance(monkeypatch, capsys, above):
     deviation = qcut.zx.RULE_ATOL if not above else np.nextafter(qcut.zx.RULE_ATOL, 1.0)
-    monkeypatch.setattr(qcut.cli, "max_abs_diff", lambda a, b: deviation)
+    monkeypatch.setattr(qcut.zx, "verify_diagonal", lambda d, diagonal: deviation)
     assert main(["zx-check", "--builtin", "rzz", "--theta", "0.5"]) == int(above)
     verdict = "FAIL" if above else "PASS"
     assert capsys.readouterr().out == f"rzz[0.5]: {verdict}  max|delta| = {deviation:.12g}\n"

@@ -319,6 +319,11 @@ def _ident():
 @pytest.mark.parametrize("build, message", [
     (lambda: Decomposition("d", (1, 1), [DecompositionTerm(1.0, [_ident()], "short")],
                            gates.cnot()), "term 'short' covers 1 qubits, expected 2"),
+    (lambda: Decomposition("d", (1, 1), [DecompositionTerm(1.0, [_ident()] * 3, "long")],
+                           gates.cnot()), "term 'long' covers 3 qubits, expected 2"),
+    (lambda: Decomposition("d", (1, 1), [DecompositionTerm(1.0, [_ident(), _identity_map(2)],
+                                                           "over")],
+                           gates.cnot()), "term 'over' covers 3 qubits, expected 2"),
     (lambda: Decomposition("d", (1, 1), [DecompositionTerm(1.0, [_ident()] * 2, "t")],
                            gates.identity(1)), "target acts on 1 qubits, partition covers 2"),
     (lambda: Decomposition("d", (1,), [], gates.identity(1)),
@@ -329,7 +334,8 @@ def _ident():
     (lambda: Decomposition("d", (1,), [DecompositionTerm(1.0, [_ident()], "t")],
                            ptm_of_unitary(gates.identity(1))),
      "target_unitary must be an Operator, got Superoperator"),
-], ids=["term_width", "target_width", "no_terms", "no_factors", "bare_factor", "target_type"])
+], ids=["term_width", "term_too_wide", "factor_past_the_end", "target_width", "no_terms",
+        "no_factors", "bare_factor", "target_type"])
 def test_constructors_refuse_each_malformed_input_by_its_message(build, message):
     with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
         build()

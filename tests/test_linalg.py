@@ -628,6 +628,31 @@ def test_absurd_size_is_refused_before_its_entry_count_is_computed(function, arg
     assert str(info.value) == f"{need} dense entries, over the cap of 2^26"
 
 
+@pytest.mark.parametrize(
+    "function,fits,over,message",
+    [
+        (gates.identity, (3,), (4,), "operator on 4 qubits needs 2^8"),
+        (gates.multi_z_rotation, (3, 0.5), (4, 0.5), "operator on 4 qubits needs 2^8"),
+        (gates.mcp, (3, 0.3), (4, 0.3), "operator on 4 qubits needs 2^8"),
+        (gates.mcp_diagonal, (6, 0.3), (7, 0.3), "diagonal on 7 qubits needs 2^7"),
+        (gates.controlled, (gates.identity(2),), (gates.identity(3),),
+         "operator on 4 qubits needs 2^8"),
+        (gates.basis_state, ("000",), ("0000",), "operator on 4 qubits needs 2^8"),
+    ],
+    ids=["identity", "multi_z", "mcp", "mcp_diagonal", "controlled", "basis_state"],
+)
+def test_gate_caps_admit_their_stated_size_and_refuse_the_next(
+        monkeypatch, function, fits, over, message):
+    # with the cap lowered to 2^6 entries, each gate's check_dense* call admits
+    # a request of exactly 2^6 entries and refuses the next size up by name
+    monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", 2**6)
+    monkeypatch.setattr(linalg, "_CAP_BITS", 6)
+    function(*fits)
+    with pytest.raises(SizeCapError,
+                       match=f"^{re.escape(message)} dense entries, over the cap of 2\\^6$"):
+        function(*over)
+
+
 def test_check_dense_boundary():
     assert MAX_DENSE_ENTRIES == 2**26
     check_dense(MAX_DENSE_ENTRIES, "a 13-qubit operator")

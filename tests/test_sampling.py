@@ -686,8 +686,39 @@ def test_uneven_batches_follow_array_split_sizes():
         assert k == pytest.approx(round(k), abs=1e-9)
 
 
+def test_no_batches_draws_the_shots_of_one_batch():
+    # the default n_batches = 0 draws as one batch does and records no means
+    spec = spec_for(mcz_decomposition(2, 1), "plus", "XXX", shots=1000, seed=3)
+    one = run(spec, n_batches=1)
+    assert len(one.batch_means) == 1
+    assert run(spec) == dataclasses.replace(one, batch_means=())
+
+
 @pytest.mark.parametrize("n_batches", [-1, 11])
 def test_run_rejects_n_batches_outside_shots(n_batches):
     spec = spec_for(wire_cut_cc(), "0", "Z", shots=10, seed=0)
     with pytest.raises(DimensionError):
         run(spec, n_batches=n_batches)
+
+
+@pytest.mark.parametrize(
+    "deco",
+    [mcz_decomposition(2, 1), controlled_sequence_decomposition(_random_sequence(5, 2), 2)],
+    ids=lambda d: d.name,
+)
+def test_each_span_is_diagonalized_once_per_spec(monkeypatch, deco):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    spec = pauli_spec(deco, seed=7)
+    spans = {span for t in deco.terms for _, span in deco.spans(t)}
+    assert run(spec) == run(spec)
+    assert len(calls) == len(spans)
+    # a replaced spec starts an empty cache; equality and repr ignore the cache
+    fresh = dataclasses.replace(spec, decomposition=unsigned(deco))
+    assert fresh._blocks == {}
+    exact_expectation(fresh)
+    assert len(calls) == 2 * len(spans)
+    copy = dataclasses.replace(spec)
+    assert copy._blocks == {} != spec._blocks
+    assert copy == spec and repr(copy) == repr(spec) and "_blocks" not in repr(spec)
