@@ -1,8 +1,8 @@
 """Command-line front end: ``qcut verify|sample|norms|zx-check``.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error.  All numeric
-output is printed with 12 significant digits; JSON reports are emitted with
-sorted keys so identical inputs produce byte-identical files.
+Exit codes: 0 success, 1 a check that ran and failed, 2 any ``error: ...``.
+All numeric output is printed with 12 significant digits; JSON reports are
+emitted with sorted keys so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cuts, gates, sampling, zx
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, Operator, PauliString, QcutError
-from .linalg import MAX_DENSE_ENTRIES, SizeCapError, check_integer, check_unitary, max_abs_diff
+from .linalg import MAX_DENSE_ENTRIES, check_integer, check_unitary, max_abs_diff
 from .sampling import MAX_SHOTS
 from .zx import parse_angle
 
@@ -64,14 +64,6 @@ def _require_fields(obj, where: str, required, optional=()):
     missing = [f for f in required if f not in obj]
     if missing:
         raise ConfigError(f"{where}: missing fields {missing}")
-
-
-def _check_int(value, where: str, lo: int, hi=None) -> int:
-    """:func:`~qcut.linalg.check_integer` of a config value, refused as a usage error."""
-    try:
-        return check_integer(value, f"{where}:", lo, hi)
-    except QcutError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _read_text(path) -> str:
@@ -130,7 +122,8 @@ def _parse_controlled_op(entry, where: str, n_targets: int):
     op, _ = _entry(entry, where, "gate", _GATES, ("theta",))
     if not isinstance(entry["targets"], list):
         raise ConfigError(f"{where}.targets: must be a list of target indices")
-    targets = tuple(_check_int(t, f"{where}.targets", 0, n_targets - 1) for t in entry["targets"])
+    targets = tuple(check_integer(t, f"{where}.targets:", 0, n_targets - 1)
+                    for t in entry["targets"])
     gate = entry["gate"]
     if gate == "matrix":
         op = _parse_matrix(entry["matrix"], where)
@@ -176,7 +169,7 @@ def _parse_matrix(data, where: str) -> Operator:
 
 
 def _parse_size(value, where: str, _) -> int:
-    return _check_int(value, where, 1, MAX_QUBITS)
+    return check_integer(value, f"{where}:", 1, MAX_QUBITS)
 
 
 def _parse_cc_basis(value, where: str, _) -> str:
@@ -277,18 +270,15 @@ def build_experiment(config: dict, seed=None) -> sampling.ExperimentSpec:
     except QcutError as exc:
         raise ConfigError(f"observable: {exc}") from None
 
-    shots = _check_int(config["shots"], "shots", 1, MAX_SHOTS)
-    _check_int(config.get("n_batches", 0), "n_batches", 0, min(shots, MAX_DENSE_ENTRIES))
+    shots = check_integer(config["shots"], "shots:", 1, MAX_SHOTS)
+    check_integer(config.get("n_batches", 0), "n_batches:", 0, min(shots, MAX_DENSE_ENTRIES))
     if seed is None:
         seed = config.get("seed")
     if seed is None:
         raise ConfigError("seed: required (pass --seed or set it in the config)")
-    seed = _check_int(seed, "seed", 0)
-    try:
-        return sampling.ExperimentSpec(decomposition=deco, initial_state=states,
-                                       observable=observables, shots=shots, seed=seed)
-    except QcutError as exc:
-        raise ConfigError(str(exc)) from None
+    seed = check_integer(seed, "seed:", 0)
+    return sampling.ExperimentSpec(decomposition=deco, initial_state=states,
+                                   observable=observables, shots=shots, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +480,12 @@ def _zx_builtin(args, given: dict) -> int:
     theta = _parse_theta(args.theta, "--theta") if args.theta is not None else np.pi / 2
     for flag, value in (("--n", args.n), ("--m", args.m)):
         if value is not None:
-            _check_int(value, flag, 1, MAX_QUBITS)
+            check_integer(value, f"{flag}:", 1, MAX_QUBITS)
     # mcz-fusion, the one check that reads --m, splits --n qubits as 1 <= m < n
     if any(check is _zx_mcz_fusion for check, _ in checks):
-        n = _check_int(args.n or _FUSION_N, "--n", 2, MAX_QUBITS)
+        n = check_integer(args.n or _FUSION_N, "--n:", 2, MAX_QUBITS)
         if args.m is not None:
-            _check_int(args.m, "--m", 1, n - 1)
+            check_integer(args.m, "--m:", 1, n - 1)
     failures = 0
     for check, _ in checks:
         for label, dev in check(args.n, args.m, theta):
@@ -591,7 +581,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except QcutError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ConfigError, zx.ZXError, SizeCapError)) else 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -91,7 +91,8 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 #: bytes of working set one block of a blocked computation may hold: a slab
-#: of :func:`kraus_transform` or the scratch buffer of :func:`max_abs_diff`
+#: of :func:`kraus_transform`, or the difference and magnitude of one block
+#: of rows in :func:`max_abs_diff`
 _SCRATCH_BYTES = 2**20
 
 
@@ -288,10 +289,9 @@ class Superoperator(Immutable):
 
 def max_abs_diff(a, b) -> float:
     """``max |a - b|`` over two equal-shape arrays: the float that
-    ``np.max(np.abs(a - b))`` returns, NaN included, but taken one block of
-    leading rows at a time through one scratch buffer of about
-    :data:`_SCRATCH_BYTES` (at least one row), so no full-size temporary is
-    allocated."""
+    ``np.max(np.abs(a - b))`` returns, NaN and inf included, as ``np.max`` of
+    the maxima of blocks of leading rows whose difference and magnitude fit
+    :data:`_SCRATCH_BYTES` (at least one row): no full-size temporary."""
     if np.shape(a) != np.shape(b):
         raise DimensionError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
     a, b = np.atleast_1d(np.asarray(a)), np.atleast_1d(np.asarray(b))
@@ -301,31 +301,16 @@ def max_abs_diff(a, b) -> float:
     abs_type = np.empty(0, diff_type).real.dtype
     row_bytes = a[0].size * (diff_type.itemsize + abs_type.itemsize)
     step = min(len(a), max(1, _SCRATCH_BYTES // row_bytes))  # rows per block
-    scratch = np.empty(step * row_bytes, np.uint8)
-    split = step * a[0].size * diff_type.itemsize
-    diff = scratch[:split].view(diff_type).reshape((step,) + a.shape[1:])
-    mag = scratch[split:].view(abs_type).reshape(diff.shape)
-    worst = None
-    for start in range(0, len(a), step):
-        k = min(step, len(a) - start)
-        np.subtract(a[start:start + k], b[start:start + k], out=diff[:k])
-        np.abs(diff[:k], out=mag[:k])
-        block = mag[:k].max()
-        worst = block if worst is None else np.maximum(worst, block)  # keeps a NaN
-    return float(worst)
+    return float(np.max([np.abs(a[i:i + step] - b[i:i + step]).max()
+                         for i in range(0, len(a), step)]))
 
 
 def ptm_of_unitary(u: Operator) -> Superoperator:
-    """The channel ``rho -> U rho U^dag`` of a unitary whose PTM fits the cap.
-    An exactly diagonal ``U``, such as an MCZ or multi-Z target, is checked
-    by :func:`check_unit_sum` of its diagonal, with no ``U^dag U`` product."""
+    """The channel ``rho -> U rho U^dag`` of a unitary whose PTM fits the cap,
+    checked by :func:`check_unitary`."""
     n = u.n_qubits
-    check_dense_bits(4 * n, f"superoperator on {n} qubits")  # before the d x d unitarity products
-    diag = _exact_diagonals(u.mat[None])
-    if diag is None:
-        check_unitary(u.mat, "input")
-    else:
-        check_unit_sum(diag, "input")
+    check_dense_bits(4 * n, f"superoperator on {n} qubits")  # before the d x d unitarity product
+    check_unitary(u.mat, "input")
     return Superoperator(np.ones(1), u.mat[None])
 
 

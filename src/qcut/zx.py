@@ -288,12 +288,15 @@ def cnot_diagram(variant: str = "spiders") -> ZXDiagram:
     ``spiders``: Z-spider control wired to an X-spider target, scalar sqrt(2).
     ``hbox``: the target wire conjugated by arity-2 H-boxes around a CZ
     (two H-boxes contribute a factor 2, compensated by scalar 1/2).
-    ``crossed``: the ``spiders`` form built upside down with crossed wires.
+    ``crossed``: the ``spiders`` body with its boundaries listed in reverse.
     """
     d = ZXDiagram()
-    if variant == "spiders":
+    if variant in ("spiders", "crossed"):
         i0, i1 = d.add_input(), d.add_input()
         o0, o1 = d.add_output(), d.add_output()
+        if variant == "crossed":  # the same boundaries, listed in reverse
+            i0, i1, o0, o1 = i1, i0, o1, o0
+            d.inputs, d.outputs = d.inputs[::-1], d.outputs[::-1]
         c = d.add_z()
         t = d.add_x()
         for a, b in ((i0, c), (c, o0), (i1, t), (t, o1), (c, t)):
@@ -319,16 +322,6 @@ def cnot_diagram(variant: str = "spiders") -> ZXDiagram:
         ):
             d.add_edge(a, b)
         d.multiply_scalar(0.5)
-    elif variant == "crossed":
-        i1, i0 = d.add_input(), d.add_input()  # reversed boundary registration
-        o1, o0 = d.add_output(), d.add_output()
-        d.inputs = [i0, i1]
-        d.outputs = [o0, o1]
-        c = d.add_z()
-        t = d.add_x()
-        for a, b in ((i0, c), (c, o0), (i1, t), (t, o1), (c, t)):
-            d.add_edge(a, b)
-        d.multiply_scalar(np.sqrt(2.0))
     else:
         raise ZXError(f"unknown CNOT variant {variant!r}; pick from {CNOT_VARIANTS}")
     return d

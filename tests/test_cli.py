@@ -188,6 +188,22 @@ def test_dispatch_runs_a_replaced_command(tmp_path, monkeypatch):
     assert main(["norms"]) == 42
 
 
+@pytest.mark.parametrize(
+    "error",
+    [qcut.linalg.DimensionError, qcut.linalg.SizeCapError, qcut.zx.ZXError,
+     qcut.cli.ConfigError],
+)
+def test_every_error_that_reaches_main_exits_2(monkeypatch, capsys, error):
+    # exit 1 is kept for a check that ran and failed; any refusal is 2
+    def refuse(args):
+        raise error("refused here")
+
+    monkeypatch.setattr(qcut.cli, "cmd_norms", refuse)
+    assert main(["norms"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: refused here\n" and out.out == ""
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
@@ -232,6 +248,22 @@ def test_sample_rejects_bad_observable(tmp_path, capsys):
     config = write_config(tmp_path, observable="XQ")
     assert main(["sample", "--config", str(config)]) == 2
     assert "observable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("observable", [5, ["X", "X"], "X", "XXX"],
+                         ids=["int", "list", "short", "long"])
+def test_sample_rejects_observable_of_wrong_type_or_length(tmp_path, capsys, observable):
+    config = write_config(tmp_path, observable=observable)
+    assert main(["sample", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: observable: expected a Pauli string of length 2\n"
+
+
+def test_sample_accepts_one_shot_and_seed_0(tmp_path):
+    out = tmp_path / "report.json"
+    config = write_config(tmp_path, shots=1, seed=0)
+    assert main(["sample", "--config", str(config), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["shots"], report["seed"]) == (1, 0)
 
 
 def test_sample_batch_csv(tmp_path, capsys):

@@ -367,7 +367,7 @@ def test_each_build_constructs_only_the_terms_it_keeps(build, monkeypatch):
 
 def test_warm_controlled_sequence_build_scans_no_diagonal(monkeypatch):
     # unitarity is checked by the A^dag A product alone: no build probes a
-    # matrix for exact diagonality, which only ptm_of_unitary gains from
+    # matrix for exact diagonality
     ops = [((0,), gates.hadamard()), ((1,), phase_gate(0.3))]
     controlled_sequence_decomposition(ops, 2)
     scans, scan = [], qcut.linalg._exact_diagonals

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qcut import channels, cuts, gates, linalg, zx
+from qcut import channels, cuts, gates, linalg, sampling, zx
 from qcut.linalg import (
     MAX_DENSE_ENTRIES,
     PAULI_X,
@@ -87,7 +87,7 @@ def test_check_unitary_rejects(mat):
     with pytest.raises(DimensionError, match="gate is not unitary"):
         check_unitary(mat, "gate")
     check_unitary(gates.hadamard().mat, "gate")
-    # each is exactly diagonal: ptm_of_unitary refuses it from its diagonal
+    # ptm_of_unitary refuses each by the same check
     with pytest.raises(DimensionError, match="input is not unitary"):
         ptm_of_unitary(unchecked_operator(mat))
 
@@ -98,33 +98,19 @@ def test_check_unitary_rejects(mat):
     ids=["scaled", "nan", "just-off", "unitary", "zero-entry"],
 )
 def test_check_unitary_judges_a_diagonal_as_the_matrix_product_does(diagonal):
-    # ptm_of_unitary checks an exactly diagonal gate from its diagonal; one
-    # off-diagonal 1e-300 sends it down check_unitary's A^dag A path
-    mat = np.diag(np.array(diagonal, dtype=complex))
-    dense = mat.copy()
-    dense[1, 0] = 1e-300
+    # a map given by its diagonals is checked by check_unit_sum, the same map
+    # given as its matrix by check_unitary's A^dag A product
+    values = np.array(diagonal, dtype=complex)
     messages = []
-    for m in (mat, dense):
+    for build in (lambda: channels.GeneralizedMap([1], diagonals=[values]),
+                  lambda: channels.GeneralizedMap([1], [np.diag(values)])):
         try:
-            ptm_of_unitary(unchecked_operator(m))
+            build()
             messages.append(None)
         except DimensionError as exc:
             messages.append(str(exc))
     assert messages[0] == messages[1]
     assert (messages[0] is None) is (diagonal == [np.exp(0.3j), -1j])
-
-
-def test_diagonal_targets_are_checked_with_no_matrix_product(monkeypatch):
-    # the MCZ and multi-Z targets are checked from their diagonals, a
-    # Hadamard by check_unitary's A^dag A product
-    checked, check = [], linalg.check_unitary
-    monkeypatch.setattr(linalg, "check_unitary",
-                        lambda mat, what: checked.append(what) or check(mat, what))
-    for deco in (cuts.mcz_decomposition(2, 3), cuts.multi_z_rotation_decomposition(3, 2, 0.7)):
-        ptm_of_unitary(deco.target_unitary)
-    assert checked == []
-    ptm_of_unitary(gates.hadamard())
-    assert checked == ["input"]
 
 
 def _diagonal_cases():
@@ -218,6 +204,23 @@ def test_max_abs_diff_keeps_inf():
 def test_max_abs_diff_rejects_shape_mismatch(shapes):
     with pytest.raises(DimensionError, match="shape"):
         max_abs_diff(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+
+@pytest.mark.parametrize("shape", [(2048, 2048), (4, 2**16)], ids=["square", "wide_rows"])
+def test_max_abs_diff_holds_one_block_at_a_time(shape):
+    # a full-size difference of two 2048 x 2048 complex arrays would take
+    # 64 MiB and its magnitude 32 MiB more; one block of rows fits the
+    # budget, and a row over the budget is a block of its own
+    rng = np.random.default_rng(8)
+    a, b = _random_complex(rng, shape), _random_complex(rng, shape)
+    tracemalloc.start()
+    try:
+        got = max_abs_diff(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == np.max(np.abs(a - b))
+    assert peak < max(linalg._SCRATCH_BYTES, shape[1] * (16 + 8)) + 2**16
 
 
 def test_mcz_gate_memory():
@@ -628,28 +631,59 @@ def test_absurd_size_is_refused_before_its_entry_count_is_computed(function, arg
     assert str(info.value) == f"{need} dense entries, over the cap of 2^26"
 
 
+_HADAMARD = [((0,), gates.hadamard())]
+_SPEC = sampling.ExperimentSpec(cuts.wire_cut_ncc(), (gates.basis_state("0"),),
+                                (Operator(PAULI_X),), shots=100, seed=1)
+
+
 @pytest.mark.parametrize(
-    "function,fits,over,message",
+    "bits,function,fits,over,message",
     [
-        (gates.identity, (3,), (4,), "operator on 4 qubits needs 2^8"),
-        (gates.multi_z_rotation, (3, 0.5), (4, 0.5), "operator on 4 qubits needs 2^8"),
-        (gates.mcp, (3, 0.3), (4, 0.3), "operator on 4 qubits needs 2^8"),
-        (gates.mcp_diagonal, (6, 0.3), (7, 0.3), "diagonal on 7 qubits needs 2^7"),
-        (gates.controlled, (gates.identity(2),), (gates.identity(3),),
+        (6, gates.identity, (3,), (4,), "operator on 4 qubits needs 2^8"),
+        (6, gates.multi_z_rotation, (3, 0.5), (4, 0.5), "operator on 4 qubits needs 2^8"),
+        (6, gates.mcp, (3, 0.3), (4, 0.3), "operator on 4 qubits needs 2^8"),
+        (6, gates.mcp_diagonal, (6, 0.3), (7, 0.3), "diagonal on 7 qubits needs 2^7"),
+        (6, gates.controlled, (gates.identity(2),), (gates.identity(3),),
          "operator on 4 qubits needs 2^8"),
-        (gates.basis_state, ("000",), ("0000",), "operator on 4 qubits needs 2^8"),
+        (6, gates.basis_state, ("000",), ("0000",), "operator on 4 qubits needs 2^8"),
+        (6, Operator, (np.zeros((8, 8)),), (np.zeros((16, 16)),),
+         "operator of dimension 16 needs 2^8"),
+        (6, Operator.diagonal, (np.ones(8),), (np.ones(16),),
+         "operator of dimension 16 needs 2^8"),
+        (6, lambda k: Superoperator(np.ones(k), diagonals=np.ones((k, 8))).ops, (1,), (2,),
+         "Kraus stack of 2 operators on 3 qubits needs 2^7"),
+        (6, kraus_transform, (np.ones(16), np.stack([PAULI_X] * 16)),
+         (np.ones(17), np.stack([PAULI_X] * 17)), "Kraus gathers on 1 qubits needs 68"),
+        (6, kraus_transform, (np.ones(1), np.ones((1, 8))), (np.ones(1), np.ones((1, 16))),
+         "Pauli transfer array on 4 qubits needs 2^8"),
+        (8, ptm_of_unitary, (gates.identity(2),), (gates.identity(3),),
+         "superoperator on 3 qubits needs 2^12"),
+        (8, ptm_of_kraus, (np.ones(1), np.eye(4)[None]), (np.ones(1), np.eye(8)[None]),
+         "superoperator on 3 qubits needs 2^12"),
+        (6, embed_matrix, (PAULI_X, [0], 3), (PAULI_X, [0], 4), "operator on 4 qubits needs 2^8"),
+        (6, channels.sequence_unitary, (_HADAMARD, 3), (_HADAMARD, 4),
+         "operator on 4 qubits needs 2^8"),
+        (8, cuts.mcz_decomposition, (1, 1), (2, 1), "PTM of a cut on 3 qubits needs 2^12"),
+        (8, cuts.controlled_sequence_decomposition, (_HADAMARD, 1), (_HADAMARD, 2),
+         "PTM of a cut on 3 qubits needs 2^12"),
+        (6, sampling.run, (_SPEC, 64), (_SPEC, 65), "shot batches needs 65"),
     ],
-    ids=["identity", "multi_z", "mcp", "mcp_diagonal", "controlled", "basis_state"],
+    ids=["identity", "multi_z", "mcp", "mcp_diagonal", "controlled", "basis_state",
+         "operator", "operator_diagonal", "superoperator_ops", "kraus_gathers",
+         "kraus_transfer_array", "ptm_of_unitary", "ptm_of_kraus", "embed_matrix",
+         "sequence_unitary", "lifted_cut", "controlled_sequence", "shot_batches"],
 )
 def test_gate_caps_admit_their_stated_size_and_refuse_the_next(
-        monkeypatch, function, fits, over, message):
-    # with the cap lowered to 2^6 entries, each gate's check_dense* call admits
-    # a request of exactly 2^6 entries and refuses the next size up by name
-    monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", 2**6)
-    monkeypatch.setattr(linalg, "_CAP_BITS", 6)
+        monkeypatch, bits, function, fits, over, message):
+    # with the cap lowered to 2^bits entries, the first cap a request of this
+    # kind meets exactly, each check_dense* call of the gates, linalg, the
+    # builders and the sampler admits a request of exactly 2^bits entries
+    # and refuses the next size up by name
+    monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", 2**bits)
+    monkeypatch.setattr(linalg, "_CAP_BITS", bits)
     function(*fits)
     with pytest.raises(SizeCapError,
-                       match=f"^{re.escape(message)} dense entries, over the cap of 2\\^6$"):
+                       match=f"^{re.escape(message)} dense entries, over the cap of 2\\^{bits}$"):
         function(*over)
 
 

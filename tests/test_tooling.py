@@ -4,8 +4,10 @@ every name it targets must still resolve on its owner, the repository's
 pytest configuration must report a failing property test as a failure, and
 the CLI's ``norms``, ``verify --all`` and ``zx-check --builtin all`` reports
 and the example config's ``sample`` report must match the snapshots
-committed under ``tests/data``."""
+committed under ``tests/data``, and the mutation survey
+(``tools/mutate.py``) must find each site it claims to mutate."""
 
+import ast
 import importlib
 import json
 import os
@@ -51,6 +53,30 @@ def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
         (qcut.cuts, "ptm_of_unitary"),
     ]:
         assert (owner, attr) in targets, (owner.__name__, attr)
+
+
+GUARD = """
+def guard(a, b, c):
+    if not a and b == c or (a != b):
+        return not  (b)
+    return (a or b) and (
+        c)
+"""
+
+
+def test_mutation_survey_swaps_equality_and_boolean_operators(monkeypatch):
+    # each site's byte span holds the token it names, and the file parses
+    # again, to a different tree, once the span is replaced
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    mutate = importlib.import_module("mutate")
+    found = mutate.mutants(GUARD, ["guard"])
+    assert [(line, old, new) for _, line, _, _, old, new in found] == [
+        (3, "not ", ""), (3, "and", "or"), (3, "==", "!="), (3, "or", "and"),
+        (3, "!=", "=="), (4, "not  ", ""), (5, "or", "and"), (5, "and", "or")]
+    data, tree = GUARD.encode(), ast.dump(ast.parse(GUARD))
+    for _, _, start, stop, old, new in found:
+        assert data[start:stop] == old.encode()
+        assert ast.dump(ast.parse(data[:start] + new.encode() + data[stop:])) != tree
 
 
 def test_failing_property_test_is_reported_as_a_failure(tmp_path):

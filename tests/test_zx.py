@@ -128,6 +128,18 @@ def test_cnot_variants(variant):
     assert np.allclose(contract(cnot_diagram(variant)), gates.cnot().mat, atol=1e-10)
 
 
+def test_crossed_cnot_is_the_spiders_diagram_with_its_boundaries_reversed():
+    # the same nodes in the same order; only which boundary is which qubit
+    # changes, so the wires cross and the contraction does not
+    spiders, crossed = cnot_diagram("spiders"), cnot_diagram("crossed")
+    assert crossed.nodes == spiders.nodes and crossed.scalar == spiders.scalar
+    assert (spiders.inputs, spiders.outputs) == ([0, 1], [2, 3])
+    assert crossed.edges == [(1, 4), (4, 3), (0, 5), (5, 2), (4, 5)]
+    assert (crossed.inputs, crossed.outputs) == ([1, 0], [3, 2])
+    relabel = {0: 1, 1: 0, 2: 3, 3: 2}
+    assert crossed.edges == [(relabel.get(u, u), relabel.get(v, v)) for u, v in spiders.edges]
+
+
 def test_mcz_and_mcp_diagrams():
     for n in (1, 2, 3, 4):
         assert np.allclose(contract(mcz_diagram(n)), gates.mcz(n).mat, atol=1e-10)

@@ -8,23 +8,25 @@ file, each mutant run against a pytest selection.  Run from the repository root:
 
 A function is named as in its module: ``f``, or ``Class.method``.  Mutants
 come in source order, one per site: ``+``/``-``, ``*``/``/``, ``<<``/``>>``,
-``<``/``<=`` and ``>``/``>=`` swapped, ``^`` and ``&`` replaced by ``|`` (in
-binary, augmented and comparison operators), and 1 added to a numeric
-literal.  The repository is copied once into a temporary directory, where
-each mutant is written over its file and runs ``python -m pytest -q -x``
-with the selection (no bytecode is written, so no stale module is read); the
-working tree is never edited.  A mutant that the selection passes survives.
-Each run is held to :data:`MEMORY_BYTES` of address space and to three times
-the unmutated run's time plus 30 s; a mutant that exceeds either is counted
-as killed, its process group stopped.  The survivors are printed and written
-as JSON to ``--out``.
+``<``/``<=``, ``>``/``>=``, ``==``/``!=`` and ``and``/``or`` swapped, ``^``
+and ``&`` replaced by ``|`` (in binary, augmented, comparison and Boolean
+operators), ``not`` dropped with the blanks after it, and 1 added to a
+numeric literal.  The repository is copied once into a temporary directory,
+where each mutant is written over its file and runs ``python -m pytest -q
+-x`` with the selection (no bytecode is written, so no stale module is
+read); the working tree is never edited.  A mutant that the selection
+passes survives.  Each run is held to :data:`MEMORY_BYTES` of address space
+and to three times the unmutated run's time plus 30 s; a mutant that
+exceeds either is counted as killed, its process group stopped.  The
+survivors are printed and written as JSON to ``--out``.
 
-``--self-check`` surveys two known mutants of ``src/qcut/linalg.py`` against
-``tests/test_linalg.py``: ``d - 1`` -> ``d + 1`` in ``_is_power_of_two``
-must be killed, and ``np.empty(0, ...)`` -> ``np.empty(1, ...)`` in
-``max_abs_diff``, which reads only the array's dtype, must survive as
-equivalent.  Exits 0 when the survey ran (or the self-check held), 1 when the
-unmutated selection fails or the self-check does not hold.
+``--self-check`` surveys three known mutants of ``src/qcut/linalg.py``
+against ``tests/test_linalg.py``: ``d - 1`` -> ``d + 1`` and ``== 0`` ->
+``!= 0`` in ``_is_power_of_two`` must be killed, and ``np.empty(0, ...)`` ->
+``np.empty(1, ...)`` in ``max_abs_diff``, which reads only the array's
+dtype, must survive as equivalent.  Exits 0 when the survey ran (or the
+self-check held), 1 when the unmutated selection fails or the self-check
+does not hold.
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {ast.Add: "-", ast.Sub: "+", ast.Mult: "/", ast.Div: "*", ast.LShift: ">>",
          ast.RShift: "<<", ast.BitXor: "|", ast.BitAnd: "|", ast.Lt: "<=", ast.LtE: "<",
-         ast.Gt: ">=", ast.GtE: ">"}
+         ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "==", ast.And: "or",
+         ast.Or: "and"}
 TOKENS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.LShift: "<<",
           ast.RShift: ">>", ast.BitXor: "^", ast.BitAnd: "&", ast.Lt: "<", ast.LtE: "<=",
-          ast.Gt: ">", ast.GtE: ">="}
+          ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.And: "and",
+          ast.Or: "or"}
 #: address space of one test run: a mutant that drops a size cap fails here
 #: instead of taking the host's memory
 MEMORY_BYTES = 3 * 2**30
@@ -92,6 +96,15 @@ def mutants(source: str, names) -> list:
             elif isinstance(node, ast.Compare):
                 operands = [node.left, *node.comparators]
                 sites += [(op, a, b) for op, a, b in zip(node.ops, operands, operands[1:])]
+            elif isinstance(node, ast.BoolOp):
+                sites += [(node.op, a, b) for a, b in zip(node.values, node.values[1:])]
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                # drop ``not`` and the blanks after it: its operand stands alone
+                start = at(node.lineno, node.col_offset)
+                stop = start + 3
+                while data[stop:stop + 1] in (b" ", b"\t"):
+                    stop += 1
+                out.append((name, node.lineno, start, stop, data[start:stop].decode(), ""))
             elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
                 start = at(node.lineno, node.col_offset)
                 stop = at(node.end_lineno, node.end_col_offset)
@@ -153,13 +166,13 @@ def survey(path: str, names, tests: list, chosen=None) -> dict:
 def self_check() -> bool:
     def chosen(m, source):
         text = source.splitlines()[m[1] - 1]
-        return ((m[0] == "_is_power_of_two" and m[4:] == ("-", "+"))
+        return ((m[0] == "_is_power_of_two" and m[4:] in (("-", "+"), ("==", "!=")))
                 or (m[0] == "max_abs_diff" and m[4:] == ("0", "1") and "np.empty(0" in text))
 
     report = survey("src/qcut/linalg.py", ["_is_power_of_two", "max_abs_diff"],
                     ["tests/test_linalg.py"], chosen)
     survived = [(s["function"], s["old"], s["new"]) for s in report["survivors"]]
-    ok = report["mutants"] == 2 and survived == [("max_abs_diff", "0", "1")]
+    ok = report["mutants"] == 3 and survived == [("max_abs_diff", "0", "1")]
     print("self-check " + ("holds" if ok else f"fails: {report}"))
     return ok
 
